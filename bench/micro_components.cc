@@ -1,22 +1,27 @@
 /**
  * Component microbenchmarks (google-benchmark): throughput of the
  * hot structures — trace predictor lookup/update, IR-detector trace
- * merging, cache access, the assembler, and the functional simulator.
- * These guard the *simulator's* own performance (host MIPS), which
- * bounds how large the paper-scale experiments can be.
+ * merging, the OoO core, cache access, the assembler, and the
+ * functional simulator. These guard the *simulator's* own performance
+ * (host MIPS), which bounds how large the paper-scale experiments can
+ * be.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "assembler/assembler.hh"
 #include "func/exec_engine.hh"
 #include "func/func_sim.hh"
+#include "harness/experiment.hh"
 #include "mem/memory.hh"
 #include "mem/cache.hh"
 #include "slipstream/ir_detector.hh"
 #include "slipstream/ir_predictor.hh"
+#include "slipstream/slipstream_processor.hh"
+#include "uarch/fetch_source.hh"
 #include "uarch/trace_pred.hh"
 #include "workloads/workloads.hh"
 
@@ -87,6 +92,168 @@ BM_IRPredictorUpdate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IRPredictorUpdate);
+
+/** Host nanoseconds spent in `body`, which returns its item count. */
+template <typename Body>
+uint64_t
+timedItems(double &ns, Body &&body)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    const uint64_t items = body();
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - t0)
+              .count();
+    return items;
+}
+
+/** The R-stream's validated traces, as the IR-detector received them. */
+struct RetiredTraceStream
+{
+    std::vector<Packet> packets;
+    std::vector<std::vector<ExecResult>> rExec;
+    std::vector<PathHistory> historyBefore;
+};
+
+/** The first traces m88ksim (test size) retires on CMP(2x64x4). */
+const RetiredTraceStream &
+cannedRetiredTraces()
+{
+    static const RetiredTraceStream stream = [] {
+        constexpr size_t kTraces = 4096;
+        const Program p =
+            assemble(getWorkload("m88ksim", WorkloadSize::Test).source);
+        SlipstreamProcessor proc(p, cmp2x64x4Params());
+        RetiredTraceStream s;
+        PathHistory history;
+        RStreamSource &rs = proc.rSource();
+        rs.onPacketRetired = [&, inner = rs.onPacketRetired](
+                                 const Packet &packet,
+                                 const std::vector<ExecResult> &rExec) {
+            if (s.packets.size() < kTraces) {
+                s.packets.push_back(packet);
+                s.rExec.push_back(rExec);
+                s.historyBefore.push_back(history);
+                history.push(packet.actualId);
+            }
+            inner(packet, rExec);
+        };
+        proc.run();
+        return s;
+    }();
+    return stream;
+}
+
+// One pass feeds the canned stream to a warm detector (the predictor
+// keeps what earlier passes trained), then drains and resets it.
+void
+BM_IRDetectorProcessTrace(benchmark::State &state)
+{
+    const RetiredTraceStream &s = cannedRetiredTraces();
+    IRPredictor pred;
+    IRDetector detector(IRDetectorParams{}, pred);
+    double ns = 0;
+    uint64_t traces = 0;
+    for (auto _ : state) {
+        traces += timedItems(ns, [&] {
+            for (size_t i = 0; i < s.packets.size(); ++i)
+                detector.processTrace(RetiredTrace{
+                    &s.packets[i], &s.rExec[i], &s.historyBefore[i]});
+            detector.drain();
+            return s.packets.size();
+        });
+        detector.reset();
+    }
+    state.counters["ns/trace"] = ns / double(traces);
+}
+BENCHMARK(BM_IRDetectorProcessTrace);
+
+/** Replays recorded fetch blocks, one per nextBlock() call. */
+class ReplaySource : public FetchSource
+{
+  public:
+    explicit ReplaySource(const std::vector<FetchBlock> &blocks)
+        : blocks(blocks)
+    {}
+
+    bool
+    nextBlock(FetchBlock &block) override
+    {
+        if (next == blocks.size())
+            return false;
+        block.startAddr = blocks[next].startAddr;
+        block.insts = blocks[next].insts; // reuses the core's storage
+        ++next;
+        return true;
+    }
+
+    bool exhausted() const override { return next == blocks.size(); }
+
+  private:
+    const std::vector<FetchBlock> &blocks;
+    size_t next = 0;
+};
+
+/** Every fetch block SS(64x4) fetches running m88ksim (test size). */
+const std::vector<FetchBlock> &
+cannedFetchBlocks()
+{
+    static const std::vector<FetchBlock> blocks = [] {
+        const Program p =
+            assemble(getWorkload("m88ksim", WorkloadSize::Test).source);
+        const CoreParams params = ss64x4Params();
+        TracePredictor predictor;
+        TraceFetchSource source(p, predictor, params.fetchWidth);
+        std::vector<FetchBlock> out;
+        struct Recorder : FetchSource
+        {
+            TraceFetchSource &inner;
+            std::vector<FetchBlock> &out;
+            Recorder(TraceFetchSource &inner, std::vector<FetchBlock> &out)
+                : inner(inner), out(out)
+            {}
+            bool
+            nextBlock(FetchBlock &block) override
+            {
+                if (!inner.nextBlock(block))
+                    return false;
+                out.push_back(block);
+                return true;
+            }
+            bool exhausted() const override { return inner.exhausted(); }
+        } recorder(source, out);
+        OoOCore core(params, recorder);
+        core.onRetire = [&](const DynInst &d, Cycle) {
+            source.notifyRetire(d);
+            return true;
+        };
+        for (Cycle now = 0; !core.halted(); ++now)
+            core.tick(now);
+        return out;
+    }();
+    return blocks;
+}
+
+// One pass runs a fresh SS(64x4) core over the recorded blocks to
+// HALT: the core alone, with no functional execution or prediction.
+void
+BM_OoOCoreCannedStream(benchmark::State &state)
+{
+    const std::vector<FetchBlock> &blocks = cannedFetchBlocks();
+    const CoreParams params = ss64x4Params();
+    double ns = 0;
+    uint64_t insts = 0;
+    for (auto _ : state) {
+        insts += timedItems(ns, [&] {
+            ReplaySource source(blocks);
+            OoOCore core(params, source);
+            for (Cycle now = 0; !core.halted(); ++now)
+                core.tick(now);
+            return core.retiredCount();
+        });
+    }
+    state.counters["ns/inst"] = ns / double(insts);
+}
+BENCHMARK(BM_OoOCoreCannedStream);
 
 void
 BM_Assembler(benchmark::State &state)

@@ -5,75 +5,10 @@
 namespace slip
 {
 
-namespace
+void
+detail::badOpcode(size_t idx)
 {
-
-constexpr OpInfo opTable[] = {
-    // mnemonic  format      opClass           memBytes  loadSigned
-    {"add",   Format::R,   OpClass::IntAlu,   0, false},
-    {"sub",   Format::R,   OpClass::IntAlu,   0, false},
-    {"mul",   Format::R,   OpClass::IntMult,  0, false},
-    {"mulh",  Format::R,   OpClass::IntMult,  0, false},
-    {"div",   Format::R,   OpClass::IntDiv,   0, false},
-    {"divu",  Format::R,   OpClass::IntDiv,   0, false},
-    {"rem",   Format::R,   OpClass::IntDiv,   0, false},
-    {"remu",  Format::R,   OpClass::IntDiv,   0, false},
-    {"and",   Format::R,   OpClass::IntAlu,   0, false},
-    {"or",    Format::R,   OpClass::IntAlu,   0, false},
-    {"xor",   Format::R,   OpClass::IntAlu,   0, false},
-    {"sll",   Format::R,   OpClass::IntAlu,   0, false},
-    {"srl",   Format::R,   OpClass::IntAlu,   0, false},
-    {"sra",   Format::R,   OpClass::IntAlu,   0, false},
-    {"slt",   Format::R,   OpClass::IntAlu,   0, false},
-    {"sltu",  Format::R,   OpClass::IntAlu,   0, false},
-    {"addi",  Format::I,   OpClass::IntAlu,   0, false},
-    {"andi",  Format::I,   OpClass::IntAlu,   0, false},
-    {"ori",   Format::I,   OpClass::IntAlu,   0, false},
-    {"xori",  Format::I,   OpClass::IntAlu,   0, false},
-    {"slli",  Format::I,   OpClass::IntAlu,   0, false},
-    {"srli",  Format::I,   OpClass::IntAlu,   0, false},
-    {"srai",  Format::I,   OpClass::IntAlu,   0, false},
-    {"slti",  Format::I,   OpClass::IntAlu,   0, false},
-    {"sltiu", Format::I,   OpClass::IntAlu,   0, false},
-    {"lui",   Format::J,   OpClass::IntAlu,   0, false},
-    {"lb",    Format::I,   OpClass::Load,     1, true},
-    {"lbu",   Format::I,   OpClass::Load,     1, false},
-    {"lh",    Format::I,   OpClass::Load,     2, true},
-    {"lhu",   Format::I,   OpClass::Load,     2, false},
-    {"lw",    Format::I,   OpClass::Load,     4, true},
-    {"lwu",   Format::I,   OpClass::Load,     4, false},
-    {"ld",    Format::I,   OpClass::Load,     8, false},
-    {"sb",    Format::S,   OpClass::Store,    1, false},
-    {"sh",    Format::S,   OpClass::Store,    2, false},
-    {"sw",    Format::S,   OpClass::Store,    4, false},
-    {"sd",    Format::S,   OpClass::Store,    8, false},
-    {"beq",   Format::B,   OpClass::Branch,   0, false},
-    {"bne",   Format::B,   OpClass::Branch,   0, false},
-    {"blt",   Format::B,   OpClass::Branch,   0, false},
-    {"bge",   Format::B,   OpClass::Branch,   0, false},
-    {"bltu",  Format::B,   OpClass::Branch,   0, false},
-    {"bgeu",  Format::B,   OpClass::Branch,   0, false},
-    {"jal",   Format::J,   OpClass::Jump,     0, false},
-    {"jalr",  Format::I,   OpClass::Jump,     0, false},
-    {"putc",  Format::Sys, OpClass::Syscall,  0, false},
-    {"putn",  Format::Sys, OpClass::Syscall,  0, false},
-    {"halt",  Format::Sys, OpClass::Syscall,  0, false},
-    {"nop",   Format::Sys, OpClass::IntAlu,   0, false},
-};
-
-static_assert(sizeof(opTable) / sizeof(opTable[0]) ==
-                  static_cast<size_t>(Opcode::NumOpcodes),
-              "opTable out of sync with Opcode enum");
-
-} // namespace
-
-const OpInfo &
-opInfo(Opcode op)
-{
-    const auto idx = static_cast<size_t>(op);
-    SLIP_ASSERT(idx < static_cast<size_t>(Opcode::NumOpcodes),
-                "bad opcode ", idx);
-    return opTable[idx];
+    SLIP_PANIC("bad opcode ", idx);
 }
 
 } // namespace slip

@@ -21,8 +21,8 @@ AStreamSource::AStreamSource(const Program &program,
                              AStreamPolicy &aPolicy, unsigned fetchWidth,
                              const TracePolicy &policy)
     : program(program), predictor(predictor), irPredictor(irPredictor),
-      delayBuffer(delayBuffer), aPolicy(aPolicy), fetchWidth(fetchWidth),
-      policy(policy), state_(memPort), stats_("a_stream")
+      delayBuffer(delayBuffer), aPolicy(aPolicy), policy(policy),
+      state_(memPort), slicer(fetchWidth), stats_("a_stream")
 {
     state_.setPc(program.entry());
     state_.writeReg(reg::sp, layout::kStackTop);
@@ -31,7 +31,7 @@ AStreamSource::AStreamSource(const Program &program,
 bool
 AStreamSource::exhausted() const
 {
-    return haltWalked && blocks.empty();
+    return haltWalked && slicer.empty();
 }
 
 unsigned
@@ -60,7 +60,7 @@ AStreamSource::canWalk() const
 bool
 AStreamSource::nextBlock(FetchBlock &block)
 {
-    while (blocks.empty()) {
+    while (slicer.empty()) {
         if (haltWalked) {
             ++statStallHalted;
             return false;
@@ -75,8 +75,7 @@ AStreamSource::nextBlock(FetchBlock &block)
         }
         walkTrace();
     }
-    block = std::move(blocks.front());
-    blocks.pop_front();
+    slicer.pop(block);
     return true;
 }
 
@@ -140,6 +139,7 @@ AStreamSource::walkTrace()
     const unsigned lengthCap =
         std::min<unsigned>(guess.length ? guess.length : policy.maxLen,
                            policy.maxLen);
+    packet.slots.reserve(lengthCap);
 
     // --- walk: execute non-removed slots on the A-stream context ---
     unsigned branchIdx = 0;
@@ -284,8 +284,6 @@ AStreamSource::walkTrace()
         }
     }
 
-    BlockSlicer slicer(fetchWidth);
-    DynInst lastEmitted;
     bool anyEmitted = false;
     unsigned executedCount = 0;
 
@@ -314,11 +312,10 @@ AStreamSource::walkTrace()
                 d.mispredicted = true;
         }
 
-        slicer.push(d, slot.pc, blocks);
-        lastEmitted = d;
+        slicer.push(d, slot.pc);
         anyEmitted = true;
     }
-    slicer.finish(blocks);
+    slicer.finish();
 
     packet.executedCount = executedCount;
 
@@ -334,7 +331,8 @@ AStreamSource::walkTrace()
     history.push(actual);
 
     if (!haltWalked && !truncated && anyEmitted &&
-        lastEmitted.si.isIndirectJump()) {
+        slicer.lastInst().si.isIndirectJump()) {
+        DynInst &lastEmitted = slicer.lastInst();
         const Addr actualNext = pc;
         std::optional<TraceId> next = predictor.predict(history);
         Addr predictedTarget = 0;
@@ -346,9 +344,7 @@ AStreamSource::walkTrace()
         }
         if (predictedTarget != actualNext) {
             ++statIndirectMispredicts;
-            SLIP_ASSERT(!blocks.empty() && !blocks.back().insts.empty(),
-                        "A-stream indirect block missing");
-            blocks.back().insts.back().mispredicted = true;
+            lastEmitted.mispredicted = true;
         } else if (lastEmitted.si.rs1 == reg::ra &&
                    lastEmitted.si.rd == reg::zero && next &&
                    next->valid()) {
@@ -410,7 +406,7 @@ AStreamSource::recover(Addr pc, const ArchState &rState,
     history.copyFrom(rHistory);
     ras.clear();
     cachedNextPredValid = false;
-    blocks.clear();
+    slicer.clear();
     pending.clear();
     haltWalked = false;
     stalled_ = false; // a wedged front end restarts clean

@@ -106,7 +106,6 @@ class AStreamSource : public FetchSource
     IRPredictor &irPredictor;
     DelayBuffer &delayBuffer;
     AStreamPolicy &aPolicy;
-    unsigned fetchWidth;
     TracePolicy policy;
 
     ArchState state_;
@@ -117,7 +116,7 @@ class AStreamSource : public FetchSource
     std::optional<TraceId> cachedNextPred;
     bool cachedNextPredValid = false;
 
-    std::deque<FetchBlock> blocks;
+    BlockSlicer slicer;
     std::deque<PendingPacket> pending;
 
     InstSeqNum nextSeq = 1;

@@ -7,16 +7,17 @@ namespace slip
 {
 
 IRDetector::IRDetector(const IRDetectorParams &params, IRPredictor &irPred)
-    : params_(params), irPred(irPred), stats_("ir_detector")
+    : params_(params), irPred(irPred), scope(params.scopeTraces + 1),
+      stats_("ir_detector")
 {
 }
 
 IRDetector::ScopedTrace *
 IRDetector::findScoped(uint64_t packetNum)
 {
-    for (ScopedTrace &t : scope) {
-        if (t.packetNum == packetNum)
-            return &t;
+    for (size_t i = 0; i < scope.size(); ++i) {
+        if (scope[i].packetNum == packetNum)
+            return &scope[i];
     }
     return nullptr;
 }
@@ -47,10 +48,13 @@ IRDetector::processTrace(const RetiredTrace &trace)
                 "retired trace result/slot size mismatch");
 
     SLIP_ASSERT(trace.historyBefore, "retired trace missing history");
-    scope.emplace_back(p.num, p.actualId, *trace.historyBefore,
-                       p.predictedIrVec,
-                       static_cast<unsigned>(p.slots.size()));
-    ScopedTrace &st = scope.back();
+    ScopedTrace &st = scope.pushBack();
+    st.packetNum = p.num;
+    st.id = p.actualId;
+    st.historyBefore = *trace.historyBefore;
+    st.predictedIrVec = p.predictedIrVec;
+    st.storeMask = 0;
+    st.rdfg.reset(static_cast<unsigned>(p.slots.size()));
 
     for (unsigned slot = 0; slot < p.slots.size(); ++slot) {
         if (p.slots[slot].si.isStore())
@@ -142,9 +146,8 @@ IRDetector::finalizeOldest()
     SLIP_ASSERT(!scope.empty(), "finalize on empty scope");
     ScopedTrace &st = scope.front();
 
-    RemovalPlan computed;
     computed.irVec = st.rdfg.irVec();
-    computed.reasons = st.rdfg.reasonVector();
+    st.rdfg.reasonVector(computed.reasons);
 
     statInstructionsSeen += st.rdfg.numSlots();
     statInstructionsSelected +=
@@ -174,7 +177,7 @@ IRDetector::finalizeOldest()
 
     irPred.update(st.historyBefore, st.id, computed);
     ort.invalidateProducer(st.packetNum);
-    scope.pop_front();
+    scope.popFront();
 }
 
 void

@@ -21,10 +21,10 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_IR_DETECTOR_HH
 #define SLIPSTREAM_SLIPSTREAM_IR_DETECTOR_HH
 
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "slipstream/delay_buffer.hh"
 #include "slipstream/ir_predictor.hh"
@@ -95,13 +95,6 @@ class IRDetector
         uint64_t predictedIrVec = 0;
         uint64_t storeMask = 0; // slots that are memory stores
         Rdfg rdfg;
-
-        ScopedTrace(uint64_t num, const TraceId &id,
-                    const PathHistory &history, uint64_t predicted,
-                    unsigned slots)
-            : packetNum(num), id(id), historyBefore(history),
-              predictedIrVec(predicted), rdfg(slots)
-        {}
     };
 
     /** Map a packet number to its in-scope trace, or nullptr. */
@@ -115,7 +108,8 @@ class IRDetector
     IRDetectorParams params_;
     IRPredictor &irPred;
     OperandRenameTable ort;
-    std::deque<ScopedTrace> scope;
+    Ring<ScopedTrace> scope; // oldest first; slots reused in place
+    RemovalPlan computed;    // reused by every finalize
     StatGroup stats_;
     StatGroup::Handle statTracesProcessed{
         stats_.handle("traces_processed")};

@@ -82,7 +82,16 @@ OrtWriteResult
 OperandRenameTable::writeMem(Addr addr, unsigned bytes, Word value,
                              const OrtProducer &producer)
 {
-    return writeEntry(mem[memKey(addr, bytes)], value, producer);
+    const uint64_t key = memKey(addr, bytes);
+    const OrtWriteResult result = writeEntry(mem[key], value, producer);
+    if (!result.nonModifying) {
+        SLIP_ASSERT(installs.empty() ||
+                        installs.back().packetNum <= producer.packetNum,
+                    "ORT install from packet ", producer.packetNum,
+                    " after packet ", installs.back().packetNum);
+        installs.pushBack({producer.packetNum, key});
+    }
+    return result;
 }
 
 void
@@ -92,10 +101,15 @@ OperandRenameTable::invalidateProducer(uint64_t packetNum)
         if (e.producerValid && e.producer.packetNum == packetNum)
             e.producerValid = false;
     }
-    for (auto &[key, e] : mem) {
-        if (e.producerValid && e.producer.packetNum == packetNum)
-            e.producerValid = false;
+    while (!installs.empty() && installs.front().packetNum == packetNum) {
+        auto it = mem.find(installs.front().key);
+        if (it != mem.end() && it->second.producer.packetNum == packetNum)
+            it->second.producerValid = false;
+        installs.popFront();
     }
+    SLIP_ASSERT(installs.empty() || installs.front().packetNum > packetNum,
+                "ORT evicting packet ", packetNum, " before packet ",
+                installs.front().packetNum);
     // Bound the memory table: entries with a live producer must stay
     // (they can still be killed), the rest are value-only cache and
     // can be shed under pressure.
@@ -112,6 +126,7 @@ OperandRenameTable::reset()
     for (Entry &e : regs)
         e = Entry{};
     mem.clear();
+    installs.clear();
 }
 
 } // namespace slip

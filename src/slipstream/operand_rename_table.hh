@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace slip
@@ -71,7 +72,11 @@ class OperandRenameTable
     OrtWriteResult writeReg(RegIndex r, Word value,
                             const OrtProducer &producer);
 
-    /** Check-and-update for a memory write (stores). */
+    /**
+     * Check-and-update for a memory write (stores). Producers must
+     * arrive in non-decreasing packet order (the detector merges
+     * traces in retirement order).
+     */
     OrtWriteResult writeMem(Addr addr, unsigned bytes, Word value,
                             const OrtProducer &producer);
 
@@ -84,6 +89,10 @@ class OperandRenameTable
      * boundaries (otherwise every scope-length-th instance of a
      * same-value write computes a different ir-vec and the resetting
      * confidence counter never saturates).
+     *
+     * Packets must leave oldest-first, every packet that wrote memory
+     * exactly once: the cost is then the packet's own memory writes,
+     * not the table size.
      */
     void invalidateProducer(uint64_t packetNum);
 
@@ -110,8 +119,23 @@ class OperandRenameTable
     OrtWriteResult writeEntry(Entry &entry, Word value,
                               const OrtProducer &producer);
 
+    /** One producer installed into the memory table. */
+    struct Install
+    {
+        uint64_t packetNum;
+        uint64_t key;
+    };
+
     std::array<Entry, kNumRegs> regs;
     std::unordered_map<uint64_t, Entry> mem;
+
+    /**
+     * Invalidation log: every memory install in order, hence sorted
+     * by packet. Eviction pops its packet's records off the front and
+     * clears the entries that still name that packet (a later packet
+     * may have overwritten one; the cap sweep may have shed one).
+     */
+    Ring<Install> installs{256};
 };
 
 } // namespace slip

@@ -112,7 +112,7 @@ RStreamSource::applyFault(FaultRecord &rec, PacketSlot &slot,
 RStreamSource::RStreamSource(const Program &program, Memory &rMem,
                              DelayBuffer &delayBuffer, unsigned fetchWidth)
     : program(program), port(rMem), state_(port),
-      delayBuffer(delayBuffer), fetchWidth(fetchWidth),
+      delayBuffer(delayBuffer), slicer(fetchWidth),
       stats_("r_stream")
 {
     state_.setPc(program.entry());
@@ -122,13 +122,13 @@ RStreamSource::RStreamSource(const Program &program, Memory &rMem,
 bool
 RStreamSource::exhausted() const
 {
-    return haltWalked && blocks.empty();
+    return haltWalked && slicer.empty();
 }
 
 bool
 RStreamSource::nextBlock(FetchBlock &block)
 {
-    while (blocks.empty()) {
+    while (slicer.empty()) {
         if (haltWalked || awaitingRecovery_) {
             ++(awaitingRecovery_ ? statStallRecovery
                                  : statStallHalted);
@@ -140,8 +140,7 @@ RStreamSource::nextBlock(FetchBlock &block)
         }
         walkPacket();
     }
-    block = std::move(blocks.front());
-    blocks.pop_front();
+    slicer.pop(block);
     return true;
 }
 
@@ -178,7 +177,6 @@ RStreamSource::walkPacket()
     PacketRecord rec;
     rec.rExec.reserve(packet.slots.size());
 
-    BlockSlicer slicer(fetchWidth);
     bool divergence = false;
 
     for (size_t i = 0; i < packet.slots.size() && !divergence; ++i) {
@@ -242,7 +240,7 @@ RStreamSource::walkPacket()
         rec.rExec.push_back(exec);
         ++rec.emitted;
 
-        slicer.push(d, rPc, blocks);
+        slicer.push(d, rPc);
 
         if (mismatch) {
             divergence = true;
@@ -264,7 +262,7 @@ RStreamSource::walkPacket()
         if (si.isHalt())
             haltWalked = true;
     }
-    slicer.finish(blocks);
+    slicer.finish();
 
     rec.divergent = divergence;
     rec.packet = std::move(packet);
@@ -291,7 +289,7 @@ void
 RStreamSource::recover()
 {
     awaitingRecovery_ = false;
-    blocks.clear();
+    slicer.clear();
     ++statRecoveries;
 }
 

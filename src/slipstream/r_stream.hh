@@ -23,7 +23,6 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_R_STREAM_HH
 #define SLIPSTREAM_SLIPSTREAM_R_STREAM_HH
 
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
@@ -102,10 +101,9 @@ class RStreamSource : public FetchSource
     DirectMemPort port;
     ArchState state_;
     DelayBuffer &delayBuffer;
-    unsigned fetchWidth;
 
     std::string output_;
-    std::deque<FetchBlock> blocks;
+    BlockSlicer slicer;
     std::unordered_map<uint64_t, PacketRecord> records;
 
     InstSeqNum nextSeq = 1;

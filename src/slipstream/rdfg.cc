@@ -6,33 +6,46 @@ namespace slip
 {
 
 Rdfg::Rdfg(unsigned numSlots)
-    : nodes(numSlots)
 {
+    reset(numSlots);
+}
+
+void
+Rdfg::reset(unsigned numSlots)
+{
+    SLIP_ASSERT(numSlots <= kMaxRdfgSlots, "rdfg of ", numSlots,
+                " slots exceeds ", kMaxRdfgSlots);
+    numSlots_ = numSlots;
+    for (unsigned i = 0; i < numSlots; ++i)
+        nodes[i] = Node{};
 }
 
 void
 Rdfg::setRemovable(unsigned slot, bool removable)
 {
-    SLIP_ASSERT(slot < nodes.size(), "rdfg slot ", slot, " out of range");
+    SLIP_ASSERT(slot < numSlots_, "rdfg slot ", slot, " out of range");
     nodes[slot].removable = removable;
 }
 
 void
 Rdfg::addEdge(unsigned producer, unsigned consumer)
 {
-    SLIP_ASSERT(producer < nodes.size() && consumer < nodes.size(),
+    SLIP_ASSERT(producer < numSlots_ && consumer < numSlots_,
                 "rdfg edge out of range");
     SLIP_ASSERT(producer != consumer, "rdfg self edge at slot ", producer);
+    Node &c = nodes[consumer];
+    SLIP_ASSERT(c.numProducers < c.producers.size(), "rdfg slot ",
+                consumer, " has more than ", c.producers.size(),
+                " producers");
     Node &p = nodes[producer];
     ++p.consumers;
-    nodes[consumer].producers.push_back(
-        static_cast<uint16_t>(producer));
+    c.producers[c.numProducers++] = static_cast<uint8_t>(producer);
     // If the consumer is already selected (e.g. a branch selected at
     // merge reads an operand — impossible in practice since edges are
     // added before selection, but keep the invariant robust).
-    if (nodes[consumer].selected) {
+    if (c.selected) {
         ++p.selectedConsumers;
-        p.inheritedReasons |= nodes[consumer].reasons;
+        p.inheritedReasons |= c.reasons;
         tryPropagate(producer);
     }
 }
@@ -40,14 +53,14 @@ Rdfg::addEdge(unsigned producer, unsigned consumer)
 void
 Rdfg::markExternalConsumer(unsigned producer)
 {
-    SLIP_ASSERT(producer < nodes.size(), "rdfg slot out of range");
+    SLIP_ASSERT(producer < numSlots_, "rdfg slot out of range");
     nodes[producer].externalConsumer = true;
 }
 
 void
 Rdfg::select(unsigned slot, uint8_t reasons)
 {
-    SLIP_ASSERT(slot < nodes.size(), "rdfg slot ", slot, " out of range");
+    SLIP_ASSERT(slot < numSlots_, "rdfg slot ", slot, " out of range");
     Node &n = nodes[slot];
     if (!n.removable)
         return;
@@ -59,7 +72,8 @@ Rdfg::select(unsigned slot, uint8_t reasons)
     n.reasons |= reasons;
 
     // Back-propagate: each producer gains one selected consumer.
-    for (uint16_t p : n.producers) {
+    for (unsigned i = 0; i < n.numProducers; ++i) {
+        const unsigned p = n.producers[i];
         Node &prod = nodes[p];
         ++prod.selectedConsumers;
         prod.inheritedReasons |= n.reasons & ~reason::kProp;
@@ -70,7 +84,7 @@ Rdfg::select(unsigned slot, uint8_t reasons)
 void
 Rdfg::kill(unsigned slot)
 {
-    SLIP_ASSERT(slot < nodes.size(), "rdfg slot ", slot, " out of range");
+    SLIP_ASSERT(slot < numSlots_, "rdfg slot ", slot, " out of range");
     nodes[slot].killed = true;
     tryPropagate(slot);
 }
@@ -91,20 +105,19 @@ uint64_t
 Rdfg::irVec() const
 {
     uint64_t vec = 0;
-    for (size_t i = 0; i < nodes.size(); ++i) {
+    for (unsigned i = 0; i < numSlots_; ++i) {
         if (nodes[i].selected)
             vec |= uint64_t(1) << i;
     }
     return vec;
 }
 
-std::vector<uint8_t>
-Rdfg::reasonVector() const
+void
+Rdfg::reasonVector(std::vector<uint8_t> &out) const
 {
-    std::vector<uint8_t> reasons(nodes.size(), 0);
-    for (size_t i = 0; i < nodes.size(); ++i)
-        reasons[i] = nodes[i].reasons;
-    return reasons;
+    out.resize(numSlots_);
+    for (unsigned i = 0; i < numSlots_; ++i)
+        out[i] = nodes[i].reasons;
 }
 
 } // namespace slip

@@ -13,6 +13,7 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_RDFG_HH
 #define SLIPSTREAM_SLIPSTREAM_RDFG_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -21,12 +22,21 @@
 namespace slip
 {
 
-/** Back-propagation circuitry for one trace. */
+/** Most instructions one R-DFG holds: the ir-vec is 64 bits wide. */
+constexpr unsigned kMaxRdfgSlots = 64;
+
+/**
+ * Back-propagation circuitry for one trace. Storage is fixed, so the
+ * detector reuses one graph per scope slot instead of allocating.
+ */
 class Rdfg
 {
   public:
     /** Begin a trace of `numSlots` instructions. */
-    explicit Rdfg(unsigned numSlots);
+    explicit Rdfg(unsigned numSlots = 0);
+
+    /** Begin a new trace of `numSlots` instructions in place. */
+    void reset(unsigned numSlots);
 
     /**
      * Declare slot eligibility: instructions with irreversible side
@@ -34,7 +44,12 @@ class Rdfg
      */
     void setRemovable(unsigned slot, bool removable);
 
-    /** Add a same-trace dataflow edge producer -> consumer. */
+    /**
+     * Add a same-trace dataflow edge producer -> consumer. A consumer
+     * has at most three: two source registers and one load. Repeated
+     * edges (both sources naming one producer) are kept, so consumer
+     * counts stay exact.
+     */
     void addEdge(unsigned producer, unsigned consumer);
 
     /** The producer has a consumer beyond this trace: pins it. */
@@ -55,16 +70,13 @@ class Rdfg
     bool selected(unsigned slot) const { return nodes[slot].selected; }
     uint8_t reasons(unsigned slot) const { return nodes[slot].reasons; }
 
-    unsigned numSlots() const
-    {
-        return static_cast<unsigned>(nodes.size());
-    }
+    unsigned numSlots() const { return numSlots_; }
 
     /** Removal bit vector over the slots (bit i = slot i selected). */
     uint64_t irVec() const;
 
-    /** Per-slot reason masks, aligned with irVec(). */
-    std::vector<uint8_t> reasonVector() const;
+    /** Per-slot reason masks, aligned with irVec(), into `out`. */
+    void reasonVector(std::vector<uint8_t> &out) const;
 
   private:
     struct Node
@@ -74,15 +86,17 @@ class Rdfg
         bool killed = false;
         bool externalConsumer = false;
         uint8_t reasons = 0;
+        uint8_t inheritedReasons = 0; // union of selected consumers'
+        uint8_t numProducers = 0;
+        std::array<uint8_t, 3> producers{};
         uint16_t consumers = 0;
         uint16_t selectedConsumers = 0;
-        uint8_t inheritedReasons = 0; // union of selected consumers'
-        std::vector<uint16_t> producers;
     };
 
     void tryPropagate(unsigned slot);
 
-    std::vector<Node> nodes;
+    std::array<Node, kMaxRdfgSlots> nodes;
+    unsigned numSlots_ = 0;
 };
 
 } // namespace slip

@@ -18,6 +18,7 @@ OoOCore::OoOCore(const CoreParams &params, FetchSource &source)
           c.name = params.name + ".dcache";
           return c;
       }()),
+      window(params.robSize + params.fetchBufferCap),
       slotsUsed(kRingSize, 0), slotsTag(kRingSize, ~Cycle(0)),
       stats_(params.name)
 {
@@ -97,9 +98,9 @@ void
 OoOCore::doRetire(Cycle now)
 {
     unsigned count = 0;
-    while (count < params_.retireWidth && !rob.empty() &&
-           rob.front().completeAt <= now) {
-        const DynInst &d = rob.front().d;
+    while (count < params_.retireWidth && robCount > 0 &&
+           window.front().at <= now) {
+        const DynInst &d = window.front().d;
         if (onRetire && !onRetire(d, now))
             break; // back-pressure: retry next cycle
         ++retired;
@@ -110,7 +111,8 @@ OoOCore::doRetire(Cycle now)
             ++numBranchMispredicts;
         if (d.si.isHalt())
             halted_ = true;
-        rob.pop_front();
+        window.popFront();
+        --robCount;
         ++count;
         if (halted_)
             return;
@@ -121,11 +123,10 @@ void
 OoOCore::doDispatch(Cycle now)
 {
     unsigned count = 0;
-    while (count < params_.dispatchWidth && !fetchBuffer.empty() &&
-           fetchBuffer.front().readyAt <= now &&
-           rob.size() < params_.robSize) {
-        DynInst d = fetchBuffer.front().d;
-        fetchBuffer.pop_front();
+    while (count < params_.dispatchWidth && robCount < window.size() &&
+           window[robCount].at <= now && robCount < params_.robSize) {
+        InflightEntry &e = window[robCount];
+        const DynInst &d = e.d;
         ++count;
         ++numDispatched;
 
@@ -186,7 +187,8 @@ OoOCore::doDispatch(Cycle now)
                 fetchBlockedOnBranch = false;
         }
 
-        rob.push_back({std::move(d), completeAt});
+        e.at = completeAt;
+        ++robCount;
     }
 }
 
@@ -195,10 +197,12 @@ OoOCore::doFetch(Cycle now)
 {
     if (halted_ || fetchBlockedOnBranch || now < fetchResumeAt)
         return;
-    if (fetchBuffer.size() + params_.fetchWidth > params_.fetchBufferCap)
+    if (window.size() - robCount + params_.fetchWidth >
+        params_.fetchBufferCap)
         return;
 
-    FetchBlock block;
+    FetchBlock &block = fetchBlock;
+    block.insts.clear();
     if (!source.nextBlock(block))
         return;
     if (block.insts.empty())
@@ -228,7 +232,7 @@ OoOCore::doFetch(Cycle now)
     }
 
     const Cycle readyAt = now + params_.fetchToDispatch + extra;
-    for (DynInst &d : block.insts) {
+    for (const DynInst &d : block.insts) {
         ++numFetched;
         if (d.fetchOnly) {
             // Removed by the ir-vec between fetch and decode: consumes
@@ -245,7 +249,9 @@ OoOCore::doFetch(Cycle now)
             fetchBlockedOnBranch = true;
             blockedBranchSeq = d.seq;
         }
-        fetchBuffer.push_back({std::move(d), readyAt});
+        InflightEntry &e = window.pushBack();
+        e.d = d;
+        e.at = readyAt;
     }
 }
 
@@ -253,12 +259,12 @@ void
 OoOCore::flush(Cycle now, Cycle resumeFetchAt)
 {
     SLIP_TRACE(obs::Category::Core, obs::Name::CoreFlush,
-               obs::Phase::Instant, fetchBuffer.size() + rob.size(),
+               obs::Phase::Instant, window.size(),
                params_.name.empty()
                    ? '?'
                    : static_cast<unsigned char>(params_.name[0]));
-    fetchBuffer.clear();
-    rob.clear();
+    window.clear();
+    robCount = 0;
     regReady.fill(now);
     storeReady.clear();
     fetchBlockedOnBranch = false;

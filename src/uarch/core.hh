@@ -22,11 +22,11 @@
 #define SLIPSTREAM_UARCH_CORE_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "func/executor.hh"
@@ -148,11 +148,7 @@ class OoOCore
     bool halted() const { return halted_; }
 
     /** In-flight work (ROB plus fetch buffer). */
-    bool
-    pipelineEmpty() const
-    {
-        return rob.empty() && fetchBuffer.empty();
-    }
+    bool pipelineEmpty() const { return window.empty(); }
 
     /**
      * Full pipeline flush (slipstream recovery): discards in-flight
@@ -185,16 +181,10 @@ class OoOCore
     uint64_t branchMispredicts() const { return numBranchMispredicts; }
 
   private:
-    struct FetchEntry
+    struct InflightEntry
     {
         DynInst d;
-        Cycle readyAt; // earliest dispatch cycle
-    };
-
-    struct RobEntry
-    {
-        DynInst d;
-        Cycle completeAt;
+        Cycle at; // fetch buffer: earliest dispatch; ROB: completion
     };
 
     void doRetire(Cycle now);
@@ -211,8 +201,17 @@ class OoOCore
     Cache icache_;
     Cache dcache_;
 
-    std::deque<FetchEntry> fetchBuffer;
-    std::deque<RobEntry> rob;
+    /**
+     * Every in-flight instruction in program order, in one ring sized
+     * robSize + fetchBufferCap: the first robCount entries are the
+     * ROB, the rest the fetch buffer. Dispatch moves the boundary;
+     * the instruction itself stays in place until it retires.
+     */
+    Ring<InflightEntry> window;
+    unsigned robCount = 0;
+
+    /** The block the source fills each fetch; its storage is reused. */
+    FetchBlock fetchBlock;
 
     std::array<Cycle, kNumRegs> regReady{};
     std::unordered_map<Addr, Cycle> storeReady; // key: addr >> 3

@@ -40,33 +40,57 @@ buildStaticTrace(const Program &program, Addr startPc,
 }
 
 void
-BlockSlicer::push(const DynInst &d, Addr fetchAddr,
-                  std::deque<FetchBlock> &out)
+BlockSlicer::push(const DynInst &d, Addr fetchAddr)
 {
     const bool discontinuous = open && fetchAddr != nextAddr;
-    if (open && (discontinuous || current.insts.size() >= maxBlock))
-        finish(out);
+    if (open && (discontinuous || blocks.back().insts.size() >= maxBlock))
+        finish();
 
     if (!open) {
-        current.startAddr = fetchAddr;
+        FetchBlock &b = blocks.pushBack(); // recycled storage
+        b.startAddr = fetchAddr;
+        b.insts.clear();
+        b.insts.reserve(maxBlock);
         open = true;
     }
-    current.insts.push_back(d);
+    blocks.back().insts.push_back(d);
     nextAddr = fetchAddr + kInstBytes;
 
     // Blocks end at taken control flow and after mispredictions (the
     // core must not see past a front-end redirect point).
     const bool takenControl = d.exec.isControl && d.exec.taken;
     if (takenControl || d.mispredicted || d.si.isHalt())
-        finish(out);
+        finish();
 }
 
 void
-BlockSlicer::finish(std::deque<FetchBlock> &out)
+BlockSlicer::finish()
 {
-    if (open && !current.insts.empty())
-        out.push_back(std::move(current));
-    current = FetchBlock{};
+    open = false;
+}
+
+void
+BlockSlicer::pop(FetchBlock &out)
+{
+    SLIP_ASSERT(!empty(), "no completed fetch block");
+    FetchBlock &b = blocks.front();
+    out.startAddr = b.startAddr;
+    out.insts.swap(b.insts);
+    blocks.popFront();
+}
+
+DynInst &
+BlockSlicer::lastInst()
+{
+    SLIP_ASSERT(!blocks.empty() && !blocks.back().insts.empty(),
+                "no instruction sliced");
+    return blocks.back().insts.back();
+}
+
+void
+BlockSlicer::clear()
+{
+    blocks.clear();
     open = false;
 }
 
@@ -103,19 +127,18 @@ TraceFetchSource::TraceFetchSource(const Program &program,
 bool
 TraceFetchSource::exhausted() const
 {
-    return haltWalked && blocks.empty();
+    return haltWalked && slicer.empty();
 }
 
 bool
 TraceFetchSource::nextBlock(FetchBlock &block)
 {
-    while (blocks.empty()) {
+    while (slicer.empty()) {
         if (haltWalked)
             return false;
         walkTrace();
     }
-    block = std::move(blocks.front());
-    blocks.pop_front();
+    slicer.pop(block);
     return true;
 }
 
@@ -154,7 +177,6 @@ TraceFetchSource::walkTrace()
         std::min<unsigned>(guess.length ? guess.length : policy.maxLen,
                            policy.maxLen);
 
-    DynInst last;
     bool anyEmitted = false;
     bool truncated = false;
 
@@ -195,8 +217,7 @@ TraceFetchSource::walkTrace()
         if (si.isHalt())
             haltWalked = true;
 
-        slicer.push(d, pc, blocks);
-        last = d;
+        slicer.push(d, pc);
         anyEmitted = true;
 
         if (truncated || structuralEnd)
@@ -205,6 +226,7 @@ TraceFetchSource::walkTrace()
 
     SLIP_ASSERT(anyEmitted, "walked an empty trace at pc 0x", std::hex,
                 startPc);
+    DynInst &last = slicer.lastInst();
 
     // --- update speculative history with the actual trace ---
     history.push(actual);
@@ -215,7 +237,7 @@ TraceFetchSource::walkTrace()
         ++statTraceMispredicts;
 
     if (haltWalked) {
-        slicer.finish(blocks);
+        slicer.finish();
         return;
     }
 
@@ -235,9 +257,7 @@ TraceFetchSource::walkTrace()
             // misprediction on the indirect jump itself.
             ++statIndirectMispredicts;
             // Patch the already-sliced last instruction.
-            SLIP_ASSERT(!blocks.empty() && !blocks.back().insts.empty(),
-                        "indirect jump block missing");
-            blocks.back().insts.back().mispredicted = true;
+            last.mispredicted = true;
         } else if (last.si.rs1 == reg::ra && last.si.rd == reg::zero &&
                    next && next->valid()) {
             // Predictor supplied the target; keep the RAS balanced.
@@ -247,7 +267,7 @@ TraceFetchSource::walkTrace()
         cachedNextPredValid = true;
     }
 
-    slicer.finish(blocks);
+    slicer.finish();
 }
 
 void

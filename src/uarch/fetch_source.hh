@@ -21,11 +21,11 @@
 #ifndef SLIPSTREAM_UARCH_FETCH_SOURCE_HH
 #define SLIPSTREAM_UARCH_FETCH_SOURCE_HH
 
-#include <deque>
 #include <optional>
 #include <unordered_map>
 
 #include "assembler/program.hh"
+#include "common/ring.hh"
 #include "func/arch_state.hh"
 #include "func/executor.hh"
 #include "mem/memory.hh"
@@ -48,10 +48,13 @@ TraceId buildStaticTrace(const Program &program, Addr startPc,
                          const TracePolicy &policy = {});
 
 /**
- * Slices a stream of walked instructions into fetch blocks: a block
- * ends at taken control flow, at fetch-width capacity, at any
- * discontinuity in the fetch address (A-stream skip points), and
- * after a mispredicted instruction (core contract).
+ * Slices a stream of walked instructions into fetch blocks and queues
+ * them for the core: a block ends at taken control flow, at
+ * fetch-width capacity, at any discontinuity in the fetch address
+ * (A-stream skip points), and after a mispredicted instruction (core
+ * contract). Block storage is recycled: handing a block to the core
+ * trades instruction vectors with the core's consumed block, so a
+ * steady-state walk allocates nothing.
  */
 class BlockSlicer
 {
@@ -64,17 +67,27 @@ class BlockSlicer
      * Append one instruction.
      * @param fetchAddr the address the front end fetches this
      *        instruction from (== d.pc in every current model)
-     * @param out completed blocks are appended here
      */
-    void push(const DynInst &d, Addr fetchAddr,
-              std::deque<FetchBlock> &out);
+    void push(const DynInst &d, Addr fetchAddr);
 
-    /** Flush the in-progress block (end of trace). */
-    void finish(std::deque<FetchBlock> &out);
+    /** Close the in-progress block (end of trace). */
+    void finish();
+
+    /** No completed block is waiting. */
+    bool empty() const { return blocks.size() == (open ? 1u : 0u); }
+
+    /** Hand the oldest completed block to the core. */
+    void pop(FetchBlock &out);
+
+    /** The most recently pushed instruction. */
+    DynInst &lastInst();
+
+    /** Drop every queued block (recovery). */
+    void clear();
 
   private:
     unsigned maxBlock;
-    FetchBlock current;
+    Ring<FetchBlock> blocks{kMaxTraceLen}; // completed, then the open one
     Addr nextAddr = 0; // expected fetchAddr for sequential flow
     bool open = false;
 };
@@ -136,7 +149,6 @@ class TraceFetchSource : public FetchSource
     std::optional<TraceId> cachedNextPred; // consumed by next walk
     bool cachedNextPredValid = false;
 
-    std::deque<FetchBlock> blocks;
     BlockSlicer slicer;
 
     InstSeqNum nextSeq = 1;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "isa/isa.hh"
 #include "isa/regnames.hh"
 
@@ -15,6 +16,12 @@ TEST(Isa, OpInfoTableIsComplete)
         EXPECT_NE(info.mnemonic, nullptr);
         EXPECT_GT(std::string(info.mnemonic).size(), 0u);
     }
+}
+
+TEST(Isa, OpInfoRejectsOutOfRangeOpcode)
+{
+    EXPECT_THROW(opInfo(Opcode::NumOpcodes), PanicError);
+    EXPECT_THROW(opInfo(static_cast<Opcode>(0xff)), PanicError);
 }
 
 TEST(Isa, ClassPredicates)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "slipstream/rdfg.hh"
 
 namespace slip
@@ -103,7 +105,8 @@ TEST(Rdfg, ReasonVectorMatchesSlots)
     Rdfg g(3);
     g.select(0, reason::kWW);
     g.select(2, reason::kBR);
-    const auto reasons = g.reasonVector();
+    std::vector<uint8_t> reasons;
+    g.reasonVector(reasons);
     ASSERT_EQ(reasons.size(), 3u);
     EXPECT_EQ(reasons[0], reason::kWW);
     EXPECT_EQ(reasons[1], 0);

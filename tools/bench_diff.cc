@@ -289,6 +289,10 @@ extractGbench(const Json &root)
             n.resize(n.size() - suffix.size());
         }
         out.push_back({n + ":ns", rt->num, "ns", false});
+        // Per-item host cost of the component benches.
+        for (const char *perItem : {"ns/inst", "ns/trace"})
+            if (const double v = counterOf(b, perItem))
+                out.push_back({n + ":" + perItem, v, perItem, false});
         if (const double r = counterOf(b, "insts/s"))
             out.push_back({n + ":insts/s", r, "insts/s", true});
         if (const double r = counterOf(b, "bytes_per_second"))
