@@ -1,10 +1,10 @@
 /**
  * Component microbenchmarks (google-benchmark): throughput of the
  * hot structures — trace predictor lookup/update, IR-detector trace
- * merging, the OoO core, cache access, the assembler, and the
- * functional simulator. These guard the *simulator's* own performance
- * (host MIPS), which bounds how large the paper-scale experiments can
- * be.
+ * merging, the delay buffer, the recovery overlay, the OoO core,
+ * cache access, the assembler, and the functional simulator. These
+ * guard the *simulator's* own performance (host MIPS), which bounds
+ * how large the paper-scale experiments can be.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "assembler/assembler.hh"
+#include "common/random.hh"
 #include "func/exec_engine.hh"
 #include "func/func_sim.hh"
 #include "harness/experiment.hh"
@@ -20,6 +21,7 @@
 #include "mem/cache.hh"
 #include "slipstream/ir_detector.hh"
 #include "slipstream/ir_predictor.hh"
+#include "slipstream/recovery_controller.hh"
 #include "slipstream/slipstream_processor.hh"
 #include "uarch/fetch_source.hh"
 #include "uarch/trace_pred.hh"
@@ -166,6 +168,123 @@ BM_IRDetectorProcessTrace(benchmark::State &state)
     state.counters["ns/trace"] = ns / double(traces);
 }
 BENCHMARK(BM_IRDetectorProcessTrace);
+
+// One pass streams the canned packets through one delay buffer, the
+// consumer popping whenever the producer would overflow it. Packets
+// trade storage with the buffer, so the pass leaves every packet back
+// in its vector slot and the steady state allocates nothing.
+void
+BM_DelayBufferRoundTrip(benchmark::State &state)
+{
+    std::vector<Packet> packets = cannedRetiredTraces().packets;
+    DelayBuffer db;
+    double ns = 0;
+    uint64_t moved = 0;
+    for (auto _ : state) {
+        moved += timedItems(ns, [&] {
+            size_t consumed = 0;
+            for (Packet &p : packets) {
+                while (!db.canPush(p.executedCount))
+                    db.pop(packets[consumed++]);
+                db.push(p);
+            }
+            while (!db.empty())
+                db.pop(packets[consumed++]);
+            return packets.size();
+        });
+        benchmark::DoNotOptimize(packets.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["ns/packet"] = ns / double(moved);
+}
+BENCHMARK(BM_DelayBufferRoundTrip);
+
+/** One A-stream memory access or R-stream store retirement. */
+struct OverlayOp
+{
+    enum Kind : uint8_t { Load, Store, RRetire } kind;
+    uint8_t bytes;
+    Addr addr;
+    uint64_t value;
+};
+
+/**
+ * A seeded stream of A loads and stores over a 4 KB hot region, each
+ * A store followed 32 stores later by its R-stream twin (same data)
+ * retiring, as the streams do when no IR-misprediction intervenes.
+ * Every store is retired by the end, so each pass starts and ends
+ * with an empty overlay.
+ */
+const std::vector<OverlayOp> &
+overlayOps()
+{
+    static const std::vector<OverlayOp> ops = [] {
+        constexpr size_t kOps = 1 << 16;
+        constexpr size_t kLag = 32;
+        Rng rng(7);
+        std::vector<OverlayOp> out;
+        std::vector<OverlayOp> inFlight;
+        size_t retired = 0;
+        while (out.size() < kOps) {
+            const uint8_t bytes = uint8_t(1u << rng.below(4));
+            const Addr addr =
+                0x100000 + (rng.below(4096) & ~Addr(bytes - 1));
+            if (rng.below(3) != 0) {
+                out.push_back({OverlayOp::Load, bytes, addr, 0});
+                continue;
+            }
+            const OverlayOp store{OverlayOp::Store, bytes, addr,
+                                  rng.next()};
+            out.push_back(store);
+            inFlight.push_back(store);
+            if (inFlight.size() - retired > kLag) {
+                out.push_back(inFlight[retired++]);
+                out.back().kind = OverlayOp::RRetire;
+            }
+        }
+        while (retired < inFlight.size()) {
+            out.push_back(inFlight[retired++]);
+            out.back().kind = OverlayOp::RRetire;
+        }
+        return out;
+    }();
+    return ops;
+}
+
+// An R retirement first writes the store to R memory (the R-stream
+// executes it at walk time), then closes its undo window.
+void
+BM_RecoveryControllerAccess(benchmark::State &state)
+{
+    const std::vector<OverlayOp> &ops = overlayOps();
+    Memory rMem;
+    RecoveryController rc(rMem);
+    uint64_t sink = 0;
+    double ns = 0;
+    uint64_t accesses = 0;
+    for (auto _ : state) {
+        accesses += timedItems(ns, [&] {
+            for (const OverlayOp &op : ops) {
+                switch (op.kind) {
+                  case OverlayOp::Load:
+                    sink += rc.read(op.addr, op.bytes);
+                    break;
+                  case OverlayOp::Store:
+                    rc.write(op.addr, op.bytes, op.value);
+                    break;
+                  case OverlayOp::RRetire:
+                    rMem.write(op.addr, op.bytes, op.value);
+                    rc.onRStoreRetired(op.addr, op.bytes);
+                    break;
+                }
+            }
+            return ops.size();
+        });
+    }
+    benchmark::DoNotOptimize(sink);
+    state.counters["ns/access"] = ns / double(accesses);
+}
+BENCHMARK(BM_RecoveryControllerAccess);
 
 /** Replays recorded fetch blocks, one per nextBlock() call. */
 class ReplaySource : public FetchSource

@@ -4,7 +4,8 @@
  *
  * The simulator's per-instruction and per-trace queues (the core's
  * in-flight window, fetch-block queues, the IR-detector scope, the
- * operand rename table's install log) have bounded occupancy. A
+ * operand rename table's install log, the A->R packet queues and the
+ * retire-order records) have bounded occupancy. A
  * std::deque would still allocate and free a node every few pushes;
  * a Ring allocates its buffer once and afterwards reuses the slots.
  *
@@ -43,8 +44,10 @@ class Ring
 
     /** Element `i` places behind the front (0 = oldest). */
     T &operator[](size_t i) { return buf[slot(i)]; }
+    const T &operator[](size_t i) const { return buf[slot(i)]; }
 
     T &front() { return buf[head]; }
+    const T &front() const { return buf[head]; }
     T &back() { return buf[slot(count - 1)]; }
 
     /** Append one slot and return it, holding stale contents. */

@@ -38,8 +38,8 @@ unsigned
 AStreamSource::pendingData() const
 {
     unsigned total = 0;
-    for (const PendingPacket &pp : pending)
-        total += pp.packet.executedCount;
+    for (size_t i = 0; i < pending.size(); ++i)
+        total += pending[i].packet.executedCount;
     return total;
 }
 
@@ -130,10 +130,14 @@ AStreamSource::walkTrace()
     if (plan)
         ++statTracesWithRemoval;
 
-    Packet packet;
+    Packet &packet = walking; // recycled storage: reset every field
     packet.num = nextPacketNum++;
-    packet.predictedIrVec = plan ? plan->irVec : 0;
+    packet.actualId = TraceId{};
     packet.actualId.startPc = startPc;
+    packet.predictedIrVec = plan ? plan->irVec : 0;
+    packet.slots.clear();
+    packet.executedCount = 0;
+    packet.endsWithHalt = false;
     TraceId &actual = packet.actualId;
 
     const unsigned lengthCap =
@@ -368,14 +372,16 @@ AStreamSource::walkTrace()
     // The context continues at the packet path's end.
     state_.setPc(pc);
 
-    pending.push_back(
-        PendingPacket{std::move(packet), executedCount});
+    PendingPacket &pp = pending.pushBack();
+    std::swap(pp.packet, packet);
+    pp.remainingRetires = executedCount;
 }
 
 void
 AStreamSource::notifyRetire(const DynInst &d)
 {
-    for (PendingPacket &pp : pending) {
+    for (size_t i = 0; i < pending.size(); ++i) {
+        PendingPacket &pp = pending[i];
         if (pp.packet.num == d.packetSeq) {
             SLIP_ASSERT(pp.remainingRetires > 0,
                         "packet ", d.packetSeq, " over-retired");
@@ -391,8 +397,8 @@ AStreamSource::tryPublish()
 {
     while (!pending.empty() && pending.front().remainingRetires == 0 &&
            delayBuffer.canPush(pending.front().packet.executedCount)) {
-        delayBuffer.push(std::move(pending.front().packet));
-        pending.pop_front();
+        delayBuffer.push(pending.front().packet);
+        pending.popFront();
         ++statPacketsPublished;
     }
 }

@@ -26,10 +26,10 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_A_STREAM_HH
 #define SLIPSTREAM_SLIPSTREAM_A_STREAM_HH
 
-#include <deque>
 #include <optional>
 
 #include "assembler/program.hh"
+#include "common/ring.hh"
 #include "func/arch_state.hh"
 #include "slipstream/a_stream_policy.hh"
 #include "slipstream/delay_buffer.hh"
@@ -117,7 +117,11 @@ class AStreamSource : public FetchSource
     bool cachedNextPredValid = false;
 
     BlockSlicer slicer;
-    std::deque<PendingPacket> pending;
+    // Walked packets awaiting publication. Packets move walk ->
+    // pending -> delay buffer by swapping, so their slot vectors are
+    // recycled rather than reallocated.
+    Ring<PendingPacket> pending;
+    Packet walking; // the trace being walked
 
     InstSeqNum nextSeq = 1;
     uint64_t nextPacketNum = 0;

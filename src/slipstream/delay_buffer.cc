@@ -17,7 +17,7 @@ namespace
  * monotonic (FIFO order is the delay buffer's whole contract).
  */
 void
-checkFifoInvariants([[maybe_unused]] const std::deque<Packet> &packets,
+checkFifoInvariants([[maybe_unused]] const Ring<Packet> &packets,
                     [[maybe_unused]] unsigned dataEntries,
                     [[maybe_unused]] const DelayBufferParams &params)
 {
@@ -25,7 +25,8 @@ checkFifoInvariants([[maybe_unused]] const std::deque<Packet> &packets,
     uint64_t summed = 0;
     uint64_t lastNum = 0;
     bool first = true;
-    for (const Packet &p : packets) {
+    for (size_t i = 0; i < packets.size(); ++i) {
+        const Packet &p = packets[i];
         unsigned executed = 0;
         for (const PacketSlot &slot : p.slots)
             executed += slot.executedInA ? 1 : 0;
@@ -65,22 +66,25 @@ DelayBuffer::canPush(unsigned executedCount) const
 }
 
 void
-DelayBuffer::push(Packet packet)
+DelayBuffer::push(Packet &packet)
 {
     SLIP_ASSERT(canPush(packet.executedCount),
                 "delay buffer overflow: control ", packets.size(), "/",
                 params_.controlCapacity, ", data ", dataEntries_, "+",
                 packet.executedCount, "/", params_.dataCapacity);
     dataEntries_ += packet.executedCount;
-    stats_.distribution("control_occupancy")
-        .sample(packets.size() + 1);
-    stats_.distribution("data_occupancy").sample(dataEntries_);
+    if (!controlOccupancy) {
+        controlOccupancy = &stats_.distribution("control_occupancy");
+        dataOccupancy = &stats_.distribution("data_occupancy");
+    }
+    controlOccupancy->sample(packets.size() + 1);
+    dataOccupancy->sample(dataEntries_);
     ++statPackets;
     SLIP_TRACE(obs::Category::DelayBuffer, obs::Name::ControlOccupancy,
                obs::Phase::Counter, packets.size() + 1, 0);
     SLIP_TRACE(obs::Category::DelayBuffer, obs::Name::DataOccupancy,
                obs::Phase::Counter, dataEntries_, 0);
-    packets.push_back(std::move(packet));
+    std::swap(packets.pushBack(), packet);
     if (SLIP_INVARIANTS_ACTIVE())
         checkFifoInvariants(packets, dataEntries_, params_);
 }
@@ -92,22 +96,21 @@ DelayBuffer::front() const
     return packets.front();
 }
 
-Packet
-DelayBuffer::pop()
+void
+DelayBuffer::pop(Packet &out)
 {
     SLIP_ASSERT(!packets.empty(), "pop() on empty delay buffer");
-    Packet p = std::move(packets.front());
-    packets.pop_front();
-    SLIP_ASSERT(dataEntries_ >= p.executedCount,
+    std::swap(out, packets.front());
+    packets.popFront();
+    SLIP_ASSERT(dataEntries_ >= out.executedCount,
                 "delay buffer data-entry underflow");
-    dataEntries_ -= p.executedCount;
+    dataEntries_ -= out.executedCount;
     SLIP_TRACE(obs::Category::DelayBuffer, obs::Name::ControlOccupancy,
                obs::Phase::Counter, packets.size(), 0);
     SLIP_TRACE(obs::Category::DelayBuffer, obs::Name::DataOccupancy,
                obs::Phase::Counter, dataEntries_, 0);
     if (SLIP_INVARIANTS_ACTIVE())
         checkFifoInvariants(packets, dataEntries_, params_);
-    return p;
 }
 
 void

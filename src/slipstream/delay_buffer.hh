@@ -14,14 +14,19 @@
  * pairs and a data-flow buffer of 256 instruction entries. A full
  * buffer back-pressures the A-stream; an empty one starves R-stream
  * fetch.
+ *
+ * Packets travel by exchange, not by copy: push() and pop() swap the
+ * caller's Packet with a buffer slot, so each hop hands back a used
+ * packet whose slot vector keeps its capacity and a steady-state
+ * stream of packets allocates nothing.
  */
 
 #ifndef SLIPSTREAM_SLIPSTREAM_DELAY_BUFFER_HH
 #define SLIPSTREAM_SLIPSTREAM_DELAY_BUFFER_HH
 
-#include <deque>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "func/executor.hh"
 #include "isa/isa.hh"
@@ -85,7 +90,11 @@ class DelayBuffer
     /** Would a packet with `executedCount` data entries fit? */
     bool canPush(unsigned executedCount) const;
 
-    void push(Packet packet);
+    /**
+     * Append `packet`. The caller gets back a consumed packet's
+     * storage (stale contents) to refill.
+     */
+    void push(Packet &packet);
 
     bool empty() const { return packets.empty(); }
 
@@ -93,10 +102,10 @@ class DelayBuffer
     const Packet &front() const;
 
     /**
-     * Consume the front packet (R-stream finished fetching it),
-     * returning it by value for downstream bookkeeping.
+     * Consume the front packet (R-stream finished fetching it) into
+     * `out`, whose previous storage the buffer keeps for reuse.
      */
-    Packet pop();
+    void pop(Packet &out);
 
     /** Flush everything (recovery). */
     void clear();
@@ -112,11 +121,15 @@ class DelayBuffer
 
   private:
     DelayBufferParams params_;
-    std::deque<Packet> packets;
+    Ring<Packet> packets;
     unsigned dataEntries_ = 0;
     StatGroup stats_;
     StatGroup::Handle statPackets{stats_.handle("packets")};
     StatGroup::Handle statFlushes{stats_.handle("flushes")};
+    // Resolved on the first push, so a buffer that never receives a
+    // packet dumps no occupancy distributions.
+    Distribution *controlOccupancy = nullptr;
+    Distribution *dataOccupancy = nullptr;
 };
 
 } // namespace slip

@@ -171,11 +171,14 @@ RStreamSource::slotMismatch(const PacketSlot &slot,
 void
 RStreamSource::walkPacket()
 {
-    Packet packet = delayBuffer.pop();
+    PacketRecord &rec = records.pushBack(); // recycled storage
+    delayBuffer.pop(rec.packet);
+    Packet &packet = rec.packet;
     const uint64_t num = packet.num;
-
-    PacketRecord rec;
+    rec.rExec.clear();
     rec.rExec.reserve(packet.slots.size());
+    rec.emitted = 0;
+    rec.retires = 0;
 
     bool divergence = false;
 
@@ -265,24 +268,23 @@ RStreamSource::walkPacket()
     slicer.finish();
 
     rec.divergent = divergence;
-    rec.packet = std::move(packet);
-    records.emplace(num, std::move(rec));
     ++statPacketsWalked;
 }
 
 void
 RStreamSource::notifyRetire(const DynInst &d)
 {
-    auto it = records.find(d.packetSeq);
-    if (it == records.end())
+    while (!records.empty() && records.front().packet.num < d.packetSeq)
+        records.popFront(); // stale: lost blocks to recover()
+    if (records.empty() || records.front().packet.num != d.packetSeq)
         return;
-    PacketRecord &rec = it->second;
+    PacketRecord &rec = records.front();
     ++rec.retires;
     if (rec.retires < rec.emitted)
         return;
     if (!rec.divergent && onPacketRetired)
         onPacketRetired(rec.packet, rec.rExec);
-    records.erase(it);
+    records.popFront();
 }
 
 void

@@ -24,9 +24,9 @@
 #define SLIPSTREAM_SLIPSTREAM_R_STREAM_HH
 
 #include <functional>
-#include <unordered_map>
 
 #include "assembler/program.hh"
+#include "common/ring.hh"
 #include "func/arch_state.hh"
 #include "mem/memory.hh"
 #include "slipstream/delay_buffer.hh"
@@ -52,6 +52,11 @@ class RStreamSource : public FetchSource
     /**
      * R-stream core retire notification. Drives packet-completion
      * bookkeeping; fires onPacketRetired for fully validated traces.
+     *
+     * Records are matched at the front of a walk-ordered ring: the
+     * core retires in program order and packet numbers only grow, so
+     * a front record older than `d`'s packet can never complete (its
+     * unfetched blocks went to recover()) and is dropped unfired.
      */
     void notifyRetire(const DynInst &d);
 
@@ -104,7 +109,10 @@ class RStreamSource : public FetchSource
 
     std::string output_;
     BlockSlicer slicer;
-    std::unordered_map<uint64_t, PacketRecord> records;
+    // Walked packets awaiting retirement, oldest first. Slots are
+    // recycled: a walk pops the delay buffer into the slot's packet,
+    // handing the buffer the slot's old storage.
+    Ring<PacketRecord> records;
 
     InstSeqNum nextSeq = 1;
     uint64_t walked = 0;

@@ -1,9 +1,47 @@
 #include "slipstream/recovery_controller.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace slip
 {
+
+namespace
+{
+
+/**
+ * Split an access into its (at most two) granule pieces:
+ * fn(granule, offset in granule, offset in access, bytes). Addresses
+ * wrap past 2^64 exactly as a byte-at-a-time walk would.
+ */
+template <typename Fn>
+void
+forEachGranule(Addr addr, unsigned bytes, Fn &&fn)
+{
+    for (unsigned done = 0; done < bytes;) {
+        const Addr a = addr + done;
+        const unsigned off = static_cast<unsigned>(a & 7);
+        const unsigned n = std::min(bytes - done, 8 - off);
+        fn(a >> 3, off, done, n);
+        done += n;
+    }
+}
+
+uint8_t
+byteOf(uint64_t value, unsigned i)
+{
+    return static_cast<uint8_t>(value >> (8 * i));
+}
+
+/** `word` with its byte `i` replaced by `byte`. */
+uint64_t
+withByte(uint64_t word, unsigned i, uint8_t byte)
+{
+    return (word & ~(uint64_t(0xff) << (8 * i))) | uint64_t(byte) << (8 * i);
+}
+
+} // namespace
 
 RecoveryController::RecoveryController(Memory &rMem,
                                        const RecoveryParams &params)
@@ -14,48 +52,65 @@ RecoveryController::RecoveryController(Memory &rMem,
 uint64_t
 RecoveryController::read(Addr addr, unsigned bytes)
 {
-    uint64_t value = 0;
-    for (unsigned i = 0; i < bytes; ++i) {
-        const Addr a = addr + i;
-        uint8_t byte;
-        auto it = overlay.find(a);
-        if (it != overlay.end())
-            byte = it->second.value;
-        else
-            byte = static_cast<uint8_t>(rMem.read(a, 1));
-        value |= static_cast<uint64_t>(byte) << (8 * i);
-    }
+    uint64_t value = rMem.read(addr, bytes);
+    if (overlay.empty())
+        return value;
+    forEachGranule(addr, bytes, [&](Addr g, unsigned off, unsigned at,
+                                    unsigned n) {
+        auto it = overlay.find(g);
+        if (it == overlay.end())
+            return;
+        const OverlayGranule &og = it->second;
+        for (unsigned i = 0; i < n; ++i)
+            if (og.present >> (off + i) & 1)
+                value = withByte(value, at + i, byteOf(og.value, off + i));
+    });
     return value;
 }
 
 void
 RecoveryController::write(Addr addr, unsigned bytes, uint64_t value)
 {
-    for (unsigned i = 0; i < bytes; ++i) {
-        OverlayByte &b = overlay[addr + i];
-        b.value = static_cast<uint8_t>(value >> (8 * i));
-        ++b.pendingStores;
-    }
+    forEachGranule(addr, bytes, [&](Addr g, unsigned off, unsigned at,
+                                    unsigned n) {
+        OverlayGranule &og = overlay[g];
+        for (unsigned i = 0; i < n; ++i) {
+            const unsigned b = off + i;
+            og.value = withByte(og.value, b, byteOf(value, at + i));
+            og.present |= uint8_t(1u << b);
+            ++og.pendingStores[b];
+        }
+    });
 }
 
 void
 RecoveryController::onRStoreRetired(Addr addr, unsigned bytes)
 {
-    for (unsigned i = 0; i < bytes; ++i) {
-        const Addr a = addr + i;
-        auto it = overlay.find(a);
+    if (overlay.empty())
+        return; // already reclaimed (or recovery intervened)
+    const uint64_t rValue = rMem.read(addr, bytes);
+    forEachGranule(addr, bytes, [&](Addr g, unsigned off, unsigned at,
+                                    unsigned n) {
+        auto it = overlay.find(g);
         if (it == overlay.end())
-            continue; // already reclaimed (or recovery intervened)
-        OverlayByte &b = it->second;
-        if (b.pendingStores > 0)
-            --b.pendingStores;
-        if (b.pendingStores == 0 &&
-            b.value == static_cast<uint8_t>(rMem.read(a, 1))) {
-            // The streams agree and no younger A-store is in flight:
-            // the undo window for this byte is closed.
-            overlay.erase(it);
+            return;
+        OverlayGranule &og = it->second;
+        for (unsigned i = 0; i < n; ++i) {
+            const unsigned b = off + i;
+            if (!(og.present >> b & 1))
+                continue;
+            if (og.pendingStores[b] > 0)
+                --og.pendingStores[b];
+            if (og.pendingStores[b] == 0 &&
+                byteOf(og.value, b) == byteOf(rValue, at + i)) {
+                // The streams agree and no younger A-store is in
+                // flight: the undo window for this byte is closed.
+                og.present &= uint8_t(~(1u << b));
+            }
         }
-    }
+        if (og.present == 0)
+            overlay.erase(it);
+    });
 }
 
 void
@@ -85,13 +140,9 @@ RecoveryController::onTraceVerified(uint64_t packetNum)
 size_t
 RecoveryController::trackedAddresses() const
 {
-    // Count the undo overlay in 8-byte granules to match the do set
-    // (and the paper's notion of tracked addresses).
-    std::unordered_set<Addr> granules;
-    granules.reserve(overlay.size());
-    for (const auto &[addr, byte] : overlay)
-        granules.insert(addr >> 3);
-    return granules.size() + doSetSize;
+    // Both sets count 8-byte granules (the paper's tracked addresses);
+    // every overlay entry holds at least one live byte.
+    return overlay.size() + doSetSize;
 }
 
 Cycle

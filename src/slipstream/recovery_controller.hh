@@ -10,9 +10,11 @@
  *    checked/retired by the R-stream. Implemented as the A-stream's
  *    memory *overlay*: A-stream writes land in the overlay, A-stream
  *    reads see overlay bytes over the authoritative R-stream memory,
- *    and entries are reclaimed when the companion R-stream store
+ *    and bytes are reclaimed when the companion R-stream store
  *    retires with matching data. Discarding the overlay "undoes" the
- *    stores — the paper's selective repair, made functional.
+ *    stores — the paper's selective repair, made functional. The
+ *    overlay is keyed by 8-byte granule (the unit recovery restores),
+ *    with per-byte presence and pending-store counts inside.
  *
  *  - "store 2" (do set): stores skipped in the A-stream, tracked from
  *    R-stream retirement until the IR-detector verifies the removal
@@ -89,15 +91,18 @@ class RecoveryController : public MemPort
     StatGroup &stats() { return stats_; }
 
   private:
-    struct OverlayByte
+    /** One 8-byte granule; byte i is live iff bit i of `present`. */
+    struct OverlayGranule
     {
-        uint8_t value = 0;
-        uint32_t pendingStores = 0; // A-stores not yet matched by R
+        uint64_t value = 0; // little-endian, as in memory
+        uint8_t present = 0;
+        uint32_t pendingStores[8] = {}; // A-stores not yet matched by R
     };
 
     Memory &rMem;
     RecoveryParams params_;
-    std::unordered_map<Addr, OverlayByte> overlay;
+    /** Keyed by addr >> 3; a granule with no live byte is erased. */
+    std::unordered_map<Addr, OverlayGranule> overlay;
 
     /** Do set: 8-byte granules per unverified trace. */
     std::unordered_map<uint64_t, std::unordered_set<Addr>> doSet;

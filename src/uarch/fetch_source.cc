@@ -230,8 +230,11 @@ TraceFetchSource::walkTrace()
 
     // --- update speculative history with the actual trace ---
     history.push(actual);
-    pendingTrain.emplace(
-        traceNum, PendingTrain{historyBefore, actual, last.seq});
+    PendingTrain &train = pendingTrain.pushBack(); // recycled slot
+    train.traceNum = traceNum;
+    train.history = historyBefore;
+    train.actual = actual;
+    train.lastSeq = last.seq;
 
     if (truncated)
         ++statTraceMispredicts;
@@ -273,13 +276,16 @@ TraceFetchSource::walkTrace()
 void
 TraceFetchSource::notifyRetire(const DynInst &d)
 {
-    auto it = pendingTrain.find(d.packetSeq);
-    if (it == pendingTrain.end())
+    while (!pendingTrain.empty() &&
+           pendingTrain.front().traceNum < d.packetSeq)
+        pendingTrain.popFront(); // its last instruction never retires
+    if (pendingTrain.empty())
         return;
-    if (d.seq != it->second.lastSeq)
+    const PendingTrain &train = pendingTrain.front();
+    if (train.traceNum != d.packetSeq || d.seq != train.lastSeq)
         return;
-    predictor.update(it->second.history, it->second.actual);
-    pendingTrain.erase(it);
+    predictor.update(train.history, train.actual);
+    pendingTrain.popFront();
 }
 
 } // namespace slip

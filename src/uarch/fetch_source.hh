@@ -22,7 +22,6 @@
 #define SLIPSTREAM_UARCH_FETCH_SOURCE_HH
 
 #include <optional>
-#include <unordered_map>
 
 #include "assembler/program.hh"
 #include "common/ring.hh"
@@ -122,6 +121,9 @@ class TraceFetchSource : public FetchSource
      * Must be called from the core's retire hook for every retired
      * instruction: trains the trace predictor with the actual trace
      * once its last instruction retires (modeling update latency).
+     * The core retires in program order and trace numbers only grow,
+     * so the pending trace is always at the front of a walk-ordered
+     * ring; an older front entry can never train and is dropped.
      */
     void notifyRetire(const DynInst &d);
 
@@ -155,14 +157,15 @@ class TraceFetchSource : public FetchSource
     uint64_t nextTraceNum = 0;
     bool haltWalked = false;
 
-    /** Pending predictor training, keyed by trace number. */
+    /** Pending predictor training, one per walked trace. */
     struct PendingTrain
     {
+        uint64_t traceNum = 0;
         PathHistory history; // history *before* this trace
         TraceId actual;
-        InstSeqNum lastSeq;
+        InstSeqNum lastSeq = 0;
     };
-    std::unordered_map<uint64_t, PendingTrain> pendingTrain;
+    Ring<PendingTrain> pendingTrain; // walk order, oldest first
 
     StatGroup stats_;
     StatGroup::Handle statTracesPredicted{

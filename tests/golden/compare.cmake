@@ -27,7 +27,7 @@ execute_process(COMMAND "${BENCH}"
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "${BENCH} exited with ${status}")
 endif()
-string(REGEX REPLACE "(\n\\[[a-z0-9]+\\]) [^ ]+ s wall,"
+string(REGEX REPLACE "(\n\\[[a-z0-9_]+\\]) [^ ]+ s wall,"
        "\\1 <wall> s wall," actual "${actual}")
 
 file(READ "${GOLDEN}" expected)

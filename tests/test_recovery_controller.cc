@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <unordered_set>
+
+#include "common/random.hh"
 #include "slipstream/recovery_controller.hh"
 
 namespace slip
@@ -163,6 +167,202 @@ TEST_F(RecoveryTest, StatsRecordRecoveries)
     EXPECT_EQ(rc.stats().getDistribution("tracked_at_recovery").max(),
               1u);
 }
+
+TEST_F(RecoveryTest, AccessesWrapPast2To64)
+{
+    // An 8-byte store at 2^64 - 4 covers the top granule and granule 0.
+    rMem.write(0, 8, 0x1111111111111111ull);
+    rc.write(~Addr(0) - 3, 8, 0x8877665544332211ull);
+    EXPECT_EQ(rc.trackedAddresses(), 2u);
+    EXPECT_EQ(rc.read(0, 4), 0x88776655u);
+    EXPECT_EQ(rc.read(~Addr(0) - 3, 8), 0x8877665544332211ull);
+    EXPECT_EQ(rc.read(2, 4), 0x11118877u);
+    // R retires the same store: both granules are reclaimed.
+    rMem.write(~Addr(0) - 3, 8, 0x8877665544332211ull);
+    rc.onRStoreRetired(~Addr(0) - 3, 8);
+    EXPECT_EQ(rc.trackedAddresses(), 0u);
+}
+
+/**
+ * Reference model: the recovery controller with its undo overlay kept
+ * one map node per byte and read byte by byte. The granule-keyed
+ * overlay must reproduce it exactly.
+ */
+class PerByteRecovery
+{
+  public:
+    explicit PerByteRecovery(Memory &rMem) : rMem(rMem) {}
+
+    uint64_t
+    read(Addr addr, unsigned bytes)
+    {
+        uint64_t value = 0;
+        for (unsigned i = 0; i < bytes; ++i) {
+            const Addr a = addr + i;
+            auto it = overlay.find(a);
+            const uint8_t byte = it != overlay.end()
+                                     ? it->second.value
+                                     : uint8_t(rMem.read(a, 1));
+            value |= uint64_t(byte) << (8 * i);
+        }
+        return value;
+    }
+
+    void
+    write(Addr addr, unsigned bytes, uint64_t value)
+    {
+        for (unsigned i = 0; i < bytes; ++i) {
+            Byte &b = overlay[addr + i];
+            b.value = uint8_t(value >> (8 * i));
+            ++b.pendingStores;
+        }
+    }
+
+    void
+    onRStoreRetired(Addr addr, unsigned bytes)
+    {
+        for (unsigned i = 0; i < bytes; ++i) {
+            const Addr a = addr + i;
+            auto it = overlay.find(a);
+            if (it == overlay.end())
+                continue;
+            if (it->second.pendingStores > 0)
+                --it->second.pendingStores;
+            if (it->second.pendingStores == 0 &&
+                it->second.value == uint8_t(rMem.read(a, 1)))
+                overlay.erase(it);
+        }
+    }
+
+    void
+    onSkippedStoreRetired(uint64_t packetNum, Addr addr, unsigned bytes)
+    {
+        auto &granules = doSet[packetNum];
+        for (Addr g = addr >> 3; g <= (addr + bytes - 1) >> 3; ++g)
+            granules.insert(g);
+    }
+
+    void onTraceVerified(uint64_t packetNum) { doSet.erase(packetNum); }
+
+    size_t
+    trackedAddresses() const
+    {
+        std::unordered_set<Addr> granules;
+        for (const auto &[addr, byte] : overlay)
+            granules.insert(addr >> 3);
+        size_t tracked = granules.size();
+        for (const auto &[packet, set] : doSet)
+            tracked += set.size();
+        return tracked;
+    }
+
+    Cycle
+    recover()
+    {
+        const RecoveryParams params;
+        const size_t tracked = trackedAddresses();
+        overlay.clear();
+        doSet.clear();
+        return params.startupCycles +
+               (kNumRegs + params.regRestoresPerCycle - 1) /
+                   params.regRestoresPerCycle +
+               (tracked + params.memRestoresPerCycle - 1) /
+                   params.memRestoresPerCycle;
+    }
+
+  private:
+    struct Byte
+    {
+        uint8_t value = 0;
+        uint32_t pendingStores = 0;
+    };
+
+    Memory &rMem;
+    std::unordered_map<Addr, Byte> overlay;
+    std::unordered_map<uint64_t, std::unordered_set<Addr>> doSet;
+};
+
+/**
+ * Hot spots that make accesses overlap: unaligned and granule-
+ * crossing addresses, a page boundary, the last 8 bytes below 2^64
+ * (whose accesses wrap) and the first 8 above 0 (where they land).
+ */
+Addr
+pickAddr(Rng &rng)
+{
+    switch (rng.below(4)) {
+      case 0:
+        return 0x10000 + rng.below(64);
+      case 1:
+        return 0x11000 - 12 + rng.below(16);
+      case 2:
+        return ~Addr(7) + rng.below(8);
+      default:
+        return rng.below(8);
+    }
+}
+
+unsigned
+pickBytes(Rng &rng)
+{
+    return 1u << rng.below(4);
+}
+
+class RecoveryOverlayEquivalence
+    : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(RecoveryOverlayEquivalence, MatchesPerByteReference)
+{
+    Rng rng(GetParam());
+    Memory rMem;
+    for (Addr a : {Addr(0x10000), Addr(0x11000 - 16), ~Addr(15), Addr(0)})
+        for (Addr off = 0; off < 80; off += 8)
+            rMem.write(a + off, 8, rng.next());
+    RecoveryController rc(rMem);
+    PerByteRecovery ref(rMem);
+
+    unsigned recoveries = 0;
+    for (unsigned op = 0; op < 100000; ++op) {
+        const Addr addr = pickAddr(rng);
+        const unsigned bytes = pickBytes(rng);
+        const uint64_t kind = rng.below(100);
+        if (kind < 35) { // A load
+            ASSERT_EQ(rc.read(addr, bytes), ref.read(addr, bytes))
+                << "op " << op << " read 0x" << std::hex << addr;
+        } else if (kind < 65) { // A store
+            const uint64_t value = rng.next();
+            rc.write(addr, bytes, value);
+            ref.write(addr, bytes, value);
+        } else if (kind < 85) { // R store retires
+            const uint64_t r = rng.below(10);
+            if (r < 5) // the A-stream's value: streams agree
+                rMem.write(addr, bytes, ref.read(addr, bytes));
+            else if (r < 9) // the streams differ
+                rMem.write(addr, bytes, rng.next());
+            rc.onRStoreRetired(addr, bytes);
+            ref.onRStoreRetired(addr, bytes);
+        } else if (kind < 93) {
+            const uint64_t packet = rng.below(8);
+            rc.onSkippedStoreRetired(packet, addr, bytes);
+            ref.onSkippedStoreRetired(packet, addr, bytes);
+        } else if (kind < 99) {
+            const uint64_t packet = rng.below(8);
+            rc.onTraceVerified(packet);
+            ref.onTraceVerified(packet);
+        } else if (rng.below(4) == 0) {
+            ASSERT_EQ(rc.recover(), ref.recover()) << "op " << op;
+            ++recoveries;
+        }
+        ASSERT_EQ(rc.trackedAddresses(), ref.trackedAddresses())
+            << "op " << op;
+    }
+    EXPECT_GT(recoveries, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryOverlayEquivalence,
+                         ::testing::Values(1u, 2u, 3u));
 
 } // namespace
 } // namespace slip

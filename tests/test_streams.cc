@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "assembler/assembler.hh"
 #include "func/func_sim.hh"
 #include "slipstream/slipstream_processor.hh"
@@ -145,6 +148,68 @@ TEST(Streams, WalkedCountTracksRStream)
     const SlipstreamRunResult r = proc.run();
     // The R-stream walker processed at least every retired slot.
     EXPECT_GE(proc.rSource().walkedCount(), r.rRetired);
+}
+
+TEST(Streams, RetireRecordsSkipPacketsCutByRecovery)
+{
+    // Eight straight-line packets of eight instructions: with fetch
+    // width 4, each walks into two blocks. Packet 0's second block is
+    // dropped by recover() before it is fetched, so packet 0 can never
+    // complete; every later packet must still fire exactly once, in
+    // order.
+    constexpr unsigned kPackets = 8;
+    constexpr unsigned kSlots = 8;
+    std::string src = ".text\nmain:\n";
+    for (unsigned i = 0; i < kPackets * kSlots; ++i)
+        src += "    addi t0, t0, 1\n";
+    src += "    halt\n";
+    const Program p = assemble(src);
+    Memory rMem;
+    p.loadInto(rMem);
+
+    DelayBuffer db;
+    for (uint64_t n = 0; n < kPackets; ++n) {
+        Packet packet;
+        packet.num = n;
+        packet.actualId.startPc = p.entry() + n * kSlots * kInstBytes;
+        packet.actualId.length = kSlots;
+        for (unsigned i = 0; i < kSlots; ++i) {
+            PacketSlot slot;
+            slot.pc = packet.actualId.startPc + i * kInstBytes;
+            slot.si = p.fetch(slot.pc);
+            slot.pathNextPc = slot.pc + kInstBytes;
+            packet.slots.push_back(slot);
+        }
+        db.push(packet);
+    }
+
+    RStreamSource rs(p, rMem, db, 4);
+    std::vector<uint64_t> fired;
+    rs.onPacketRetired = [&](const Packet &packet,
+                             const std::vector<ExecResult> &rExec) {
+        EXPECT_EQ(rExec.size(), packet.slots.size());
+        fired.push_back(packet.num);
+    };
+
+    FetchBlock first;
+    ASSERT_TRUE(rs.nextBlock(first));
+    ASSERT_EQ(first.insts.size(), 4u);
+    EXPECT_EQ(first.insts.front().packetSeq, 0u);
+    rs.recover(); // drops packet 0's unfetched second block
+
+    // Retire in program order: the fetched half of packet 0, then
+    // everything fetched after the recovery.
+    for (const DynInst &d : first.insts)
+        rs.notifyRetire(d);
+    FetchBlock block;
+    while (rs.nextBlock(block))
+        for (const DynInst &d : block.insts)
+            rs.notifyRetire(d);
+
+    std::vector<uint64_t> expected;
+    for (uint64_t n = 1; n < kPackets; ++n)
+        expected.push_back(n);
+    EXPECT_EQ(fired, expected);
 }
 
 } // namespace

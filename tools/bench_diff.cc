@@ -290,7 +290,8 @@ extractGbench(const Json &root)
         }
         out.push_back({n + ":ns", rt->num, "ns", false});
         // Per-item host cost of the component benches.
-        for (const char *perItem : {"ns/inst", "ns/trace"})
+        for (const char *perItem :
+             {"ns/inst", "ns/trace", "ns/packet", "ns/access"})
             if (const double v = counterOf(b, perItem))
                 out.push_back({n + ":" + perItem, v, perItem, false});
         if (const double r = counterOf(b, "insts/s"))
