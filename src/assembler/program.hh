@@ -88,9 +88,11 @@ class Program
 
     /**
      * The encoded text image exactly as assembled. Together with
-     * dataBytes() and entry() this is the program's complete identity
-     * — the serve result cache hashes these (not the source string, so
-     * comment/whitespace edits that assemble identically still hit).
+     * dataBytes(), entry() and the two base addresses this is the
+     * program's complete identity — programImageDigest()
+     * (harness/sim_runner.hh) hashes these, not the source string, so
+     * comment/whitespace edits that assemble identically still hit
+     * the serve result cache.
      */
     const std::vector<uint32_t> &rawTextWords() const { return rawText; }
 

@@ -36,6 +36,23 @@ defaultJobs()
     return hw > 0 ? hw : 1;
 }
 
+Hash128
+programImageDigest(const Program &program)
+{
+    // The lengths delimit text from data, so no image's bytes can
+    // read as another's.
+    Fnv128 h;
+    h.putU64(program.entry());
+    h.putU64(program.textBase());
+    h.putU64(program.dataBase());
+    h.putU64(program.rawTextWords().size());
+    for (uint32_t word : program.rawTextWords())
+        h.putU32(word);
+    h.putU64(program.dataBytes().size());
+    h.put(program.dataBytes().data(), program.dataBytes().size());
+    return h.digest();
+}
+
 const ProgramCache::Entry &
 ProgramCache::get(const std::string &name, WorkloadSize size)
 {
@@ -53,8 +70,9 @@ ProgramCache::get(const std::string &name, WorkloadSize size)
             SLIP_FATAL("workload '", name,
                        "' did not halt within the functional "
                        "simulator's instruction limit");
+        const Hash128 digest = programImageDigest(program);
         slot->entry = std::make_unique<Entry>(
-            Entry{std::move(program), r.output, r.instCount});
+            Entry{std::move(program), r.output, r.instCount, digest});
     });
     return *slot->entry;
 }

@@ -7,12 +7,12 @@
  *
  *  - defaultJobs(): worker-count policy ($SLIPSTREAM_JOBS, else the
  *    hardware concurrency).
- *  - ProgramCache: a process-wide memo of assembled programs and
- *    their golden (functional-simulator) outputs, keyed by workload
- *    name + size. Assembly and golden execution happen exactly once
- *    per workload even when many jobs share it, and the resulting
- *    Entry is immutable, so jobs on different threads share it
- *    freely.
+ *  - ProgramCache: a process-wide memo of assembled programs, their
+ *    golden (functional-simulator) outputs and image digests, keyed
+ *    by workload name + size. Assembly, golden execution and hashing
+ *    happen exactly once per workload even when many jobs share it,
+ *    and the resulting Entry is immutable, so jobs on different
+ *    threads share it freely.
  *  - SimJobRunner: collects RunMetrics-producing jobs and runs them
  *    across the pool, returning results in submission order — output
  *    is byte-identical whatever the worker count, because each job is
@@ -37,6 +37,7 @@
 
 #include "assembler/program.hh"
 #include "common/cancel.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "harness/experiment.hh"
 #include "harness/worker_pool.hh"
@@ -54,10 +55,18 @@ namespace slip
 unsigned defaultJobs();
 
 /**
+ * The identity of an assembled program image: a hash of its entry pc,
+ * text and data base addresses, encoded text words and initialized
+ * data bytes. It is derived from content only, so two assemblies of
+ * the same source digest equally wherever they live in host memory.
+ */
+Hash128 programImageDigest(const Program &program);
+
+/**
  * Process-wide memo of assembled workloads. get() assembles the
- * program and computes its golden output the first time a given
- * {name, size} is requested; every later request — from any thread —
- * returns the same immutable entry.
+ * program, computes its golden output and digests its image the
+ * first time a given {name, size} is requested; every later request —
+ * from any thread — returns the same immutable entry.
  */
 class ProgramCache
 {
@@ -67,6 +76,7 @@ class ProgramCache
         Program program;
         std::string golden;        // functional-simulator output
         uint64_t goldenInstCount;  // dynamic instructions to halt
+        Hash128 imageDigest;       // programImageDigest(program)
     };
 
     /** Look up a registry workload (getWorkload semantics). */

@@ -173,6 +173,20 @@ static_assert(sizeof(FrameHeader) == 12, "frame header is wire format");
 // a corrupt length field, not a real message.
 constexpr uint32_t kMaxFrame = 64u << 20;
 
+void
+appendFrameVersion(std::string &frames, MsgType type, uint16_t version,
+                   const std::string &payload)
+{
+    FrameHeader hdr;
+    hdr.length = uint32_t(payload.size());
+    hdr.magic = kMagic;
+    hdr.version = version;
+    hdr.type = uint8_t(type);
+    hdr.pad = 0;
+    frames.append(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
+    frames += payload;
+}
+
 } // namespace
 
 bool
@@ -181,19 +195,26 @@ writeFrame(int fd, MsgType type, const std::string &payload)
     return writeFrameVersion(fd, type, kVersion, payload);
 }
 
+void
+appendFrame(std::string &frames, MsgType type, const std::string &payload)
+{
+    appendFrameVersion(frames, type, kVersion, payload);
+}
+
+bool
+writeFrames(int fd, const std::string &frames)
+{
+    return writeAll(fd, frames.data(), frames.size());
+}
+
 bool
 writeFrameVersion(int fd, MsgType type, uint16_t version,
                   const std::string &payload)
 {
-    FrameHeader hdr;
-    hdr.length = uint32_t(payload.size());
-    hdr.magic = kMagic;
-    hdr.version = version;
-    hdr.type = uint8_t(type);
-    hdr.pad = 0;
-    if (!writeAll(fd, &hdr, sizeof(hdr)))
-        return false;
-    return payload.empty() || writeAll(fd, payload.data(), payload.size());
+    std::string frame;
+    frame.reserve(sizeof(FrameHeader) + payload.size());
+    appendFrameVersion(frame, type, version, payload);
+    return writeFrames(fd, frame);
 }
 
 ReadResult

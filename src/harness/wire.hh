@@ -147,11 +147,23 @@ enum class ReadResult : uint8_t
 };
 
 /**
- * Write one frame; returns false on any write error (a dead peer —
- * the caller treats it like a crashed worker, not an exception).
- * The caller is expected to have SIGPIPE ignored.
+ * Write one frame, header and payload in a single write; returns
+ * false on any write error (a dead peer — the caller treats it like a
+ * crashed worker, not an exception). The caller is expected to have
+ * SIGPIPE ignored.
  */
 bool writeFrame(int fd, MsgType type, const std::string &payload);
+
+/**
+ * Append one frame, exactly the bytes writeFrame() would send, to
+ * `frames`. A run of frames appended this way and sent with
+ * writeFrames() reads back as the same frames in the same order.
+ */
+void appendFrame(std::string &frames, MsgType type,
+                 const std::string &payload);
+
+/** Write frames built by appendFrame() in one burst (as writeFrame). */
+bool writeFrames(int fd, const std::string &frames);
 
 /**
  * Read one frame (blocking). Eof only when the peer closed cleanly

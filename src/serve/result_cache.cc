@@ -1,11 +1,15 @@
 #include "serve/result_cache.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
+#include <csignal>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/env.hh"
@@ -23,43 +27,141 @@ namespace slip::serve
 namespace
 {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+/** The first bytes of every entry file ("SPLCACH1" as read from disk). */
+constexpr uint64_t kEntryMagic = 0x31484341434c5053ULL;
+
+struct EntryHeader
+{
+    uint64_t magic;
+    uint64_t keyHi;
+    uint64_t keyLo;
+    uint64_t length;   // line bytes following the header
+    uint64_t checksum; // lineChecksum() of those bytes
+};
+
+static_assert(sizeof(EntryHeader) == 40, "entry header is on-disk format");
+
+// A result line is a few hundred bytes; a file this much longer than
+// its header is damage, not a line, and is never read into memory.
+constexpr uint64_t kMaxLine = 64u << 20;
 
 /**
- * Two FNV-1a streams over the same bytes, decorrelated by seeding the
- * second with the first's offset basis xor a constant and walking the
- * bytes salted. 128 bits makes accidental collision over any
- * realistic campaign count (< 2^40 entries) a non-issue.
+ * 64-bit checksum of a line, eight bytes a step. Each step is a
+ * bijection of both the running sum and the word, so any one changed
+ * word always changes the result.
  */
-CacheKey
-fnv128(const std::string &bytes)
+uint64_t
+lineChecksum(const std::string &line)
 {
-    uint64_t a = kFnvOffset;
-    uint64_t b = kFnvOffset ^ 0x9e3779b97f4a7c15ULL;
-    for (unsigned char c : bytes) {
-        a = (a ^ c) * kFnvPrime;
-        b = (b ^ (c + 0x7f)) * kFnvPrime;
+    constexpr uint64_t kMul = 0xff51afd7ed558ccdULL;
+    const char *p = line.data();
+    const size_t n = line.size();
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ n;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        h = (h ^ w) * kMul;
+        h ^= h >> 32;
     }
-    return CacheKey{a, b};
+    uint64_t tail = 0;
+    std::memcpy(&tail, p + i, n - i);
+    h = (h ^ tail) * kMul;
+    return h ^ (h >> 32);
+}
+
+/** Read exactly `len` bytes; false on EOF or an I/O error. */
+bool
+readAll(int fd, char *p, size_t len)
+{
+    while (len > 0) {
+        const ssize_t n = ::read(fd, p, len);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        p += n;
+        len -= size_t(n);
+    }
+    return true;
+}
+
+/**
+ * Read the entry open on `fd` into `line` and verify it against
+ * `key`. Returns nullptr when it is intact, else what is wrong.
+ */
+const char *
+readEntry(int fd, const CacheKey &key, std::string &line)
+{
+    struct stat st;
+    if (::fstat(fd, &st) != 0)
+        return "cannot stat";
+    const uint64_t size = uint64_t(st.st_size);
+    if (size == 0)
+        return "empty";
+    if (size < sizeof(EntryHeader))
+        return "shorter than its header";
+    if (size - sizeof(EntryHeader) > kMaxLine)
+        return "oversized";
+    line.resize(size);
+    if (!readAll(fd, line.data(), size))
+        return "short read";
+    EntryHeader hdr;
+    std::memcpy(&hdr, line.data(), sizeof(hdr));
+    line.erase(0, sizeof(hdr));
+    if (hdr.magic != kEntryMagic)
+        return "bad magic";
+    if (hdr.keyHi != key.hi || hdr.keyLo != key.lo)
+        return "holds another key";
+    if (hdr.length != line.size())
+        return "length mismatch";
+    if (hdr.checksum != lineChecksum(line))
+        return "checksum mismatch";
+    return nullptr;
+}
+
+/** Is `name` a store's temp file (`<key>.tmp.<pid>`)? */
+bool
+isTempName(const std::string &name)
+{
+    return name.find(".tmp.") != std::string::npos;
+}
+
+/** Is temp file `name`'s writer no longer a running process? */
+bool
+writerGone(const std::string &name)
+{
+    const char *digits = name.c_str() + name.rfind(".tmp.") + 5;
+    char *end = nullptr;
+    const long pid = std::strtol(digits, &end, 10);
+    if (end == digits || *end != '\0' || pid <= 0)
+        return false;
+    return ::kill(pid_t(pid), 0) != 0 && errno == ESRCH;
+}
+
+/** Call fn(directory_entry) for every regular file in root's shards. */
+template <typename Fn>
+void
+forEachShardFile(const std::string &root, Fn fn)
+{
+    std::error_code ec;
+    for (const auto &shard : fs::directory_iterator(root, ec)) {
+        if (!shard.is_directory())
+            continue;
+        for (const auto &e : fs::directory_iterator(shard.path(), ec))
+            if (e.is_regular_file())
+                fn(e);
+    }
 }
 
 } // namespace
 
-std::string
-CacheKey::hex() const
-{
-    char buf[33];
-    std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                  static_cast<unsigned long long>(hi),
-                  static_cast<unsigned long long>(lo));
-    return std::string(buf, 32);
-}
-
 CacheKey
 cacheKeyOf(const std::string &canonicalBytes)
 {
-    return fnv128(canonicalBytes);
+    Fnv128 h;
+    h.put(canonicalBytes.data(), canonicalBytes.size());
+    return h.digest();
 }
 
 CacheKey
@@ -74,15 +176,10 @@ campaignTrialKey(const FaultCampaignConfig &cfg,
     // wire::kVersion and every old entry silently misses.
     enc.putU16(wire::kVersion);
 
-    // Program identity: the assembled image, not the source text.
-    const Program &p = entry->program;
-    enc.putU64(p.entry());
-    enc.putU32(uint32_t(p.rawTextWords().size()));
-    for (uint32_t w : p.rawTextWords())
-        enc.putU32(w);
-    enc.putU32(uint32_t(p.dataBytes().size()));
-    for (uint8_t byte : p.dataBytes())
-        enc.putU8(byte);
+    // Program identity: the assembled image's digest, not the source
+    // text (ProgramCache computed it once, when it loaded the program).
+    enc.putU64(entry->imageDigest.hi);
+    enc.putU64(entry->imageDigest.lo);
 
     // Trial identity within the campaign.
     enc.putString(cfg.name);
@@ -125,7 +222,7 @@ campaignTrialKey(const FaultCampaignConfig &cfg,
     enc.putU64(cfg.params.watchdog.stallCycles);
     enc.putU32(cfg.params.watchdog.maxTrips);
 
-    return fnv128(enc.bytes());
+    return cacheKeyOf(enc.bytes());
 }
 
 ResultCache::ResultCache(std::string root, uint64_t maxEntries)
@@ -146,15 +243,19 @@ ResultCache::ResultCache(std::string root, uint64_t maxEntries)
     }
     // Count what a previous slipd left behind — those entries are the
     // whole point of persistence, and the eviction cap must see them.
+    // Temp files are not entries; those of a dead writer never will
+    // be, so they go.
     uint64_t found = 0;
-    for (const auto &shard : fs::directory_iterator(root_, ec)) {
-        if (!shard.is_directory())
-            continue;
-        for (const auto &e :
-             fs::directory_iterator(shard.path(), ec))
-            if (e.is_regular_file())
-                ++found;
-    }
+    std::vector<fs::path> stale;
+    forEachShardFile(root_, [&](const fs::directory_entry &e) {
+        const std::string name = e.path().filename().string();
+        if (!isTempName(name))
+            ++found;
+        else if (writerGone(name))
+            stale.push_back(e.path());
+    });
+    for (const fs::path &path : stale)
+        fs::remove(path, ec);
     entries_ = found;
 }
 
@@ -170,19 +271,39 @@ ResultCache::lookup(const CacheKey &key, std::string &line)
 {
     if (root_.empty())
         return false;
-    std::ifstream in(pathFor(key), std::ios::binary);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!in) {
+    const std::string path = pathFor(key);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        std::lock_guard<std::mutex> lock(mu_);
         ++stats_.counter("misses");
         return false;
     }
-    std::ostringstream body;
-    body << in.rdbuf();
-    line = body.str();
+    const char *defect = readEntry(fd, key, line);
+    ::close(fd);
+    if (defect) {
+        discard(path, defect);
+        return false;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.counter("hits");
     SLIP_TRACE(obs::Category::Serve, obs::Name::CacheHit,
                obs::Phase::Instant, key.hi, key.lo);
     return true;
+}
+
+void
+ResultCache::discard(const std::string &path, const char *defect)
+{
+    // Deleting the entry is what keeps this warning to once per entry:
+    // the next lookup finds no file and misses quietly.
+    SLIP_WARN("result cache: entry '", path, "' is corrupt (", defect,
+              "); deleting it, the trial re-simulates");
+    const bool removed = ::unlink(path.c_str()) == 0;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.counter("misses");
+    ++stats_.counter("corrupt");
+    if (removed && entries_ > 0)
+        --entries_;
 }
 
 void
@@ -203,6 +324,9 @@ ResultCache::store(const CacheKey &key, const std::string &line)
             SLIP_WARN("result cache: cannot write '", tmp, "'");
             return;
         }
+        const EntryHeader hdr{kEntryMagic, key.hi, key.lo, line.size(),
+                              lineChecksum(line)};
+        out.write(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
         out << line;
         if (!out.good()) {
             SLIP_WARN("result cache: short write to '", tmp, "'");
@@ -241,16 +365,10 @@ ResultCache::evictIfNeeded()
     // mis-ordered eviction costs one re-simulation.
     std::vector<std::pair<fs::file_time_type, fs::path>> files;
     std::error_code ec;
-    for (const auto &shard : fs::directory_iterator(root_, ec)) {
-        if (!shard.is_directory())
-            continue;
-        for (const auto &e :
-             fs::directory_iterator(shard.path(), ec)) {
-            if (!e.is_regular_file())
-                continue;
+    forEachShardFile(root_, [&](const fs::directory_entry &e) {
+        if (!isTempName(e.path().filename().string()))
             files.emplace_back(e.last_write_time(ec), e.path());
-        }
-    }
+    });
     const uint64_t target =
         maxEntries_ > maxEntries_ / 16 ? maxEntries_ - maxEntries_ / 16
                                        : maxEntries_;
@@ -295,6 +413,13 @@ ResultCache::evictions() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_.get("evictions");
+}
+
+uint64_t
+ResultCache::corrupt() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_.get("corrupt");
 }
 
 uint64_t

@@ -2,25 +2,38 @@
  * @file
  * Persistent content-addressed result cache for served trials.
  *
- * A trial's result line is a pure function of (program bytes, config,
+ * A trial's result line is a pure function of (program image, config,
  * seed, trial index, fault plans, detection backend + tuning, wire
  * protocol version) — deliberately NOT of isolation mode, worker
  * count, or client count, which the byte-identity invariant says must
- * not change result bytes. The cache key is a 128-bit FNV-1a hash of
- * a canonical wire::Encoder serialization of exactly those inputs, so
- * a repeated batch — same client, different client, or a slipd
- * restarted yesterday — answers from disk without re-simulating.
+ * not change result bytes. The cache key is a 128-bit FNV-1a hash
+ * (common/hash.hh) of a canonical wire::Encoder serialization of
+ * exactly those inputs, so a repeated batch — same client, different
+ * client, or a slipd restarted yesterday — answers from disk without
+ * re-simulating.
  *
- * Layout: one file per entry, `root/<hh>/<32-hex-key>`, holding the
- * exact JSONL line bytes (no newline). Stores write to a temp sibling
- * and rename into place, so a killed slipd never leaves a torn entry
- * — a half-written temp file just never becomes visible. The two-hex
- * shard keeps directories small at 6-figure entry counts.
+ * Layout: one file per entry, `root/<hh>/<32-hex-key>`, holding a
+ * 40-byte header {u64 magic, u64 key hi, u64 key lo, u64 line length,
+ * u64 checksum of the line} followed by the exact JSONL line bytes
+ * (no newline). lookup() checks all four header fields against the
+ * key it asked for and the bytes it read; an entry that fails — empty,
+ * short, flipped on disk, or holding another key's line — is a miss:
+ * it is deleted (store() skips paths that exist, so the re-simulated
+ * line can take its place), counted `corrupt`, and warned about. A
+ * persisted result is never served unverified.
  *
- * Hashing the *assembled program image* (raw text words + data +
- * entry pc) rather than the workload name alone means a workload
- * generator change silently invalidates every affected entry; there
- * is no version file to forget to bump.
+ * Stores write to a temp sibling `<key>.tmp.<pid>` and rename into
+ * place, so a killed slipd never leaves a torn entry — a half-written
+ * temp file just never becomes visible. Temp files never count as
+ * entries, and opening a cache removes those whose writer is no
+ * longer running. The two-hex shard keeps directories small at
+ * 6-figure entry counts.
+ *
+ * The key hashes the program's image digest (entry pc, base
+ * addresses, text words, data bytes; ProgramCache computes it once
+ * per program) rather than the workload name, so a workload generator
+ * change silently invalidates every affected entry; there is no
+ * version file to forget to bump.
  */
 
 #ifndef SLIPSTREAM_SERVE_RESULT_CACHE_HH
@@ -31,27 +44,15 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/stats.hh"
 #include "harness/fault_campaign.hh"
 
 namespace slip::serve
 {
 
-/** 128-bit content hash (two independent FNV-1a streams). */
-struct CacheKey
-{
-    uint64_t hi = 0;
-    uint64_t lo = 0;
-
-    /** 32 lowercase hex digits (the on-disk file name). */
-    std::string hex() const;
-
-    bool
-    operator==(const CacheKey &o) const
-    {
-        return hi == o.hi && lo == o.lo;
-    }
-};
+/** A cache key; hex() is its on-disk file name. */
+using CacheKey = Hash128;
 
 /**
  * The canonical key of one campaign trial. `cfg` and `spec` must be
@@ -80,7 +81,10 @@ class ResultCache
      */
     explicit ResultCache(std::string root, uint64_t maxEntries = 0);
 
-    /** True + the stored line on a hit. */
+    /**
+     * True + the stored line on a hit. An entry that fails
+     * verification is a miss: it is deleted and counted in corrupt().
+     */
     bool lookup(const CacheKey &key, std::string &line);
 
     /** Persist one result line (atomic rename; never throws). */
@@ -90,6 +94,9 @@ class ResultCache
     uint64_t misses() const;
     uint64_t stores() const;
     uint64_t evictions() const;
+
+    /** Entries that failed verification on lookup (and were deleted). */
+    uint64_t corrupt() const;
 
     /** Entries currently on disk (tracked, not re-scanned). */
     uint64_t entries() const;
@@ -102,6 +109,9 @@ class ResultCache
 
   private:
     void evictIfNeeded();
+
+    /** Delete a corrupt entry; counts the miss. */
+    void discard(const std::string &path, const char *defect);
 
     std::string pathFor(const CacheKey &key) const;
 

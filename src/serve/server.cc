@@ -36,13 +36,21 @@ pollReadable(int fd, int timeoutMs)
     return r > 0 && (p.revents & (POLLIN | POLLHUP | POLLERR));
 }
 
-bool
-sendTrialResult(int fd, const TrialResultMsg &m)
+/** Append one TrialResult frame to `frames`. */
+void
+appendTrialResult(std::string &frames, const TrialResultMsg &m)
 {
     wire::Encoder enc;
     encodeTrialResult(enc, m);
-    return wire::writeFrame(fd, wire::MsgType::TrialResult,
-                            enc.bytes());
+    wire::appendFrame(frames, wire::MsgType::TrialResult, enc.bytes());
+}
+
+bool
+sendTrialResult(int fd, const TrialResultMsg &m)
+{
+    std::string frame;
+    appendTrialResult(frame, m);
+    return wire::writeFrames(fd, frame);
 }
 
 /**
@@ -315,6 +323,30 @@ Server::handleBatch(int fd, const BatchRequest &req)
     bool cancelled = false;
     bool clientGone = false;
 
+    // A wave's cache hits are framed back to back and written at once,
+    // before its misses are dispatched: one write per wave, where one
+    // per hit would send the same bytes in the same order.
+    std::string hitFrames;
+    uint64_t waveHits = 0;
+    const auto addHit = [&](uint64_t index, std::string &line) {
+        appendTrialResult(hitFrames, {req.id, index, true, std::move(line)});
+        ++waveHits;
+    };
+    const auto flushHits = [&] {
+        if (waveHits == 0)
+            return;
+        if (wire::writeFrames(fd, hitFrames)) {
+            done.completed += waveHits;
+            done.cacheHits += waveHits;
+            std::lock_guard<std::mutex> lock(statsMu_);
+            stats_.trialsCached += waveHits;
+        } else {
+            clientGone = true;
+        }
+        hitFrames.clear();
+        waveHits = 0;
+    };
+
     // Dispatch one wave of campaign-style specs (cache probe, then
     // the misses on the pool), streaming every finished line.
     const auto runSpecWave =
@@ -323,20 +355,12 @@ Server::handleBatch(int fd, const BatchRequest &req)
             size_t hi) {
             std::vector<size_t> missIdx;
             std::vector<CacheKey> missKey;
+            std::string line;
             for (size_t i = lo; i < hi; ++i) {
                 const CacheKey key =
                     campaignTrialKey(cfg, specs[i], i);
-                std::string line;
                 if (cache_->lookup(key, line)) {
-                    if (!sendTrialResult(
-                            fd, {req.id, i, true, line})) {
-                        clientGone = true;
-                        return;
-                    }
-                    ++done.completed;
-                    ++done.cacheHits;
-                    std::lock_guard<std::mutex> lock(statsMu_);
-                    ++stats_.trialsCached;
+                    addHit(i, line);
                 } else {
                     SLIP_TRACE(obs::Category::Serve,
                                obs::Name::CacheMiss,
@@ -345,7 +369,8 @@ Server::handleBatch(int fd, const BatchRequest &req)
                     missKey.push_back(key);
                 }
             }
-            if (missIdx.empty())
+            flushHits();
+            if (missIdx.empty() || clientGone)
                 return;
             SimJobRunner runner(opts_.workers);
             runner.setIsolation(opts_.isolation);
@@ -432,28 +457,20 @@ Server::handleBatch(int fd, const BatchRequest &req)
                 std::vector<uint64_t> seeds;
                 std::vector<std::string> sources;
                 std::vector<CacheKey> keys;
+                std::string line;
                 for (uint64_t s = next; s < hi; ++s) {
                     const std::string src =
                         fuzz::generate(s).render();
                     const CacheKey key = fuzzTrialKey(req, s, src);
-                    std::string line;
                     if (cache_->lookup(key, line)) {
-                        if (!sendTrialResult(
-                                fd, {req.id, s - req.seedBegin, true,
-                                     line})) {
-                            clientGone = true;
-                            break;
-                        }
-                        ++done.completed;
-                        ++done.cacheHits;
-                        std::lock_guard<std::mutex> lock(statsMu_);
-                        ++stats_.trialsCached;
+                        addHit(s - req.seedBegin, line);
                     } else {
                         seeds.push_back(s);
                         sources.push_back(src);
                         keys.push_back(key);
                     }
                 }
+                flushHits();
                 if (!seeds.empty() && !clientGone) {
                     SimJobRunner runner(opts_.workers);
                     runner.setIsolation(opts_.isolation);

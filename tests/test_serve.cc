@@ -1,25 +1,34 @@
 /**
  * The slipd campaign-server stack: content-addressed result cache
- * (key stability, persistence, eviction), version negotiation that
- * fails closed in both directions with a diagnosis naming both
- * revisions, torn mid-stream frames surfacing as errors instead of
- * hangs, and the served-batch contracts — byte identity against the
- * single-process pipeline, cache hits on resubmission, cancellation
- * revoking undispatched trials, and drain rejecting new batches.
+ * (key stability, program identity, persistence, eviction, verified
+ * entries, temp-file hygiene), version negotiation that fails closed
+ * in both directions with a diagnosis naming both revisions, torn
+ * mid-stream frames surfacing as errors instead of hangs, and the
+ * served-batch contracts — byte identity against the single-process
+ * pipeline, cache hits on resubmission (mixed with misses in one
+ * wave, and after on-disk corruption), cancellation revoking
+ * undispatched trials, and drain rejecting new batches.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include "assembler/assembler.hh"
 #include "common/cancel.hh"
 #include "harness/fault_campaign.hh"
 #include "harness/sim_runner.hh"
@@ -66,6 +75,9 @@ TEST(ResultCache, KeyIsStableAndContentSensitive)
     EXPECT_FALSE(a == c);
     EXPECT_EQ(a.hex().size(), 32u);
     EXPECT_NE(a.hex(), c.hex());
+    // Pinned: fuzz trial keys, and so the entries existing caches
+    // hold for them, depend on these values.
+    EXPECT_EQ(a.hex(), "0eb18b035e4649d9e10cd4035615bfd1");
 }
 
 TEST(ResultCache, StoreThenLookupRoundTrips)
@@ -196,6 +208,149 @@ TEST(ResultCache, CampaignKeySeparatesAStreamPolicies)
     EXPECT_EQ(line, "line-ir");
     ASSERT_TRUE(cache.lookup(keys[1], line));
     EXPECT_EQ(line, "line-runahead");
+}
+
+/** A ProgramCache-style entry for a hand-assembled program. */
+ProgramCache::Entry
+entryFor(Program program)
+{
+    const Hash128 digest = programImageDigest(program);
+    return ProgramCache::Entry{std::move(program), "", 0, digest};
+}
+
+CacheKey
+keyFor(const ProgramCache::Entry &entry)
+{
+    const FaultCampaignConfig cfg;
+    const CampaignTrialSpec spec{&entry, "hand", {}, 100'000};
+    return campaignTrialKey(cfg, spec, 0);
+}
+
+TEST(ResultCache, ImageDigestSeparatesProgramsThatDifferInOneThing)
+{
+    const std::string source = R"(
+.data
+value: .byte 7, 1
+.text
+start:
+    la   t0, value
+main:
+    lb   a0, 0(t0)
+    addi a0, a0, 1
+    halt
+)";
+    const auto variant = [&](const std::string &from,
+                             const std::string &to) {
+        std::string s = source;
+        const size_t at = s.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return s.replace(at, from.size(), to);
+    };
+
+    const ProgramCache::Entry base = entryFor(assemble(source));
+    const ProgramCache::Entry again = entryFor(assemble(source));
+    EXPECT_EQ(base.imageDigest, again.imageDigest);
+    EXPECT_EQ(keyFor(base), keyFor(again));
+
+    std::vector<ProgramCache::Entry> others;
+    // One instruction.
+    others.push_back(entryFor(
+        assemble(variant("addi a0, a0, 1", "addi a0, a0, 2"))));
+    // One data byte.
+    others.push_back(
+        entryFor(assemble(variant(".byte 7, 1", ".byte 7, 2"))));
+    // The entry label only: the text image is unchanged.
+    others.push_back(entryFor(assemble(variant("main:\n", "\n"))));
+    // The same image rebuilt at another data base.
+    const Program &p = base.program;
+    others.push_back(entryFor(Program(p.rawTextWords(), p.dataBytes(),
+                                      p.entry(), p.symbols(),
+                                      p.textBase(),
+                                      p.dataBase() + 0x1000)));
+    EXPECT_EQ(others[2].program.rawTextWords(),
+              base.program.rawTextWords());
+    for (size_t i = 0; i < others.size(); ++i) {
+        EXPECT_FALSE(others[i].imageDigest == base.imageDigest) << i;
+        EXPECT_FALSE(keyFor(others[i]) == keyFor(base)) << i;
+    }
+}
+
+TEST(ResultCache, DigestAndKeyComeFromContentNotAddress)
+{
+    FaultCampaignConfig cfg;
+    cfg.workloads = {"compress"};
+    cfg.size = WorkloadSize::Test;
+    cfg.trialsPerWorkload = 1;
+    cfg.seed = 7;
+    const std::vector<CampaignTrialSpec> specs =
+        planCampaignTrials(cfg);
+    ASSERT_EQ(specs.size(), 1u);
+
+    // Two more loads of the same workload, each in its own cache.
+    ProgramCache first, second;
+    const ProgramCache::Entry &a = first.get("compress", cfg.size);
+    const ProgramCache::Entry &b = second.get("compress", cfg.size);
+    ASSERT_NE(&a, &b);
+    EXPECT_EQ(a.imageDigest, b.imageDigest);
+
+    CampaignTrialSpec viaA = specs[0], viaB = specs[0];
+    viaA.entry = &a;
+    viaB.entry = &b;
+    const CacheKey key = campaignTrialKey(cfg, specs[0], 0);
+    EXPECT_EQ(campaignTrialKey(cfg, viaA, 0), key);
+    EXPECT_EQ(campaignTrialKey(cfg, viaB, 0), key);
+}
+
+/** Write `bytes` to a new file at `path`. */
+void
+writeRaw(const std::string &path, const std::string &bytes)
+{
+    FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+              bytes.size());
+    std::fclose(f);
+}
+
+TEST(ResultCache, OpeningReapsOnlyTempFilesOfDeadWriters)
+{
+    ScratchDir dir;
+    const std::string root = dir.path + "/cache";
+    const CacheKey kept = cacheKeyOf("kept");
+    {
+        ResultCache cache(root, 100);
+        cache.store(kept, "line");
+    }
+
+    // A pid that is certainly not running: a child's, once reaped.
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0)
+        _exit(0);
+    ASSERT_EQ(waitpid(child, nullptr, 0), child);
+
+    const std::string shard = root + "/" + kept.hex().substr(0, 2);
+    const std::string stale =
+        shard + "/" + kept.hex() + ".tmp." + std::to_string(child);
+    const std::string live = shard + "/" + cacheKeyOf("busy").hex() +
+                             ".tmp." + std::to_string(getpid());
+    writeRaw(stale, "half a li");
+    writeRaw(live, "half a li");
+    // Oldest of all, so an eviction sweep that saw it would take it.
+    fs::last_write_time(live, fs::file_time_type::clock::now() -
+                                  std::chrono::hours(1));
+
+    ResultCache reopened(root, 2);
+    EXPECT_FALSE(fs::exists(stale));
+    EXPECT_TRUE(fs::exists(live));
+    EXPECT_EQ(reopened.entries(), 1u);
+
+    // Over the cap: the sweep evicts an entry, never the temp file.
+    reopened.store(cacheKeyOf("second"), "line-2");
+    reopened.store(cacheKeyOf("third"), "line-3");
+    EXPECT_EQ(reopened.evictions(), 1u);
+    EXPECT_EQ(reopened.entries(), 2u);
+    EXPECT_TRUE(fs::exists(live));
 }
 
 TEST(ServeProto, BatchRequestRoundTripsPolicyParams)
@@ -419,6 +574,44 @@ struct ServerFixture : ::testing::Test
         return req;
     }
 
+    /** The batch's lines through the single-process pipeline. */
+    static std::vector<std::string>
+    referenceLines(const BatchRequest &req)
+    {
+        const FaultCampaignConfig cfg = req.toCampaignConfig();
+        const std::vector<CampaignTrialSpec> specs =
+            planCampaignTrials(cfg);
+        std::vector<std::string> lines;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            CancelToken cancel;
+            JobOutcome o;
+            o.metrics = runCampaignTrial(cfg, specs[i], i, cancel);
+            lines.push_back(campaignTrialLine(
+                cfg, i, recordCampaignTrial(cfg, specs[i], i, o)));
+        }
+        return lines;
+    }
+
+    /** Each trial's cache key, in trial order. */
+    static std::vector<CacheKey>
+    trialKeys(const BatchRequest &req)
+    {
+        const FaultCampaignConfig cfg = req.toCampaignConfig();
+        const std::vector<CampaignTrialSpec> specs =
+            planCampaignTrials(cfg);
+        std::vector<CacheKey> keys;
+        for (size_t i = 0; i < specs.size(); ++i)
+            keys.push_back(campaignTrialKey(cfg, specs[i], i));
+        return keys;
+    }
+
+    std::string
+    entryPath(const CacheKey &key) const
+    {
+        const std::string hex = key.hex();
+        return opts.cacheDir + "/" + hex.substr(0, 2) + "/" + hex;
+    }
+
     /** Submit and return (sorted journal, done). */
     std::string
     submit(const BatchRequest &req, BatchDoneMsg &done)
@@ -454,24 +647,15 @@ TEST_F(ServerFixture, BatchMatchesSingleProcessPipelineByteForByte)
     const BatchRequest req = smallBatch();
 
     // The reference: the same batch through the local pipeline.
-    const FaultCampaignConfig cfg = req.toCampaignConfig();
-    const std::vector<CampaignTrialSpec> specs =
-        planCampaignTrials(cfg);
+    const std::vector<std::string> lines = referenceLines(req);
     std::string expected;
-    for (size_t i = 0; i < specs.size(); ++i) {
-        CancelToken cancel;
-        JobOutcome o;
-        o.metrics = runCampaignTrial(cfg, specs[i], i, cancel);
-        expected +=
-            campaignTrialLine(cfg, i,
-                              recordCampaignTrial(cfg, specs[i], i, o));
-        expected += '\n';
-    }
+    for (const std::string &line : lines)
+        expected += line + '\n';
 
     BatchDoneMsg done;
     const std::string served = submit(req, done);
     EXPECT_EQ(done.status, BatchStatus::Ok);
-    EXPECT_EQ(done.completed, specs.size());
+    EXPECT_EQ(done.completed, lines.size());
     EXPECT_EQ(served, expected);
 }
 
@@ -491,6 +675,97 @@ TEST_F(ServerFixture, ResubmittedBatchIsServedFromCache)
 
     const ServeStats stats = server->statsSnapshot();
     EXPECT_EQ(stats.trialsCached, second.completed);
+}
+
+TEST_F(ServerFixture, CorruptEntriesAreResimulatedNotServed)
+{
+    BatchRequest req = smallBatch();
+    req.trialsPerWorkload = 6;
+    BatchDoneMsg cold;
+    const std::string coldJournal = submit(req, cold);
+    ASSERT_EQ(cold.cacheMisses, 6u);
+
+    // Damage four of the six entries on disk, each a different way.
+    const std::vector<CacheKey> keys = trialKeys(req);
+    const auto readFile = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    std::string flipped = readFile(entryPath(keys[0]));
+    ASSERT_GT(flipped.size(), 40u);
+    flipped.back() ^= 0x01; // one byte of the line
+    writeRaw(entryPath(keys[0]), flipped);
+    const std::string whole = readFile(entryPath(keys[1]));
+    writeRaw(entryPath(keys[1]), whole.substr(0, whole.size() / 2));
+    writeRaw(entryPath(keys[2]), "");
+    // The header's key field (bytes 8..24) now names trial 0: a
+    // well-formed entry, filed under the wrong key.
+    std::string misfiled = readFile(entryPath(keys[3]));
+    std::memcpy(misfiled.data() + 8, &keys[0].hi, 8);
+    std::memcpy(misfiled.data() + 16, &keys[0].lo, 8);
+    writeRaw(entryPath(keys[3]), misfiled);
+
+    BatchDoneMsg second;
+    EXPECT_EQ(submit(req, second), coldJournal);
+    EXPECT_EQ(second.status, BatchStatus::Ok);
+    EXPECT_EQ(second.cacheMisses, 4u);
+    EXPECT_EQ(second.cacheHits, 2u);
+    EXPECT_EQ(server->cache().corrupt(), 4u);
+
+    // The re-simulated lines took the damaged entries' places.
+    BatchDoneMsg third;
+    EXPECT_EQ(submit(req, third), coldJournal);
+    EXPECT_EQ(third.cacheHits, 6u);
+    EXPECT_EQ(server->cache().corrupt(), 4u);
+}
+
+/** A server that dispatches two trials a wave. */
+struct TwoTrialWaveFixture : ServerFixture
+{
+    void
+    SetUp() override
+    {
+        opts.waveSize = 2;
+        ServerFixture::SetUp();
+    }
+};
+
+TEST_F(TwoTrialWaveFixture, HitsAndMissesInOneWaveEachArriveOnce)
+{
+    BatchRequest req = smallBatch();
+    req.trialsPerWorkload = 6;
+    const std::vector<std::string> lines = referenceLines(req);
+    const std::vector<CacheKey> keys = trialKeys(req);
+    ASSERT_EQ(lines.size(), 6u);
+    // Every wave holds one stored trial and one to simulate.
+    for (size_t i = 0; i < lines.size(); i += 2)
+        server->cache().store(keys[i], lines[i]);
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect(opts.unixPath, err)) << err;
+    ASSERT_TRUE(client.handshake("wave-client", err)) << err;
+    std::vector<unsigned> arrivals(lines.size(), 0);
+    BatchDoneMsg done;
+    ASSERT_TRUE(client.submitBatch(
+        req,
+        [&](const TrialResultMsg &m) {
+            EXPECT_LT(m.index, lines.size());
+            if (m.index >= lines.size())
+                return true;
+            ++arrivals[m.index];
+            EXPECT_EQ(m.fromCache, m.index % 2 == 0) << m.index;
+            EXPECT_EQ(m.line, lines[m.index]) << m.index;
+            return true;
+        },
+        done, err))
+        << err;
+    for (size_t i = 0; i < arrivals.size(); ++i)
+        EXPECT_EQ(arrivals[i], 1u) << i;
+    EXPECT_EQ(done.status, BatchStatus::Ok);
+    EXPECT_EQ(done.completed, 6u);
+    EXPECT_EQ(done.cacheHits, 3u);
+    EXPECT_EQ(done.cacheMisses, 3u);
 }
 
 TEST_F(ServerFixture, TwoPoliciesOnSameProgramDoNotShareCacheEntries)

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -217,6 +219,47 @@ TEST_F(WireFrame, BadMagicIsError)
     setLogQuiet(true);
     EXPECT_EQ(readFrame(fds[0], type, payload), ReadResult::Error);
     setLogQuiet(false);
+}
+
+TEST_F(WireFrame, AppendedFramesMatchSuccessiveWrites)
+{
+    const std::vector<std::pair<MsgType, std::string>> frames = {
+        {MsgType::TrialResult, "first line"},
+        {MsgType::Shutdown, ""},
+        {MsgType::TrialResult, std::string(300, 'x')},
+    };
+    std::string burst;
+    for (const auto &[type, payload] : frames) {
+        ASSERT_TRUE(writeFrame(fds[1], type, payload));
+        appendFrame(burst, type, payload);
+    }
+    std::string successive(burst.size(), '\0');
+    size_t have = 0;
+    while (have < successive.size()) {
+        const ssize_t n = read(fds[0], successive.data() + have,
+                               successive.size() - have);
+        ASSERT_GT(n, 0);
+        have += size_t(n);
+    }
+    EXPECT_EQ(burst, successive);
+
+    // Both streams, back to back, parse as the same frames in order.
+    for (const auto &[type, payload] : frames)
+        ASSERT_TRUE(writeFrame(fds[1], type, payload));
+    ASSERT_TRUE(writeFrames(fds[1], burst));
+    closeWrite();
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const auto &[type, payload] : frames) {
+            MsgType got{};
+            std::string body;
+            ASSERT_EQ(readFrame(fds[0], got, body), ReadResult::Ok);
+            EXPECT_EQ(got, type);
+            EXPECT_EQ(body, payload);
+        }
+    }
+    MsgType got{};
+    std::string body;
+    EXPECT_EQ(readFrame(fds[0], got, body), ReadResult::Eof);
 }
 
 RunMetrics
