@@ -3,7 +3,7 @@
  * scenarios give no numeric table; this harness produces one) with
  * multi-target, multi-fault campaigns.
  *
- * Three campaigns run, all through the deterministic FaultCampaign
+ * Four campaigns run, all through the deterministic FaultCampaign
  * runner (results are byte-identical for any SLIPSTREAM_JOBS):
  *
  *  1. slipstream mode — the full target mix, including MemoryCell
@@ -14,6 +14,8 @@
  *  3. forced degradation — a dense burst of A-side faults against a
  *     permissive degrade window, demonstrating the graceful fallback
  *     to R-only execution with output intact.
+ *  4. A-stream policy sweep — one short campaign per shortening
+ *     policy (ir | reliability) over the full target mix.
  *
  * Every trial is classified (see fault_campaign.hh) and the machine-
  * readable report lands in results/fault_campaign.json (override with
@@ -175,9 +177,9 @@ main(int argc, char **argv)
 
     // ---- campaign 4: A-stream policy sweep ----
     // One short campaign per shortening policy over the full target
-    // mix. The reliability-aware policy forwards no speculative data
-    // at all, so its coverage shape should match reliable mode; the
-    // runahead-family policies sit between it and plain `ir`.
+    // mix. The reliability policy forwards no speculative data at
+    // all, so no corrupted A-stream value can ride the delay buffer
+    // into the R-stream.
     std::cout << "---- A-stream policy sweep (full target mix) ----\n";
     const unsigned policyTrials = std::max(4u, trials / 4);
     Table policyTable({"policy", "trials", "faults", "det+rec",

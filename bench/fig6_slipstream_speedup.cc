@@ -2,16 +2,15 @@
  * Reproduces Figure 6 — percent IPC improvement of the CMP(2x64x4)
  * slipstream processor over SS(64x4), per benchmark — and extends it
  * into an A-stream policy sweep: the same grid is run once per
- * shortening policy (ir | runahead | filtered | reliability), with a
- * per-policy summary table at the end.
+ * shortening policy (ir | reliability), with a per-policy summary
+ * table at the end.
  *
  * Paper's shape (the `ir` rows): average ~7%; m88ksim ~20%, perl ~16%,
  * li/vortex ~7%, gcc ~4%, compress/go/jpeg ~0%. The shape to check:
  * the highly branch-predictable, ineffectual-write-rich benchmarks
- * win; the data-dependent ones do not. The runahead-family policies
- * shorten the A-stream on the communication side (value stripping)
- * instead of instruction removal, so their "removed" column reports
- * the non-redundant fraction, not fetch savings.
+ * win; the data-dependent ones do not. The reliability policy strips
+ * every forwarded value, so its "removed" column reads 100%: every
+ * R-retired slot lacked an A-stream value, not a fetch saving.
  */
 
 #include "bench/bench_timing.hh"

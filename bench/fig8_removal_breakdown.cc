@@ -10,12 +10,11 @@
  * (paper's counterintuitive result: removal *increases* for most
  * benchmarks because unrelated writes no longer dilute confidence).
  *
- * A third grid sweeps the A-stream shortening policies (ir | runahead
- * | filtered | reliability) with all removal triggers enabled. Only
- * the IR-based policies (ir, reliability) remove instructions from
- * the A-stream fetch; the runahead-family policies shorten on the
- * communication side by stripping forwarded values, which lands in
- * the `other` column (stripped slots carry no removal reason).
+ * A third grid sweeps the A-stream shortening policies (ir |
+ * reliability) with all removal triggers enabled. Both remove the
+ * same way; reliability also strips every forwarded value, which
+ * lands in the `other` column (stripped slots carry no removal
+ * reason).
  */
 
 #include "bench/bench_timing.hh"

@@ -33,7 +33,7 @@ cmp2x64x4Params()
     SlipstreamParams p; // Table 2 defaults throughout
     // Benches honor the strict A-stream-policy knob, so a policy
     // sweep is one environment variable away from any experiment.
-    p.aPolicy = aStreamPolicyParamsFromEnv(p.aPolicy);
+    p.aPolicy.kind = aStreamPolicyFromEnv(p.aPolicy.kind);
     return p;
 }
 

@@ -120,7 +120,7 @@ FaultCampaignConfig::FaultCampaignConfig()
     params.detect = detectParamsFromEnv(params.detect);
     // $SLIPSTREAM_ASTREAM_POLICY (strict) picks the A-stream
     // shortening policy the same way.
-    params.aPolicy = aStreamPolicyParamsFromEnv(params.aPolicy);
+    params.aPolicy.kind = aStreamPolicyFromEnv(params.aPolicy.kind);
 }
 
 void

@@ -53,7 +53,7 @@ namespace slip::wire
 {
 
 inline constexpr uint32_t kMagic = 0x53504C57; // "WLPS" on the wire
-inline constexpr uint16_t kVersion = 3; // v3: A-stream policy params
+inline constexpr uint16_t kVersion = 4; // v4: policy is one byte
 
 /** Frame types the worker and serve protocols speak. */
 enum class MsgType : uint8_t

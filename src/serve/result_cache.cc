@@ -209,14 +209,10 @@ campaignTrialKey(const FaultCampaignConfig &cfg,
     enc.putU32(d.checkerBandwidth);
     enc.putU32(d.checkerQueue);
 
-    // A-stream policy + tuning (changes trial dynamics AND result
-    // bytes): two policies on the same program/seed must never alias
-    // to one cache entry.
-    const AStreamPolicyParams &ap = cfg.params.aPolicy;
-    enc.putU8(uint8_t(ap.kind));
-    enc.putU32(ap.runaheadTraces);
-    enc.putU32(ap.missLines);
-    enc.putU32(ap.cooldownTraces);
+    // A-stream policy (changes trial dynamics AND result bytes): two
+    // policies on the same program/seed must never alias to one cache
+    // entry.
+    enc.putU8(uint8_t(cfg.params.aPolicy.kind));
 
     // Watchdog shape feeds the cycle cap and hung classification.
     enc.putU64(cfg.params.watchdog.stallCycles);

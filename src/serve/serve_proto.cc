@@ -81,25 +81,43 @@ encodeBatchRequest(wire::Encoder &enc, const BatchRequest &b)
     enc.putU32(b.detect.checkerBandwidth);
     enc.putU32(b.detect.checkerQueue);
     enc.putU8(uint8_t(b.policy.kind));
-    enc.putU32(b.policy.runaheadTraces);
-    enc.putU32(b.policy.missLines);
-    enc.putU32(b.policy.cooldownTraces);
     enc.putU64(b.cycleCapPerInst);
     enc.putU64(b.seedBegin);
     enc.putU64(b.seedEnd);
 }
 
+namespace
+{
+
+/**
+ * An enum byte no greater than `last`. Any other byte names no value,
+ * so the request is rejected naming the field instead of running a
+ * batch under an enumerator that does not exist.
+ */
+template <typename Enum>
+Enum
+getEnum(wire::Decoder &dec, Enum last, const char *field)
+{
+    const uint8_t v = dec.getU8();
+    if (v > uint8_t(last))
+        SLIP_FATAL("batch request: ", field, " byte ", unsigned(v),
+                   " is out of range (max ", unsigned(last), ")");
+    return Enum(v);
+}
+
+} // namespace
+
 BatchRequest
 decodeBatchRequest(wire::Decoder &dec)
 {
     BatchRequest b;
-    b.kind = BatchKind(dec.getU8());
+    b.kind = getEnum(dec, BatchKind::Bench, "batch kind");
     b.id = dec.getU64();
     b.name = dec.getString();
     const uint32_t nw = dec.getU32();
     for (uint32_t i = 0; i < nw; ++i)
         b.workloads.push_back(dec.getString());
-    b.size = WorkloadSize(dec.getU8());
+    b.size = getEnum(dec, WorkloadSize::Default, "workload size");
     b.trialsPerWorkload = dec.getU32();
     b.minFaultsPerTrial = dec.getU32();
     b.maxFaultsPerTrial = dec.getU32();
@@ -107,16 +125,16 @@ decodeBatchRequest(wire::Decoder &dec)
     b.reliableMode = dec.getBool();
     const uint32_t nt = dec.getU32();
     for (uint32_t i = 0; i < nt; ++i)
-        b.targets.push_back(FaultTarget(dec.getU8()));
-    b.detect.kind = DetectBackendKind(dec.getU8());
+        b.targets.push_back(
+            getEnum(dec, FaultTarget::AStreamStall, "fault target"));
+    b.detect.kind =
+        getEnum(dec, DetectBackendKind::Checker, "detect backend");
     b.detect.replayWindow = dec.getU64();
     b.detect.replayWidth = dec.getU32();
     b.detect.checkerBandwidth = dec.getU32();
     b.detect.checkerQueue = dec.getU32();
-    b.policy.kind = AStreamPolicyKind(dec.getU8());
-    b.policy.runaheadTraces = dec.getU32();
-    b.policy.missLines = dec.getU32();
-    b.policy.cooldownTraces = dec.getU32();
+    b.policy.kind =
+        getEnum(dec, AStreamPolicyKind::Reliability, "A-stream policy");
     b.cycleCapPerInst = dec.getU64();
     b.seedBegin = dec.getU64();
     b.seedEnd = dec.getU64();

@@ -53,6 +53,15 @@ sendTrialResult(int fd, const TrialResultMsg &m)
     return wire::writeFrames(fd, frame);
 }
 
+/** The summary frame that ends every batch, however it ended. */
+void
+sendBatchDone(int fd, const BatchDoneMsg &m)
+{
+    wire::Encoder enc;
+    encodeBatchDone(enc, m);
+    wire::writeFrame(fd, wire::MsgType::BatchDone, enc.bytes());
+}
+
 /**
  * Bench sweeps are zero-fault campaign trials: same entries, same
  * cycle-cap formula as planCampaignTrials(), empty plan lists — so
@@ -263,8 +272,23 @@ Server::serveConnection(int fd, uint64_t connId)
             break;
         switch (type) {
           case wire::MsgType::BatchRequest: {
-            wire::Decoder dec(payload);
-            handleBatch(fd, decodeBatchRequest(dec));
+            // A malformed request (truncated, or an enum byte out of
+            // range) fails alone: the client gets an Error summary and
+            // this connection keeps being served.
+            BatchRequest req;
+            try {
+                wire::Decoder dec(payload);
+                req = decodeBatchRequest(dec);
+            } catch (const std::exception &e) {
+                BatchDoneMsg done;
+                done.status = BatchStatus::Error;
+                done.error = e.what();
+                SLIP_WARN("slipd: connection ", connId,
+                          " sent a malformed batch: ", e.what());
+                sendBatchDone(fd, done);
+                break;
+            }
+            handleBatch(fd, req);
             break;
           }
           case wire::MsgType::StatsRequest: {
@@ -305,9 +329,7 @@ Server::handleBatch(int fd, const BatchRequest &req)
         done.status = BatchStatus::Rejected;
         done.error = "server is draining; submit to another instance "
                      "or retry after restart";
-        wire::Encoder enc;
-        encodeBatchDone(enc, done);
-        wire::writeFrame(fd, wire::MsgType::BatchDone, enc.bytes());
+        sendBatchDone(fd, done);
         return;
     }
 
@@ -537,11 +559,8 @@ Server::handleBatch(int fd, const BatchRequest &req)
     SLIP_TRACE(obs::Category::Serve, obs::Name::BatchSpan,
                obs::Phase::End, req.id, done.completed);
 
-    if (!clientGone) {
-        wire::Encoder enc;
-        encodeBatchDone(enc, done);
-        wire::writeFrame(fd, wire::MsgType::BatchDone, enc.bytes());
-    }
+    if (!clientGone)
+        sendBatchDone(fd, done);
 }
 
 void

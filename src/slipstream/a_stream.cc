@@ -227,7 +227,6 @@ AStreamSource::walkTrace()
         const ExecResult exec =
             executeMicro(state_, program.microAt(pc), &output_);
         ++statSlotsExecuted;
-        aPolicy.onSlotExecuted(si, exec);
 
         slot.executedInA = true;
         slot.aExec = exec;
@@ -323,12 +322,12 @@ AStreamSource::walkTrace()
 
     packet.executedCount = executedCount;
 
-    // Policy pass over the completed packet: a runahead-family policy
-    // may strip value payloads here, demoting executed slots to
+    // Policy pass over the completed packet: the reliability policy
+    // strips value payloads here, demoting executed slots to
     // control-only entries. A-core timing is already fixed (the fetch
     // blocks are emitted), so only the A->R communication changes;
-    // `executedCount` keeps the pre-strip count because the A-core
-    // will still retire those instructions.
+    // the local `executedCount` keeps the pre-strip count because the
+    // A-core will still retire those instructions.
     aPolicy.onPacketComplete(packet);
 
     // --- speculative history update & JALR target validation ---

@@ -1,56 +1,32 @@
 /**
  * @file
- * Pluggable A-stream shortening policies (the runahead lineage).
+ * The A-stream shortening policy: which slots the A-stream skips and
+ * what each of its packets forwards to the R-stream.
  *
- * The paper shortens the A-stream by exactly one mechanism: the
- * IR-detector/IR-predictor removal of predicted-ineffectual
- * instructions. The runahead family of proposals shortens a leading
- * context differently — by entering a speculative mode on a
- * long-latency event and discarding the speculative results on exit —
- * and the same CMP substrate can run any of them: the A-stream walks
- * traces, the delay buffer forwards control and (optionally) data
- * outcomes, the R-stream validates whatever arrives and executes the
- * rest natively.
+ * Two policies (selected by $SLIPSTREAM_ASTREAM_POLICY / --policy,
+ * strict mode-knob contract):
  *
- * A policy controls three decision points of the A-stream walk:
- *
- *  - planTrace: which slots to skip outright (the removal plan);
- *  - onSlotExecuted: observe executed slots (miss modeling, mode
- *    entry);
- *  - onPacketComplete: what the completed packet *forwards* — a
- *    policy may strip value payloads from executed slots, demoting
- *    them to control-only entries the R-stream re-executes natively.
+ *  - ir: the paper's mechanism, IR-predictor removal of
+ *    predicted-ineffectual instructions; packets forward the values
+ *    of every executed slot.
+ *  - reliability: the same removal, but every packet forwards control
+ *    only, so a corrupted A-stream context can never plant a wrong
+ *    value in the delay buffer for the R-stream to consume as a
+ *    prediction. A recovery also suspends removal for
+ *    kCooldownTraces traces, so a poisoned IR-predictor entry cannot
+ *    shorten the restart path at once.
  *
  * Stripping happens after the A-core's fetch blocks are emitted, so
  * A-side timing is untouched; only the A->R communication changes.
- * Every packet is always published (the R-stream fetches exclusively
- * from the delay buffer), and path fields survive stripping so
- * direction-only branch validation still works. Stripped slots carry
- * no value payload: the R-stream executes them natively against the
- * authoritative context, so architectural output is correct under
- * every policy.
- *
- * Four policies (selected by $SLIPSTREAM_ASTREAM_POLICY / --policy,
- * strict mode-knob contract):
- *
- *  - ir: the paper's IR-removal, unchanged (byte-identical baseline).
- *  - runahead: classic runahead. A modeled long-latency load miss
- *    enters runahead mode for `runaheadTraces` traces; packets
- *    completed in-mode forward control only (checkpoint + discard:
- *    the speculative values are never architecturally consumed).
- *  - filtered: filtered runahead. In-mode packets keep loads, the
- *    packet-local backward slices feeding their addresses, and
- *    control; everything else is stripped.
- *  - reliability: reliability-aware runahead. IR removal stays
- *    active, but *every* packet forwards control only and a recovery
- *    suspends removal for `cooldownTraces` traces — a corrupted
- *    A-stream can never poison the delay buffer with wrong values.
+ * Path fields survive stripping so direction-only branch validation
+ * still works, and the R-stream executes stripped slots natively
+ * against the authoritative context, so architectural output is
+ * correct under either policy.
  */
 
 #ifndef SLIPSTREAM_SLIPSTREAM_A_STREAM_POLICY_HH
 #define SLIPSTREAM_SLIPSTREAM_A_STREAM_POLICY_HH
 
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -64,15 +40,13 @@ namespace slip
 /** Which A-stream shortening strategy drives the walk. */
 enum class AStreamPolicyKind : uint8_t
 {
-    IRRemoval,           // the paper's IR-predictor removal (default)
-    Runahead,            // enter on load miss, discard values on exit
-    FilteredRunahead,    // in-mode, keep only load-leading slices
-    ReliabilityRunahead, // removal + control-only forwarding always
+    IRRemoval,   // the paper's IR-predictor removal (default)
+    Reliability, // removal + control-only forwarding always
 };
 
-inline constexpr unsigned kNumAStreamPolicies = 4;
+inline constexpr unsigned kNumAStreamPolicies = 2;
 
-/** "ir", "runahead", "filtered", "reliability" (report keys). */
+/** "ir", "reliability" (report keys). */
 const char *aStreamPolicyName(AStreamPolicyKind kind);
 
 /** Inverse of aStreamPolicyName; false on anything else. */
@@ -87,93 +61,57 @@ bool parseAStreamPolicy(const std::string &text,
 AStreamPolicyKind aStreamPolicyFromEnv(
     AStreamPolicyKind fallback = AStreamPolicyKind::IRRemoval);
 
-/** Policy selection plus tuning, carried inside SlipstreamParams. */
+/** Policy selection, carried inside SlipstreamParams. */
 struct AStreamPolicyParams
 {
     AStreamPolicyKind kind = AStreamPolicyKind::IRRemoval;
-
-    /** Runahead: traces spent in-mode per triggering load miss. */
-    unsigned runaheadTraces = 4;
-
-    /** Runahead: direct-mapped 64B-line tag array size (miss model). */
-    unsigned missLines = 64;
-
-    /** Reliability: post-recovery traces with removal suspended. */
-    unsigned cooldownTraces = 8;
 };
 
 /**
- * `base` with the environment applied: $SLIPSTREAM_ASTREAM_POLICY
- * (strict), $SLIPSTREAM_RUNAHEAD_TRACES (numeric knob, usual
- * warn-and-fall-back contract; zero is rejected — a zero-length
- * runahead mode never shortens anything).
- */
-AStreamPolicyParams aStreamPolicyParamsFromEnv(
-    AStreamPolicyParams base = {});
-
-/**
- * One A-stream's shortening strategy. Owned by the processor, driven
- * by AStreamSource at the three decision points; all state is
- * per-instance, so trials stay deterministic across worker counts.
+ * One A-stream's shortening policy, driven by AStreamSource once per
+ * walked trace. All state is per-instance, so trials stay
+ * deterministic across worker counts.
  */
 class AStreamPolicy
 {
   public:
+    /** Reliability: post-recovery traces with removal suspended. */
+    static constexpr unsigned kCooldownTraces = 8;
+
     explicit AStreamPolicy(const AStreamPolicyParams &params);
-    virtual ~AStreamPolicy() = default;
 
     /** Removal plan for the trace about to be walked (may be none). */
-    virtual std::optional<RemovalPlan>
+    std::optional<RemovalPlan>
     planTrace(const IRPredictor &irPredictor, const PathHistory &history,
-              const TraceId &predicted) = 0;
-
-    /** An A-executed slot's outcome (miss modeling, mode entry). */
-    virtual void onSlotExecuted(const StaticInst &, const ExecResult &)
-    {
-    }
+              const TraceId &predicted);
 
     /**
      * The walk finished a packet (fetch blocks already emitted; the
-     * A-core's timing is fixed). The policy may strip value payloads;
-     * it must keep packet.executedCount equal to the surviving
-     * executedInA slots.
+     * A-core's timing is fixed). Under reliability every executed
+     * slot is demoted to a control-only entry: the path fields
+     * survive, the value payload does not.
      */
-    virtual void onPacketComplete(Packet &packet);
+    void onPacketComplete(Packet &packet);
 
     /** The A-stream was resynchronized from the R-stream. */
-    virtual void onRecovery() {}
+    void onRecovery();
 
-    const AStreamPolicyParams &params() const { return params_; }
     StatGroup &stats() { return stats_; }
 
-  protected:
-    /**
-     * Demote one executed slot to a control-only entry: the path
-     * fields survive (direction-only branch validation), the value
-     * payload does not (the R-stream executes it natively).
-     */
-    void stripSlot(PacketSlot &slot);
+  private:
+    AStreamPolicyKind kind_;
+    unsigned cooldownLeft = 0;
 
-    /** Strip every executed slot of `packet` (control-only packet). */
-    void stripAll(Packet &packet);
-
-    /** Recount packet.executedCount after selective stripping. */
-    static void recount(Packet &packet);
-
-    AStreamPolicyParams params_;
     StatGroup stats_;
-    StatGroup::Handle statModeEntries{stats_.handle("mode_entries")};
-    StatGroup::Handle statModeTraces{stats_.handle("mode_traces")};
+    StatGroup::Handle statCooldowns{stats_.handle("cooldowns")};
+    StatGroup::Handle statCooldownTraces{
+        stats_.handle("cooldown_traces")};
     StatGroup::Handle statStrippedSlots{
         stats_.handle("stripped_slots")};
     StatGroup::Handle statDataPackets{stats_.handle("data_packets")};
     StatGroup::Handle statControlOnlyPackets{
         stats_.handle("control_only_packets")};
 };
-
-/** Construct the policy `params.kind` names. */
-std::unique_ptr<AStreamPolicy>
-makeAStreamPolicy(const AStreamPolicyParams &params = {});
 
 } // namespace slip
 

@@ -117,9 +117,9 @@ struct SlipstreamParams
     DetectParams detect;
 
     /**
-     * Which A-stream shortening policy drives the walk (and its
-     * tuning): the paper's IR-removal by default, or one of the
-     * runahead-family strategies (slipstream/a_stream_policy.hh).
+     * Which A-stream shortening policy drives the walk: the paper's
+     * IR-removal by default, or reliability's control-only forwarding
+     * (slipstream/a_stream_policy.hh).
      */
     AStreamPolicyParams aPolicy;
 
@@ -278,7 +278,7 @@ class SlipstreamProcessor
     OoOCore &rCore() { return *rCore_; }
     AStreamSource &aSource() { return *aSource_; }
     RStreamSource &rSource() { return *rSource_; }
-    AStreamPolicy &aPolicy() { return *aPolicy_; }
+    AStreamPolicy &aPolicy() { return aPolicy_; }
     IRPredictor &irPredictor() { return *irPred; }
     IRDetector &detector() { return *detector_; }
     DelayBuffer &delayBuffer() { return delayBuffer_; }
@@ -333,7 +333,7 @@ class SlipstreamProcessor
     DelayBuffer delayBuffer_;
     std::unique_ptr<RecoveryController> recovery_;
     std::unique_ptr<IRDetector> detector_;
-    std::unique_ptr<AStreamPolicy> aPolicy_;
+    AStreamPolicy aPolicy_;
     std::unique_ptr<AStreamSource> aSource_;
     std::unique_ptr<RStreamSource> rSource_;
     ForwardingSource rFront_;

@@ -1,9 +1,10 @@
 /**
  * A-stream shortening policies: name/parse round trips, the strip
- * semantics every runahead-family policy relies on, per-policy
- * end-to-end correctness on a real program, and the reliability
- * oracle — the reliability-aware policy must never publish a delay-
- * buffer packet carrying data, even under a forced IR-misprediction.
+ * semantics of the reliability policy, its post-recovery cooldown,
+ * per-policy end-to-end correctness on a real program, and the
+ * reliability oracle — the reliability policy must never publish a
+ * delay-buffer packet carrying data, even under a forced
+ * IR-misprediction.
  */
 
 #include <gtest/gtest.h>
@@ -24,14 +25,8 @@ TEST(AStreamPolicy, NamesParseRoundTrip)
 {
     EXPECT_STREQ(aStreamPolicyName(AStreamPolicyKind::IRRemoval),
                  "ir");
-    EXPECT_STREQ(aStreamPolicyName(AStreamPolicyKind::Runahead),
-                 "runahead");
-    EXPECT_STREQ(
-        aStreamPolicyName(AStreamPolicyKind::FilteredRunahead),
-        "filtered");
-    EXPECT_STREQ(
-        aStreamPolicyName(AStreamPolicyKind::ReliabilityRunahead),
-        "reliability");
+    EXPECT_STREQ(aStreamPolicyName(AStreamPolicyKind::Reliability),
+                 "reliability");
 
     for (unsigned i = 0; i < kNumAStreamPolicies; ++i) {
         AStreamPolicyKind parsed;
@@ -43,6 +38,9 @@ TEST(AStreamPolicy, NamesParseRoundTrip)
     EXPECT_FALSE(parseAStreamPolicy("turbo", dummy));
     EXPECT_FALSE(parseAStreamPolicy("", dummy));
     EXPECT_FALSE(parseAStreamPolicy("IR", dummy));
+    // Policies an older build offered are not names any more.
+    EXPECT_FALSE(parseAStreamPolicy("runahead", dummy));
+    EXPECT_FALSE(parseAStreamPolicy("filtered", dummy));
 }
 
 /** A packet with `executed` value-carrying slots out of `slots`. */
@@ -72,11 +70,11 @@ packetOf(unsigned slots, unsigned executed)
 TEST(AStreamPolicy, ReliabilityStripsValuesButKeepsPath)
 {
     AStreamPolicyParams params;
-    params.kind = AStreamPolicyKind::ReliabilityRunahead;
-    auto policy = makeAStreamPolicy(params);
+    params.kind = AStreamPolicyKind::Reliability;
+    AStreamPolicy policy(params);
 
     Packet p = packetOf(6, 4);
-    policy->onPacketComplete(p);
+    policy.onPacketComplete(p);
 
     EXPECT_EQ(p.executedCount, 0u);
     for (unsigned i = 0; i < p.slots.size(); ++i) {
@@ -87,93 +85,85 @@ TEST(AStreamPolicy, ReliabilityStripsValuesButKeepsPath)
         EXPECT_EQ(slot.pathTaken, (i % 2) == 0) << i;
         EXPECT_EQ(slot.pathNextPc, slot.pc + 4) << i;
     }
-    EXPECT_EQ(policy->stats().get("stripped_slots"), 4u);
-    EXPECT_EQ(policy->stats().get("control_only_packets"), 1u);
-    EXPECT_EQ(policy->stats().get("data_packets"), 0u);
+    EXPECT_EQ(policy.stats().get("stripped_slots"), 4u);
+    EXPECT_EQ(policy.stats().get("control_only_packets"), 1u);
+    EXPECT_EQ(policy.stats().get("data_packets"), 0u);
 }
 
-TEST(AStreamPolicy, RunaheadStripsOnlyWhileInMode)
+/** An IR-predictor whose entry for (history, trace) is confident. */
+struct ConfidentPredictor
 {
-    AStreamPolicyParams params;
-    params.kind = AStreamPolicyKind::Runahead;
-    params.runaheadTraces = 2;
-    auto policy = makeAStreamPolicy(params);
+    IRPredictor pred{[] {
+        IRPredictorParams p;
+        p.confidenceThreshold = 1;
+        return p;
+    }()};
+    PathHistory history;
+    TraceId trace{0x1000, 0b1, 1, 8};
+    RemovalPlan plan;
 
-    // Out of mode: packets pass through untouched.
-    Packet before = packetOf(4, 3);
-    policy->onPacketComplete(before);
-    EXPECT_EQ(before.executedCount, 3u);
-    EXPECT_EQ(policy->stats().get("data_packets"), 1u);
-
-    // A load whose line misses the (cold) tag array enters mode.
-    const StaticInst load{Opcode::LD, RegIndex(5), RegIndex(6),
-                          RegIndex(0), 0};
-    ExecResult exec;
-    exec.memAddr = 0x4000;
-    policy->onSlotExecuted(load, exec);
-    EXPECT_EQ(policy->stats().get("mode_entries"), 1u);
-
-    // The next `runaheadTraces` packets forward control only...
-    for (int i = 0; i < 2; ++i) {
-        Packet in = packetOf(4, 3);
-        policy->onPacketComplete(in);
-        EXPECT_EQ(in.executedCount, 0u) << i;
+    ConfidentPredictor()
+    {
+        plan.irVec = 0b0110;
+        plan.reasons.assign(8, reason::kBR);
+        for (int i = 0; i < 4; ++i)
+            pred.update(history, trace, plan);
     }
-    EXPECT_EQ(policy->stats().get("mode_traces"), 2u);
-    EXPECT_EQ(policy->stats().get("stripped_slots"), 6u);
+};
 
-    // ...then mode exits and values flow again.
-    Packet after = packetOf(4, 3);
-    policy->onPacketComplete(after);
-    EXPECT_EQ(after.executedCount, 3u);
+TEST(AStreamPolicy, ReliabilityCoolsDownAfterRecovery)
+{
+    ConfidentPredictor c;
+    ASSERT_TRUE(c.pred.lookup(c.history, c.trace).has_value());
 
-    // The same line hits now — no re-entry...
-    policy->onSlotExecuted(load, exec);
-    EXPECT_EQ(policy->stats().get("mode_entries"), 1u);
+    AStreamPolicyParams params;
+    params.kind = AStreamPolicyKind::Reliability;
+    AStreamPolicy policy(params);
+    const auto plans = [&] {
+        return policy.planTrace(c.pred, c.history, c.trace).has_value();
+    };
 
-    // ...until a recovery resets the miss model with the rest of the
-    // speculative context.
-    policy->onRecovery();
-    policy->onSlotExecuted(load, exec);
-    EXPECT_EQ(policy->stats().get("mode_entries"), 2u);
+    // Before any recovery the predictor's plan passes straight through.
+    std::optional<RemovalPlan> got =
+        policy.planTrace(c.pred, c.history, c.trace);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->irVec, c.plan.irVec);
+
+    // A recovery suspends removal for exactly the cooldown length...
+    policy.onRecovery();
+    for (unsigned i = 0; i < AStreamPolicy::kCooldownTraces; ++i)
+        EXPECT_FALSE(plans()) << "trace " << i << " of the cooldown";
+
+    // ...then the predictor's plan is back.
+    got = policy.planTrace(c.pred, c.history, c.trace);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->irVec, c.plan.irVec);
+    EXPECT_EQ(policy.stats().get("cooldowns"), 1u);
+    EXPECT_EQ(policy.stats().get("cooldown_traces"),
+              uint64_t(AStreamPolicy::kCooldownTraces));
+
+    // A recovery inside a cooldown restarts it; it is one cooldown.
+    policy.onRecovery();
+    EXPECT_FALSE(plans());
+    policy.onRecovery();
+    for (unsigned i = 0; i < AStreamPolicy::kCooldownTraces; ++i)
+        EXPECT_FALSE(plans()) << i;
+    EXPECT_TRUE(plans());
+    EXPECT_EQ(policy.stats().get("cooldowns"), 2u);
 }
 
-TEST(AStreamPolicy, FilteredKeepsLoadSlicesInMode)
+TEST(AStreamPolicy, IRRemovalHasNoCooldown)
 {
-    AStreamPolicyParams params;
-    params.kind = AStreamPolicyKind::FilteredRunahead;
-    params.runaheadTraces = 1;
-    auto policy = makeAStreamPolicy(params);
+    ConfidentPredictor c;
+    AStreamPolicy policy(AStreamPolicyParams{});
 
-    const StaticInst trigger{Opcode::LD, RegIndex(5), RegIndex(6),
-                             RegIndex(0), 0};
-    ExecResult exec;
-    exec.memAddr = 0x8000;
-    policy->onSlotExecuted(trigger, exec);
-
-    // Three executed slots: x7 = x8 + 1 feeds the load's address,
-    // x9 = x9 * x9 feeds nothing the load needs, ld x10, 0(x7).
-    Packet p;
-    p.num = 2;
-    p.slots.resize(3);
-    p.slots[0].si = StaticInst{Opcode::ADDI, RegIndex(7), RegIndex(8),
-                               RegIndex(0), 1};
-    p.slots[1].si = StaticInst{Opcode::MUL, RegIndex(9), RegIndex(9),
-                               RegIndex(9), 0};
-    p.slots[2].si = StaticInst{Opcode::LD, RegIndex(10), RegIndex(7),
-                               RegIndex(0), 0};
-    for (PacketSlot &slot : p.slots) {
-        slot.executedInA = true;
-        slot.aExec.destValue = 1;
-    }
-    p.executedCount = 3;
-    policy->onPacketComplete(p);
-
-    EXPECT_TRUE(p.slots[0].executedInA);  // feeds the load address
-    EXPECT_FALSE(p.slots[1].executedInA); // dead to every load
-    EXPECT_TRUE(p.slots[2].executedInA);  // the load itself
-    EXPECT_EQ(p.executedCount, 2u);
-    EXPECT_EQ(policy->stats().get("stripped_slots"), 1u);
+    policy.onRecovery();
+    const std::optional<RemovalPlan> got =
+        policy.planTrace(c.pred, c.history, c.trace);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->irVec, c.plan.irVec);
+    EXPECT_EQ(policy.stats().get("cooldowns"), 0u);
+    EXPECT_EQ(policy.stats().get("cooldown_traces"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -241,19 +231,13 @@ TEST(AStreamPolicy, EveryPolicyProducesCorrectOutput)
             proc.aPolicy().stats().get("data_packets");
         const uint64_t stripped =
             proc.aPolicy().stats().get("stripped_slots");
-        if (kind == AStreamPolicyKind::ReliabilityRunahead) {
+        if (kind == AStreamPolicyKind::Reliability) {
             // The defining property: control only, always.
             EXPECT_EQ(data, 0u);
             EXPECT_GT(stripped, 0u);
-        } else if (kind == AStreamPolicyKind::IRRemoval) {
+        } else {
             EXPECT_GT(data, 0u);
             EXPECT_EQ(stripped, 0u);
-        } else {
-            // The runahead variants strip in-mode only; the cold tag
-            // array guarantees at least one miss -> one mode entry.
-            EXPECT_GT(data, 0u);
-            EXPECT_GT(proc.aPolicy().stats().get("mode_entries"), 0u);
-            EXPECT_GT(stripped, 0u);
         }
     }
 }
@@ -272,7 +256,7 @@ TEST(AStreamPolicy, ReliabilityNeverPublishesDataUnderIRMisprediction)
         SCOPED_TRACE(bit);
         Program p = assemble(kProgram);
         SlipstreamParams params;
-        params.aPolicy.kind = AStreamPolicyKind::ReliabilityRunahead;
+        params.aPolicy.kind = AStreamPolicyKind::Reliability;
         SlipstreamProcessor proc(p, params);
         proc.faultInjector().arm({FaultTarget::IRPredictor, 4000, bit});
         const SlipstreamRunResult r = proc.run();

@@ -162,16 +162,15 @@ TEST(DetectEnv, TuningKnobsApplyAndRejectZero)
 
 // ---------------------------------------------------------------------
 // The A-stream policy knob follows the same strict mode-knob contract
-// as the detection backend: typos throw, valid names override, tuning
-// knobs warn-and-fall-back on meaningless values.
+// as the detection backend: typos throw, valid names override.
 // ---------------------------------------------------------------------
 
 TEST(AStreamPolicyEnv, UnsetUsesFallback)
 {
     EnvGuard g("SLIPSTREAM_ASTREAM_POLICY", nullptr);
     EXPECT_EQ(aStreamPolicyFromEnv(), AStreamPolicyKind::IRRemoval);
-    EXPECT_EQ(aStreamPolicyFromEnv(AStreamPolicyKind::Runahead),
-              AStreamPolicyKind::Runahead);
+    EXPECT_EQ(aStreamPolicyFromEnv(AStreamPolicyKind::Reliability),
+              AStreamPolicyKind::Reliability);
 }
 
 TEST(AStreamPolicyEnv, ValidValuesOverride)
@@ -181,7 +180,7 @@ TEST(AStreamPolicyEnv, ValidValuesOverride)
         EnvGuard g("SLIPSTREAM_ASTREAM_POLICY",
                    aStreamPolicyName(kind));
         EXPECT_EQ(aStreamPolicyFromEnv(), kind);
-        EXPECT_EQ(aStreamPolicyParamsFromEnv().kind, kind);
+        EXPECT_EQ(FaultCampaignConfig().params.aPolicy.kind, kind);
     }
 }
 
@@ -189,29 +188,14 @@ TEST(AStreamPolicyEnv, GarbageThrows)
 {
     // A typo'd policy would silently benchmark the wrong shortening
     // mechanism, so an unknown value throws instead of falling back.
-    EnvGuard g("SLIPSTREAM_ASTREAM_POLICY", "turbo");
-    setLogQuiet(true);
-    EXPECT_THROW(aStreamPolicyFromEnv(), FatalError);
-    EXPECT_THROW(aStreamPolicyParamsFromEnv(), FatalError);
-    setLogQuiet(false);
-}
-
-TEST(AStreamPolicyEnv, TuningKnobsApplyAndRejectZero)
-{
-    EnvGuard p("SLIPSTREAM_ASTREAM_POLICY", nullptr);
-    {
-        EnvGuard t("SLIPSTREAM_RUNAHEAD_TRACES", "9");
-        EXPECT_EQ(aStreamPolicyParamsFromEnv().runaheadTraces, 9u);
-    }
-    {
-        // A zero-length runahead mode never shortens anything:
-        // numeric knobs keep the warn-and-fall-back contract.
-        EnvGuard t("SLIPSTREAM_RUNAHEAD_TRACES", "0");
+    // So does a policy an older build offered.
+    for (const char *value : {"turbo", "runahead", "filtered"}) {
+        SCOPED_TRACE(value);
+        EnvGuard g("SLIPSTREAM_ASTREAM_POLICY", value);
         setLogQuiet(true);
-        const AStreamPolicyParams got = aStreamPolicyParamsFromEnv();
+        EXPECT_THROW(aStreamPolicyFromEnv(), FatalError);
+        EXPECT_THROW((void)FaultCampaignConfig(), FatalError);
         setLogQuiet(false);
-        EXPECT_EQ(got.runaheadTraces,
-                  AStreamPolicyParams().runaheadTraces);
     }
 }
 
@@ -308,8 +292,7 @@ TEST(DetectCampaign, BackendAndPolicyComposeDeterministically)
             setenv("SLIPSTREAM_JOBS", jobs, 1);
             FaultCampaignConfig cfg = backendConfig(
                 DetectBackendKind::Replay, "policy_cross");
-            cfg.params.aPolicy.kind =
-                AStreamPolicyKind::ReliabilityRunahead;
+            cfg.params.aPolicy.kind = AStreamPolicyKind::Reliability;
             cfg.isolation = mode;
             std::remove(cfg.journalPath.c_str());
             runFaultCampaign(cfg);

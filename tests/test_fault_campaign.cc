@@ -448,9 +448,9 @@ TEST(FaultCampaign, ResumeRejectsForeignPolicyJournal)
     FaultCampaignConfig cfg = smallConfig();
     cfg.name = "resume_policy";
     cfg.workloads = {"m88ksim"};
-    cfg.trialsPerWorkload = 2;
+    cfg.trialsPerWorkload = 3;
     cfg.journalPath = "test_fault_campaign.policy_foreign.jsonl";
-    cfg.params.aPolicy.kind = AStreamPolicyKind::Runahead;
+    cfg.params.aPolicy.kind = AStreamPolicyKind::Reliability;
 
     const FaultCampaignResult fresh = runFaultCampaign(cfg);
     const std::string expected = campaignJson(cfg, fresh);
@@ -464,31 +464,33 @@ TEST(FaultCampaign, ResumeRejectsForeignPolicyJournal)
     }
     ASSERT_EQ(lines.size(), fresh.trials.size());
 
-    // Poison trial 0's record: flip its policy tag to `ir` and its
-    // outcome to `crashed`. If resume matched it despite the foreign
-    // tag, the bogus outcome would land in the report.
-    std::string foreign = lines[0];
-    const size_t tagAt = foreign.find("\"policy\":\"runahead\"");
-    ASSERT_NE(tagAt, std::string::npos);
-    foreign.replace(tagAt, std::string("\"policy\":\"runahead\"").size(),
-                    "\"policy\":\"ir\"");
-    const std::string outKey = "\"outcome\":\"";
-    const size_t outAt = foreign.find(outKey);
-    ASSERT_NE(outAt, std::string::npos);
-    const size_t outEnd = foreign.find('"', outAt + outKey.size());
-    foreign.replace(outAt + outKey.size(),
-                    outEnd - (outAt + outKey.size()), "crashed");
-    // A second poison line with no policy tag at all: legacy journals
-    // are only sound for the paper's default (ir) policy, so a
-    // runahead resume must re-run this trial too.
-    std::string legacy = lines[1];
-    const size_t legacyTag = legacy.find(",\"policy\":\"runahead\"");
-    ASSERT_NE(legacyTag, std::string::npos);
-    legacy.erase(legacyTag,
-                 std::string(",\"policy\":\"runahead\"").size());
+    const std::string ownTag = ",\"policy\":\"reliability\"";
+    for (const std::string &line : lines)
+        ASSERT_NE(line.find(ownTag), std::string::npos) << line;
+
+    // Re-tag a line (an empty tag drops the field) and set its outcome
+    // to `crashed`: if resume matched it despite the foreign tag, the
+    // bogus outcome would land in the report.
+    const auto poison = [&](std::string line, const std::string &tag) {
+        line.replace(line.find(ownTag), ownTag.size(), tag);
+        const std::string outKey = "\"outcome\":\"";
+        const size_t outAt = line.find(outKey) + outKey.size();
+        line.replace(outAt, line.find('"', outAt) - outAt, "crashed");
+        return line;
+    };
+    // Trial 0 claims the default `ir` policy.
+    const std::string foreign = poison(lines[0], ",\"policy\":\"ir\"");
+    // Trial 1 has no policy tag at all: legacy journals are only sound
+    // for the paper's default (ir) policy, so a reliability resume
+    // must re-run this trial too.
+    const std::string legacy = poison(lines[1], "");
+    // Trial 2 was journaled by an older build under a policy that no
+    // longer exists.
+    const std::string retired =
+        poison(lines[2], ",\"policy\":\"runahead\"");
     {
         std::ofstream out(cfg.journalPath, std::ios::trunc);
-        out << foreign << '\n' << legacy << '\n';
+        out << foreign << '\n' << legacy << '\n' << retired << '\n';
     }
 
     FaultCampaignConfig again = cfg;

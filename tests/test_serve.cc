@@ -3,15 +3,18 @@
  * (key stability, program identity, persistence, eviction, verified
  * entries, temp-file hygiene), version negotiation that fails closed
  * in both directions with a diagnosis naming both revisions, torn
- * mid-stream frames surfacing as errors instead of hangs, and the
- * served-batch contracts — byte identity against the single-process
- * pipeline, cache hits on resubmission (mixed with misses in one
- * wave, and after on-disk corruption), cancellation revoking
- * undispatched trials, and drain rejecting new batches.
+ * mid-stream frames surfacing as errors instead of hangs, malformed
+ * batch requests answered with an error instead of killing the
+ * daemon, and the served-batch contracts — byte identity against the
+ * single-process pipeline under each A-stream policy, cache hits on
+ * resubmission (mixed with misses in one wave, and after on-disk
+ * corruption), cancellation revoking undispatched trials, and drain
+ * rejecting new batches.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -193,21 +197,18 @@ TEST(ResultCache, CampaignKeySeparatesAStreamPolicies)
         for (size_t b = a + 1; b < keys.size(); ++b)
             EXPECT_FALSE(keys[a] == keys[b]) << a << " vs " << b;
 
-    // Policy tuning shapes trial dynamics, so it reaches the key too.
-    FaultCampaignConfig tuned = cfg;
-    tuned.params.aPolicy.runaheadTraces += 1;
-    EXPECT_FALSE(base == campaignTrialKey(tuned, specs[0], 0));
-
     // And both policies really do land as two distinct cache entries.
+    const CacheKey reliability =
+        keys[size_t(AStreamPolicyKind::Reliability)];
     ScratchDir dir;
     ResultCache cache(dir.path + "/cache", 100);
-    cache.store(keys[0], "line-ir");
-    cache.store(keys[1], "line-runahead");
+    cache.store(base, "line-ir");
+    cache.store(reliability, "line-reliability");
     std::string line;
-    ASSERT_TRUE(cache.lookup(keys[0], line));
+    ASSERT_TRUE(cache.lookup(base, line));
     EXPECT_EQ(line, "line-ir");
-    ASSERT_TRUE(cache.lookup(keys[1], line));
-    EXPECT_EQ(line, "line-runahead");
+    ASSERT_TRUE(cache.lookup(reliability, line));
+    EXPECT_EQ(line, "line-reliability");
 }
 
 /** A ProgramCache-style entry for a hand-assembled program. */
@@ -360,27 +361,19 @@ TEST(ServeProto, BatchRequestRoundTripsPolicyParams)
     req.id = 3;
     req.name = "proto_policy";
     req.workloads = {"compress"};
-    req.policy.kind = AStreamPolicyKind::FilteredRunahead;
-    req.policy.runaheadTraces = 9;
-    req.policy.missLines = 32;
-    req.policy.cooldownTraces = 5;
+    req.policy.kind = AStreamPolicyKind::Reliability;
 
     wire::Encoder enc;
     encodeBatchRequest(enc, req);
     wire::Decoder dec(enc.bytes());
     const BatchRequest got = decodeBatchRequest(dec);
     EXPECT_TRUE(dec.atEnd());
-    EXPECT_EQ(got.policy.kind, AStreamPolicyKind::FilteredRunahead);
-    EXPECT_EQ(got.policy.runaheadTraces, 9u);
-    EXPECT_EQ(got.policy.missLines, 32u);
-    EXPECT_EQ(got.policy.cooldownTraces, 5u);
+    EXPECT_EQ(got.policy.kind, AStreamPolicyKind::Reliability);
 
     // The served trial runs under the requested policy, not the
     // server's default.
     const FaultCampaignConfig cfg = got.toCampaignConfig();
-    EXPECT_EQ(cfg.params.aPolicy.kind,
-              AStreamPolicyKind::FilteredRunahead);
-    EXPECT_EQ(cfg.params.aPolicy.runaheadTraces, 9u);
+    EXPECT_EQ(cfg.params.aPolicy.kind, AStreamPolicyKind::Reliability);
 }
 
 // ---------------------------------------------------------------------
@@ -644,19 +637,23 @@ struct ServerFixture : ::testing::Test
 
 TEST_F(ServerFixture, BatchMatchesSingleProcessPipelineByteForByte)
 {
-    const BatchRequest req = smallBatch();
+    for (unsigned p = 0; p < kNumAStreamPolicies; ++p) {
+        BatchRequest req = smallBatch();
+        req.policy.kind = AStreamPolicyKind(p);
+        SCOPED_TRACE(aStreamPolicyName(req.policy.kind));
 
-    // The reference: the same batch through the local pipeline.
-    const std::vector<std::string> lines = referenceLines(req);
-    std::string expected;
-    for (const std::string &line : lines)
-        expected += line + '\n';
+        // The reference: the same batch through the local pipeline.
+        const std::vector<std::string> lines = referenceLines(req);
+        std::string expected;
+        for (const std::string &line : lines)
+            expected += line + '\n';
 
-    BatchDoneMsg done;
-    const std::string served = submit(req, done);
-    EXPECT_EQ(done.status, BatchStatus::Ok);
-    EXPECT_EQ(done.completed, lines.size());
-    EXPECT_EQ(served, expected);
+        BatchDoneMsg done;
+        const std::string served = submit(req, done);
+        EXPECT_EQ(done.status, BatchStatus::Ok);
+        EXPECT_EQ(done.completed, lines.size());
+        EXPECT_EQ(served, expected);
+    }
 }
 
 TEST_F(ServerFixture, ResubmittedBatchIsServedFromCache)
@@ -780,7 +777,7 @@ TEST_F(ServerFixture, TwoPoliciesOnSameProgramDoNotShareCacheEntries)
     EXPECT_EQ(first.cacheMisses, first.completed);
 
     BatchRequest reliability = smallBatch();
-    reliability.policy.kind = AStreamPolicyKind::ReliabilityRunahead;
+    reliability.policy.kind = AStreamPolicyKind::Reliability;
     BatchDoneMsg second;
     const std::string relJournal = submit(reliability, second);
     EXPECT_EQ(second.cacheHits, 0u) << "policy aliased in the cache";
@@ -799,6 +796,83 @@ TEST_F(ServerFixture, TwoPoliciesOnSameProgramDoNotShareCacheEntries)
     EXPECT_EQ(warm.cacheHits, warm.completed);
     EXPECT_EQ(submit(reliability, warm), relJournal);
     EXPECT_EQ(warm.cacheHits, warm.completed);
+}
+
+TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
+{
+    // A raw, handshaken connection: the client library only sends
+    // well-formed requests.
+    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, opts.unixPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                      sizeof(addr)),
+              0);
+    std::string err;
+    ASSERT_TRUE(clientHandshake(fd, "raw-client", err)) << err;
+
+    // Send one request payload; count the trial frames until the
+    // BatchDone that ends the batch.
+    uint64_t trials = 0;
+    const auto submitRaw = [&](const std::string &payload) {
+        BatchDoneMsg done;
+        trials = 0;
+        EXPECT_TRUE(wire::writeFrame(fd, wire::MsgType::BatchRequest,
+                                     payload));
+        for (;;) {
+            wire::MsgType type;
+            std::string reply;
+            if (wire::readFrame(fd, type, reply) != wire::ReadResult::Ok) {
+                ADD_FAILURE() << "server closed the connection";
+                return done;
+            }
+            if (type == wire::MsgType::BatchDone) {
+                wire::Decoder dec(reply);
+                return decodeBatchDone(dec);
+            }
+            ++trials;
+        }
+    };
+
+    wire::Encoder valid;
+    encodeBatchRequest(valid, smallBatch());
+    const std::string &bytes = valid.bytes();
+
+    // Truncated: the decoder runs out of bytes mid-request.
+    BatchDoneMsg done = submitRaw(bytes.substr(0, bytes.size() / 2));
+    EXPECT_EQ(done.status, BatchStatus::Error);
+    EXPECT_EQ(trials, 0u);
+
+    // Policy byte 2 names no policy. The policy byte is the one byte
+    // where an `ir` and a `reliability` request differ.
+    BatchRequest reliability = smallBatch();
+    reliability.policy.kind = AStreamPolicyKind::Reliability;
+    wire::Encoder other;
+    encodeBatchRequest(other, reliability);
+    ASSERT_EQ(other.bytes().size(), bytes.size());
+    const size_t policyAt =
+        std::mismatch(bytes.begin(), bytes.end(), other.bytes().begin())
+            .first -
+        bytes.begin();
+    ASSERT_LT(policyAt, bytes.size());
+    std::string badPolicy = bytes;
+    badPolicy[policyAt] = 2;
+    done = submitRaw(badPolicy);
+    EXPECT_EQ(done.status, BatchStatus::Error);
+    EXPECT_NE(done.error.find("A-stream policy byte 2"),
+              std::string::npos)
+        << done.error;
+    EXPECT_EQ(trials, 0u);
+
+    // The daemon survived both, and this connection is still served.
+    done = submitRaw(bytes);
+    EXPECT_EQ(done.status, BatchStatus::Ok) << done.error;
+    EXPECT_EQ(done.completed, 4u);
+    EXPECT_EQ(trials, 4u);
+    close(fd);
 }
 
 TEST_F(ServerFixture, FuzzBatchStreamsSeedWindow)

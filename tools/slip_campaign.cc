@@ -83,8 +83,7 @@ usage(std::ostream &os)
           "| checker\n"
           "                   (default $SLIPSTREAM_DETECT, else "
           "slipstream)\n"
-          "  --policy P       A-stream policy: ir | runahead | "
-          "filtered | reliability\n"
+          "  --policy P       A-stream policy: ir | reliability\n"
           "                   (default $SLIPSTREAM_ASTREAM_POLICY, "
           "else ir)\n"
           "  --workers N      worker processes/threads\n"
@@ -222,8 +221,7 @@ main(int argc, char **argv)
             const std::string v = value("--policy");
             if (!parseAStreamPolicy(v, cfg.params.aPolicy.kind)) {
                 std::cerr << "slip_campaign: bad --policy '" << v
-                          << "' (want ir|runahead|filtered|"
-                             "reliability)\n";
+                          << "' (want ir|reliability)\n";
                 return 2;
             }
         } else if (arg == "--workers") {

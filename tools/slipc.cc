@@ -47,7 +47,7 @@ usage(std::ostream &os)
           "    --name NAME --workloads A,B --size S --trials N\n"
           "    --seed N --min-faults N --max-faults N --reliable\n"
           "    --detect slipstream|replay|checker\n"
-          "    --policy ir|runahead|filtered|reliability\n"
+          "    --policy ir|reliability\n"
           "  bench      fault-free performance sweep\n"
           "    --name NAME --workloads A,B --size S --trials N\n"
           "  fuzz       differential-fuzz seed window\n"
@@ -182,8 +182,7 @@ main(int argc, char **argv)
             const std::string v = value("--policy");
             if (!parseAStreamPolicy(v, req.policy.kind)) {
                 std::cerr << "slipc: bad --policy '" << v
-                          << "' (want ir|runahead|filtered|"
-                             "reliability)\n";
+                          << "' (want ir|reliability)\n";
                 return 2;
             }
         } else if (arg == "--seeds") {

@@ -48,9 +48,8 @@ usage(std::ostream &os)
           "seeds once exceeded\n"
           "  --max-cycles N  per-leg cycle budget          "
           "(default 20000000)\n"
-          "  --policy P      A-stream policy for the slipstream legs: "
-          "ir | runahead |\n"
-          "                  filtered | reliability       "
+          "  --policy P      A-stream policy for the slipstream legs:\n"
+          "                  ir | reliability              "
           "(default ir)\n"
           "  --out DIR       repro bundle directory        "
           "(default fuzz-repros)\n"
@@ -213,8 +212,7 @@ main(int argc, char **argv)
             if (!slip::parseAStreamPolicy(v,
                                           opt.oracle.params.aPolicy.kind)) {
                 std::cerr << "ssir_fuzz: bad --policy '" << v
-                          << "' (want ir|runahead|filtered|"
-                             "reliability)\n";
+                          << "' (want ir|reliability)\n";
                 return 2;
             }
         } else if (arg == "--out") {
