@@ -45,6 +45,13 @@ enum class TrialPhase : uint8_t
 
 inline constexpr unsigned kNumTrialPhases = 5;
 
+/** The greatest TrialPhase (the wire decoder's range check). */
+constexpr TrialPhase
+lastEnumerator(TrialPhase)
+{
+    return TrialPhase::Report;
+}
+
 /** "idle", "receive", "setup", "run", "report". */
 const char *trialPhaseName(TrialPhase phase);
 

@@ -65,6 +65,13 @@ enum class ErrorKind : uint8_t
     Unknown,
 };
 
+/** The greatest ErrorKind (the wire decoder's range check). */
+constexpr ErrorKind
+lastEnumerator(ErrorKind)
+{
+    return ErrorKind::Unknown;
+}
+
 /** "user_error", "internal_error", "resource", "unknown". */
 const char *errorKindName(ErrorKind kind);
 

@@ -44,6 +44,13 @@ enum class DetectBackendKind : uint8_t
 
 inline constexpr unsigned kNumDetectBackends = 3;
 
+/** The greatest backend kind (the wire decoder's range check). */
+constexpr DetectBackendKind
+lastEnumerator(DetectBackendKind)
+{
+    return DetectBackendKind::Checker;
+}
+
 /** "slipstream", "replay", "checker" (report keys). */
 const char *detectBackendName(DetectBackendKind kind);
 
@@ -75,6 +82,18 @@ struct DetectParams
 
     /** Checker: retired-slot queue depth before the leader stalls. */
     unsigned checkerQueue = 64;
+
+    /** The wire and key fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("detect backend", self.kind);
+        v("replay window", self.replayWindow);
+        v("replay width", self.replayWidth);
+        v("checker bandwidth", self.checkerBandwidth);
+        v("checker queue", self.checkerQueue);
+    }
 };
 
 /**

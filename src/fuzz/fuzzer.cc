@@ -88,29 +88,6 @@ runSeed(uint64_t seed, const FuzzOptions &opt)
     return c;
 }
 
-/** FuzzCase over the worker-pool wire (fork isolation). */
-void
-encodeFuzzCase(wire::Encoder &enc, const FuzzCase &c)
-{
-    enc.putU64(c.seed);
-    enc.putBool(c.diverged);
-    enc.putString(c.report);
-    enc.putString(c.bundlePath);
-    enc.putString(c.error);
-}
-
-FuzzCase
-decodeFuzzCase(wire::Decoder &dec)
-{
-    FuzzCase c;
-    c.seed = dec.getU64();
-    c.diverged = dec.getBool();
-    c.report = dec.getString();
-    c.bundlePath = dec.getString();
-    c.error = dec.getString();
-    return c;
-}
-
 /**
  * A sandboxed worker died on this seed: the crash *is* the finding.
  * The worker cannot write its own bundle (its handler may only
@@ -200,14 +177,13 @@ runFuzz(const FuzzOptions &options)
                 batch,
                 [&](size_t i, unsigned) {
                     wire::Encoder enc;
-                    encodeFuzzCase(enc,
-                                   runSeed(next + i, options));
+                    enc.put(runSeed(next + i, options));
                     return enc.bytes();
                 },
                 [&](size_t i, const IsolatedOutcome &iso) {
                     if (iso.ok()) {
                         wire::Decoder dec(iso.payload);
-                        cases[i] = decodeFuzzCase(dec);
+                        dec.get(cases[i]);
                         return;
                     }
                     if (iso.status == IsolatedOutcome::Status::Crashed)

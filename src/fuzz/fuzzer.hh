@@ -74,6 +74,18 @@ struct FuzzCase
     std::string report;     // oracle report (minimized program's)
     std::string bundlePath; // written bundle, if any
     std::string error;      // infrastructure failure (not a divergence)
+
+    /** The worker-pool wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("seed", self.seed);
+        v("diverged", self.diverged);
+        v("report", self.report);
+        v("bundle path", self.bundlePath);
+        v("error", self.error);
+    }
 };
 
 /** Campaign totals. */

@@ -61,6 +61,40 @@ struct RunMetrics
 
     // Fault-campaign result (meaningful when a FaultPlan was armed).
     FaultOutcome faultOutcome;
+
+    /** The wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("model", self.model);
+        v("cycles", self.cycles);
+        v("retired", self.retired);
+        v("ipc", self.ipc);
+        v("branch mispredictions", self.branchMispPer1000);
+        v("output correct", self.outputCorrect);
+        v("output bytes", self.outputBytes);
+        v("removed fraction", self.removedFraction);
+        v("removed by reason", self.removedByReason);
+        v("removedByReasonMask", self.removedByReasonMask);
+        v("IR mispredictions", self.irMispPer1000);
+        v("IR penalty", self.avgIRPenalty);
+        v("recoveries", self.recoveries);
+        v("cancelled", self.cancelled);
+        v("hung", self.hung);
+        v("watchdog trips", self.watchdogTrips);
+        v("degraded", self.degraded);
+        v("degraded at cycle", self.degradedAtCycle);
+        v("R-only retired", self.rOnlyRetired);
+        v("detect backend", self.detectBackend);
+        v("detect checked", self.detectChecked);
+        v("detect mismatches", self.detectMismatches);
+        v("detect external", self.detectExternal);
+        v("detect replays", self.detectReplays);
+        v("detect replayed insts", self.detectReplayedInsts);
+        v("detect overhead cycles", self.detectOverheadCycles);
+        v("fault outcome", self.faultOutcome);
+    }
 };
 
 /** The paper's core processor configurations. */

@@ -15,10 +15,12 @@
 
 #include "common/crash_report.hh"
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "fuzz/repro.hh"
 #include "harness/sim_runner.hh"
+#include "harness/wire.hh"
 #include "obs/trace_session.hh"
 
 namespace slip
@@ -162,77 +164,6 @@ namespace
 {
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-/** Extract "key":"value" from a journal line we wrote ourselves. */
-bool
-jsonFieldString(const std::string &line, const char *key,
-                std::string &out)
-{
-    const std::string needle = std::string("\"") + key + "\":\"";
-    const size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    out.clear();
-    for (size_t i = at + needle.size(); i < line.size(); ++i) {
-        char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            char e = line[++i];
-            out += e == 'n' ? '\n' : e == 'r' ? '\r' : e == 't' ? '\t'
-                                                                : e;
-            continue;
-        }
-        if (c == '"')
-            return true;
-        out += c;
-    }
-    return false; // unterminated string: a torn final line
-}
-
-/** Extract "key":<integer> from a journal line. */
-bool
-jsonFieldU64(const std::string &line, const char *key, uint64_t &out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    const char *p = line.c_str() + at + needle.size();
-    char *end = nullptr;
-    out = std::strtoull(p, &end, 10);
-    return end != p;
-}
-
-std::string
 resolveJournalPath(const FaultCampaignConfig &cfg)
 {
     if (!cfg.journalPath.empty())
@@ -291,78 +222,157 @@ encodeLatencyHistograms(const std::map<std::string, Histogram> &hists)
     return out.str();
 }
 
+/** Read back what encodeLatencyHistograms() wrote. */
 void
 decodeLatencyHistograms(const std::string &enc,
                         std::map<std::string, Histogram> &out)
 {
-    size_t pos = 0;
-    while (pos < enc.size()) {
-        size_t end = enc.find(';', pos);
-        if (end == std::string::npos)
-            end = enc.size();
-        const std::string part = enc.substr(pos, end - pos);
-        pos = end + 1;
+    std::istringstream targets(enc);
+    std::string part;
+    while (std::getline(targets, part, ';')) {
         const size_t eq = part.find('=');
-        if (eq == std::string::npos)
-            continue;
         Histogram &h = out[part.substr(0, eq)];
-        size_t p = eq + 1;
-        while (p < part.size()) {
-            size_t e = part.find(',', p);
-            if (e == std::string::npos)
-                e = part.size();
-            char *after = nullptr;
-            const unsigned long b =
-                std::strtoul(part.c_str() + p, &after, 10);
-            if (after && *after == ':' && b < Histogram::kBuckets) {
-                const uint64_t n =
-                    std::strtoull(after + 1, nullptr, 10);
-                if (n)
-                    h.addToBucket(unsigned(b), n);
-            }
-            p = e + 1;
+        std::istringstream buckets(part.substr(eq + 1));
+        unsigned b = 0;
+        uint64_t n = 0;
+        char colon;
+        while (buckets >> b >> colon >> n && b < Histogram::kBuckets) {
+            h.addToBucket(b, n);
+            buckets.ignore(1); // the ',' between buckets
         }
     }
 }
 
-std::string
-journalLine(const FaultCampaignConfig &cfg, size_t trial,
-            const TrialRecord &t)
+/** What a journal line says about its trial beyond the TrialRecord. */
+struct JournalId
 {
-    std::ostringstream out;
-    out << "{\"campaign\":\"" << jsonEscape(cfg.name) << "\""
-        << ",\"seed\":" << cfg.seed << ",\"trial\":" << trial
-        << ",\"workload\":\"" << jsonEscape(t.workload) << "\""
-        << ",\"outcome\":\"" << trialOutcomeName(t.outcome) << "\""
-        << ",\"planned\":" << t.faultsPlanned
-        << ",\"injected\":" << t.faultsInjected
-        << ",\"detected\":" << t.faultsDetected
-        << ",\"degraded\":" << (t.degraded ? 1 : 0)
-        << ",\"latency_samples\":" << t.latencySamples
-        << ",\"latency_total\":" << t.latencyTotal
-        << ",\"latency_max\":" << t.latencyMax
-        << ",\"lat_hist\":\""
-        << jsonEscape(encodeLatencyHistograms(t.latencyByTarget))
-        << "\",\"cycles\":" << t.cycles
-        << ",\"backend\":\"" << jsonEscape(t.detectBackend) << "\""
-        << ",\"checked\":" << t.detectChecked
-        << ",\"det_mismatch\":" << t.detectMismatches
-        << ",\"det_external\":" << t.detectExternal
-        << ",\"det_replays\":" << t.detectReplays
-        << ",\"det_replayed\":" << t.detectReplayedInsts
-        << ",\"det_overhead\":" << t.detectOverhead
-        << ",\"policy\":\"" << jsonEscape(t.aStreamPolicy) << "\""
-        << ",\"error\":\"" << jsonEscape(t.error) << "\"";
-    // Worker-death triage rides along only when a worker actually
-    // died, so healthy trials' lines are byte-identical across
-    // isolation modes (and to journals written before fork isolation
-    // existed).
-    if (!t.crashPhase.empty())
-        out << ",\"signal\":" << t.crashSignal
-            << ",\"wexit\":" << t.crashExit << ",\"crash_phase\":\""
-            << jsonEscape(t.crashPhase) << "\"";
-    out << "}";
-    return out.str();
+    std::string campaign;
+    uint64_t seed = 0;
+    uint64_t trial = 0;
+};
+
+/**
+ * A journal line's fields, in line order: the one list that the
+ * writer (campaignTrialLine) and the resume reader both walk. The
+ * worker-death triage rides along only when a worker actually died,
+ * so healthy trials' lines are byte-identical across isolation modes.
+ */
+template <typename Id, typename Record, typename Visit>
+void
+journalFields(Id &id, Record &t, Visit &&v)
+{
+    v("campaign", id.campaign);
+    v("seed", id.seed);
+    v("trial", id.trial);
+    v("key", t.key);
+    v("workload", t.workload);
+    v("outcome", t.outcome);
+    v("planned", t.faultsPlanned);
+    v("injected", t.faultsInjected);
+    v("detected", t.faultsDetected);
+    v("degraded", t.degraded);
+    v("latency_samples", t.latencySamples);
+    v("latency_total", t.latencyTotal);
+    v("latency_max", t.latencyMax);
+    v("lat_hist", t.latencyByTarget);
+    v("cycles", t.cycles);
+    v("backend", t.detectBackend);
+    v("checked", t.detectChecked);
+    v("det_mismatch", t.detectMismatches);
+    v("det_external", t.detectExternal);
+    v("det_replays", t.detectReplays);
+    v("det_replayed", t.detectReplayedInsts);
+    v("det_overhead", t.detectOverhead);
+    v("policy", t.aStreamPolicy);
+    v("error", t.error);
+    const bool workerDied = !t.crashPhase.empty();
+    v("signal", t.crashSignal, workerDied);
+    v("wexit", t.crashExit, workerDied);
+    v("crash_phase", t.crashPhase, workerDied);
+}
+
+/** One journal field's JSON text. */
+template <typename T>
+std::string
+toJson(const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return '"' + jsonEscape(v) + '"';
+    else if constexpr (std::is_same_v<T, TrialOutcome>)
+        return toJson(std::string(trialOutcomeName(v)));
+    else if constexpr (std::is_same_v<T, Hash128>)
+        return toJson(v.hex());
+    else if constexpr (std::is_same_v<T, bool>)
+        return v ? "1" : "0";
+    else if constexpr (std::is_integral_v<T>)
+        return std::to_string(v);
+    else
+        return toJson(encodeLatencyHistograms(v));
+}
+
+/**
+ * The inverse of toJson(), from the value's text (a string already
+ * unescaped). Nothing is validated: resume re-renders what it read and
+ * compares, so text that parses to something else is caught there.
+ */
+template <typename T>
+void
+fromJson(const std::string &s, T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        v = s;
+    else if constexpr (std::is_same_v<T, TrialOutcome>)
+        trialOutcomeFromName(s, v);
+    else if constexpr (std::is_same_v<T, Hash128>)
+        return; // recomputed from the config
+    else if constexpr (std::is_same_v<T, bool>)
+        v = s != "0";
+    else if constexpr (std::is_integral_v<T>)
+        v = T(std::strtoull(s.c_str(), nullptr, 10)); // wraps for int
+    else
+        decodeLatencyHistograms(s, v);
+}
+
+/**
+ * Fill `id` and `t` from a line campaignTrialLine() wrote, walking
+ * journalFields() in order. A field not at the cursor keeps its
+ * default, which is how the optional triage reads back.
+ */
+void
+readJournalLine(const std::string &line, JournalId &id, TrialRecord &t)
+{
+    size_t pos = 0;
+    journalFields(id, t, [&](const char *name, auto &field, bool = true) {
+        const std::string tag =
+            std::string(pos ? ",\"" : "{\"") + name + "\":";
+        if (pos >= line.size() || line.compare(pos, tag.size(), tag) != 0)
+            return;
+        pos += tag.size();
+        std::string text;
+        if (line[pos] != '"') {
+            const size_t end = line.find_first_of(",}", pos);
+            text = line.substr(pos, end - pos);
+            pos = end;
+        } else {
+            // Undo jsonEscape(); a torn line leaves pos past the end.
+            while (++pos < line.size() && line[pos] != '"') {
+                char c = line[pos];
+                if (c == '\\' && ++pos < line.size()) {
+                    c = line[pos];
+                    if (c == 'u') {
+                        c = char(std::strtoul(line.substr(pos + 1, 4).c_str(),
+                                              nullptr, 16));
+                        pos += 4;
+                    } else if (c == 'n' || c == 'r' || c == 't') {
+                        c = c == 'n' ? '\n' : c == 'r' ? '\r' : '\t';
+                    }
+                }
+                text += c;
+            }
+            ++pos;
+        }
+        fromJson(text, field);
+    });
 }
 
 /**
@@ -391,13 +401,22 @@ class TrialJournal
         }
         const bool truncate = !resume && firstJournalOpen(path_);
         fd_ = ::open(path_.c_str(),
-                     O_WRONLY | O_CREAT | O_APPEND |
+                     O_RDWR | O_CREAT | O_APPEND |
                          (truncate ? O_TRUNC : 0),
                      0644);
-        if (fd_ < 0)
+        if (fd_ < 0) {
             SLIP_WARN("cannot open campaign journal '", path_,
                       "'; trials will not be journaled (a killed "
                       "campaign cannot be resumed)");
+            return;
+        }
+        // A writer killed mid-line leaves a torn tail. The first line
+        // appended ends it, so the line starts a line of its own
+        // instead of gluing onto the fragment.
+        char last = '\n';
+        const off_t size = ::lseek(fd_, 0, SEEK_END);
+        tornTail_ = size > 0 && ::pread(fd_, &last, 1, size - 1) == 1 &&
+                    last != '\n';
     }
 
     ~TrialJournal()
@@ -407,19 +426,19 @@ class TrialJournal
     }
 
     void
-    append(const FaultCampaignConfig &cfg, size_t trial,
-           const TrialRecord &t)
+    append(const std::string &line)
     {
         if (fd_ < 0)
             return;
         std::lock_guard<std::mutex> lock(mu_);
         // One write() per line: O_APPEND makes the line land whole
         // even if several campaigns share the journal file.
-        const std::string line = journalLine(cfg, trial, t) + "\n";
+        const std::string bytes = (tornTail_ ? "\n" : "") + line + "\n";
+        tornTail_ = false;
         size_t off = 0;
-        while (off < line.size()) {
+        while (off < bytes.size()) {
             const ssize_t n =
-                ::write(fd_, line.data() + off, line.size() - off);
+                ::write(fd_, bytes.data() + off, bytes.size() - off);
             if (n < 0) {
                 if (errno == EINTR)
                     continue;
@@ -440,6 +459,7 @@ class TrialJournal
     bool fsyncEach_;
     std::mutex mu_;
     int fd_ = -1;
+    bool tornTail_ = false;
 };
 
 /** Per-trial aggregates the tallies and the journal consume. */
@@ -467,6 +487,25 @@ fillAggregates(TrialRecord &t)
         t.latencyByTarget[faultTargetName(r.plan.target)].sample(
             latency);
     }
+}
+
+/**
+ * What a trial's record takes from its config and planned spec, not
+ * from its run. recordCampaignTrial() and resume both start here, so a
+ * journal line is only ever compared against what this config says.
+ */
+void
+stampIdentity(const FaultCampaignConfig &cfg,
+              const CampaignTrialSpec &spec, size_t trial, TrialRecord &t)
+{
+    t.key = campaignTrialKey(cfg, spec, trial);
+    t.workload = spec.workload;
+    t.plans = spec.plans;
+    t.faultsPlanned = spec.plans.size();
+    // Every trial ran under the config's backend and A-stream policy,
+    // whatever its outcome — crashed trials included.
+    t.detectBackend = detectBackendName(cfg.params.detect.kind);
+    t.aStreamPolicy = aStreamPolicyName(cfg.params.aPolicy.kind);
 }
 
 } // namespace
@@ -529,6 +568,33 @@ planCampaignTrials(const FaultCampaignConfig &cfg)
     return specs;
 }
 
+Hash128
+campaignTrialKey(const FaultCampaignConfig &cfg,
+                 const CampaignTrialSpec &spec, size_t trial)
+{
+    const auto *entry =
+        static_cast<const ProgramCache::Entry *>(spec.entry);
+    wire::Encoder enc;
+    // The wire revision versions the whole serialization: bump
+    // wire::kVersion and every key changes.
+    enc.putU16(wire::kVersion);
+    FaultCampaignConfig::keyFields(
+        cfg, [&enc](const char *, const auto &f) { enc.put(f); });
+    // The program by its assembled image, not its source text
+    // (ProgramCache computed the digest once, when it loaded it).
+    enc.put(entry->imageDigest.hi);
+    enc.put(entry->imageDigest.lo);
+    enc.put(spec.workload);
+    enc.put(uint64_t(trial));
+    enc.put(spec.maxCycles);
+    // The drawn plans rather than the Rng inputs, so the key stays
+    // honest if planning ever changes.
+    enc.put(spec.plans);
+    Fnv128 h;
+    h.put(enc.bytes().data(), enc.bytes().size());
+    return h.digest();
+}
+
 RunMetrics
 runCampaignTrial(const FaultCampaignConfig &cfg,
                  const CampaignTrialSpec &spec, size_t trial,
@@ -559,14 +625,7 @@ recordCampaignTrial(const FaultCampaignConfig &cfg,
                     const JobOutcome &o)
 {
     TrialRecord t;
-    t.workload = spec.workload;
-    t.plans = spec.plans;
-    t.faultsPlanned = spec.plans.size();
-    // Every trial ran under the config's backend and A-stream policy,
-    // whatever its outcome — crashed trials included, so they resume
-    // cleanly.
-    t.detectBackend = detectBackendName(cfg.params.detect.kind);
-    t.aStreamPolicy = aStreamPolicyName(cfg.params.aPolicy.kind);
+    stampIdentity(cfg, spec, trial, t);
     switch (o.status) {
       case JobOutcome::Status::Ok:
         t.metrics = o.metrics;
@@ -605,7 +664,15 @@ std::string
 campaignTrialLine(const FaultCampaignConfig &cfg, size_t trial,
                   const TrialRecord &t)
 {
-    return journalLine(cfg, trial, t);
+    const JournalId id{cfg.name, cfg.seed, trial};
+    std::string line;
+    journalFields(id, t, [&](const char *name, const auto &field,
+                             bool present = true) {
+        if (present)
+            line += (line.empty() ? "{\"" : ",\"") + std::string(name) +
+                    "\":" + toJson(field);
+    });
+    return line + '}';
 }
 
 FaultCampaignResult
@@ -623,124 +690,34 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
     const bool resume =
         cfg.resume || envFlag("SLIPSTREAM_CAMPAIGN_RESUME", false);
 
-    // Resume: reconstruct already-journaled trials. A line counts
-    // only if campaign name, seed, trial index, and workload all
-    // match the freshly drawn plan — a journal from a different
-    // configuration can never leak into the report.
+    // Resume: adopt a journal line only if this config would have
+    // written it byte for byte. Torn lines, other campaigns' lines and
+    // lines written under another config (a different size, policy,
+    // backend, mode, or any other keyed field) all fail that one
+    // comparison and their trials re-run.
     std::vector<std::optional<TrialRecord>> done(specs.size());
     if (resume) {
         std::ifstream in(journalPath);
         std::string line;
-        size_t used = 0, skipped = 0;
-        while (in && std::getline(in, line)) {
-            if (line.empty())
-                continue;
-            std::string campaign, workload, outcomeName, error;
-            uint64_t seed = 0, trial = 0;
-            // A sound line is a complete object whose *last* field
-            // ("error") parses — a torn final line from a killed
-            // writer fails one of these even when its leading fields
-            // survived the cut.
-            if (line.front() != '{' || line.back() != '}' ||
-                !jsonFieldString(line, "campaign", campaign) ||
-                !jsonFieldU64(line, "seed", seed) ||
-                !jsonFieldU64(line, "trial", trial) ||
-                !jsonFieldString(line, "workload", workload) ||
-                !jsonFieldString(line, "outcome", outcomeName) ||
-                !jsonFieldString(line, "error", error)) {
-                ++skipped; // torn or foreign line
-                continue;
-            }
-            if (campaign != cfg.name || seed != cfg.seed)
-                continue; // another campaign's journal entries
-            TrialOutcome outcome;
-            if (trial >= specs.size() ||
-                workload != specs[trial].workload ||
-                !trialOutcomeFromName(outcomeName, outcome)) {
-                ++skipped;
-                continue;
-            }
+        size_t used = 0, ignored = 0;
+        while (std::getline(in, line)) {
+            JournalId id;
             TrialRecord t;
-            t.workload = workload;
-            t.plans = specs[trial].plans;
-            t.outcome = outcome;
-            jsonFieldU64(line, "planned", t.faultsPlanned);
-            jsonFieldU64(line, "injected", t.faultsInjected);
-            jsonFieldU64(line, "detected", t.faultsDetected);
-            uint64_t degraded = 0;
-            jsonFieldU64(line, "degraded", degraded);
-            t.degraded = degraded != 0;
-            jsonFieldU64(line, "latency_samples", t.latencySamples);
-            jsonFieldU64(line, "latency_total", t.latencyTotal);
-            jsonFieldU64(line, "latency_max", t.latencyMax);
-            std::string latHist;
-            if (jsonFieldString(line, "lat_hist", latHist))
-                decodeLatencyHistograms(latHist, t.latencyByTarget);
-            jsonFieldU64(line, "cycles", t.cycles);
-            // A journaled trial only counts for the backend it ran
-            // under: resuming a replay campaign over a slipstream
-            // journal must re-run, not adopt, those trials. Lines
-            // without the field (pre-backend journals) are only
-            // sound for the slipstream (native) configuration.
-            const char *cfgBackend =
-                detectBackendName(cfg.params.detect.kind);
-            std::string backend;
-            if (jsonFieldString(line, "backend", backend)) {
-                if (backend != cfgBackend) {
-                    ++skipped;
+            readJournalLine(line, id, t);
+            if (id.trial < specs.size()) {
+                stampIdentity(cfg, specs[id.trial], id.trial, t);
+                if (campaignTrialLine(cfg, id.trial, t) == line) {
+                    if (!done[id.trial])
+                        ++used;
+                    done[id.trial] = std::move(t);
                     continue;
                 }
-            } else if (cfg.params.detect.kind !=
-                       DetectBackendKind::Slipstream) {
-                ++skipped;
-                continue;
             }
-            t.detectBackend = cfgBackend;
-            // Same contract for the A-stream policy tag: a journaled
-            // trial only counts for the policy it ran under, and
-            // lines without the field (pre-policy journals) are only
-            // sound for the paper's default (ir) configuration.
-            const char *cfgPolicy =
-                aStreamPolicyName(cfg.params.aPolicy.kind);
-            std::string policy;
-            if (jsonFieldString(line, "policy", policy)) {
-                if (policy != cfgPolicy) {
-                    ++skipped;
-                    continue;
-                }
-            } else if (cfg.params.aPolicy.kind !=
-                       AStreamPolicyKind::IRRemoval) {
-                ++skipped;
-                continue;
-            }
-            t.aStreamPolicy = cfgPolicy;
-            jsonFieldU64(line, "checked", t.detectChecked);
-            jsonFieldU64(line, "det_mismatch", t.detectMismatches);
-            jsonFieldU64(line, "det_external", t.detectExternal);
-            jsonFieldU64(line, "det_replays", t.detectReplays);
-            jsonFieldU64(line, "det_replayed", t.detectReplayedInsts);
-            jsonFieldU64(line, "det_overhead", t.detectOverhead);
-            t.error = std::move(error);
-            // Optional worker-death triage (absent on healthy lines
-            // and on journals from before fork isolation existed).
-            uint64_t sig = 0, wexit = 0;
-            if (jsonFieldU64(line, "signal", sig))
-                t.crashSignal = int(sig);
-            if (jsonFieldU64(line, "wexit", wexit))
-                t.crashExit = int(wexit);
-            jsonFieldString(line, "crash_phase", t.crashPhase);
-            if (!done[trial])
-                ++used;
-            done[trial] = std::move(t);
+            ++ignored;
         }
-        if (skipped)
-            SLIP_WARN("campaign journal '", journalPath, "': skipped ",
-                      skipped, " unusable line(s) while resuming '",
-                      cfg.name, "'");
-        if (used)
-            SLIP_INFORM("resuming campaign '", cfg.name, "': ", used,
-                        " of ", specs.size(),
-                        " trials restored from ", journalPath);
+        SLIP_INFORM("resuming campaign '", cfg.name, "': ", used, " of ",
+                    specs.size(), " trials restored from ", journalPath,
+                    " (", ignored, " other line(s) ignored)");
     }
 
     const bool fsyncEach =
@@ -836,8 +813,8 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
         done[i] = std::move(t);
         while (nextToJournal < specs.size() && done[nextToJournal]) {
             if (!journaled[nextToJournal]) {
-                journal.append(cfg, nextToJournal,
-                               *done[nextToJournal]);
+                journal.append(campaignTrialLine(
+                    cfg, nextToJournal, *done[nextToJournal]));
                 journaled[nextToJournal] = true;
             }
             ++nextToJournal;
@@ -957,7 +934,7 @@ campaignJson(const FaultCampaignConfig &cfg,
     std::ostringstream out;
     out << "{\n"
         << "  \"report_version\": " << kFaultReportVersion << ",\n"
-        << "  \"campaign\": \"" << cfg.name << "\",\n"
+        << "  \"campaign\": \"" << jsonEscape(cfg.name) << "\",\n"
         << "  \"mode\": \""
         << (cfg.reliableMode ? "reliable" : "slipstream") << "\",\n"
         << "  \"detect_backend\": \""

@@ -35,7 +35,10 @@
  * flushed) as one JSONL line to a journal
  * (results/fault_campaign.journal.jsonl by default), and a campaign
  * started in resume mode skips already-journaled trials — the final
- * report is byte-identical wherever a previous run died.
+ * report is byte-identical wherever a previous run died. A journal
+ * line carries its trial's key (campaignTrialKey), and resume adopts
+ * a line only if this configuration would have written exactly those
+ * bytes.
  */
 
 #ifndef SLIPSTREAM_HARNESS_FAULT_CAMPAIGN_HH
@@ -49,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/stats.hh"
 #include "harness/experiment.hh"
 #include "harness/sim_runner.hh"
@@ -143,10 +147,11 @@ struct FaultCampaignConfig
     std::string journalPath;
 
     /**
-     * Skip trials already journaled (matched by campaign name, seed,
-     * trial index, and workload) instead of re-running them. Also
-     * enabled by $SLIPSTREAM_CAMPAIGN_RESUME. The final report is
-     * byte-identical to an uninterrupted run's.
+     * Skip trials already journaled instead of re-running them: a
+     * line is adopted only if this config would have written it byte
+     * for byte, trial key included. Also enabled by
+     * $SLIPSTREAM_CAMPAIGN_RESUME. The final report is byte-identical
+     * to an uninterrupted run's.
      */
     bool resume = false;
 
@@ -160,7 +165,7 @@ struct FaultCampaignConfig
      */
     IsolationMode isolation = IsolationMode::None;
 
-    /** Trial workers; 0 = $SLIPSTREAM_WORKERS, else defaultJobs(). */
+    /** Trial workers; 0 = defaultJobs() ($SLIPSTREAM_JOBS). */
     unsigned workers = 0;
 
     /** Where poisoned trials' repro bundles land. */
@@ -184,6 +189,28 @@ struct FaultCampaignConfig
     std::function<void(size_t trial)> trialHook;
 
     FaultCampaignConfig();
+
+    /**
+     * The fields that shape a trial's result, in key order:
+     * campaignTrialKey() hashes them with the planned spec, so two
+     * configs that differ in any one of them never share a result.
+     * Isolation, workers, journal and hooks are absent on purpose:
+     * they cannot change a result's bytes.
+     */
+    template <typename Self, typename Visit>
+    static void
+    keyFields(Self &self, Visit &&v)
+    {
+        v("name", self.name);
+        v("size", self.size);
+        v("seed", self.seed);
+        v("reliable mode", self.reliableMode);
+        v("cycle cap per instruction", self.cycleCapPerInst);
+        v("detect", self.params.detect);
+        v("A-stream policy", self.params.aPolicy.kind);
+        v("watchdog stall cycles", self.params.watchdog.stallCycles);
+        v("watchdog trips", self.params.watchdog.maxTrips);
+    }
 };
 
 /**
@@ -196,6 +223,9 @@ struct FaultCampaignConfig
  */
 struct TrialRecord
 {
+    /** campaignTrialKey() of the trial (journaled as "key"). */
+    Hash128 key;
+
     std::string workload;
     std::vector<FaultPlan> plans;
     TrialOutcome outcome = TrialOutcome::NoVictim;
@@ -333,6 +363,15 @@ struct CampaignTrialSpec
  */
 std::vector<CampaignTrialSpec>
 planCampaignTrials(const FaultCampaignConfig &cfg);
+
+/**
+ * One trial's identity: a hash of wire::kVersion, cfg's keyFields(),
+ * the program's image digest, and the spec's workload, trial index,
+ * cycle cap and plans. It names the trial's cache entry and rides in
+ * its journal line. `spec` must be planCampaignTrials(cfg)[trial].
+ */
+Hash128 campaignTrialKey(const FaultCampaignConfig &cfg,
+                         const CampaignTrialSpec &spec, size_t trial);
 
 /**
  * Execute one planned trial (the exact job body batch campaigns run:

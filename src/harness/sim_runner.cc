@@ -282,7 +282,7 @@ SimJobRunner::runForkIsolated(const std::vector<CancellableJob> &batch,
         setCrashContext(job, TrialPhase::Run);
         const JobOutcome out = executeOne(batch[job], nullptr);
         wire::Encoder enc;
-        wire::encodeJobOutcome(enc, out);
+        enc.put(out);
         return enc.bytes();
     };
 
@@ -291,7 +291,7 @@ SimJobRunner::runForkIsolated(const std::vector<CancellableJob> &batch,
         switch (iso.status) {
           case IsolatedOutcome::Status::Ok: {
             wire::Decoder dec(iso.payload);
-            out = wire::decodeJobOutcome(dec);
+            dec.get(out);
             break;
           }
           case IsolatedOutcome::Status::Crashed: {

@@ -135,7 +135,34 @@ struct JobOutcome
     unsigned attempts = 1;
 
     bool ok() const { return status == Status::Ok; }
+
+    /**
+     * The wire fields, in order (see harness/wire.hh). The exception
+     * stays behind; its kind and message cross instead.
+     */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("job status", self.status);
+        v("metrics", self.metrics);
+        v("error kind", self.errorKind);
+        v("error message", self.errorMessage);
+        v("signal", self.termSignal);
+        v("exit code", self.termExitCode);
+        v("crash address", self.crashAddr);
+        v("crash phase", self.crashPhase);
+        v("poisoned", self.poisoned);
+        v("attempts", self.attempts);
+    }
 };
+
+/** The greatest job status (the wire decoder's range check). */
+constexpr JobOutcome::Status
+lastEnumerator(JobOutcome::Status)
+{
+    return JobOutcome::Status::Crashed;
+}
 
 /** "ok", "error", "timed_out", "crashed". */
 const char *jobStatusName(JobOutcome::Status status);

@@ -31,9 +31,17 @@
  * Decoder getters bounds-check and raise fatal() on truncation, so a
  * torn or corrupt payload is an error, never a silent misparse.
  *
- * The higher-level codecs (RunMetrics, JobOutcome) serialize exactly
- * the state the harness consumes, so a trial executed in a worker
- * process reports byte-for-byte what the same trial reports in-process.
+ * Records are not coded by hand. Each names its fields once, in wire
+ * order, in a static `fields(self, visit)` that calls visit(name,
+ * member) per field; Encoder::put and Decoder::get walk it, and each
+ * field's type picks its encoding: an enum is a u8 the decoder checks
+ * against lastEnumerator() (the error names the field), bool and
+ * uint8_t a u8, unsigned a u32, int an i32, uint64_t a u64, double
+ * its bits, std::string a u32 length plus bytes, std::vector,
+ * std::map and std::array a u32 count plus elements (an array's count
+ * must be its arity), and a nested record its own list. The campaign
+ * trial key walks the same lists, so a trial run in a worker process
+ * reports byte-for-byte what it reports in-process.
  */
 
 #ifndef SLIPSTREAM_HARNESS_WIRE_HH
@@ -41,19 +49,16 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <type_traits>
 
-#include "harness/experiment.hh"
-
-namespace slip
-{
-struct JobOutcome; // harness/sim_runner.hh
-} // namespace slip
+#include "common/logging.hh"
 
 namespace slip::wire
 {
 
 inline constexpr uint32_t kMagic = 0x53504C57; // "WLPS" on the wire
-inline constexpr uint16_t kVersion = 4; // v4: policy is one byte
+inline constexpr uint16_t kVersion = 5; // v5: result lines carry "key"
 
 /** Frame types the worker and serve protocols speak. */
 enum class MsgType : uint8_t
@@ -108,6 +113,10 @@ class Encoder
     void putDouble(double v);
     void putString(const std::string &s);
 
+    /** One value, encoded by its type (see the file comment). */
+    template <typename T>
+    void put(const T &v);
+
     const std::string &bytes() const { return buf_; }
 
   private:
@@ -128,6 +137,13 @@ class Decoder
     bool getBool() { return getU8() != 0; }
     double getDouble();
     std::string getString();
+
+    /**
+     * One value of `v`'s type into `v` (see the file comment); `name`
+     * labels the error when the bytes name no value of that type.
+     */
+    template <typename T>
+    void get(T &v, const char *name = "value");
 
     bool atEnd() const { return pos_ == buf_.size(); }
 
@@ -186,19 +202,102 @@ bool writeFrameVersion(int fd, MsgType type, uint16_t version,
 ReadResult readFrameInfo(int fd, FrameInfo &frame);
 
 // ---------------------------------------------------------------------
-// Harness codecs.
+// The field-list walkers.
 // ---------------------------------------------------------------------
 
-/** Everything in RunMetrics, including the per-fault records. */
-void encodeRunMetrics(Encoder &enc, const RunMetrics &m);
-RunMetrics decodeRunMetrics(Decoder &dec);
+// How the walkers tell the containers apart.
+template <typename T>
+concept WireMap = requires { typename T::mapped_type; };
+template <typename T>
+concept WireVector = requires(T &v) { v.emplace_back(); };
+template <typename T>
+concept WireArray = requires { std::tuple_size<T>::value; };
 
-/**
- * A JobOutcome minus the bits that cannot cross a process boundary:
- * the exception_ptr stays behind (kind + message travel instead).
- */
-void encodeJobOutcome(Encoder &enc, const JobOutcome &o);
-JobOutcome decodeJobOutcome(Decoder &dec);
+template <typename T>
+void
+Encoder::put(const T &v)
+{
+    if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool> ||
+                  std::is_same_v<T, uint8_t>) {
+        putU8(uint8_t(v));
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        putU32(v);
+    } else if constexpr (std::is_same_v<T, int>) {
+        putI32(v);
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+        putU64(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        putDouble(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        putString(v);
+    } else if constexpr (WireVector<T> || WireArray<T>) {
+        putU32(uint32_t(v.size()));
+        for (const auto &e : v)
+            put(e);
+    } else if constexpr (WireMap<T>) {
+        putU32(uint32_t(v.size()));
+        for (const auto &[key, value] : v) {
+            put(key);
+            put(value);
+        }
+    } else {
+        T::fields(v, [this](const char *, const auto &f) { put(f); });
+    }
+}
+
+template <typename T>
+void
+Decoder::get(T &v, const char *name)
+{
+    if constexpr (std::is_enum_v<T>) {
+        // A byte past the last enumerator names no value: refuse it,
+        // naming the field, rather than carry an enumerator that does
+        // not exist.
+        const uint8_t b = getU8();
+        constexpr unsigned last = unsigned(lastEnumerator(T{}));
+        if (b > last)
+            SLIP_FATAL("wire: ", name, " byte ", unsigned(b),
+                       " is out of range (max ", last, ")");
+        v = T(b);
+    } else if constexpr (std::is_same_v<T, bool> ||
+                         std::is_same_v<T, uint8_t>) {
+        v = T(getU8());
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        v = getU32();
+    } else if constexpr (std::is_same_v<T, int>) {
+        v = getI32();
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+        v = getU64();
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = getDouble();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        v = getString();
+    } else if constexpr (WireVector<T>) {
+        const uint32_t n = getU32();
+        v.clear();
+        for (uint32_t i = 0; i < n; ++i)
+            get(v.emplace_back(), name);
+    } else if constexpr (WireArray<T>) {
+        const uint32_t n = getU32();
+        if (n != v.size())
+            SLIP_FATAL("wire: ", name, " arity mismatch (", n, " vs ",
+                       v.size(), ") — mixed-version peer?");
+        for (auto &e : v)
+            get(e, name);
+    } else if constexpr (WireMap<T>) {
+        const uint32_t n = getU32();
+        v.clear();
+        for (uint32_t i = 0; i < n; ++i) {
+            typename T::key_type key{};
+            typename T::mapped_type value{};
+            get(key, name);
+            get(value, name);
+            v.emplace(std::move(key), std::move(value));
+        }
+    } else {
+        T::fields(v, [this](const char *field, auto &f) { get(f, field); });
+    }
+}
 
 } // namespace slip::wire
 

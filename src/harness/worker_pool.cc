@@ -63,17 +63,6 @@ isolationFromEnv(IsolationMode fallback)
 }
 
 unsigned
-workerCountFromEnv(unsigned fallback)
-{
-    const uint64_t v = envU64("SLIPSTREAM_WORKERS", fallback);
-    if (v == 0) {
-        SLIP_WARN("SLIPSTREAM_WORKERS: 0 is not a pool; using ", fallback);
-        return fallback;
-    }
-    return unsigned(std::min<uint64_t>(v, 1024));
-}
-
-unsigned
 poisonThresholdFromEnv()
 {
     const uint64_t v = envU64("SLIPSTREAM_POISON_THRESHOLD", 2);
@@ -101,8 +90,6 @@ isolatedStatusName(IsolatedOutcome::Status status)
 
 WorkerPool::WorkerPool(WorkerPoolOptions opts) : opts_(opts)
 {
-    if (opts_.workers == 0)
-        opts_.workers = workerCountFromEnv(1);
     if (opts_.poisonThreshold == 0)
         opts_.poisonThreshold = poisonThresholdFromEnv();
 }

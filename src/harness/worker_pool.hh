@@ -62,9 +62,6 @@ bool parseIsolationMode(const std::string &text, IsolationMode &mode);
  */
 IsolationMode isolationFromEnv(IsolationMode fallback = IsolationMode::None);
 
-/** $SLIPSTREAM_WORKERS, else `fallback` (defaultJobs() for callers). */
-unsigned workerCountFromEnv(unsigned fallback);
-
 /**
  * $SLIPSTREAM_POISON_THRESHOLD: crashes a single trial may cause
  * before it is quarantined instead of re-dispatched. Default 2 (one
@@ -75,8 +72,8 @@ unsigned poisonThresholdFromEnv();
 /** Pool shape and supervision policy. */
 struct WorkerPoolOptions
 {
-    /** Worker processes; 0 means workerCountFromEnv(1). */
-    unsigned workers = 0;
+    /** Worker processes (at least 1). */
+    unsigned workers = 1;
 
     /** Per-dispatch wall-clock deadline in ms; 0 = no deadline. */
     uint64_t timeoutMs = 0;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace slip::obs
@@ -466,24 +467,6 @@ phaseChar(Phase phase)
         return 'C';
     }
     return 'i';
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out += c;
-        }
-    }
-    return out;
 }
 
 } // namespace

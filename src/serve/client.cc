@@ -115,7 +115,7 @@ Client::submitBatch(const BatchRequest &req, const OnResult &onResult,
         return false;
     }
     wire::Encoder enc;
-    encodeBatchRequest(enc, req);
+    enc.put(req);
     if (!wire::writeFrame(fd_, wire::MsgType::BatchRequest,
                           enc.bytes())) {
         err = "server closed the connection";
@@ -137,7 +137,8 @@ Client::submitBatch(const BatchRequest &req, const OnResult &onResult,
         }
         if (type == wire::MsgType::TrialResult) {
             wire::Decoder dec(payload);
-            const TrialResultMsg m = decodeTrialResult(dec);
+            TrialResultMsg m;
+            dec.get(m);
             const bool keep = onResult ? onResult(m) : true;
             if (!keep && !cancelSent) {
                 wire::Encoder cancel;
@@ -152,7 +153,7 @@ Client::submitBatch(const BatchRequest &req, const OnResult &onResult,
         }
         if (type == wire::MsgType::BatchDone) {
             wire::Decoder dec(payload);
-            done = decodeBatchDone(dec);
+            dec.get(done);
             return true;
         }
         err = "unexpected frame type " +
@@ -180,7 +181,7 @@ Client::queryStats(ServeStats &stats, std::string &err)
         return false;
     }
     wire::Decoder dec(payload);
-    stats = decodeServeStats(dec);
+    dec.get(stats);
     return true;
 }
 

@@ -14,9 +14,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "detect/detect_params.hh"
-#include "harness/sim_runner.hh"
-#include "harness/wire.hh"
 #include "obs/trace_session.hh"
 
 namespace fs = std::filesystem;
@@ -162,63 +159,6 @@ cacheKeyOf(const std::string &canonicalBytes)
     Fnv128 h;
     h.put(canonicalBytes.data(), canonicalBytes.size());
     return h.digest();
-}
-
-CacheKey
-campaignTrialKey(const FaultCampaignConfig &cfg,
-                 const CampaignTrialSpec &spec, size_t trial)
-{
-    const auto *entry =
-        static_cast<const ProgramCache::Entry *>(spec.entry);
-    wire::Encoder enc;
-
-    // The wire revision versions the whole serialization: bump
-    // wire::kVersion and every old entry silently misses.
-    enc.putU16(wire::kVersion);
-
-    // Program identity: the assembled image's digest, not the source
-    // text (ProgramCache computed it once, when it loaded the program).
-    enc.putU64(entry->imageDigest.hi);
-    enc.putU64(entry->imageDigest.lo);
-
-    // Trial identity within the campaign.
-    enc.putString(cfg.name);
-    enc.putString(spec.workload);
-    enc.putU8(uint8_t(cfg.size));
-    enc.putU64(cfg.seed);
-    enc.putU64(trial);
-    enc.putBool(cfg.reliableMode);
-    enc.putU64(cfg.cycleCapPerInst);
-    enc.putU64(spec.maxCycles);
-
-    // The planned faults (already drawn; hashing the plan, not the
-    // Rng inputs, keeps the key honest if planning ever changes).
-    enc.putU32(uint32_t(spec.plans.size()));
-    for (const FaultPlan &plan : spec.plans) {
-        enc.putU8(uint8_t(plan.target));
-        enc.putU64(plan.dynIndex);
-        enc.putU32(plan.bit);
-        enc.putU32(plan.reg);
-    }
-
-    // Detection backend + tuning (changes result bytes).
-    const DetectParams &d = cfg.params.detect;
-    enc.putU8(uint8_t(d.kind));
-    enc.putU64(d.replayWindow);
-    enc.putU32(d.replayWidth);
-    enc.putU32(d.checkerBandwidth);
-    enc.putU32(d.checkerQueue);
-
-    // A-stream policy (changes trial dynamics AND result bytes): two
-    // policies on the same program/seed must never alias to one cache
-    // entry.
-    enc.putU8(uint8_t(cfg.params.aPolicy.kind));
-
-    // Watchdog shape feeds the cycle cap and hung classification.
-    enc.putU64(cfg.params.watchdog.stallCycles);
-    enc.putU32(cfg.params.watchdog.maxTrips);
-
-    return cacheKeyOf(enc.bytes());
 }
 
 ResultCache::ResultCache(std::string root, uint64_t maxEntries)

@@ -2,15 +2,11 @@
  * @file
  * Persistent content-addressed result cache for served trials.
  *
- * A trial's result line is a pure function of (program image, config,
- * seed, trial index, fault plans, detection backend + tuning, wire
- * protocol version) — deliberately NOT of isolation mode, worker
- * count, or client count, which the byte-identity invariant says must
- * not change result bytes. The cache key is a 128-bit FNV-1a hash
- * (common/hash.hh) of a canonical wire::Encoder serialization of
- * exactly those inputs, so a repeated batch — same client, different
- * client, or a slipd restarted yesterday — answers from disk without
- * re-simulating.
+ * A campaign trial's entry is named by its campaignTrialKey()
+ * (harness/fault_campaign.hh): a hash of everything that shapes the
+ * result line and nothing that cannot (isolation, worker or client
+ * count), so a repeated batch — same client, different client, or a
+ * slipd restarted yesterday — answers from disk without re-simulating.
  *
  * Layout: one file per entry, `root/<hh>/<32-hex-key>`, holding a
  * 40-byte header {u64 magic, u64 key hi, u64 key lo, u64 line length,
@@ -28,12 +24,6 @@
  * entries, and opening a cache removes those whose writer is no
  * longer running. The two-hex shard keeps directories small at
  * 6-figure entry counts.
- *
- * The key hashes the program's image digest (entry pc, base
- * addresses, text words, data bytes; ProgramCache computes it once
- * per program) rather than the workload name, so a workload generator
- * change silently invalidates every affected entry; there is no
- * version file to forget to bump.
  */
 
 #ifndef SLIPSTREAM_SERVE_RESULT_CACHE_HH
@@ -54,12 +44,8 @@ namespace slip::serve
 /** A cache key; hex() is its on-disk file name. */
 using CacheKey = Hash128;
 
-/**
- * The canonical key of one campaign trial. `cfg` and `spec` must be
- * the planCampaignTrials() inputs/outputs the trial will run under.
- */
-CacheKey campaignTrialKey(const FaultCampaignConfig &cfg,
-                          const CampaignTrialSpec &spec, size_t trial);
+/** A campaign trial's key (harness/fault_campaign.hh). */
+using slip::campaignTrialKey;
 
 /** A key over arbitrary canonical bytes (fuzz trials, tests). */
 CacheKey cacheKeyOf(const std::string &canonicalBytes);

@@ -52,6 +52,13 @@ enum class BatchKind : uint8_t
     Bench = 2,    // fault-free performance sweep (zero-fault trials)
 };
 
+/** The greatest batch kind (the wire decoder's range check). */
+constexpr BatchKind
+lastEnumerator(BatchKind)
+{
+    return BatchKind::Bench;
+}
+
 /** "campaign", "fuzz", "bench". */
 const char *batchKindName(BatchKind kind);
 
@@ -89,10 +96,30 @@ struct BatchRequest
 
     /** The equivalent local config (campaign/bench kinds). */
     FaultCampaignConfig toCampaignConfig() const;
-};
 
-void encodeBatchRequest(wire::Encoder &enc, const BatchRequest &b);
-BatchRequest decodeBatchRequest(wire::Decoder &dec);
+    /** The wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("batch kind", self.kind);
+        v("batch id", self.id);
+        v("name", self.name);
+        v("workloads", self.workloads);
+        v("workload size", self.size);
+        v("trials per workload", self.trialsPerWorkload);
+        v("min faults per trial", self.minFaultsPerTrial);
+        v("max faults per trial", self.maxFaultsPerTrial);
+        v("seed", self.seed);
+        v("reliable mode", self.reliableMode);
+        v("fault target", self.targets);
+        v("detect", self.detect);
+        v("A-stream policy", self.policy.kind);
+        v("cycle cap per instruction", self.cycleCapPerInst);
+        v("first fuzz seed", self.seedBegin);
+        v("end fuzz seed", self.seedEnd);
+    }
+};
 
 /** One finished trial, streamed as it completes. */
 struct TrialResultMsg
@@ -101,10 +128,18 @@ struct TrialResultMsg
     uint64_t index = 0;     // deterministic trial index in the batch
     bool fromCache = false; // served from the result cache
     std::string line;       // canonical JSONL bytes (no newline)
-};
 
-void encodeTrialResult(wire::Encoder &enc, const TrialResultMsg &m);
-TrialResultMsg decodeTrialResult(wire::Decoder &dec);
+    /** The wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("batch id", self.batchId);
+        v("trial index", self.index);
+        v("from cache", self.fromCache);
+        v("line", self.line);
+    }
+};
 
 /** How a batch ended. */
 enum class BatchStatus : uint8_t
@@ -114,6 +149,13 @@ enum class BatchStatus : uint8_t
     Rejected = 2,  // server draining: batch refused before any trial
     Error = 3,     // server-side failure (message in `error`)
 };
+
+/** The greatest batch status (the wire decoder's range check). */
+constexpr BatchStatus
+lastEnumerator(BatchStatus)
+{
+    return BatchStatus::Error;
+}
 
 /** "ok", "cancelled", "rejected", "error". */
 const char *batchStatusName(BatchStatus status);
@@ -128,10 +170,21 @@ struct BatchDoneMsg
     uint64_t cacheHits = 0;  // completed trials served from cache
     uint64_t cacheMisses = 0;
     std::string error;
-};
 
-void encodeBatchDone(wire::Encoder &enc, const BatchDoneMsg &m);
-BatchDoneMsg decodeBatchDone(wire::Decoder &dec);
+    /** The wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("batch id", self.batchId);
+        v("batch status", self.status);
+        v("completed", self.completed);
+        v("revoked", self.revoked);
+        v("cache hits", self.cacheHits);
+        v("cache misses", self.cacheMisses);
+        v("error", self.error);
+    }
+};
 
 /** Server-lifetime counters (StatsReply payload). */
 struct ServeStats
@@ -146,10 +199,24 @@ struct ServeStats
     uint64_t cacheStores = 0;
     uint64_t cacheEvictions = 0;
     bool draining = false;
-};
 
-void encodeServeStats(wire::Encoder &enc, const ServeStats &s);
-ServeStats decodeServeStats(wire::Decoder &dec);
+    /** The wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("connections", self.connections);
+        v("batches", self.batches);
+        v("trials run", self.trialsRun);
+        v("trials cached", self.trialsCached);
+        v("trials revoked", self.trialsRevoked);
+        v("cache hits", self.cacheHits);
+        v("cache misses", self.cacheMisses);
+        v("cache stores", self.cacheStores);
+        v("cache evictions", self.cacheEvictions);
+        v("draining", self.draining);
+    }
+};
 
 // ---------------------------------------------------------------------
 // Handshake.

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "assembler/assembler.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "fuzz/generator.hh"
 #include "fuzz/oracle.hh"
@@ -41,7 +42,7 @@ void
 appendTrialResult(std::string &frames, const TrialResultMsg &m)
 {
     wire::Encoder enc;
-    encodeTrialResult(enc, m);
+    enc.put(m);
     wire::appendFrame(frames, wire::MsgType::TrialResult, enc.bytes());
 }
 
@@ -58,38 +59,8 @@ void
 sendBatchDone(int fd, const BatchDoneMsg &m)
 {
     wire::Encoder enc;
-    encodeBatchDone(enc, m);
+    enc.put(m);
     wire::writeFrame(fd, wire::MsgType::BatchDone, enc.bytes());
-}
-
-/**
- * Bench sweeps are zero-fault campaign trials: same entries, same
- * cycle-cap formula as planCampaignTrials(), empty plan lists — so
- * the record/render pipeline (and the result cache) treats them
- * uniformly, and a bench line is a campaign line whose trial planned
- * no faults.
- */
-std::vector<CampaignTrialSpec>
-planBenchTrials(const FaultCampaignConfig &cfg)
-{
-    std::vector<std::string> names = cfg.workloads;
-    if (names.empty())
-        for (const Workload &w : allWorkloads(cfg.size))
-            names.push_back(w.name);
-
-    std::vector<CampaignTrialSpec> specs;
-    for (const std::string &name : names) {
-        const ProgramCache::Entry &e =
-            ProgramCache::global().get(name, cfg.size);
-        const Cycle maxCycles =
-            e.goldenInstCount * cfg.cycleCapPerInst +
-            Cycle(cfg.params.watchdog.maxTrips + 2) *
-                cfg.params.watchdog.stallCycles +
-            100'000;
-        for (unsigned t = 0; t < cfg.trialsPerWorkload; ++t)
-            specs.push_back({&e, name, {}, maxCycles});
-    }
-    return specs;
 }
 
 /** Canonical key bytes of one fuzz trial (see result_cache.hh). */
@@ -113,7 +84,7 @@ std::string
 fuzzTrialLine(const BatchRequest &req, uint64_t seed,
               const JobOutcome &o)
 {
-    std::string line = "{\"campaign\":\"" + req.name +
+    std::string line = "{\"campaign\":\"" + jsonEscape(req.name) +
                        "\",\"kind\":\"fuzz\",\"seed\":" +
                        std::to_string(seed);
     line += ",\"status\":\"";
@@ -278,7 +249,7 @@ Server::serveConnection(int fd, uint64_t connId)
             BatchRequest req;
             try {
                 wire::Decoder dec(payload);
-                req = decodeBatchRequest(dec);
+                dec.get(req);
             } catch (const std::exception &e) {
                 BatchDoneMsg done;
                 done.status = BatchStatus::Error;
@@ -293,7 +264,7 @@ Server::serveConnection(int fd, uint64_t connId)
           }
           case wire::MsgType::StatsRequest: {
             wire::Encoder enc;
-            encodeServeStats(enc, statsSnapshot());
+            enc.put(statsSnapshot());
             wire::writeFrame(fd, wire::MsgType::StatsReply,
                              enc.bytes());
             break;
@@ -441,10 +412,13 @@ Server::handleBatch(int fd, const BatchRequest &req)
         if (req.kind == BatchKind::Campaign ||
             req.kind == BatchKind::Bench) {
             FaultCampaignConfig cfg = req.toCampaignConfig();
-            const std::vector<CampaignTrialSpec> specs =
-                req.kind == BatchKind::Bench
-                    ? planBenchTrials(cfg)
-                    : planCampaignTrials(cfg);
+            std::vector<CampaignTrialSpec> specs = planCampaignTrials(cfg);
+            // A bench sweep is a campaign whose trials plan no faults:
+            // same programs, same cycle caps, so the record/render
+            // pipeline and the cache treat both alike.
+            if (req.kind == BatchKind::Bench)
+                for (CampaignTrialSpec &spec : specs)
+                    spec.plans.clear();
             totalTrials = specs.size();
             const size_t wave =
                 opts_.waveSize

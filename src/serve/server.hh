@@ -67,7 +67,7 @@ struct ServerOptions
     /** Cache entry cap; 0 = $SLIPSTREAM_CACHE_MAX (default 65536). */
     uint64_t cacheMax = 0;
 
-    /** Workers per batch; 0 = $SLIPSTREAM_WORKERS, else defaultJobs(). */
+    /** Workers per batch; 0 = defaultJobs() ($SLIPSTREAM_JOBS). */
     unsigned workers = 0;
 
     /** Trial sandboxing, as in FaultCampaignConfig. */

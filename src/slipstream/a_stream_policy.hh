@@ -46,6 +46,13 @@ enum class AStreamPolicyKind : uint8_t
 
 inline constexpr unsigned kNumAStreamPolicies = 2;
 
+/** The greatest policy kind (the wire decoder's range check). */
+constexpr AStreamPolicyKind
+lastEnumerator(AStreamPolicyKind)
+{
+    return AStreamPolicyKind::Reliability;
+}
+
 /** "ir", "reliability" (report keys). */
 const char *aStreamPolicyName(AStreamPolicyKind kind);
 

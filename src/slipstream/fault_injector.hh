@@ -78,6 +78,13 @@ enum class FaultTarget : uint8_t
     AStreamStall,      // A-stream front end wedges (watchdog territory)
 };
 
+/** The greatest FaultTarget (the wire decoder's range check). */
+constexpr FaultTarget
+lastEnumerator(FaultTarget)
+{
+    return FaultTarget::AStreamStall;
+}
+
 /** "a_stream", "r_pipeline", ... (report keys). */
 const char *faultTargetName(FaultTarget target);
 
@@ -88,6 +95,17 @@ struct FaultPlan
     uint64_t dynIndex = 0; // dynamic instruction index (see file doc)
     unsigned bit = 0;      // which bit flips (0..63)
     RegIndex reg = 0;      // ARegister only: victim register
+
+    /** The wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("fault target", self.target);
+        v("dynamic index", self.dynIndex);
+        v("bit", self.bit);
+        v("register", self.reg);
+    }
 
     /** Flip the planned bit in a value. */
     Word
@@ -109,6 +127,21 @@ struct FaultRecord
     Addr pc = 0;           // victim instruction / trace start
     Cycle injectCycle = 0; // when the bit flipped
     Cycle detectCycle = 0; // when the repairing recovery ran
+
+    /** The wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("plan", self.plan);
+        v("fired", self.fired);
+        v("injected", self.injected);
+        v("target was redundant", self.targetWasRedundant);
+        v("detected", self.detected);
+        v("pc", self.pc);
+        v("inject cycle", self.injectCycle);
+        v("detect cycle", self.detectCycle);
+    }
 
     /** Cycles from injection to the repairing recovery. */
     Cycle
@@ -137,6 +170,21 @@ struct FaultOutcome
     unsigned numInjected = 0;
     unsigned numDetected = 0;
     std::vector<FaultRecord> records;
+
+    /** The wire fields, in order (see harness/wire.hh). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("injected", self.injected);
+        v("target was redundant", self.targetWasRedundant);
+        v("detected", self.detected);
+        v("pc", self.pc);
+        v("planned", self.planned);
+        v("injected count", self.numInjected);
+        v("detected count", self.numDetected);
+        v("fault records", self.records);
+    }
 };
 
 /**

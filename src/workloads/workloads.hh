@@ -47,6 +47,13 @@ enum class WorkloadSize
     Default, // a few million (paper-style evaluation)
 };
 
+/** The greatest size (the wire decoder's range check). */
+constexpr WorkloadSize
+lastEnumerator(WorkloadSize)
+{
+    return WorkloadSize::Default;
+}
+
 /** "test" / "small" / "default" — cache keys and $SLIPSTREAM_BENCH_SIZE. */
 const char *sizeName(WorkloadSize size);
 

@@ -4,6 +4,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "harness/fault_campaign.hh"
 
@@ -30,6 +33,35 @@ outcomeSum(const CampaignTally &t)
     for (unsigned o = 0; o < kNumTrialOutcomes; ++o)
         sum += t.byOutcome[o];
     return sum;
+}
+
+/** A journal's non-empty lines. */
+std::vector<std::string>
+journalLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line))
+        if (!line.empty())
+            lines.push_back(line);
+    return lines;
+}
+
+/** `line` with one field's value (quotes included) replaced by `raw`. */
+std::string
+withField(std::string line, const std::string &key, const std::string &raw)
+{
+    const std::string tag = "\"" + key + "\":";
+    const size_t at = line.find(tag);
+    EXPECT_NE(at, std::string::npos) << key << " in " << line;
+    if (at == std::string::npos)
+        return line;
+    const size_t from = at + tag.size();
+    const size_t to = line[from] == '"' ? line.find('"', from + 1) + 1
+                                        : line.find_first_of(",}", from);
+    line.replace(from, to - from, raw);
+    return line;
 }
 
 TEST(FaultCampaign, EveryTrialClassifiedAndNoneHang)
@@ -195,14 +227,7 @@ TEST(FaultCampaign, ResumeReproducesTheReportByteForByte)
     const std::string expected = campaignJson(cfg, full);
 
     // Capture the uninterrupted run's journal lines.
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(cfg.journalPath);
-        std::string line;
-        while (std::getline(in, line))
-            if (!line.empty())
-                lines.push_back(line);
-    }
+    const std::vector<std::string> lines = journalLines(cfg.journalPath);
     ASSERT_EQ(lines.size(), full.trials.size());
 
     const size_t cuts[] = {0, 1, lines.size() / 2, lines.size() - 1};
@@ -251,14 +276,7 @@ TEST(FaultCampaign, ResumeRestoresTimedOutRecordBeforeTornLine)
     cfg.journalPath = "test_fault_campaign.torn.jsonl";
 
     const FaultCampaignResult full = runFaultCampaign(cfg);
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(cfg.journalPath);
-        std::string line;
-        while (std::getline(in, line))
-            if (!line.empty())
-                lines.push_back(line);
-    }
+    const std::vector<std::string> lines = journalLines(cfg.journalPath);
     ASSERT_EQ(lines.size(), full.trials.size());
     const size_t timedOutTrial = lines.size() - 2;
     const size_t tornTrial = lines.size() - 1;
@@ -271,6 +289,8 @@ TEST(FaultCampaign, ResumeRestoresTimedOutRecordBeforeTornLine)
     // Tamper the last complete record into a timeout, then append
     // the first half of the final record as the torn line a killed
     // writer leaves behind.
+    const std::string torn =
+        lines[tornTrial].substr(0, lines[tornTrial].size() / 2);
     std::string tampered = lines[timedOutTrial];
     const std::string key = "\"outcome\":\"";
     const size_t at = tampered.find(key);
@@ -284,7 +304,7 @@ TEST(FaultCampaign, ResumeRestoresTimedOutRecordBeforeTornLine)
         for (size_t i = 0; i < timedOutTrial; ++i)
             out << lines[i] << '\n';
         out << tampered << '\n';
-        out << lines[tornTrial].substr(0, lines[tornTrial].size() / 2);
+        out << torn;
     }
 
     FaultCampaignConfig again = cfg;
@@ -312,17 +332,34 @@ TEST(FaultCampaign, ResumeRestoresTimedOutRecordBeforeTornLine)
     }
     EXPECT_EQ(outcomeSum(resumed.total), resumed.total.trials);
 
-    // The re-run appended the torn trial's record, so a second resume
-    // restores all trials (timeout included, still without retrying
-    // it) and must render the identical report.
+    // The torn tail was ended before the re-run appended: the
+    // fragment stands alone and every other line is one whole object.
+    const std::vector<std::string> after = journalLines(cfg.journalPath);
+    ASSERT_EQ(after.size(), lines.size() + 1);
+    EXPECT_EQ(after[tornTrial], torn);
+    for (size_t i = 0; i < after.size(); ++i) {
+        EXPECT_EQ(after[i].front(), '{') << after[i];
+        if (i != tornTrial) {
+            EXPECT_EQ(after[i].back(), '}') << after[i];
+        }
+    }
+
+    // So a second resume restores all trials (timeout included, still
+    // without retrying it), appends nothing, and renders the identical
+    // report.
     const std::string secondJson =
         campaignJson(again, runFaultCampaign(again));
     EXPECT_EQ(secondJson, resumedJson);
+    EXPECT_EQ(journalLines(cfg.journalPath), after);
 
     std::remove(cfg.journalPath.c_str());
 }
 
-/** A journal from a different campaign or seed must never leak in. */
+/**
+ * A journal line is adopted only if this config would have written it
+ * byte for byte. Each poisoned line below is a real line with one
+ * field changed; adopting any of them would skip re-running its trial.
+ */
 TEST(FaultCampaign, ResumeIgnoresForeignJournalEntries)
 {
     FaultCampaignConfig cfg = smallConfig();
@@ -333,52 +370,173 @@ TEST(FaultCampaign, ResumeIgnoresForeignJournalEntries)
 
     const FaultCampaignResult fresh = runFaultCampaign(cfg);
     const std::string expected = campaignJson(cfg, fresh);
+    const std::vector<std::string> lines = journalLines(cfg.journalPath);
+    ASSERT_EQ(lines.size(), 2u);
 
-    // Poison the journal with entries that would corrupt the tallies
-    // if resume matched them: wrong campaign, wrong seed, wrong
-    // workload, out-of-range trial, unknown outcome.
     {
         std::ofstream out(cfg.journalPath, std::ios::trunc);
-        out << "{\"campaign\":\"someone_else\",\"seed\":" << cfg.seed
-            << ",\"trial\":0,\"workload\":\"m88ksim\","
-               "\"outcome\":\"crashed\",\"planned\":99,\"injected\":99,"
-               "\"detected\":99,\"degraded\":1,\"latency_samples\":9,"
-               "\"latency_total\":9,\"latency_max\":9,\"cycles\":9,"
-               "\"error\":\"\"}\n";
-        out << "{\"campaign\":\"resume_isolation\",\"seed\":1,"
-               "\"trial\":0,\"workload\":\"m88ksim\","
-               "\"outcome\":\"crashed\",\"planned\":99,\"injected\":99,"
-               "\"detected\":99,\"degraded\":1,\"latency_samples\":9,"
-               "\"latency_total\":9,\"latency_max\":9,\"cycles\":9,"
-               "\"error\":\"\"}\n";
-        out << "{\"campaign\":\"resume_isolation\",\"seed\":"
-            << cfg.seed
-            << ",\"trial\":0,\"workload\":\"wrong_workload\","
-               "\"outcome\":\"crashed\",\"planned\":99,\"injected\":99,"
-               "\"detected\":99,\"degraded\":1,\"latency_samples\":9,"
-               "\"latency_total\":9,\"latency_max\":9,\"cycles\":9,"
-               "\"error\":\"\"}\n";
-        out << "{\"campaign\":\"resume_isolation\",\"seed\":"
-            << cfg.seed
-            << ",\"trial\":999,\"workload\":\"m88ksim\","
-               "\"outcome\":\"crashed\",\"planned\":99,\"injected\":99,"
-               "\"detected\":99,\"degraded\":1,\"latency_samples\":9,"
-               "\"latency_total\":9,\"latency_max\":9,\"cycles\":9,"
-               "\"error\":\"\"}\n";
-        out << "{\"campaign\":\"resume_isolation\",\"seed\":"
-            << cfg.seed
-            << ",\"trial\":0,\"workload\":\"m88ksim\","
-               "\"outcome\":\"abducted\",\"planned\":99,\"injected\":99,"
-               "\"detected\":99,\"degraded\":1,\"latency_samples\":9,"
-               "\"latency_total\":9,\"latency_max\":9,\"cycles\":9,"
-               "\"error\":\"\"}\n";
+        out << withField(lines[0], "campaign", "\"someone_else\"") << '\n'
+            << withField(lines[0], "seed", std::to_string(cfg.seed + 1))
+            << '\n'
+            << withField(lines[0], "workload", "\"wrong_workload\"")
+            << '\n'
+            << withField(lines[1], "trial", "999") << '\n'
+            << withField(lines[1], "outcome", "\"abducted\"") << '\n'
+            << withField(lines[1], "key", '"' + std::string(32, '0') + '"')
+            << '\n';
     }
     FaultCampaignConfig again = cfg;
     again.resume = true;
-    const std::string got =
-        campaignJson(again, runFaultCampaign(again));
-    EXPECT_EQ(got, expected);
+    const FaultCampaignResult resumed = runFaultCampaign(again);
+    EXPECT_EQ(campaignJson(again, resumed), expected);
+    // Every trial ran here: resumed records carry no metrics.
+    for (const TrialRecord &t : resumed.trials)
+        EXPECT_FALSE(t.metrics.model.empty()) << "adopted a foreign line";
     std::remove(cfg.journalPath.c_str());
+}
+
+/**
+ * Resume under a config that differs from the journal's in one keyed
+ * field: no line may be adopted, and every trial re-runs. `change`
+ * turns the journaling config into the resuming one.
+ */
+template <typename Change>
+void
+expectResumeRerunsEveryTrial(const std::string &name, Change change)
+{
+    FaultCampaignConfig cfg = smallConfig();
+    cfg.name = name;
+    cfg.workloads = {"m88ksim"};
+    cfg.trialsPerWorkload = 2;
+    cfg.journalPath = "test_fault_campaign." + name + ".jsonl";
+    runFaultCampaign(cfg);
+    ASSERT_EQ(journalLines(cfg.journalPath).size(), 2u);
+
+    FaultCampaignConfig other = cfg;
+    change(other);
+    other.resume = true;
+    const FaultCampaignResult resumed = runFaultCampaign(other);
+    ASSERT_EQ(resumed.trials.size(), 2u);
+    for (const TrialRecord &t : resumed.trials)
+        EXPECT_FALSE(t.metrics.model.empty())
+            << "adopted a line written under another config";
+    std::remove(cfg.journalPath.c_str());
+}
+
+TEST(FaultCampaign, ResumeRerunsTrialsJournaledAtAnotherSize)
+{
+    expectResumeRerunsEveryTrial("resume_size", [](FaultCampaignConfig &c) {
+        c.size = WorkloadSize::Small;
+    });
+}
+
+TEST(FaultCampaign, ResumeRerunsTrialsJournaledInTheOtherMode)
+{
+    expectResumeRerunsEveryTrial("resume_mode", [](FaultCampaignConfig &c) {
+        c.reliableMode = !c.reliableMode;
+    });
+}
+
+/** A different value of the same type. */
+template <typename T>
+void
+bump(T &f)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        f += "x";
+    else if constexpr (std::is_same_v<T, bool>)
+        f = !f;
+    else if constexpr (std::is_enum_v<T>)
+        f = T(unsigned(f) == 0 ? 1 : 0);
+    else
+        ++f;
+}
+
+/**
+ * Change the k-th scalar a field list visits (descending into
+ * DetectParams) and return its name; "" once k is past the end.
+ * `walk(visit)` runs the list.
+ */
+template <typename Walk>
+std::string
+changeNth(Walk walk, size_t k)
+{
+    size_t n = 0;
+    std::string changed;
+    const auto leaf = [&](const char *name, auto &f) {
+        if (n++ == k) {
+            changed = name;
+            bump(f);
+        }
+    };
+    walk([&](const char *name, auto &f) {
+        using T = std::remove_reference_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, DetectParams>)
+            DetectParams::fields(f, leaf);
+        else
+            leaf(name, f);
+    });
+    return changed;
+}
+
+/**
+ * Each keyed config field, and the spec's workload, trial index, cycle
+ * cap and plans, must reach the trial key on its own: two trials that
+ * differ in any one of them never share a cache entry or a journal
+ * line.
+ */
+TEST(FaultCampaign, TrialKeyCoversEveryKeyedField)
+{
+    FaultCampaignConfig cfg;
+    cfg.workloads = {"compress"};
+    cfg.trialsPerWorkload = 1;
+    const std::vector<CampaignTrialSpec> specs = planCampaignTrials(cfg);
+    ASSERT_EQ(specs.size(), 1u);
+    ASSERT_FALSE(specs[0].plans.empty());
+    const Hash128 base = campaignTrialKey(cfg, specs[0], 0);
+    EXPECT_EQ(base, campaignTrialKey(cfg, specs[0], 0));
+
+    size_t fields = 0;
+    for (;; ++fields) {
+        FaultCampaignConfig alt = cfg;
+        const std::string name = changeNth(
+            [&](auto &&v) { FaultCampaignConfig::keyFields(alt, v); },
+            fields);
+        if (name.empty())
+            break;
+        EXPECT_FALSE(base == campaignTrialKey(alt, specs[0], 0))
+            << name << " does not reach the key";
+    }
+    EXPECT_EQ(fields, 13u); // 8 config scalars + 5 DetectParams fields
+
+    for (size_t k = 0;; ++k) {
+        CampaignTrialSpec alt = specs[0];
+        const std::string name = changeNth(
+            [&](auto &&v) { FaultPlan::fields(alt.plans[0], v); }, k);
+        if (name.empty())
+            break;
+        EXPECT_FALSE(base == campaignTrialKey(cfg, alt, 0))
+            << "plan " << name << " does not reach the key";
+    }
+    CampaignTrialSpec spec = specs[0];
+    spec.plans.push_back(spec.plans[0]);
+    EXPECT_FALSE(base == campaignTrialKey(cfg, spec, 0)) << "plan count";
+    spec = specs[0];
+    spec.workload = "li";
+    EXPECT_FALSE(base == campaignTrialKey(cfg, spec, 0)) << "workload";
+    spec = specs[0];
+    ++spec.maxCycles;
+    EXPECT_FALSE(base == campaignTrialKey(cfg, spec, 0)) << "cycle cap";
+    EXPECT_FALSE(base == campaignTrialKey(cfg, specs[0], 1)) << "trial";
+}
+
+TEST(FaultCampaign, ReportEscapesTheCampaignName)
+{
+    FaultCampaignConfig cfg;
+    cfg.name = "a\"b";
+    const std::string json = campaignJson(cfg, FaultCampaignResult{});
+    EXPECT_NE(json.find("\"campaign\": \"a\\\"b\","), std::string::npos)
+        << json;
 }
 
 /**
@@ -454,14 +612,7 @@ TEST(FaultCampaign, ResumeRejectsForeignPolicyJournal)
 
     const FaultCampaignResult fresh = runFaultCampaign(cfg);
     const std::string expected = campaignJson(cfg, fresh);
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(cfg.journalPath);
-        std::string line;
-        while (std::getline(in, line))
-            if (!line.empty())
-                lines.push_back(line);
-    }
+    const std::vector<std::string> lines = journalLines(cfg.journalPath);
     ASSERT_EQ(lines.size(), fresh.trials.size());
 
     const std::string ownTag = ",\"policy\":\"reliability\"";
@@ -498,57 +649,6 @@ TEST(FaultCampaign, ResumeRejectsForeignPolicyJournal)
     const FaultCampaignResult resumed = runFaultCampaign(again);
     EXPECT_EQ(campaignJson(again, resumed), expected);
     EXPECT_EQ(resumed.total.outcomes(TrialOutcome::Crashed), 0u);
-    std::remove(cfg.journalPath.c_str());
-}
-
-/**
- * The flip side of the legacy-journal rule: a pre-policy journal line
- * (no `policy` field) IS adopted by an `ir` resume — those journals
- * were written by the default configuration and remain sound for it.
- */
-TEST(FaultCampaign, ResumeAdoptsLegacyJournalForDefaultPolicy)
-{
-    FaultCampaignConfig cfg = smallConfig();
-    cfg.name = "resume_policy_legacy";
-    cfg.workloads = {"m88ksim"};
-    cfg.trialsPerWorkload = 2;
-    cfg.journalPath = "test_fault_campaign.policy_legacy.jsonl";
-
-    const FaultCampaignResult fresh = runFaultCampaign(cfg);
-    ASSERT_NE(fresh.trials[0].outcome, TrialOutcome::TimedOut);
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(cfg.journalPath);
-        std::string line;
-        while (std::getline(in, line))
-            if (!line.empty())
-                lines.push_back(line);
-    }
-    ASSERT_EQ(lines.size(), fresh.trials.size());
-
-    // Strip the policy tag and tamper the outcome into a terminal
-    // timeout: if the legacy line is adopted (it must be), the
-    // timeout is restored rather than the trial re-run.
-    std::string legacy = lines[0];
-    const size_t tagAt = legacy.find(",\"policy\":\"ir\"");
-    ASSERT_NE(tagAt, std::string::npos);
-    legacy.erase(tagAt, std::string(",\"policy\":\"ir\"").size());
-    const std::string outKey = "\"outcome\":\"";
-    const size_t outAt = legacy.find(outKey);
-    ASSERT_NE(outAt, std::string::npos);
-    const size_t outEnd = legacy.find('"', outAt + outKey.size());
-    legacy.replace(outAt + outKey.size(),
-                   outEnd - (outAt + outKey.size()), "timed_out");
-    {
-        std::ofstream out(cfg.journalPath, std::ios::trunc);
-        out << legacy << '\n';
-    }
-
-    FaultCampaignConfig again = cfg;
-    again.resume = true;
-    const FaultCampaignResult resumed = runFaultCampaign(again);
-    ASSERT_EQ(resumed.trials.size(), fresh.trials.size());
-    EXPECT_EQ(resumed.trials[0].outcome, TrialOutcome::TimedOut);
     std::remove(cfg.journalPath.c_str());
 }
 

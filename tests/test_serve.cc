@@ -364,9 +364,10 @@ TEST(ServeProto, BatchRequestRoundTripsPolicyParams)
     req.policy.kind = AStreamPolicyKind::Reliability;
 
     wire::Encoder enc;
-    encodeBatchRequest(enc, req);
+    enc.put(req);
     wire::Decoder dec(enc.bytes());
-    const BatchRequest got = decodeBatchRequest(dec);
+    BatchRequest got;
+    dec.get(got);
     EXPECT_TRUE(dec.atEnd());
     EXPECT_EQ(got.policy.kind, AStreamPolicyKind::Reliability);
 
@@ -656,6 +657,33 @@ TEST_F(ServerFixture, BatchMatchesSingleProcessPipelineByteForByte)
     }
 }
 
+TEST_F(ServerFixture, BenchBatchIsAZeroFaultCampaign)
+{
+    BatchRequest req = smallBatch();
+    req.kind = BatchKind::Bench;
+    req.trialsPerWorkload = 2;
+
+    // The reference: the campaign's own specs with every plan dropped.
+    const FaultCampaignConfig cfg = req.toCampaignConfig();
+    std::vector<CampaignTrialSpec> specs = planCampaignTrials(cfg);
+    std::string expected;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        specs[i].plans.clear();
+        CancelToken cancel;
+        JobOutcome o;
+        o.metrics = runCampaignTrial(cfg, specs[i], i, cancel);
+        expected += campaignTrialLine(
+                        cfg, i, recordCampaignTrial(cfg, specs[i], i, o)) +
+                    '\n';
+    }
+    EXPECT_NE(expected.find("\"planned\":0,"), std::string::npos);
+
+    BatchDoneMsg done;
+    EXPECT_EQ(submit(req, done), expected);
+    EXPECT_EQ(done.status, BatchStatus::Ok);
+    EXPECT_EQ(done.completed, 2u);
+}
+
 TEST_F(ServerFixture, ResubmittedBatchIsServedFromCache)
 {
     const BatchRequest req = smallBatch();
@@ -831,14 +859,15 @@ TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
             }
             if (type == wire::MsgType::BatchDone) {
                 wire::Decoder dec(reply);
-                return decodeBatchDone(dec);
+                dec.get(done);
+                return done;
             }
             ++trials;
         }
     };
 
     wire::Encoder valid;
-    encodeBatchRequest(valid, smallBatch());
+    valid.put(smallBatch());
     const std::string &bytes = valid.bytes();
 
     // Truncated: the decoder runs out of bytes mid-request.
@@ -851,7 +880,7 @@ TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
     BatchRequest reliability = smallBatch();
     reliability.policy.kind = AStreamPolicyKind::Reliability;
     wire::Encoder other;
-    encodeBatchRequest(other, reliability);
+    other.put(reliability);
     ASSERT_EQ(other.bytes().size(), bytes.size());
     const size_t policyAt =
         std::mismatch(bytes.begin(), bytes.end(), other.bytes().begin())
@@ -893,6 +922,33 @@ TEST_F(ServerFixture, FuzzBatchStreamsSeedWindow)
     BatchDoneMsg warm;
     submit(req, warm);
     EXPECT_EQ(warm.cacheHits, 3u);
+}
+
+TEST_F(ServerFixture, FuzzBatchEscapesTheClientsName)
+{
+    // A name from the socket must not break the line it lands in: a
+    // quote or a newline pasted raw would split or corrupt every line.
+    BatchRequest req;
+    req.kind = BatchKind::Fuzz;
+    req.id = 10;
+    req.name = "x\"y\nz";
+    req.seedBegin = 0;
+    req.seedEnd = 2;
+    BatchDoneMsg done;
+    const std::string journal = submit(req, done);
+    EXPECT_EQ(done.status, BatchStatus::Ok);
+    EXPECT_EQ(done.completed, 2u);
+    std::vector<std::string> lines;
+    size_t from = 0;
+    for (size_t nl; (nl = journal.find('\n', from)) != std::string::npos;
+         from = nl + 1)
+        lines.push_back(journal.substr(from, nl - from));
+    ASSERT_EQ(lines.size(), 2u) << journal;
+    for (const std::string &line : lines) {
+        EXPECT_EQ(line.rfind("{\"campaign\":\"x\\\"y\\nz\",", 0), 0u)
+            << line;
+        EXPECT_EQ(line.back(), '}') << line;
+    }
 }
 
 TEST_F(ServerFixture, DrainRejectsNewBatches)

@@ -8,8 +8,10 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "fuzz/fuzzer.hh"
 #include "harness/sim_runner.hh"
 #include "harness/wire.hh"
+#include "serve/serve_proto.hh"
 
 namespace slip::wire
 {
@@ -286,6 +288,13 @@ sampleMetrics()
     m.degraded = true;
     m.degradedAtCycle = 555;
     m.rOnlyRetired = 333;
+    m.detectBackend = "replay";
+    m.detectChecked = 1001;
+    m.detectMismatches = 4;
+    m.detectExternal = 2;
+    m.detectReplays = 6;
+    m.detectReplayedInsts = 1536;
+    m.detectOverheadCycles = 384;
     m.faultOutcome.injected = true;
     m.faultOutcome.targetWasRedundant = true;
     m.faultOutcome.detected = true;
@@ -331,6 +340,13 @@ expectMetricsEqual(const RunMetrics &a, const RunMetrics &b)
     EXPECT_EQ(a.degraded, b.degraded);
     EXPECT_EQ(a.degradedAtCycle, b.degradedAtCycle);
     EXPECT_EQ(a.rOnlyRetired, b.rOnlyRetired);
+    EXPECT_EQ(a.detectBackend, b.detectBackend);
+    EXPECT_EQ(a.detectChecked, b.detectChecked);
+    EXPECT_EQ(a.detectMismatches, b.detectMismatches);
+    EXPECT_EQ(a.detectExternal, b.detectExternal);
+    EXPECT_EQ(a.detectReplays, b.detectReplays);
+    EXPECT_EQ(a.detectReplayedInsts, b.detectReplayedInsts);
+    EXPECT_EQ(a.detectOverheadCycles, b.detectOverheadCycles);
     EXPECT_EQ(a.faultOutcome.injected, b.faultOutcome.injected);
     EXPECT_EQ(a.faultOutcome.targetWasRedundant,
               b.faultOutcome.targetWasRedundant);
@@ -362,9 +378,10 @@ TEST(WireCodec, RunMetricsRoundTrip)
 {
     const RunMetrics m = sampleMetrics();
     Encoder enc;
-    encodeRunMetrics(enc, m);
+    enc.put(m);
     Decoder dec(enc.bytes());
-    const RunMetrics back = decodeRunMetrics(dec);
+    RunMetrics back;
+    dec.get(back);
     EXPECT_TRUE(dec.atEnd());
     expectMetricsEqual(m, back);
 }
@@ -379,9 +396,10 @@ TEST(WireCodec, JobOutcomeRoundTrip)
     o.attempts = 3;
 
     Encoder enc;
-    encodeJobOutcome(enc, o);
+    enc.put(o);
     Decoder dec(enc.bytes());
-    const JobOutcome back = decodeJobOutcome(dec);
+    JobOutcome back;
+    dec.get(back);
     EXPECT_TRUE(dec.atEnd());
     EXPECT_EQ(back.status, JobOutcome::Status::Error);
     EXPECT_EQ(back.errorKind, ErrorKind::Resource);
@@ -404,14 +422,209 @@ TEST(WireCodec, CrashTriageFieldsRoundTrip)
     o.errorMessage = "worker killed by SIGSEGV";
 
     Encoder enc;
-    encodeJobOutcome(enc, o);
+    enc.put(o);
     Decoder dec(enc.bytes());
-    const JobOutcome back = decodeJobOutcome(dec);
+    JobOutcome back;
+    dec.get(back);
     EXPECT_EQ(back.status, JobOutcome::Status::Crashed);
     EXPECT_EQ(back.termSignal, 11);
     EXPECT_EQ(back.crashAddr, 0xdeadbeefu);
     EXPECT_EQ(back.crashPhase, TrialPhase::Run);
     EXPECT_TRUE(back.poisoned);
+}
+
+/** One value's payload as lowercase hex. */
+template <typename T>
+std::string
+payloadHex(const T &value)
+{
+    Encoder enc;
+    enc.put(value);
+    std::string hex;
+    for (unsigned char c : enc.bytes()) {
+        hex += "0123456789abcdef"[c >> 4];
+        hex += "0123456789abcdef"[c & 15];
+    }
+    return hex;
+}
+
+/**
+ * One fixed value of each record that crosses a pipe or socket, pinned
+ * to its payload bytes. The hex was captured from the hand-written
+ * codecs the field lists replaced: reordering or retyping a field in a
+ * list changes the protocol and must fail here, not in a peer.
+ */
+TEST(WireCodec, PayloadBytesMatchTheHandWrittenCodecs)
+{
+    const RunMetrics m = sampleMetrics();
+    const FaultRecord &rec = m.faultOutcome.records[0];
+    EXPECT_EQ(payloadHex(rec.plan), "054d000000000000000d00000005");
+    EXPECT_EQ(payloadHex(rec),
+              "054d000000000000000d0000000501010101002000000000000064000000"
+              "00000000fa00000000000000");
+    EXPECT_EQ(payloadHex(m.faultOutcome),
+              "010101341200000000000002000000020000000100000001000000054d00"
+              "0000000000000d0000000501010101002000000000000064000000000000"
+              "00fa00000000000000");
+    EXPECT_EQ(payloadHex(m),
+              "0b000000434d50283278363478342940e2010000000000cd810100000000"
+              "00000000000000fc3f0000000000000a4001921000000000000000000000"
+              "0000d83f02000000060000006272616e6368110000000000000005000000"
+              "73746f72650300000000000000100000000b000000000000000000000000"
+              "000000000000000000000000000000000000000000000000000000070000"
+              "000000000000000000000000000000000000000000000000000000000000"
+              "000000000000000000000000000000000000000000000000000000000000"
+              "000000000000000000000000000000000000000000000000000000000000"
+              "00e03f00000000000029400900000000000000000002000000012b020000"
+              "000000004d01000000000000060000007265706c6179e903000000000000"
+              "040000000000000002000000000000000600000000000000000600000000"
+              "000080010000000000000101013412000000000000020000000200000001"
+              "00000001000000054d000000000000000d00000005010101010020000000"
+              "0000006400000000000000fa00000000000000");
+
+    JobOutcome o;
+    o.status = JobOutcome::Status::Error;
+    o.metrics = m;
+    o.errorKind = ErrorKind::Resource;
+    o.errorMessage = "allocation failed";
+    o.termSignal = 11;
+    o.termExitCode = -3;
+    o.crashAddr = 0xdeadbeef;
+    o.crashPhase = TrialPhase::Run;
+    o.poisoned = true;
+    o.attempts = 3;
+    EXPECT_EQ(payloadHex(o),
+              "010b000000434d50283278363478342940e2010000000000cd8101000000"
+              "0000000000000000fc3f0000000000000a40019210000000000000000000"
+              "000000d83f02000000060000006272616e63681100000000000000050000"
+              "0073746f72650300000000000000100000000b0000000000000000000000"
+              "000000000000000000000000000000000000000000000000000000000700"
+              "000000000000000000000000000000000000000000000000000000000000"
+              "000000000000000000000000000000000000000000000000000000000000"
+              "000000000000000000000000000000000000000000000000000000000000"
+              "0000e03f00000000000029400900000000000000000002000000012b0200"
+              "00000000004d01000000000000060000007265706c6179e9030000000000"
+              "000400000000000000020000000000000006000000000000000006000000"
+              "000000800100000000000001010134120000000000000200000002000000"
+              "0100000001000000054d000000000000000d000000050101010100200000"
+              "000000006400000000000000fa000000000000000211000000616c6c6f63"
+              "6174696f6e206661696c65640b000000fdffffffefbeadde000000000301"
+              "03000000");
+
+    serve::BatchRequest b;
+    b.kind = serve::BatchKind::Bench;
+    b.id = 42;
+    b.name = "pin";
+    b.workloads = {"compress", "li"};
+    b.size = WorkloadSize::Small;
+    b.trialsPerWorkload = 5;
+    b.minFaultsPerTrial = 2;
+    b.maxFaultsPerTrial = 4;
+    b.seed = 99;
+    b.reliableMode = true;
+    b.targets = {FaultTarget::AStream, FaultTarget::MemoryCell};
+    b.detect.kind = DetectBackendKind::Checker;
+    b.detect.replayWindow = 512;
+    b.detect.replayWidth = 8;
+    b.detect.checkerBandwidth = 3;
+    b.detect.checkerQueue = 32;
+    b.policy.kind = AStreamPolicyKind::Reliability;
+    b.cycleCapPerInst = 12;
+    b.seedBegin = 3;
+    b.seedEnd = 9;
+    EXPECT_EQ(payloadHex(b.detect),
+              "020002000000000000080000000300000020000000");
+    EXPECT_EQ(payloadHex(b),
+              "022a000000000000000300000070696e0200000008000000636f6d707265"
+              "7373020000006c6901050000000200000004000000630000000000000001"
+              "020000000006020002000000000000080000000300000020000000010c00"
+              "00000000000003000000000000000900000000000000");
+
+    const serve::TrialResultMsg result{7, 3, true, "{\"trial\":3}"};
+    EXPECT_EQ(payloadHex(result),
+              "07000000000000000300000000000000010b0000007b22747269616c223a"
+              "337d");
+
+    serve::BatchDoneMsg d;
+    d.batchId = 7;
+    d.status = serve::BatchStatus::Cancelled;
+    d.completed = 4;
+    d.revoked = 2;
+    d.cacheHits = 1;
+    d.cacheMisses = 3;
+    d.error = "cancelled by client";
+    EXPECT_EQ(payloadHex(d),
+              "070000000000000001040000000000000002000000000000000100000000"
+              "00000003000000000000001300000063616e63656c6c656420627920636c"
+              "69656e74");
+
+    const serve::ServeStats stats{1, 2, 3, 4, 5, 6, 7, 8, 9, true};
+    EXPECT_EQ(payloadHex(stats),
+              "010000000000000002000000000000000300000000000000040000000000"
+              "000005000000000000000600000000000000070000000000000008000000"
+              "00000000090000000000000001");
+}
+
+TEST(WireCodec, OutOfRangeEnumByteNamesTheField)
+{
+    Encoder enc;
+    enc.put(sampleMetrics().faultOutcome.records[0].plan);
+    std::string bytes = enc.bytes();
+    bytes[0] = char(unsigned(lastEnumerator(FaultTarget{})) + 1);
+    Decoder dec(bytes);
+    FaultPlan plan;
+    setLogQuiet(true);
+    try {
+        dec.get(plan);
+        ADD_FAILURE() << "decoded a fault target that does not exist";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("fault target byte 8"),
+                  std::string::npos)
+            << e.what();
+    }
+    setLogQuiet(false);
+}
+
+TEST(WireCodec, ArrayArityMismatchIsFatal)
+{
+    const RunMetrics m = sampleMetrics();
+    Encoder enc;
+    enc.put(m);
+    std::string bytes = enc.bytes();
+    // The mask array's count follows the removed-by-reason map: a
+    // peer built with one mask fewer must be refused, not misread.
+    Encoder reasons;
+    reasons.put(m.removedByReason);
+    const size_t countAt =
+        bytes.find(reasons.bytes()) + reasons.bytes().size();
+    ASSERT_EQ(uint8_t(bytes[countAt]), m.removedByReasonMask.size());
+    --bytes[countAt];
+    Decoder dec(bytes);
+    RunMetrics back;
+    setLogQuiet(true);
+    EXPECT_THROW(dec.get(back), FatalError);
+    setLogQuiet(false);
+}
+
+TEST(WireCodec, FuzzCaseRoundTrip)
+{
+    fuzz::FuzzCase c;
+    c.seed = 1234;
+    c.diverged = true;
+    c.report = "diverged at pc 0x40";
+    c.bundlePath = "results/fuzz/seed_1234";
+    c.error = "";
+    Encoder enc;
+    enc.put(c);
+    Decoder dec(enc.bytes());
+    fuzz::FuzzCase back;
+    dec.get(back);
+    EXPECT_TRUE(dec.atEnd());
+    EXPECT_EQ(back.seed, c.seed);
+    EXPECT_EQ(back.diverged, c.diverged);
+    EXPECT_EQ(back.report, c.report);
+    EXPECT_EQ(back.bundlePath, c.bundlePath);
+    EXPECT_EQ(back.error, c.error);
 }
 
 } // namespace

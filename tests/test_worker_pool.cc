@@ -86,24 +86,6 @@ TEST(IsolationMode, EnvGarbageThrows)
     setLogQuiet(false);
 }
 
-TEST(WorkerEnv, WorkerCountFromEnv)
-{
-    {
-        EnvGuard g("SLIPSTREAM_WORKERS", nullptr);
-        EXPECT_EQ(workerCountFromEnv(4), 4u);
-    }
-    {
-        EnvGuard g("SLIPSTREAM_WORKERS", "7");
-        EXPECT_EQ(workerCountFromEnv(4), 7u);
-    }
-    {
-        EnvGuard g("SLIPSTREAM_WORKERS", "zero-ish");
-        setLogQuiet(true);
-        EXPECT_EQ(workerCountFromEnv(4), 4u);
-        setLogQuiet(false);
-    }
-}
-
 TEST(WorkerEnv, PoisonThresholdFromEnv)
 {
     {

@@ -87,8 +87,7 @@ usage(std::ostream &os)
           "                   (default $SLIPSTREAM_ASTREAM_POLICY, "
           "else ir)\n"
           "  --workers N      worker processes/threads\n"
-          "                   (default $SLIPSTREAM_WORKERS, else "
-          "$SLIPSTREAM_JOBS)\n"
+          "                   (default $SLIPSTREAM_JOBS)\n"
           "  --trials N       trials per workload      (default 8)\n"
           "  --seed N         campaign seed            (default "
           "20260806)\n"

@@ -58,7 +58,7 @@ usage(std::ostream &os)
           "  --cache-max N    cache entry cap "
           "(default $SLIPSTREAM_CACHE_MAX, else 65536)\n"
           "  --workers N      trial workers per batch "
-          "(default $SLIPSTREAM_WORKERS)\n"
+          "(default $SLIPSTREAM_JOBS)\n"
           "  --isolation M    trial sandboxing: none | fork "
           "(default $SLIPSTREAM_ISOLATION)\n"
           "  --wave N         trials dispatched per wave — the "
