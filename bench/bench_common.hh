@@ -90,7 +90,6 @@ banner(const std::string &artifact, const std::string &paperNote)
     defaultDispatch();
     const Supervision supervision = Supervision::fromEnv();
     const obs::TraceConfig trace = obs::TraceSession::global().config();
-    envFlag("SLIPSTREAM_CAMPAIGN_RESUME", false);
     slip::setLogQuiet(true);
     std::cout << "=== " << artifact << " ===\n"
               << "paper: " << paperNote << "\n"

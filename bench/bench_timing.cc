@@ -1,10 +1,12 @@
 #include "bench/bench_timing.hh"
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+
+#include "common/atomic_write.hh"
+#include "common/json.hh"
 
 namespace slip::bench
 {
@@ -21,30 +23,34 @@ perfJsonPath()
 }
 
 /**
- * Read an existing record array's contents (everything between the
- * outer brackets), or "" if the file is absent or unusable.
+ * The records already in the array at `path`, each as its own text
+ * and followed by ",\n". A file that does not parse is named in a
+ * warning and its records are dropped.
  */
 std::string
-existingRecords(const std::string &path)
+priorRecordLines(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         return "";
     std::stringstream buf;
     buf << in.rdbuf();
-    std::string text = buf.str();
-    const size_t open = text.find('[');
-    const size_t close = text.rfind(']');
-    if (open == std::string::npos || close == std::string::npos ||
-        close <= open)
+    const std::string text = buf.str();
+    std::string lines;
+    try {
+        const Json root = parseJson(text);
+        if (root.kind != Json::Arr)
+            throw JsonError("not a JSON array");
+        for (const Json &rec : root.arr)
+            lines += "  " + text.substr(rec.begin, rec.end - rec.begin) +
+                     ",\n";
+    } catch (const JsonError &e) {
+        // Logs may be muted by now; this must reach the operator.
+        std::cerr << "warn: " << path << " does not parse (" << e.what()
+                  << "); its records are dropped\n";
         return "";
-    std::string body = text.substr(open + 1, close - open - 1);
-    // Trim whitespace so an empty array round-trips cleanly.
-    const size_t first = body.find_first_not_of(" \t\r\n");
-    if (first == std::string::npos)
-        return "";
-    const size_t last = body.find_last_not_of(" \t\r\n,");
-    return body.substr(first, last - first + 1);
+    }
+    return lines;
 }
 
 } // namespace
@@ -77,19 +83,11 @@ Timing::~Timing()
             << ", \"cycles_per_sec\": " << rate << "}";
 
         const std::string path = perfJsonPath();
-        const std::filesystem::path dir =
-            std::filesystem::path(path).parent_path();
-        if (!dir.empty())
-            std::filesystem::create_directories(dir);
-
-        const std::string prior = existingRecords(path);
-        std::ofstream out(path, std::ios::trunc);
-        if (!out)
+        if (!writeFileAtomically(path,
+                                 "[\n" + priorRecordLines(path) + "  " +
+                                     rec.str() + "\n]\n",
+                                 "bench timing records"))
             return;
-        out << "[\n";
-        if (!prior.empty())
-            out << "  " << prior << ",\n";
-        out << "  " << rec.str() << "\n]\n";
 
         std::cout << "\n[" << artifact_ << "] " << seconds
                   << " s wall, " << jobs_ << " job(s), " << cycles_

@@ -22,8 +22,7 @@
 
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
-#include "harness/fault_campaign.hh"
-#include "harness/shootout.hh"
+#include "harness/fault_report.hh"
 
 namespace
 {
@@ -87,7 +86,6 @@ main(int argc, char **argv)
     SimJobRunner probe; // job-count reporting only
     bench::Timing timing("detect_shootout", probe.jobs());
     std::vector<std::string> report;
-    std::vector<ShootoutRow> rows;
 
     constexpr DetectBackendKind kBackends[] = {
         DetectBackendKind::Slipstream,
@@ -108,7 +106,6 @@ main(int argc, char **argv)
         cfg.params.detect.kind = kind;
         const FaultCampaignResult result = runFaultCampaign(cfg);
         report.push_back(campaignJson(cfg, result));
-        rows.push_back(shootoutRow(backend, result.total));
 
         const CampaignTally &t = result.total;
         std::cout << t.trials << " trials, " << t.faultsInjected
@@ -120,10 +117,19 @@ main(int argc, char **argv)
             timing.addCycles(trial.cycles);
     }
 
+    // The table comes from the report text, exactly as
+    // tools/detect_report re-renders it offline.
     writeFaultReport(report, kReport);
-    writeShootoutTable(rows, kTable);
+    std::vector<FaultReport> reports;
+    std::string why;
+    if (!readFaultReport(faultReportText(report), reports, why)) {
+        std::cerr << "detect_shootout: report does not read back: " << why
+                  << "\n";
+        return 1;
+    }
+    writeShootoutTable(reports, kTable);
 
-    std::cout << renderShootoutTable(rows) << "\n"
+    std::cout << renderShootoutTable(reports) << "\n"
               << "report: " << kReport << "\ntable:  " << kTable
               << "\nper-trial journal: " << kJournal
               << " (rerun with --resume after a kill)\n\n"

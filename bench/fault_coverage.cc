@@ -24,7 +24,7 @@
 
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
-#include "harness/fault_campaign.hh"
+#include "harness/fault_report.hh"
 
 namespace
 {
@@ -74,10 +74,10 @@ main(int argc, char **argv)
 {
     using namespace slip;
 
-    // --resume (or SLIPSTREAM_CAMPAIGN_RESUME=1): skip trials already
-    // journaled by an interrupted invocation; the report comes out
-    // byte-identical to an uninterrupted run's. --isolation fork
-    // (or SLIPSTREAM_ISOLATION=fork) sandboxes each trial in a worker
+    // --resume: skip trials already journaled by an interrupted
+    // invocation; the report comes out byte-identical to an
+    // uninterrupted run's. --isolation fork (or
+    // SLIPSTREAM_ISOLATION=fork) sandboxes each trial in a worker
     // process; the reports are byte-identical either way.
     bool resume = false;
     IsolationMode isolation = isolationFromEnv();

@@ -1,7 +1,7 @@
 /**
  * serve_throughput: the slipd acceptance bench. Starts an in-process
  * campaign server on a throwaway Unix socket with a fresh result
- * cache, then drives it with N concurrent clients, each submitting
+ * cache, then drives it with four concurrent clients, each submitting
  * its own campaign batch:
  *
  *  - round `cold`: every trial misses the cache and executes on the
@@ -148,8 +148,7 @@ main(int argc, char **argv)
                   "cache hit-rate gates");
 
     const WorkloadSize size = bench::benchSize();
-    const unsigned clients = unsigned(std::clamp<uint64_t>(
-        envU64("SLIPSTREAM_SERVE_CLIENTS", 4), 1, 64));
+    constexpr unsigned clients = 4;
     const unsigned trials = size == WorkloadSize::Test    ? 2
                             : size == WorkloadSize::Small ? 4
                                                           : 8;

@@ -1,7 +1,6 @@
 #include "common/env.hh"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <string>
 
@@ -42,17 +41,13 @@ envU64(const char *name, uint64_t fallback)
     const char *env = envRaw(name);
     if (!env)
         return fallback;
-    // strtoull silently accepts "-1" by wrapping; reject signs up
-    // front so garbage cannot masquerade as a huge count.
+    // No sign: "-1" must not masquerade as a huge count.
     const char *p = env;
     while (std::isspace(static_cast<unsigned char>(*p)))
         ++p;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(p, &end, 10);
-    if (*p != '-' && *p != '+' && end != p && *end == '\0' &&
-        errno != ERANGE)
-        return uint64_t(n);
+    uint64_t n = 0;
+    if (parseUnsigned(p, n))
+        return n;
     SLIP_WARN("ignoring ", name, "='", env,
               "' (want a non-negative integer); using ", fallback);
     return fallback;

@@ -96,14 +96,6 @@ struct DetectParams
     }
 };
 
-/**
- * `base` with the environment applied: $SLIPSTREAM_DETECT (strict),
- * $SLIPSTREAM_REPLAY_WINDOW and $SLIPSTREAM_CHECKER_BANDWIDTH
- * (numeric knobs, usual warn-and-fall-back contract; zero is
- * rejected — a zero-width backend cannot make progress).
- */
-DetectParams detectParamsFromEnv(DetectParams base = {});
-
 /** What a backend did during one run (lands in RunMetrics). */
 struct DetectStats
 {

@@ -117,9 +117,9 @@ FaultCampaignConfig::FaultCampaignConfig()
     // hundreds of cycles without R retirement.
     params.watchdog.stallCycles = 20'000;
     isolation = isolationFromEnv();
-    // $SLIPSTREAM_DETECT (strict) + the backend tuning knobs pick the
-    // detection architecture every trial runs under.
-    params.detect = detectParamsFromEnv(params.detect);
+    // $SLIPSTREAM_DETECT (strict) picks the detection architecture
+    // every trial runs under.
+    params.detect.kind = detectBackendFromEnv(params.detect.kind);
     // $SLIPSTREAM_ASTREAM_POLICY (strict) picks the A-stream
     // shortening policy the same way.
     params.aPolicy.kind = aStreamPolicyFromEnv(params.aPolicy.kind);
@@ -162,6 +162,14 @@ CampaignTally::add(const TrialRecord &trial)
 
 namespace
 {
+
+/**
+ * Repro bundles the quarantine directory may hold. A pathological
+ * campaign (every trial poisoned) must not fill the disk; at the cap
+ * new bundles are skipped loudly and existing ones, being findings,
+ * are never pruned.
+ */
+constexpr uint64_t kMaxQuarantineBundles = 32;
 
 std::string
 resolveJournalPath(const FaultCampaignConfig &cfg)
@@ -311,68 +319,48 @@ toJson(const T &v)
 }
 
 /**
- * The inverse of toJson(), from the value's text (a string already
- * unescaped). Nothing is validated: resume re-renders what it read and
- * compares, so text that parses to something else is caught there.
+ * The inverse of toJson(). Nothing is validated: resume re-renders
+ * what it read and compares, so a value that reads as something else
+ * is caught there.
  */
 template <typename T>
 void
-fromJson(const std::string &s, T &v)
+fromJson(const Json &j, T &v)
 {
     if constexpr (std::is_same_v<T, std::string>)
-        v = s;
+        v = j.str;
     else if constexpr (std::is_same_v<T, TrialOutcome>)
-        trialOutcomeFromName(s, v);
+        trialOutcomeFromName(j.str, v);
     else if constexpr (std::is_same_v<T, Hash128>)
         return; // recomputed from the config
     else if constexpr (std::is_same_v<T, bool>)
-        v = s != "0";
+        v = j.str != "0";
     else if constexpr (std::is_integral_v<T>)
-        v = T(std::strtoull(s.c_str(), nullptr, 10)); // wraps for int
+        jsonNumber(j, v);
     else
-        decodeLatencyHistograms(s, v);
+        decodeLatencyHistograms(j.str, v);
 }
 
 /**
  * Fill `id` and `t` from a line campaignTrialLine() wrote, walking
- * journalFields() in order. A field not at the cursor keeps its
- * default, which is how the optional triage reads back.
+ * journalFields(). A field the line lacks keeps its default, which is
+ * how the optional triage reads back. False when the line is no JSON
+ * object (a torn tail).
  */
-void
+bool
 readJournalLine(const std::string &line, JournalId &id, TrialRecord &t)
 {
-    size_t pos = 0;
+    Json j;
+    try {
+        j = parseJson(line);
+    } catch (const JsonError &) {
+        return false;
+    }
     journalFields(id, t, [&](const char *name, auto &field, bool = true) {
-        const std::string tag =
-            std::string(pos ? ",\"" : "{\"") + name + "\":";
-        if (pos >= line.size() || line.compare(pos, tag.size(), tag) != 0)
-            return;
-        pos += tag.size();
-        std::string text;
-        if (line[pos] != '"') {
-            const size_t end = line.find_first_of(",}", pos);
-            text = line.substr(pos, end - pos);
-            pos = end;
-        } else {
-            // Undo jsonEscape(); a torn line leaves pos past the end.
-            while (++pos < line.size() && line[pos] != '"') {
-                char c = line[pos];
-                if (c == '\\' && ++pos < line.size()) {
-                    c = line[pos];
-                    if (c == 'u') {
-                        c = char(std::strtoul(line.substr(pos + 1, 4).c_str(),
-                                              nullptr, 16));
-                        pos += 4;
-                    } else if (c == 'n' || c == 'r' || c == 't') {
-                        c = c == 'n' ? '\n' : c == 'r' ? '\r' : '\t';
-                    }
-                }
-                text += c;
-            }
-            ++pos;
-        }
-        fromJson(text, field);
+        if (const Json *f = j.get(name))
+            fromJson(*f, field);
     });
+    return j.kind == Json::Obj;
 }
 
 /**
@@ -687,8 +675,6 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
         planCampaignTrials(cfg);
 
     const std::string journalPath = resolveJournalPath(cfg);
-    const bool resume =
-        cfg.resume || envFlag("SLIPSTREAM_CAMPAIGN_RESUME", false);
 
     // Resume: adopt a journal line only if this config would have
     // written it byte for byte. Torn lines, other campaigns' lines and
@@ -696,15 +682,14 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
     // backend, mode, or any other keyed field) all fail that one
     // comparison and their trials re-run.
     std::vector<std::optional<TrialRecord>> done(specs.size());
-    if (resume) {
+    if (cfg.resume) {
         std::ifstream in(journalPath);
         std::string line;
         size_t used = 0, ignored = 0;
         while (std::getline(in, line)) {
             JournalId id;
             TrialRecord t;
-            readJournalLine(line, id, t);
-            if (id.trial < specs.size()) {
+            if (readJournalLine(line, id, t) && id.trial < specs.size()) {
                 stampIdentity(cfg, specs[id.trial], id.trial, t);
                 if (campaignTrialLine(cfg, id.trial, t) == line) {
                     if (!done[id.trial])
@@ -724,7 +709,7 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
         cfg.journalFsync >= 0
             ? cfg.journalFsync != 0
             : envFlag("SLIPSTREAM_JOURNAL_FSYNC", true);
-    TrialJournal journal(journalPath, resume, fsyncEach);
+    TrialJournal journal(journalPath, cfg.resume, fsyncEach);
 
     SimJobRunner runner(cfg.workers);
     runner.setIsolation(cfg.isolation);
@@ -745,24 +730,18 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
     // down the supervisor.
     const auto quarantine = [&](size_t i, const TrialRecord &t) {
         try {
-            // Bound quarantine growth: a pathological campaign (every
-            // trial poisoned) must not fill the disk with repro
-            // bundles. At the cap, skip loudly — existing bundles are
-            // never pruned; they are findings.
-            const uint64_t maxBundles =
-                envU64("SLIPSTREAM_QUARANTINE_MAX", 32);
             uint64_t existing = 0;
             if (std::filesystem::is_directory(cfg.quarantineDir))
                 for ([[maybe_unused]] const auto &entry :
                      std::filesystem::directory_iterator(
                          cfg.quarantineDir))
                     ++existing;
-            if (existing >= maxBundles) {
+            if (existing >= kMaxQuarantineBundles) {
                 SLIP_WARN("quarantine '", cfg.quarantineDir,
                           "' is at its cap (", existing, " of ",
-                          maxBundles, " bundles, SLIPSTREAM_QUARANTINE"
-                          "_MAX); NOT writing a bundle for trial ",
-                          i, " — raise the cap or clear the directory");
+                          kMaxQuarantineBundles, " bundles); NOT writing "
+                          "a bundle for trial ", i,
+                          " — clear the directory");
                 return;
             }
             fuzz::ReproSpec spec;
@@ -824,7 +803,7 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
     FaultCampaignResult result;
     result.perWorkload.reserve(names.size());
     for (const std::string &name : names)
-        result.perWorkload.emplace_back(name, CampaignTally{});
+        result.perWorkload.push_back({name, {}});
     for (size_t i = 0; i < specs.size(); ++i) {
         SLIP_ASSERT(done[i], "campaign trial ", i, " never finished");
         TrialRecord trial = std::move(*done[i]);
@@ -835,190 +814,6 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
         result.trials.push_back(std::move(trial));
     }
     return result;
-}
-
-namespace
-{
-
-void
-tallyJson(std::ostringstream &out, const CampaignTally &t,
-          const char *indent)
-{
-    out << indent << "\"trials\": " << t.trials << ",\n"
-        << indent << "\"faults\": {\"planned\": " << t.faultsPlanned
-        << ", \"injected\": " << t.faultsInjected
-        << ", \"detected\": " << t.faultsDetected << "},\n"
-        << indent << "\"outcomes\": {";
-    for (unsigned o = 0; o < kNumTrialOutcomes; ++o) {
-        if (o)
-            out << ", ";
-        out << "\"" << trialOutcomeName(TrialOutcome(o))
-            << "\": " << t.byOutcome[o];
-    }
-    out << "},\n"
-        << indent << "\"degraded_runs\": " << t.degradedRuns << ",\n"
-        << indent << "\"cycles_total\": " << t.cyclesTotal << ",\n"
-        << indent << "\"detect\": {\"checked\": " << t.detectChecked
-        << ", \"mismatches\": " << t.detectMismatches
-        << ", \"external\": " << t.detectExternal
-        << ", \"overhead_cycles\": " << t.detectOverhead << "},\n"
-        << indent << "\"detect_overhead_histogram\": {";
-    // Per-trial modeled-overhead distribution (log2 buckets, non-zero
-    // trials only) — zero by construction for the native backend.
-    bool firstOverhead = true;
-    for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
-        if (!t.overheadHist.bucket(b))
-            continue;
-        if (!firstOverhead)
-            out << ", ";
-        firstOverhead = false;
-        out << "\"" << Histogram::bucketLo(b) << "-"
-            << Histogram::bucketHi(b)
-            << "\": " << t.overheadHist.bucket(b);
-    }
-    out << "},\n";
-    // Worker-death histogram appears only when a worker actually died,
-    // so healthy campaigns report byte-identically across isolation
-    // modes (and against reports from before fork isolation existed).
-    if (!t.crashBySignal.empty()) {
-        out << indent << "\"worker_crashes\": {";
-        bool firstCrash = true;
-        for (const auto &[cause, n] : t.crashBySignal) {
-            if (!firstCrash)
-                out << ", ";
-            firstCrash = false;
-            out << "\"" << cause << "\": " << n;
-        }
-        out << "},\n";
-    }
-    out << indent << "\"detection_latency_cycles\": {\"samples\": "
-        << t.latencySamples << ", \"avg\": " << t.avgLatency()
-        << ", \"max\": " << t.latencyMax << "},\n"
-        << indent << "\"detection_latency_histogram\": {";
-    // Log2-bucketed latency distribution per fault target: bucket
-    // counts only (keys are "lo-hi" cycle ranges), so live and
-    // journal-resumed campaigns render identically.
-    bool firstTarget = true;
-    for (const auto &[target, h] : t.latencyByTarget) {
-        if (h.count() == 0)
-            continue;
-        if (!firstTarget)
-            out << ", ";
-        firstTarget = false;
-        out << "\"" << target << "\": {";
-        bool firstBucket = true;
-        for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
-            if (!h.bucket(b))
-                continue;
-            if (!firstBucket)
-                out << ", ";
-            firstBucket = false;
-            out << "\"" << Histogram::bucketLo(b) << "-"
-                << Histogram::bucketHi(b) << "\": " << h.bucket(b);
-        }
-        out << "}";
-    }
-    out << "}";
-}
-
-} // namespace
-
-std::string
-campaignJson(const FaultCampaignConfig &cfg,
-             const FaultCampaignResult &result)
-{
-    const std::vector<FaultTarget> targets =
-        !cfg.targets.empty() ? cfg.targets
-                             : defaultCampaignTargets(cfg.reliableMode);
-
-    std::ostringstream out;
-    out << "{\n"
-        << "  \"report_version\": " << kFaultReportVersion << ",\n"
-        << "  \"campaign\": \"" << jsonEscape(cfg.name) << "\",\n"
-        << "  \"mode\": \""
-        << (cfg.reliableMode ? "reliable" : "slipstream") << "\",\n"
-        << "  \"detect_backend\": \""
-        << detectBackendName(cfg.params.detect.kind) << "\",\n"
-        << "  \"a_stream_policy\": \""
-        << aStreamPolicyName(cfg.params.aPolicy.kind) << "\",\n"
-        << "  \"size\": \"" << sizeName(cfg.size) << "\",\n"
-        << "  \"seed\": " << cfg.seed << ",\n"
-        << "  \"trials_per_workload\": " << cfg.trialsPerWorkload
-        << ",\n"
-        << "  \"faults_per_trial\": [" << cfg.minFaultsPerTrial << ", "
-        << cfg.maxFaultsPerTrial << "],\n"
-        << "  \"targets\": [";
-    for (size_t i = 0; i < targets.size(); ++i) {
-        if (i)
-            out << ", ";
-        out << "\"" << faultTargetName(targets[i]) << "\"";
-    }
-    out << "],\n";
-    tallyJson(out, result.total, "  ");
-    out << ",\n  \"workloads\": [\n";
-    for (size_t i = 0; i < result.perWorkload.size(); ++i) {
-        const auto &[name, tally] = result.perWorkload[i];
-        out << "    {\n      \"name\": \"" << name << "\",\n";
-        tallyJson(out, tally, "      ");
-        out << "\n    }" << (i + 1 < result.perWorkload.size() ? "," : "")
-            << "\n";
-    }
-    out << "  ]\n}";
-    return out.str();
-}
-
-void
-writeFaultReport(const std::vector<std::string> &campaignObjects,
-                 const std::string &path)
-{
-    // Reporting must never take down a campaign: every failure path
-    // warns (with the path and the reason) and returns.
-    std::string target = path;
-    try {
-        if (target.empty()) {
-            if (const char *env =
-                    std::getenv("SLIPSTREAM_FAULT_JSON"))
-                target = env;
-            else
-                target = "results/fault_campaign.json";
-        }
-        const std::filesystem::path dir =
-            std::filesystem::path(target).parent_path();
-        if (!dir.empty())
-            std::filesystem::create_directories(dir);
-
-        // Write a temp sibling, then atomically rename into place:
-        // no kill point leaves a truncated fault_campaign.json.
-        const std::string tmp = target + ".tmp";
-        {
-            std::ofstream out(tmp, std::ios::trunc);
-            if (!out) {
-                SLIP_WARN("cannot open fault report temp file '", tmp,
-                          "' for writing; report not written");
-                return;
-            }
-            out << "[\n";
-            for (size_t i = 0; i < campaignObjects.size(); ++i)
-                out << campaignObjects[i]
-                    << (i + 1 < campaignObjects.size() ? "," : "")
-                    << "\n";
-            out << "]\n";
-            out.flush();
-            if (!out) {
-                SLIP_WARN("write to fault report temp file '", tmp,
-                          "' failed; report not written");
-                std::remove(tmp.c_str());
-                return;
-            }
-        }
-        std::filesystem::rename(tmp, target);
-    } catch (const std::exception &e) {
-        SLIP_WARN("failed to write fault report '", target,
-                  "': ", e.what());
-    } catch (...) {
-        SLIP_WARN("failed to write fault report '", target,
-                  "': unknown error");
-    }
 }
 
 } // namespace slip

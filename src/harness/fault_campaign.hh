@@ -149,9 +149,8 @@ struct FaultCampaignConfig
     /**
      * Skip trials already journaled instead of re-running them: a
      * line is adopted only if this config would have written it byte
-     * for byte, trial key included. Also enabled by
-     * $SLIPSTREAM_CAMPAIGN_RESUME. The final report is byte-identical
-     * to an uninterrupted run's.
+     * for byte, trial key included. The final report is
+     * byte-identical to an uninterrupted run's.
      */
     bool resume = false;
 
@@ -160,8 +159,8 @@ struct FaultCampaignConfig
      * $SLIPSTREAM_ISOLATION (default none). Under fork isolation a
      * trial that SIGSEGVs the simulator becomes a journaled `crashed`
      * outcome (with signal + last-known phase) instead of killing the
-     * campaign; after `poisonThresholdFromEnv()` crashes the trial is
-     * quarantined as a repro bundle under `quarantineDir`.
+     * campaign; after WorkerPoolOptions::poisonThreshold crashes the
+     * trial is quarantined as a repro bundle under `quarantineDir`.
      */
     IsolationMode isolation = IsolationMode::None;
 
@@ -322,6 +321,59 @@ struct CampaignTally
                    ? static_cast<double>(latencyTotal) / latencySamples
                    : 0.0;
     }
+
+    /**
+     * The report keys, in report order: the one list campaignJson()
+     * renders and readFaultReport() parses (harness/fault_report.hh).
+     * worker_crashes is present only when a worker died, and the report
+     * carries the latency mean in place of the total.
+     */
+    template <typename Self, typename Visit>
+    static void
+    reportFields(Self &self, Visit &&v)
+    {
+        v("trials", self.trials);
+        v.group("faults", [&](auto &&g) {
+            g("planned", self.faultsPlanned);
+            g("injected", self.faultsInjected);
+            g("detected", self.faultsDetected);
+        });
+        v.group("outcomes", [&](auto &&g) {
+            for (unsigned o = 0; o < kNumTrialOutcomes; ++o)
+                g(trialOutcomeName(TrialOutcome(o)), self.byOutcome[o]);
+        });
+        v("degraded_runs", self.degradedRuns);
+        v("cycles_total", self.cyclesTotal);
+        v.group("detect", [&](auto &&g) {
+            g("checked", self.detectChecked);
+            g("mismatches", self.detectMismatches);
+            g("external", self.detectExternal);
+            g("overhead_cycles", self.detectOverhead);
+        });
+        v("detect_overhead_histogram", self.overheadHist);
+        v("worker_crashes", self.crashBySignal, !self.crashBySignal.empty());
+        v.group("detection_latency_cycles", [&](auto &&g) {
+            g("samples", self.latencySamples);
+            g.mean("avg", self.latencyTotal, self.latencySamples);
+            g("max", self.latencyMax);
+        });
+        v("detection_latency_histogram", self.latencyByTarget);
+    }
+};
+
+/** One workload's tally, as the report lists it. */
+struct WorkloadTally
+{
+    std::string name;
+    CampaignTally tally;
+
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("name", self.name);
+        CampaignTally::reportFields(self.tally, v);
+    }
 };
 
 struct FaultCampaignResult
@@ -329,7 +381,7 @@ struct FaultCampaignResult
     std::vector<TrialRecord> trials;
 
     /** Per-workload tallies in config order, plus the grand total. */
-    std::vector<std::pair<std::string, CampaignTally>> perWorkload;
+    std::vector<WorkloadTally> perWorkload;
     CampaignTally total;
 };
 
@@ -401,34 +453,6 @@ std::string campaignTrialLine(const FaultCampaignConfig &cfg,
 
 /** Run the campaign (parallel trials, deterministic results). */
 FaultCampaignResult runFaultCampaign(const FaultCampaignConfig &cfg);
-
-/**
- * Schema revision stamped into every campaign JSON object
- * ("report_version"). Consumers (tools/detect_report) refuse a
- * report from a different revision with a diagnostic instead of
- * misparsing it; reports from before the field existed read as
- * legacy and are accepted.
- */
-inline constexpr unsigned kFaultReportVersion = 1;
-
-/**
- * One campaign as a JSON object (config echo, outcome counts,
- * detection-latency stats, per-workload breakdown). Deliberately
- * excludes wall-clock so reports are byte-stable across machines.
- */
-std::string campaignJson(const FaultCampaignConfig &cfg,
-                         const FaultCampaignResult &result);
-
-/**
- * Write campaign objects as a JSON array to `path`, or (when empty)
- * to $SLIPSTREAM_FAULT_JSON, else results/fault_campaign.json —
- * alongside bench_perf.json. The file is written to a temp sibling
- * and atomically renamed into place, so no kill point leaves a
- * truncated report. Never throws; failures warn with the path and
- * the reason.
- */
-void writeFaultReport(const std::vector<std::string> &campaignObjects,
-                      const std::string &path = "");
 
 } // namespace slip
 

@@ -24,10 +24,9 @@ unsigned
 defaultJobs()
 {
     if (const char *env = std::getenv("SLIPSTREAM_JOBS")) {
-        char *end = nullptr;
-        const long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return unsigned(n);
+        unsigned n = 0;
+        if (parseUnsigned(env, n) && n > 0)
+            return n;
         SLIP_WARN("ignoring SLIPSTREAM_JOBS='", env,
                   "' (want a positive integer); using hardware "
                   "concurrency");
@@ -105,8 +104,6 @@ Supervision::fromEnv()
 {
     Supervision s;
     s.timeoutMs = envU64("SLIPSTREAM_TRIAL_TIMEOUT_MS", s.timeoutMs);
-    s.retries =
-        unsigned(envU64("SLIPSTREAM_TRIAL_RETRIES", s.retries));
     return s;
 }
 

@@ -185,8 +185,8 @@ struct Supervision
     uint64_t backoffMs = 100;
 
     /**
-     * $SLIPSTREAM_TRIAL_TIMEOUT_MS / $SLIPSTREAM_TRIAL_RETRIES over
-     * the defaults above (garbage values warn and fall back).
+     * The defaults above with $SLIPSTREAM_TRIAL_TIMEOUT_MS as the
+     * deadline (a garbage value warns and falls back).
      */
     static Supervision fromEnv();
 };

@@ -62,18 +62,6 @@ isolationFromEnv(IsolationMode fallback)
     }
 }
 
-unsigned
-poisonThresholdFromEnv()
-{
-    const uint64_t v = envU64("SLIPSTREAM_POISON_THRESHOLD", 2);
-    if (v == 0) {
-        SLIP_WARN("SLIPSTREAM_POISON_THRESHOLD: 0 would retry forever; "
-                  "using 2");
-        return 2;
-    }
-    return unsigned(std::min<uint64_t>(v, 100));
-}
-
 const char *
 isolatedStatusName(IsolatedOutcome::Status status)
 {
@@ -88,11 +76,7 @@ isolatedStatusName(IsolatedOutcome::Status status)
     return "?";
 }
 
-WorkerPool::WorkerPool(WorkerPoolOptions opts) : opts_(opts)
-{
-    if (opts_.poisonThreshold == 0)
-        opts_.poisonThreshold = poisonThresholdFromEnv();
-}
+WorkerPool::WorkerPool(WorkerPoolOptions opts) : opts_(opts) {}
 
 namespace
 {

@@ -62,13 +62,6 @@ bool parseIsolationMode(const std::string &text, IsolationMode &mode);
  */
 IsolationMode isolationFromEnv(IsolationMode fallback = IsolationMode::None);
 
-/**
- * $SLIPSTREAM_POISON_THRESHOLD: crashes a single trial may cause
- * before it is quarantined instead of re-dispatched. Default 2 (one
- * re-dispatch), minimum 1.
- */
-unsigned poisonThresholdFromEnv();
-
 /** Pool shape and supervision policy. */
 struct WorkerPoolOptions
 {
@@ -78,8 +71,11 @@ struct WorkerPoolOptions
     /** Per-dispatch wall-clock deadline in ms; 0 = no deadline. */
     uint64_t timeoutMs = 0;
 
-    /** Crashes before quarantine; 0 means poisonThresholdFromEnv(). */
-    unsigned poisonThreshold = 0;
+    /**
+     * Crashes a single job may cause before it is quarantined instead
+     * of re-dispatched: 2 allows one re-dispatch.
+     */
+    unsigned poisonThreshold = 2;
 };
 
 /** How one sandboxed job ended, as seen by the supervisor. */

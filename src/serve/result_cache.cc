@@ -12,6 +12,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/atomic_write.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "obs/trace_session.hh"
@@ -128,12 +129,10 @@ isTempName(const std::string &name)
 bool
 writerGone(const std::string &name)
 {
-    const char *digits = name.c_str() + name.rfind(".tmp.") + 5;
-    char *end = nullptr;
-    const long pid = std::strtol(digits, &end, 10);
-    if (end == digits || *end != '\0' || pid <= 0)
+    pid_t pid = 0;
+    if (!parseUnsigned(name.substr(name.rfind(".tmp.") + 5), pid) || pid <= 0)
         return false;
-    return ::kill(pid_t(pid), 0) != 0 && errno == ESRCH;
+    return ::kill(pid, 0) != 0 && errno == ESRCH;
 }
 
 /** Call fn(directory_entry) for every regular file in root's shards. */
@@ -162,10 +161,7 @@ cacheKeyOf(const std::string &canonicalBytes)
 }
 
 ResultCache::ResultCache(std::string root, uint64_t maxEntries)
-    : root_(std::move(root)),
-      maxEntries_(maxEntries
-                      ? maxEntries
-                      : envU64("SLIPSTREAM_CACHE_MAX", 65536))
+    : root_(std::move(root)), maxEntries_(maxEntries)
 {
     if (root_.empty())
         return;
@@ -249,34 +245,14 @@ ResultCache::store(const CacheKey &key, const std::string &line)
         return;
     const std::string path = pathFor(key);
     std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
     if (fs::exists(path, ec))
         return; // content-addressed: same key, same bytes
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            SLIP_WARN("result cache: cannot write '", tmp, "'");
-            return;
-        }
-        const EntryHeader hdr{kEntryMagic, key.hi, key.lo, line.size(),
-                              lineChecksum(line)};
-        out.write(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
-        out << line;
-        if (!out.good()) {
-            SLIP_WARN("result cache: short write to '", tmp, "'");
-            fs::remove(tmp, ec);
-            return;
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        SLIP_WARN("result cache: rename into '", path, "' failed (",
-                  ec.message(), ")");
-        fs::remove(tmp, ec);
+    const EntryHeader hdr{kEntryMagic, key.hi, key.lo, line.size(),
+                          lineChecksum(line)};
+    const std::string bytes(reinterpret_cast<const char *>(&hdr),
+                            sizeof(hdr));
+    if (!writeFileAtomically(path, bytes + line, "result cache entry"))
         return;
-    }
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++entries_;

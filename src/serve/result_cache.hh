@@ -59,13 +59,12 @@ class ResultCache
 {
   public:
     /**
-     * `maxEntries` caps the entry count; 0 consults
-     * $SLIPSTREAM_CACHE_MAX (default 65536). When a store would
+     * `maxEntries` caps the entry count. When a store would
      * exceed the cap, the oldest entries (by modification time) are
      * evicted in bulk — 1/16th of the cap per sweep, so eviction cost
      * amortizes instead of landing on every store.
      */
-    explicit ResultCache(std::string root, uint64_t maxEntries = 0);
+    explicit ResultCache(std::string root, uint64_t maxEntries = 65536);
 
     /**
      * True + the stored line on a hit. An entry that fails

@@ -64,8 +64,8 @@ struct ServerOptions
     /** Result-cache root; empty disables caching. */
     std::string cacheDir;
 
-    /** Cache entry cap; 0 = $SLIPSTREAM_CACHE_MAX (default 65536). */
-    uint64_t cacheMax = 0;
+    /** Cache entry cap (slipd --cache-max). */
+    uint64_t cacheMax = 65536;
 
     /** Workers per batch; 0 = defaultJobs() ($SLIPSTREAM_JOBS). */
     unsigned workers = 0;

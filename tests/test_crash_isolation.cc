@@ -18,7 +18,7 @@
 #include <unistd.h>
 #include <vector>
 
-#include "harness/fault_campaign.hh"
+#include "harness/fault_report.hh"
 #include "harness/worker_pool.hh"
 
 namespace slip
@@ -329,10 +329,14 @@ TEST_F(CrashIsolation, SpinningTrialTimesOutUnderFork)
 
 TEST_F(CrashIsolation, QuarantineCapSkipsNewBundles)
 {
-    // SLIPSTREAM_QUARANTINE_MAX bounds results/quarantine growth: at
-    // the cap, a poisoned trial still gets its journaled crashed
-    // outcome, but no new repro bundle lands on disk.
-    EnvGuard cap("SLIPSTREAM_QUARANTINE_MAX", "0");
+    // The quarantine holds at most 32 bundles: at the cap, a poisoned
+    // trial still gets its journaled crashed outcome, but no new repro
+    // bundle lands on disk.
+    namespace fs = std::filesystem;
+    const fs::path q = "test_crash_isolation.quarantine";
+    fs::create_directories(q);
+    for (int i = 0; i < 32; ++i)
+        fs::create_directory(q / ("earlier_bundle_" + std::to_string(i)));
     FaultCampaignConfig cfg = baseConfig(journal("qcap"));
     cfg.isolation = IsolationMode::Fork;
     cfg.trialsPerWorkload = 3;
@@ -343,9 +347,7 @@ TEST_F(CrashIsolation, QuarantineCapSkipsNewBundles)
 
     const FaultCampaignResult result = runFaultCampaign(cfg);
     EXPECT_EQ(result.trials[1].outcome, TrialOutcome::Crashed);
-    EXPECT_FALSE(std::filesystem::exists(
-        std::filesystem::path("test_crash_isolation.quarantine") /
-        "crash_isolation_test_trial_1"));
+    EXPECT_FALSE(fs::exists(q / "crash_isolation_test_trial_1"));
 }
 
 TEST_F(CrashIsolation, FsyncKnobDoesNotChangeJournalContent)

@@ -15,10 +15,11 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "detect/detect_params.hh"
-#include "harness/fault_campaign.hh"
-#include "harness/shootout.hh"
+#include "harness/fault_report.hh"
 #include "slipstream/a_stream_policy.hh"
 #include "slipstream/fault_injector.hh"
 
@@ -132,32 +133,8 @@ TEST(DetectEnv, GarbageThrows)
     EnvGuard g("SLIPSTREAM_DETECT", "parity");
     setLogQuiet(true);
     EXPECT_THROW(detectBackendFromEnv(), FatalError);
-    EXPECT_THROW(detectParamsFromEnv(), FatalError);
+    EXPECT_THROW((void)FaultCampaignConfig(), FatalError);
     setLogQuiet(false);
-}
-
-TEST(DetectEnv, TuningKnobsApplyAndRejectZero)
-{
-    EnvGuard d("SLIPSTREAM_DETECT", nullptr);
-    {
-        EnvGuard w("SLIPSTREAM_REPLAY_WINDOW", "64");
-        EnvGuard b("SLIPSTREAM_CHECKER_BANDWIDTH", "8");
-        const DetectParams p = detectParamsFromEnv();
-        EXPECT_EQ(p.replayWindow, 64u);
-        EXPECT_EQ(p.checkerBandwidth, 8u);
-    }
-    {
-        // Zero-width backends cannot make progress: numeric knobs keep
-        // the usual warn-and-fall-back contract.
-        EnvGuard w("SLIPSTREAM_REPLAY_WINDOW", "0");
-        EnvGuard b("SLIPSTREAM_CHECKER_BANDWIDTH", "0");
-        setLogQuiet(true);
-        const DetectParams p = detectParamsFromEnv();
-        setLogQuiet(false);
-        EXPECT_EQ(p.replayWindow, DetectParams().replayWindow);
-        EXPECT_EQ(p.checkerBandwidth,
-                  DetectParams().checkerBandwidth);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -487,10 +464,14 @@ TEST(DetectResume, ForeignBackendJournalIsNotAdopted)
     std::remove(poisoned.journalPath.c_str());
 }
 
-/** The table renders live and round-trips through the JSON report. */
+/**
+ * The table renders live and round-trips through the JSON report:
+ * each report reads back to the same values, re-renders to the same
+ * bytes, and gives the same table.
+ */
 TEST(Shootout, TableRoundTripsThroughTheReport)
 {
-    std::vector<ShootoutRow> live;
+    std::vector<FaultReport> live;
     std::vector<std::string> jsons;
     for (DetectBackendKind kind : kAllKinds) {
         const char *name = detectBackendName(kind);
@@ -498,8 +479,8 @@ TEST(Shootout, TableRoundTripsThroughTheReport)
             backendConfig(kind, std::string("table_") + name);
         cfg.trialsPerWorkload = 3;
         const FaultCampaignResult result = runFaultCampaign(cfg);
-        live.push_back(shootoutRow(name, result.total));
-        jsons.push_back(campaignJson(cfg, result));
+        live.push_back(faultReport(cfg, result));
+        jsons.push_back(campaignJson(live.back()));
         std::remove(cfg.journalPath.c_str());
     }
 
@@ -514,23 +495,31 @@ TEST(Shootout, TableRoundTripsThroughTheReport)
     writeFaultReport(jsons, path);
     std::stringstream buf;
     buf << std::ifstream(path).rdbuf();
-    const std::vector<ShootoutRow> parsed =
-        shootoutRowsFromReport(buf.str());
     std::remove(path.c_str());
+    std::vector<FaultReport> parsed;
+    std::string err;
+    ASSERT_TRUE(readFaultReport(buf.str(), parsed, err)) << err;
 
     ASSERT_EQ(parsed.size(), live.size());
     for (size_t i = 0; i < live.size(); ++i) {
-        SCOPED_TRACE(live[i].backend);
-        EXPECT_EQ(parsed[i].backend, live[i].backend);
-        EXPECT_EQ(parsed[i].trials, live[i].trials);
-        EXPECT_EQ(parsed[i].faultsInjected, live[i].faultsInjected);
-        EXPECT_EQ(parsed[i].faultsDetected, live[i].faultsDetected);
-        EXPECT_EQ(parsed[i].silentCorrupt, live[i].silentCorrupt);
-        EXPECT_EQ(parsed[i].latencyMax, live[i].latencyMax);
-        EXPECT_EQ(parsed[i].overheadCycles, live[i].overheadCycles);
-        EXPECT_EQ(parsed[i].cyclesTotal, live[i].cyclesTotal);
-        EXPECT_NEAR(parsed[i].coverage(), live[i].coverage(), 1e-9);
+        const CampaignTally &got = parsed[i].total;
+        const CampaignTally &want = live[i].total;
+        SCOPED_TRACE(live[i].header.detectBackend);
+        EXPECT_EQ(parsed[i].header.detectBackend,
+                  live[i].header.detectBackend);
+        EXPECT_EQ(got.trials, want.trials);
+        EXPECT_EQ(got.faultsInjected, want.faultsInjected);
+        EXPECT_EQ(got.faultsDetected, want.faultsDetected);
+        EXPECT_EQ(got.outcomes(TrialOutcome::SilentCorrupt),
+                  want.outcomes(TrialOutcome::SilentCorrupt));
+        EXPECT_EQ(got.latencyMax, want.latencyMax);
+        EXPECT_EQ(got.detectOverhead, want.detectOverhead);
+        EXPECT_EQ(got.cyclesTotal, want.cyclesTotal);
+        EXPECT_EQ(got.faultsDetected * want.faultsInjected,
+                  want.faultsDetected * got.faultsInjected); // coverage
+        EXPECT_EQ(campaignJson(parsed[i]), jsons[i]);
     }
+    EXPECT_EQ(renderShootoutTable(parsed), table);
 
     // The table writer is atomic and failure-tolerant like the JSON
     // report writer.
@@ -539,10 +528,17 @@ TEST(Shootout, TableRoundTripsThroughTheReport)
     std::stringstream tbuf;
     tbuf << std::ifstream(tablePath).rdbuf();
     EXPECT_EQ(tbuf.str(), table);
-    EXPECT_FALSE(std::ifstream(tablePath + ".tmp").good());
+    EXPECT_FALSE(
+        std::ifstream(tablePath + ".tmp." + std::to_string(getpid())).good());
     std::remove(tablePath.c_str());
-    EXPECT_NO_THROW(writeShootoutTable(
-        live, "no_such_dir_detect/sub/table.txt"));
+    // Under a regular file no directory can be made: the write fails
+    // with a warning, not an exception.
+    const std::string blocker = "test_detect_table_blocker";
+    std::ofstream(blocker) << "not a directory\n";
+    setLogQuiet(true);
+    EXPECT_NO_THROW(writeShootoutTable(live, blocker + "/sub/table.txt"));
+    setLogQuiet(false);
+    std::remove(blocker.c_str());
 }
 
 } // namespace

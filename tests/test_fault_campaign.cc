@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,7 +9,9 @@
 #include <type_traits>
 #include <vector>
 
-#include "harness/fault_campaign.hh"
+#include <unistd.h>
+
+#include "harness/fault_report.hh"
 
 namespace slip
 {
@@ -175,7 +178,8 @@ TEST(FaultCampaign, JsonReportIsWellFormedAndWritable)
     const std::string text = buf.str();
     EXPECT_EQ(text.front(), '[');
     EXPECT_NE(text.find("\"campaign\""), std::string::npos);
-    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    EXPECT_FALSE(
+        std::ifstream(path + ".tmp." + std::to_string(getpid())).good());
     std::remove(path.c_str());
 }
 
@@ -392,6 +396,35 @@ TEST(FaultCampaign, ResumeIgnoresForeignJournalEntries)
     // Every trial ran here: resumed records carry no metrics.
     for (const TrialRecord &t : resumed.trials)
         EXPECT_FALSE(t.metrics.model.empty()) << "adopted a foreign line";
+    std::remove(cfg.journalPath.c_str());
+}
+
+/**
+ * The largest seed survives the journal: resume reads 2^64-1 back
+ * exactly, so every trial is restored instead of re-run.
+ */
+TEST(FaultCampaign, ResumeRestoresEveryTrialAtTheLargestSeed)
+{
+    FaultCampaignConfig cfg = smallConfig();
+    cfg.name = "resume_max_seed";
+    cfg.workloads = {"m88ksim"};
+    cfg.trialsPerWorkload = 2;
+    cfg.seed = UINT64_MAX;
+    cfg.journalPath = "test_fault_campaign.max_seed.jsonl";
+    const std::string expected = campaignJson(cfg, runFaultCampaign(cfg));
+    const std::vector<std::string> lines = journalLines(cfg.journalPath);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[0].find(",\"seed\":18446744073709551615,"),
+              std::string::npos)
+        << lines[0];
+
+    FaultCampaignConfig again = cfg;
+    again.resume = true;
+    const FaultCampaignResult resumed = runFaultCampaign(again);
+    ASSERT_EQ(resumed.trials.size(), 2u);
+    for (const TrialRecord &t : resumed.trials)
+        EXPECT_TRUE(t.metrics.model.empty()) << "trial re-ran";
+    EXPECT_EQ(campaignJson(again, resumed), expected);
     std::remove(cfg.journalPath.c_str());
 }
 

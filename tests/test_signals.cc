@@ -4,7 +4,8 @@
  * 143 — both after printing the resume hint — so a killed campaign is
  * distinguishable from a failed one and restartable with --resume.
  * Spawns the real binary (path injected by CMake) and signals it
- * mid-campaign.
+ * mid-campaign. Also checks that an option value that does not fit is
+ * a usage error (exit 2), not a campaign run with a wrapped value.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -136,6 +138,43 @@ TEST(CampaignSignals, SigtermExits143WithResumeHint)
     EXPECT_EQ(run.exitCode, 143) << run.stderrText;
     EXPECT_NE(run.stderrText.find("--resume"), std::string::npos)
         << run.stderrText;
+}
+
+/** Run slip_campaign to completion with `args`; its exit status. */
+int
+runCampaign(const std::vector<std::string> &args, const std::string &scratch)
+{
+    const pid_t pid = fork();
+    if (pid == 0) {
+        const int nullFd = open("/dev/null", O_WRONLY);
+        dup2(nullFd, STDOUT_FILENO);
+        dup2(nullFd, STDERR_FILENO);
+        std::vector<std::string> full = {
+            "slip_campaign", "--size", "test", "--workloads", "compress",
+            "--journal", scratch + "/journal.jsonl", "--quarantine",
+            scratch + "/quarantine"};
+        full.insert(full.end(), args.begin(), args.end());
+        std::vector<char *> argv;
+        for (std::string &a : full)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+        execv(SLIP_CAMPAIGN_BIN, argv.data());
+        _exit(127);
+    }
+    int status = 0;
+    EXPECT_EQ(waitpid(pid, &status, 0), pid);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CampaignArgs, ValuesThatDoNotFitExit2)
+{
+    ScratchDir dir;
+    // 2^32 trials once wrapped to zero trials, and -1 to seed 2^64-1;
+    // both campaigns ran and exited 0.
+    EXPECT_EQ(runCampaign({"--trials", "4294967296"}, dir.path), 2);
+    EXPECT_EQ(runCampaign({"--seed", "-1"}, dir.path), 2);
+    EXPECT_EQ(runCampaign({"--workers", "+2"}, dir.path), 2);
+    EXPECT_FALSE(fs::exists(dir.path + "/journal.jsonl"));
 }
 
 } // namespace

@@ -343,24 +343,18 @@ TEST(SimJobRunner, LegacyRunTurnsTimeoutsIntoFatal)
 TEST(Supervision, EnvKnobsOverrideDefaults)
 {
     setenv("SLIPSTREAM_TRIAL_TIMEOUT_MS", "2500", 1);
-    setenv("SLIPSTREAM_TRIAL_RETRIES", "4", 1);
     const Supervision s = Supervision::fromEnv();
     EXPECT_EQ(s.timeoutMs, 2500u);
-    EXPECT_EQ(s.retries, 4u);
     unsetenv("SLIPSTREAM_TRIAL_TIMEOUT_MS");
-    unsetenv("SLIPSTREAM_TRIAL_RETRIES");
 }
 
 TEST(Supervision, GarbageEnvValuesFallBackToDefaults)
 {
     const Supervision defaults;
     setenv("SLIPSTREAM_TRIAL_TIMEOUT_MS", "soon", 1);
-    setenv("SLIPSTREAM_TRIAL_RETRIES", "-2", 1);
     const Supervision s = Supervision::fromEnv();
     EXPECT_EQ(s.timeoutMs, defaults.timeoutMs);
-    EXPECT_EQ(s.retries, defaults.retries);
     unsetenv("SLIPSTREAM_TRIAL_TIMEOUT_MS");
-    unsetenv("SLIPSTREAM_TRIAL_RETRIES");
 }
 
 TEST(EnvKnobs, U64AndFlagValidation)

@@ -86,25 +86,6 @@ TEST(IsolationMode, EnvGarbageThrows)
     setLogQuiet(false);
 }
 
-TEST(WorkerEnv, PoisonThresholdFromEnv)
-{
-    {
-        EnvGuard g("SLIPSTREAM_POISON_THRESHOLD", nullptr);
-        EXPECT_EQ(poisonThresholdFromEnv(), 2u);
-    }
-    {
-        EnvGuard g("SLIPSTREAM_POISON_THRESHOLD", "5");
-        EXPECT_EQ(poisonThresholdFromEnv(), 5u);
-    }
-    {
-        // 0 would mean "quarantine before the first run": clamped.
-        EnvGuard g("SLIPSTREAM_POISON_THRESHOLD", "0");
-        setLogQuiet(true);
-        EXPECT_GE(poisonThresholdFromEnv(), 1u);
-        setLogQuiet(false);
-    }
-}
-
 TEST(CrashReport, PhaseNamesAndPacking)
 {
     EXPECT_STREQ(trialPhaseName(TrialPhase::Idle), "idle");

@@ -19,217 +19,35 @@
  *       <pct> percent (direction taken from the entry's "better"
  *       field). Entries only on one side are reported, never fatal.
  *
- * Self-contained: ships its own minimal JSON reader so the tool has
- * no dependency beyond the standard library.
+ * Self-contained: the JSON reader (common/json.hh) is header-only, so
+ * the tool links nothing beyond the standard library.
  */
 
-#include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+
 namespace
 {
 
-// ---- minimal JSON value + recursive-descent reader ----
+using slip::Json;
+using slip::jsonNumber;
+using slip::parseJson;
 
-struct Json
+/** `j` as a double; 0 when absent or not a number. */
+double
+num(const Json *j)
 {
-    enum Kind { Null, Bool, Num, Str, Arr, Obj } kind = Null;
-    bool b = false;
-    double num = 0;
-    std::string str;
-    std::vector<Json> arr;
-    std::vector<std::pair<std::string, Json>> obj; // order-preserving
-
-    const Json *
-    get(const std::string &key) const
-    {
-        for (const auto &[k, v] : obj)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-class Parser
-{
-  public:
-    explicit Parser(std::string text)
-        : s(std::move(text))
-    {}
-
-    Json
-    parse()
-    {
-        Json v = value();
-        ws();
-        if (pos != s.size())
-            fail("trailing content");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why)
-    {
-        throw std::runtime_error("JSON parse error at offset " +
-                                 std::to_string(pos) + ": " + why);
-    }
-
-    void
-    ws()
-    {
-        while (pos < s.size() && std::isspace(uint8_t(s[pos])))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        if (pos >= s.size())
-            fail("unexpected end");
-        return s[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (pos >= s.size() || s[pos] != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos;
-    }
-
-    Json
-    value()
-    {
-        ws();
-        switch (peek()) {
-          case '{': return object();
-          case '[': return array();
-          case '"': {
-            Json v;
-            v.kind = Json::Str;
-            v.str = string();
-            return v;
-          }
-          case 't':
-          case 'f': {
-            Json v;
-            v.kind = Json::Bool;
-            v.b = s.compare(pos, 4, "true") == 0;
-            pos += v.b ? 4 : 5;
-            return v;
-          }
-          case 'n': {
-            pos += 4;
-            return Json{};
-          }
-          default: return number();
-        }
-    }
-
-    Json
-    object()
-    {
-        Json v;
-        v.kind = Json::Obj;
-        expect('{');
-        ws();
-        if (peek() == '}') {
-            ++pos;
-            return v;
-        }
-        for (;;) {
-            ws();
-            std::string key = string();
-            ws();
-            expect(':');
-            v.obj.emplace_back(std::move(key), value());
-            ws();
-            if (peek() == ',') {
-                ++pos;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    Json
-    array()
-    {
-        Json v;
-        v.kind = Json::Arr;
-        expect('[');
-        ws();
-        if (peek() == ']') {
-            ++pos;
-            return v;
-        }
-        for (;;) {
-            v.arr.push_back(value());
-            ws();
-            if (peek() == ',') {
-                ++pos;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string
-    string()
-    {
-        expect('"');
-        std::string out;
-        while (pos < s.size() && s[pos] != '"') {
-            char c = s[pos++];
-            if (c == '\\' && pos < s.size()) {
-                const char e = s[pos++];
-                switch (e) {
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': pos += 4; out += '?'; break;
-                  default: out += e;
-                }
-            } else {
-                out += c;
-            }
-        }
-        expect('"');
-        return out;
-    }
-
-    Json
-    number()
-    {
-        const size_t start = pos;
-        while (pos < s.size() &&
-               (std::isdigit(uint8_t(s[pos])) || s[pos] == '-' ||
-                s[pos] == '+' || s[pos] == '.' || s[pos] == 'e' ||
-                s[pos] == 'E'))
-            ++pos;
-        if (pos == start)
-            fail("expected number");
-        Json v;
-        v.kind = Json::Num;
-        v.num = std::stod(s.substr(start, pos - start));
-        return v;
-    }
-
-    std::string s;
-    size_t pos = 0;
-};
+    double v = 0;
+    return j && jsonNumber(*j, v) ? v : 0.0;
+}
 
 Json
 parseFile(const std::string &path)
@@ -241,7 +59,7 @@ parseFile(const std::string &path)
     }
     std::stringstream buf;
     buf << in.rdbuf();
-    return Parser(buf.str()).parse();
+    return parseJson(buf.str());
 }
 
 // ---- normalized schema ----
@@ -257,8 +75,7 @@ struct Entry
 double
 counterOf(const Json &bench, const char *name)
 {
-    const Json *c = bench.get(name);
-    return c && c->kind == Json::Num ? c->num : 0.0;
+    return num(bench.get(name));
 }
 
 /** Normalize one google-benchmark output file into entries. */
@@ -288,7 +105,7 @@ extractGbench(const Json &root)
                 continue;
             n.resize(n.size() - suffix.size());
         }
-        out.push_back({n + ":ns", rt->num, "ns", false});
+        out.push_back({n + ":ns", num(rt), "ns", false});
         // Per-item host cost of the component benches.
         for (const char *perItem :
              {"ns/inst", "ns/trace", "ns/packet", "ns/access"})
@@ -330,10 +147,10 @@ extractPerf(const Json &root, std::vector<Entry> &out)
         return;
     for (const Json &rec : root.arr) {
         const Json *artifact = rec.get("artifact");
-        const Json *rate = rec.get("cycles_per_sec");
-        if (artifact && rate && rate->num > 0)
-            out.push_back({"timing/" + artifact->str + ":cycles/s",
-                           rate->num, "cycles/s", true});
+        const double rate = num(rec.get("cycles_per_sec"));
+        if (artifact && rate > 0)
+            out.push_back({"timing/" + artifact->str + ":cycles/s", rate,
+                           "cycles/s", true});
     }
 }
 
@@ -358,7 +175,7 @@ loadNormalized(const std::string &path)
             const Json *better = e.get("better");
             if (!bench || !value)
                 continue;
-            out.push_back({bench->str, value->num,
+            out.push_back({bench->str, num(value),
                            unit ? unit->str : "",
                            !better || better->str == "higher"});
         }

@@ -7,12 +7,13 @@
  *   detect_report -o results/table.txt    # also write the table file
  *
  * Reads the JSON array bench/detect_shootout (or any campaign runner)
- * wrote; every campaign object carrying a "detect_backend" key
- * becomes one table row, in file order.
+ * wrote with readFaultReport(); every campaign object becomes one
+ * table row, in file order.
  *
- * Exit codes: 0 = table printed, 1 = report missing, truncated,
- * from a foreign schema version, or holding no backend campaigns —
- * each with a one-line diagnosis on stderr — 2 = usage error.
+ * Exit codes: 0 = table printed, 1 = report missing, truncated, from
+ * a foreign or no schema version, missing a field, or holding no
+ * campaigns — each with a one-line diagnosis on stderr — 2 = usage
+ * error.
  */
 
 #include <fstream>
@@ -20,7 +21,7 @@
 #include <sstream>
 #include <string>
 
-#include "harness/shootout.hh"
+#include "harness/fault_report.hh"
 
 int
 main(int argc, char **argv)
@@ -59,25 +60,23 @@ main(int argc, char **argv)
     std::ostringstream buf;
     buf << in.rdbuf();
 
+    std::vector<FaultReport> reports;
     std::string why;
-    if (!validateShootoutReport(buf.str(), why)) {
+    if (!readFaultReport(buf.str(), reports, why)) {
         std::cerr << "detect_report: '" << reportPath << "': " << why
                   << "\n";
         return 1;
     }
-
-    const std::vector<ShootoutRow> rows =
-        shootoutRowsFromReport(buf.str());
-    if (rows.empty()) {
+    if (reports.empty()) {
         std::cerr << "detect_report: no detection-backend campaigns "
                      "in '"
                   << reportPath << "'\n";
         return 1;
     }
 
-    std::cout << renderShootoutTable(rows);
+    std::cout << renderShootoutTable(reports);
     if (!tablePath.empty()) {
-        writeShootoutTable(rows, tablePath);
+        writeShootoutTable(reports, tablePath);
         std::cout << "table written to " << tablePath << "\n";
     }
     return 0;

@@ -24,7 +24,6 @@
  * with --resume finishes the campaign without repeating them.
  */
 
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -35,8 +34,9 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/logging.hh"
-#include "harness/fault_campaign.hh"
+#include "harness/fault_report.hh"
 #include "harness/table.hh"
 #include "harness/worker_pool.hh"
 
@@ -111,20 +111,6 @@ usage(std::ostream &os)
           "(repeatable;\n"
           "                   set SLIPSTREAM_TRIAL_TIMEOUT_MS)\n"
           "  -h, --help\n";
-}
-
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
 }
 
 std::vector<std::string>
@@ -224,23 +210,22 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--workers") {
-            if (!parseU64(value("--workers"), n) || n == 0) {
+            if (!parseUnsigned(value("--workers"), cfg.workers) ||
+                cfg.workers == 0) {
                 std::cerr << "slip_campaign: bad --workers\n";
                 return 2;
             }
-            cfg.workers = static_cast<unsigned>(n);
         } else if (arg == "--trials") {
-            if (!parseU64(value("--trials"), n) || n == 0) {
+            if (!parseUnsigned(value("--trials"), cfg.trialsPerWorkload) ||
+                cfg.trialsPerWorkload == 0) {
                 std::cerr << "slip_campaign: bad --trials\n";
                 return 2;
             }
-            cfg.trialsPerWorkload = static_cast<unsigned>(n);
         } else if (arg == "--seed") {
-            if (!parseU64(value("--seed"), n)) {
+            if (!parseUnsigned(value("--seed"), cfg.seed)) {
                 std::cerr << "slip_campaign: bad --seed\n";
                 return 2;
             }
-            cfg.seed = n;
         } else if (arg == "--workloads") {
             cfg.workloads = splitCsv(value("--workloads"));
             if (cfg.workloads.empty()) {
@@ -271,19 +256,19 @@ main(int argc, char **argv)
         } else if (arg == "--quarantine") {
             cfg.quarantineDir = value("--quarantine");
         } else if (arg == "--demo-crash") {
-            if (!parseU64(value("--demo-crash"), n)) {
+            if (!parseUnsigned(value("--demo-crash"), n)) {
                 std::cerr << "slip_campaign: bad --demo-crash\n";
                 return 2;
             }
             demoCrash.insert(n);
         } else if (arg == "--demo-exit") {
-            if (!parseU64(value("--demo-exit"), n)) {
+            if (!parseUnsigned(value("--demo-exit"), n)) {
                 std::cerr << "slip_campaign: bad --demo-exit\n";
                 return 2;
             }
             demoExit.insert(n);
         } else if (arg == "--demo-spin") {
-            if (!parseU64(value("--demo-spin"), n)) {
+            if (!parseUnsigned(value("--demo-spin"), n)) {
                 std::cerr << "slip_campaign: bad --demo-spin\n";
                 return 2;
             }

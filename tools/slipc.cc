@@ -21,7 +21,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -29,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.hh"
 #include "serve/client.hh"
 
 namespace
@@ -59,20 +59,6 @@ usage(std::ostream &os)
           "    --no-sort        stream results unsorted\n"
           "    --cancel-after N cancel the batch after N results\n"
           "  -h, --help\n";
-}
-
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
 }
 
 std::vector<std::string>
@@ -108,7 +94,6 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        uint64_t n = 0;
         if (arg == "-h" || arg == "--help") {
             usage(std::cout);
             return 0;
@@ -146,29 +131,28 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--trials") {
-            if (!parseU64(value("--trials"), n) || n == 0) {
+            if (!parseUnsigned(value("--trials"), req.trialsPerWorkload) ||
+                req.trialsPerWorkload == 0) {
                 std::cerr << "slipc: bad --trials\n";
                 return 2;
             }
-            req.trialsPerWorkload = unsigned(n);
         } else if (arg == "--seed") {
-            if (!parseU64(value("--seed"), n)) {
+            if (!parseUnsigned(value("--seed"), req.seed)) {
                 std::cerr << "slipc: bad --seed\n";
                 return 2;
             }
-            req.seed = n;
         } else if (arg == "--min-faults") {
-            if (!parseU64(value("--min-faults"), n) || n == 0) {
+            if (!parseUnsigned(value("--min-faults"), req.minFaultsPerTrial) ||
+                req.minFaultsPerTrial == 0) {
                 std::cerr << "slipc: bad --min-faults\n";
                 return 2;
             }
-            req.minFaultsPerTrial = unsigned(n);
         } else if (arg == "--max-faults") {
-            if (!parseU64(value("--max-faults"), n) || n == 0) {
+            if (!parseUnsigned(value("--max-faults"), req.maxFaultsPerTrial) ||
+                req.maxFaultsPerTrial == 0) {
                 std::cerr << "slipc: bad --max-faults\n";
                 return 2;
             }
-            req.maxFaultsPerTrial = unsigned(n);
         } else if (arg == "--reliable") {
             req.reliableMode = true;
         } else if (arg == "--detect") {
@@ -190,8 +174,8 @@ main(int argc, char **argv)
             const size_t colon = v.find(':');
             uint64_t b = 0, e = 0;
             if (colon == std::string::npos ||
-                !parseU64(v.substr(0, colon), b) ||
-                !parseU64(v.substr(colon + 1), e) || e <= b) {
+                !parseUnsigned(v.substr(0, colon), b) ||
+                !parseUnsigned(v.substr(colon + 1), e) || e <= b) {
                 std::cerr << "slipc: bad --seeds '" << v
                           << "' (want BEGIN:END, END > BEGIN)\n";
                 return 2;
@@ -199,19 +183,18 @@ main(int argc, char **argv)
             req.seedBegin = b;
             req.seedEnd = e;
         } else if (arg == "--batch-id") {
-            if (!parseU64(value("--batch-id"), n)) {
+            if (!parseUnsigned(value("--batch-id"), req.id)) {
                 std::cerr << "slipc: bad --batch-id\n";
                 return 2;
             }
-            req.id = n;
         } else if (arg == "--no-sort") {
             sortResults = false;
         } else if (arg == "--cancel-after") {
-            if (!parseU64(value("--cancel-after"), n) || n == 0) {
+            if (!parseUnsigned(value("--cancel-after"), cancelAfter) ||
+                cancelAfter == 0) {
                 std::cerr << "slipc: bad --cancel-after\n";
                 return 2;
             }
-            cancelAfter = n;
         } else {
             std::cerr << "slipc: unknown option '" << arg << "'\n";
             usage(std::cerr);

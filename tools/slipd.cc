@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "serve/server.hh"
 
@@ -56,7 +57,7 @@ usage(std::ostream &os)
           "(default results/serve_cache;\n"
           "                   'none' disables)\n"
           "  --cache-max N    cache entry cap "
-          "(default $SLIPSTREAM_CACHE_MAX, else 65536)\n"
+          "(default 65536)\n"
           "  --workers N      trial workers per batch "
           "(default $SLIPSTREAM_JOBS)\n"
           "  --isolation M    trial sandboxing: none | fork "
@@ -67,20 +68,6 @@ usage(std::ostream &os)
           "  --name NAME      server name in the handshake "
           "(default slipd)\n"
           "  -h, --help\n";
-}
-
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
 }
 
 } // namespace
@@ -101,40 +88,38 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        uint64_t n = 0;
         if (arg == "-h" || arg == "--help") {
             usage(std::cout);
             return 0;
         } else if (arg == "--socket") {
             opts.unixPath = value("--socket");
         } else if (arg == "--tcp") {
-            if (!parseU64(value("--tcp"), n) || n > 65535) {
+            if (!parseUnsigned(value("--tcp"), opts.tcpPort)) {
                 std::cerr << "slipd: bad --tcp\n";
                 return 2;
             }
-            opts.tcpPort = uint16_t(n);
         } else if (arg == "--cache") {
             opts.cacheDir = value("--cache");
             if (opts.cacheDir == "none")
                 opts.cacheDir.clear();
         } else if (arg == "--cache-max") {
-            if (!parseU64(value("--cache-max"), n) || n == 0) {
+            if (!parseUnsigned(value("--cache-max"), opts.cacheMax) ||
+                opts.cacheMax == 0) {
                 std::cerr << "slipd: bad --cache-max\n";
                 return 2;
             }
-            opts.cacheMax = n;
         } else if (arg == "--workers") {
-            if (!parseU64(value("--workers"), n) || n == 0) {
+            if (!parseUnsigned(value("--workers"), opts.workers) ||
+                opts.workers == 0) {
                 std::cerr << "slipd: bad --workers\n";
                 return 2;
             }
-            opts.workers = unsigned(n);
         } else if (arg == "--wave") {
-            if (!parseU64(value("--wave"), n) || n == 0) {
+            if (!parseUnsigned(value("--wave"), opts.waveSize) ||
+                opts.waveSize == 0) {
                 std::cerr << "slipd: bad --wave\n";
                 return 2;
             }
-            opts.waveSize = unsigned(n);
         } else if (arg == "--isolation") {
             const std::string v = value("--isolation");
             if (!parseIsolationMode(v, opts.isolation)) {

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "assembler/assembler.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "fuzz/fuzzer.hh"
 #include "fuzz/oracle.hh"
@@ -67,27 +68,13 @@ usage(std::ostream &os)
 }
 
 bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
-
-bool
 parseSeeds(const std::string &s, uint64_t &begin, uint64_t &end)
 {
     const size_t colon = s.find(':');
     if (colon == std::string::npos)
         return false;
-    return parseU64(s.substr(0, colon), begin) &&
-           parseU64(s.substr(colon + 1), end) && begin <= end;
+    return slip::parseUnsigned(s.substr(0, colon), begin) &&
+           slip::parseUnsigned(s.substr(colon + 1), end) && begin <= end;
 }
 
 int
@@ -171,7 +158,6 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        uint64_t n = 0;
         if (arg == "-h" || arg == "--help") {
             usage(std::cout);
             return 0;
@@ -183,11 +169,10 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--jobs") {
-            if (!parseU64(value("--jobs"), n) || n == 0) {
+            if (!slip::parseUnsigned(value("--jobs"), opt.jobs) || opt.jobs == 0) {
                 std::cerr << "ssir_fuzz: bad --jobs\n";
                 return 2;
             }
-            opt.jobs = static_cast<unsigned>(n);
         } else if (arg == "--isolation") {
             const std::string v = value("--isolation");
             if (!slip::parseIsolationMode(v, opt.isolation)) {
@@ -196,17 +181,16 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--budget-ms") {
-            if (!parseU64(value("--budget-ms"), n)) {
+            if (!slip::parseUnsigned(value("--budget-ms"), opt.budgetMs)) {
                 std::cerr << "ssir_fuzz: bad --budget-ms\n";
                 return 2;
             }
-            opt.budgetMs = n;
         } else if (arg == "--max-cycles") {
-            if (!parseU64(value("--max-cycles"), n) || n == 0) {
+            if (!slip::parseUnsigned(value("--max-cycles"), opt.oracle.maxCycles) ||
+                opt.oracle.maxCycles == 0) {
                 std::cerr << "ssir_fuzz: bad --max-cycles\n";
                 return 2;
             }
-            opt.oracle.maxCycles = n;
         } else if (arg == "--policy") {
             const std::string v = value("--policy");
             if (!slip::parseAStreamPolicy(v,
