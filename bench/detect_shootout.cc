@@ -83,8 +83,7 @@ main(int argc, char **argv)
         break;
     }
 
-    SimJobRunner probe; // job-count reporting only
-    bench::Timing timing("detect_shootout", probe.jobs());
+    bench::Timing timing("detect_shootout", defaultJobs());
     std::vector<std::string> report;
 
     constexpr DetectBackendKind kBackends[] = {

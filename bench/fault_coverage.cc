@@ -122,8 +122,7 @@ main(int argc, char **argv)
         break;
     }
 
-    SimJobRunner probe; // job-count reporting only
-    bench::Timing timing("fault_coverage", probe.jobs());
+    bench::Timing timing("fault_coverage", defaultJobs());
     std::vector<std::string> report;
 
     // ---- campaign 1: slipstream mode, full target mix ----

@@ -34,21 +34,6 @@ StatGroup::distribution(const std::string &name)
     return distributions[name];
 }
 
-Histogram &
-StatGroup::histogram(const std::string &name)
-{
-    return histograms[name];
-}
-
-TimeSeries &
-StatGroup::timeSeries(const std::string &name, uint64_t window)
-{
-    auto it = series.find(name);
-    if (it == series.end())
-        it = series.emplace(name, TimeSeries(window)).first;
-    return it->second;
-}
-
 uint64_t
 StatGroup::get(const std::string &name) const
 {
@@ -68,34 +53,10 @@ StatGroup::getDistribution(const std::string &name) const
     return it->second;
 }
 
-const Histogram &
-StatGroup::getHistogram(const std::string &name) const
-{
-    auto it = histograms.find(name);
-    SLIP_ASSERT(it != histograms.end(), "no histogram named '", name,
-                "' in group '", name_, "'");
-    return it->second;
-}
-
-const TimeSeries &
-StatGroup::getTimeSeries(const std::string &name) const
-{
-    auto it = series.find(name);
-    SLIP_ASSERT(it != series.end(), "no time series named '", name,
-                "' in group '", name_, "'");
-    return it->second;
-}
-
 bool
 StatGroup::hasCounter(const std::string &name) const
 {
     return counters.count(name) != 0 || external.count(name) != 0;
-}
-
-bool
-StatGroup::hasHistogram(const std::string &name) const
-{
-    return histograms.count(name) != 0;
 }
 
 void
@@ -119,27 +80,6 @@ StatGroup::dump(std::ostream &os) const
            << prefix << name << ".min " << d.min() << "\n"
            << prefix << name << ".max " << d.max() << "\n";
     }
-    for (const auto &[name, h] : histograms) {
-        os << prefix << name << ".count " << h.count() << "\n"
-           << prefix << name << ".mean " << std::fixed
-           << std::setprecision(2) << h.mean() << "\n"
-           << prefix << name << ".min " << h.min() << "\n"
-           << prefix << name << ".max " << h.max() << "\n";
-        for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
-            if (h.bucket(b) == 0)
-                continue;
-            os << prefix << name << ".bucket[" << Histogram::bucketLo(b)
-               << "-" << Histogram::bucketHi(b) << "] " << h.bucket(b)
-               << "\n";
-        }
-    }
-    for (const auto &[name, ts] : series) {
-        os << prefix << name << ".window " << ts.window() << "\n"
-           << prefix << name << ".windows " << ts.windows() << "\n"
-           << prefix << name << ".total " << ts.total() << "\n"
-           << prefix << name << ".mean_per_window " << std::fixed
-           << std::setprecision(2) << ts.meanPerWindow() << "\n";
-    }
 }
 
 void
@@ -151,10 +91,6 @@ StatGroup::reset()
         *p = 0;
     for (auto &[name, d] : distributions)
         d.reset();
-    for (auto &[name, h] : histograms)
-        h.reset();
-    for (auto &[name, ts] : series)
-        ts.reset();
 }
 
 } // namespace slip

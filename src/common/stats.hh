@@ -16,7 +16,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/logging.hh"
 
@@ -188,63 +187,6 @@ class Histogram
 };
 
 /**
- * Fixed-window time series: record(cycle, delta) accumulates deltas
- * into consecutive windows of `window` cycles, so a run's IPC (or any
- * rate) can be rendered over time instead of as one end-of-run
- * average. Storage grows one uint64_t per elapsed window.
- */
-class TimeSeries
-{
-  public:
-    explicit TimeSeries(uint64_t window = 1024)
-        : window_(window > 0 ? window : 1)
-    {
-    }
-
-    void
-    record(uint64_t cycle, uint64_t delta)
-    {
-        const size_t w = size_t(cycle / window_);
-        if (w >= sums_.size())
-            sums_.resize(w + 1, 0);
-        sums_[w] += delta;
-    }
-
-    uint64_t window() const { return window_; }
-    size_t windows() const { return sums_.size(); }
-
-    uint64_t
-    windowSum(size_t w) const
-    {
-        return w < sums_.size() ? sums_[w] : 0;
-    }
-
-    uint64_t
-    total() const
-    {
-        uint64_t t = 0;
-        for (uint64_t s : sums_)
-            t += s;
-        return t;
-    }
-
-    /** Mean delta per window over the recorded span. */
-    double
-    meanPerWindow() const
-    {
-        return sums_.empty()
-                   ? 0.0
-                   : static_cast<double>(total()) / sums_.size();
-    }
-
-    void reset() { sums_.clear(); }
-
-  private:
-    uint64_t window_;
-    std::vector<uint64_t> sums_;
-};
-
-/**
  * A registry of named counters and distributions. Components create
  * stats lazily by name; dump() prints them sorted for stable output.
  *
@@ -308,30 +250,13 @@ class StatGroup
     /** Find-or-create a distribution with the given name. */
     Distribution &distribution(const std::string &name);
 
-    /** Find-or-create a log2-bucketed histogram with the given name. */
-    Histogram &histogram(const std::string &name);
-
-    /**
-     * Find-or-create a time series. `window` applies on creation
-     * only; later calls return the existing series unchanged.
-     */
-    TimeSeries &timeSeries(const std::string &name,
-                           uint64_t window = 1024);
-
     /** Counter value, or 0 if the counter was never created. */
     uint64_t get(const std::string &name) const;
 
     /** Distribution lookup; panics if absent. */
     const Distribution &getDistribution(const std::string &name) const;
 
-    /** Histogram lookup; panics if absent. */
-    const Histogram &getHistogram(const std::string &name) const;
-
-    /** Time-series lookup; panics if absent. */
-    const TimeSeries &getTimeSeries(const std::string &name) const;
-
     bool hasCounter(const std::string &name) const;
-    bool hasHistogram(const std::string &name) const;
 
     /** Print all stats, one per line, prefixed with the group name. */
     void dump(std::ostream &os) const;
@@ -346,8 +271,6 @@ class StatGroup
     std::map<std::string, Counter> counters;
     std::map<std::string, uint64_t *> external;
     std::map<std::string, Distribution> distributions;
-    std::map<std::string, Histogram> histograms;
-    std::map<std::string, TimeSeries> series;
 };
 
 } // namespace slip

@@ -8,7 +8,6 @@
 #include "fuzz/minimize.hh"
 #include "fuzz/repro.hh"
 #include "harness/sim_runner.hh"
-#include "harness/wire.hh"
 
 namespace slip::fuzz
 {
@@ -16,7 +15,7 @@ namespace slip::fuzz
 namespace
 {
 
-/** Run one seed end to end (executes on a pool worker). */
+/** Run one seed end to end (a SimJobRunner job). */
 FuzzCase
 runSeed(uint64_t seed, const FuzzOptions &opt)
 {
@@ -89,34 +88,26 @@ runSeed(uint64_t seed, const FuzzOptions &opt)
 }
 
 /**
- * A sandboxed worker died on this seed: the crash *is* the finding.
- * The worker cannot write its own bundle (its handler may only
- * write(2) a CrashNote), so the supervisor regenerates the program
- * from the seed — generation is deterministic — and bundles it here.
+ * The runner's word on a seed whose job did not return normally: it
+ * threw past runSeed's own handling, hit the deadline, or (fork
+ * isolation) its worker died. A worker's death *is* the finding. The
+ * worker cannot write its own bundle (its handler may only write(2) a
+ * CrashNote), so the supervisor regenerates the program from the
+ * seed — generation is deterministic — and bundles it here.
  */
-FuzzCase
-crashCase(uint64_t seed, const FuzzOptions &opt,
-          const IsolatedOutcome &iso)
+void
+noteFailure(Outcome<FuzzCase> &o, uint64_t seed, const FuzzOptions &opt)
 {
-    FuzzCase c;
+    FuzzCase &c = o.record;
     c.seed = seed;
-    char scratch[32];
-    std::string how;
-    if (iso.status == IsolatedOutcome::Status::TimedOut) {
-        how = "sandboxed worker exceeded the trial deadline "
-              "(SIGKILLed)";
-    } else if (iso.signal) {
-        how = std::string("sandboxed worker killed by ") +
-              crashSignalName(iso.signal, scratch, sizeof(scratch));
-    } else {
-        how = "sandboxed worker exited with code " +
-              std::to_string(iso.exitCode);
-    }
-    c.error = how + " (phase " + trialPhaseName(iso.phase) + ")";
+    if (c.diverged || !c.error.empty())
+        return; // the partial record already says what went wrong
+    c.error = o.errorMessage.empty()
+                  ? std::string("job ") + jobStatusName(o.status)
+                  : o.errorMessage;
 
-    if (opt.bundleDir.empty() ||
-        iso.status != IsolatedOutcome::Status::Crashed)
-        return c;
+    if (opt.bundleDir.empty() || o.status != JobEnd::Status::Crashed)
+        return;
     try {
         ReproSpec spec;
         spec.seed = seed;
@@ -131,7 +122,6 @@ crashCase(uint64_t seed, const FuzzOptions &opt,
         SLIP_WARN("failed to bundle crashed fuzz seed ", seed, ": ",
                   e.what());
     }
-    return c;
 }
 
 } // namespace
@@ -148,6 +138,13 @@ runFuzz(const FuzzOptions &options)
                 .count());
     };
 
+    // Each seed runs once, in this process or (fork isolation) in a
+    // worker process; divergence bundles are written by the job, crash
+    // bundles by noteFailure().
+    SimJobRunner<FuzzCase> runner(options.jobs);
+    runner.setIsolation(options.isolation);
+    const uint64_t batchCap = std::max(16u, runner.jobs() * 4);
+
     FuzzSummary summary;
     uint64_t next = options.seedBegin;
     while (next < options.seedEnd) {
@@ -156,71 +153,20 @@ runFuzz(const FuzzOptions &options)
             break;
         }
 
-        SimJobRunner runner(options.jobs);
         const uint64_t batch =
-            std::min<uint64_t>(options.seedEnd - next,
-                               std::max(16u, runner.jobs() * 4));
-        std::vector<FuzzCase> cases(batch);
-
-        if (options.isolation == IsolationMode::Fork) {
-            // Sandboxed: each seed runs in a worker process. The case
-            // crosses back serialized (the in-process path's
-            // write-into-cases[i] side effect would die with the
-            // child); divergence bundles are written by the child
-            // (filesystem effects survive fork), crash bundles by the
-            // supervisor.
-            WorkerPoolOptions po;
-            po.workers = runner.jobs();
-            po.timeoutMs = runner.supervision().timeoutMs;
-            WorkerPool pool(po);
-            pool.run(
-                batch,
-                [&](size_t i, unsigned) {
-                    wire::Encoder enc;
-                    enc.put(runSeed(next + i, options));
-                    return enc.bytes();
-                },
-                [&](size_t i, const IsolatedOutcome &iso) {
-                    if (iso.ok()) {
-                        wire::Decoder dec(iso.payload);
-                        dec.get(cases[i]);
-                        return;
-                    }
-                    if (iso.status == IsolatedOutcome::Status::Crashed)
-                        ++summary.workerCrashes;
-                    cases[i] = crashCase(next + i, options, iso);
-                });
-        } else {
-            for (uint64_t i = 0; i < batch; ++i) {
-                const uint64_t seed = next + i;
-                runner.add([&cases, i, seed, &options] {
-                    cases[i] = runSeed(seed, options);
-                    RunMetrics m;
-                    m.model = "fuzz";
-                    m.outputCorrect = !cases[i].diverged;
-                    return m;
-                });
-            }
-            const std::vector<JobOutcome> outcomes =
-                runner.runSupervised();
-            for (uint64_t i = 0; i < batch; ++i) {
-                FuzzCase &c = cases[i];
-                if (!outcomes[i].ok() && c.error.empty() &&
-                    !c.diverged) {
-                    // The supervisor reaped the job (deadline) or it
-                    // threw outside runSeed's own handling.
-                    c.seed = next + i;
-                    c.error =
-                        outcomes[i].errorMessage.empty()
-                            ? std::string("job ") +
-                                  jobStatusName(outcomes[i].status)
-                            : outcomes[i].errorMessage;
-                }
-            }
-        }
-
+            std::min<uint64_t>(options.seedEnd - next, batchCap);
+        for (uint64_t i = 0; i < batch; ++i)
+            runner.add([seed = next + i, &options] {
+                return runSeed(seed, options);
+            });
+        std::vector<Outcome<FuzzCase>> outcomes = runner.runSupervised();
         for (uint64_t i = 0; i < batch; ++i) {
-            FuzzCase &c = cases[i];
+            Outcome<FuzzCase> &o = outcomes[i];
+            if (o.status == JobEnd::Status::Crashed)
+                ++summary.workerCrashes;
+            if (!o.ok())
+                noteFailure(o, next + i, options);
+            FuzzCase &c = o.record;
             ++summary.seedsRun;
             const bool diverged = c.diverged;
             if (c.diverged)

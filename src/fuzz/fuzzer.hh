@@ -3,10 +3,11 @@
  * The differential-fuzz campaign driver: generates one program per
  * seed, runs the three-way oracle on each, and — on divergence —
  * greedily minimizes the program and writes a self-contained repro
- * bundle. Seeds execute in parallel on the existing supervised
- * SimJobRunner pool; results are collected in seed order, so a
- * campaign's summary, reports, and bundles are byte-identical
- * whatever $SLIPSTREAM_JOBS says.
+ * bundle. Each seed is one job of a supervised SimJobRunner batch,
+ * run on the runner's threads or, under fork isolation, its worker
+ * processes; results are collected in seed order, so a campaign's
+ * summary, reports, and bundles are byte-identical whatever
+ * $SLIPSTREAM_JOBS and the isolation mode say.
  */
 
 #ifndef SLIPSTREAM_FUZZ_FUZZER_HH
@@ -75,7 +76,8 @@ struct FuzzCase
     std::string bundlePath; // written bundle, if any
     std::string error;      // infrastructure failure (not a divergence)
 
-    /** The worker-pool wire fields, in order (see harness/wire.hh). */
+    /** The wire fields, in order (see harness/wire.hh): a seed's
+     *  case crosses back from the runner's executor in these. */
     template <typename Self, typename Visit>
     static void
     fields(Self &self, Visit &&v)

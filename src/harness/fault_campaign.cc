@@ -1,7 +1,6 @@
 #include "harness/fault_campaign.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fcntl.h>
@@ -15,6 +14,7 @@
 
 #include "common/crash_report.hh"
 #include "common/env.hh"
+#include "common/fd_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -423,20 +423,12 @@ class TrialJournal
         // even if several campaigns share the journal file.
         const std::string bytes = (tornTail_ ? "\n" : "") + line + "\n";
         tornTail_ = false;
-        size_t off = 0;
-        while (off < bytes.size()) {
-            const ssize_t n =
-                ::write(fd_, bytes.data() + off, bytes.size() - off);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                SLIP_WARN("write to campaign journal '", path_,
-                          "' failed; journaling disabled");
-                ::close(fd_);
-                fd_ = -1;
-                return;
-            }
-            off += size_t(n);
+        if (!writeAll(fd_, bytes.data(), bytes.size())) {
+            SLIP_WARN("write to campaign journal '", path_,
+                      "' failed; journaling disabled");
+            ::close(fd_);
+            fd_ = -1;
+            return;
         }
         if (fsyncEach_)
             ::fsync(fd_);
@@ -775,11 +767,14 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
     // becomes a classified record instead of voiding the batch.
     // Journal lines commit in trial order, not completion order, so a
     // campaign journal is byte-identical across SLIPSTREAM_JOBS and
-    // isolation modes. At most workers-1 finished trials are held
-    // back awaiting a predecessor; a kill in that window re-runs them
-    // on resume instead of journaling them out of order. Trials
-    // restored by resume are already in the journal and only advance
-    // the cursor.
+    // isolation modes. A finished trial waits in memory until every
+    // earlier trial has finished, so one slow trial (a hung trial
+    // running to its cycle cap, say) holds back every trial that
+    // finishes while it runs, up to the rest of the campaign, in
+    // either isolation mode. A kill in that window re-runs them on
+    // resume instead of journaling them out of order. Trials restored
+    // by resume are already in the journal and only advance the
+    // cursor.
     std::vector<bool> journaled(specs.size(), false);
     for (size_t i = 0; i < specs.size(); ++i)
         journaled[i] = bool(done[i]);

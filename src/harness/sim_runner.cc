@@ -1,10 +1,13 @@
 #include "harness/sim_runner.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -13,7 +16,6 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "func/func_sim.hh"
-#include "harness/thread_pool.hh"
 #include "harness/wire.hh"
 #include "obs/trace_session.hh"
 
@@ -33,6 +35,12 @@ defaultJobs()
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
+}
+
+unsigned
+resolveJobs(unsigned jobs)
+{
+    return jobs > 0 ? jobs : defaultJobs();
 }
 
 Hash128
@@ -84,16 +92,16 @@ ProgramCache::global()
 }
 
 const char *
-jobStatusName(JobOutcome::Status status)
+jobStatusName(JobEnd::Status status)
 {
     switch (status) {
-      case JobOutcome::Status::Ok:
+      case JobEnd::Status::Ok:
         return "ok";
-      case JobOutcome::Status::Error:
+      case JobEnd::Status::Error:
         return "error";
-      case JobOutcome::Status::TimedOut:
+      case JobEnd::Status::TimedOut:
         return "timed_out";
-      case JobOutcome::Status::Crashed:
+      case JobEnd::Status::Crashed:
         return "crashed";
     }
     return "?";
@@ -107,6 +115,9 @@ Supervision::fromEnv()
     return s;
 }
 
+namespace
+{
+
 /**
  * One thread watching every in-flight job's wall-clock deadline.
  * watch() registers a token with deadline now+timeout; the thread
@@ -115,7 +126,7 @@ Supervision::fromEnv()
  * registration and cancellation share one mutex, so a token is never
  * touched after unwatch() returns.
  */
-class SimJobRunner::DeadlineWatchdog
+class DeadlineWatchdog
 {
     using Clock = std::chrono::steady_clock;
 
@@ -171,7 +182,10 @@ class SimJobRunner::DeadlineWatchdog
                 armed_.erase(earliest);
                 continue;
             }
-            cv_.wait_until(lock, earliest->second);
+            // Wait on a copy: unwatch() may erase the entry meanwhile,
+            // and wait_until reads its deadline again on waking.
+            const Clock::time_point deadline = earliest->second;
+            cv_.wait_until(lock, deadline);
         }
     }
 
@@ -183,32 +197,12 @@ class SimJobRunner::DeadlineWatchdog
     std::thread thread_;
 };
 
-SimJobRunner::SimJobRunner(unsigned jobs, Supervision supervision)
-    : jobs_(jobs > 0 ? jobs : defaultJobs()), supervision_(supervision),
-      isolation_(isolationFromEnv())
+/** Run one job on this thread, retrying retryable failures. */
+Outcome<std::string>
+executeOne(const EncodedJob &job, const Supervision &supervision,
+           DeadlineWatchdog *watchdog)
 {
-}
-
-size_t
-SimJobRunner::add(Job job)
-{
-    pending_.push_back(
-        [job = std::move(job)](const CancelToken &) { return job(); });
-    return pending_.size() - 1;
-}
-
-size_t
-SimJobRunner::add(CancellableJob job)
-{
-    pending_.push_back(std::move(job));
-    return pending_.size() - 1;
-}
-
-JobOutcome
-SimJobRunner::executeOne(const CancellableJob &job,
-                         DeadlineWatchdog *watchdog) const
-{
-    JobOutcome out;
+    Outcome<std::string> out;
     for (unsigned attempt = 1;; ++attempt) {
         out.attempts = attempt;
         CancelToken token;
@@ -216,13 +210,11 @@ SimJobRunner::executeOne(const CancellableJob &job,
             watchdog->watch(&token);
         obs::setTrialAttempt(attempt);
         try {
-            RunMetrics m = job(token);
+            out.record = job(token);
             if (watchdog)
                 watchdog->unwatch(&token);
-            out.metrics = std::move(m);
-            out.status = token.cancelled()
-                             ? JobOutcome::Status::TimedOut
-                             : JobOutcome::Status::Ok;
+            out.status = token.cancelled() ? JobEnd::Status::TimedOut
+                                           : JobEnd::Status::Ok;
             return out;
         } catch (...) {
             if (watchdog)
@@ -230,9 +222,7 @@ SimJobRunner::executeOne(const CancellableJob &job,
             if (token.cancelled()) {
                 // The deadline tripped mid-flight and the wind-down
                 // threw: the deadline is the story, not the throw.
-                out.status = JobOutcome::Status::TimedOut;
-                out.metrics = RunMetrics{};
-                out.metrics.cancelled = true;
+                out.status = JobEnd::Status::TimedOut;
                 return out;
             }
             const ErrorInfo info = classifyCurrentException();
@@ -240,173 +230,157 @@ SimJobRunner::executeOne(const CancellableJob &job,
             out.errorMessage = info.message;
             out.exception = std::current_exception();
             if (!errorRetryable(info.kind) ||
-                attempt > supervision_.retries) {
-                out.status = JobOutcome::Status::Error;
+                attempt > supervision.retries) {
+                out.status = JobEnd::Status::Error;
                 return out;
             }
             SLIP_WARN("retrying job after ",
                       errorKindName(info.kind), " failure (attempt ",
-                      attempt, " of ", supervision_.retries + 1,
+                      attempt, " of ", supervision.retries + 1,
                       "): ", info.message);
             std::this_thread::sleep_for(std::chrono::milliseconds(
-                supervision_.backoffMs << (attempt - 1)));
+                supervision.backoffMs << (attempt - 1)));
         }
     }
 }
 
+/** How a forked worker died, in words. */
+std::string
+workerDeathMessage(const IsolatedOutcome &iso)
+{
+    char scratch[32];
+    std::ostringstream msg;
+    if (iso.signal) {
+        msg << "worker killed by "
+            << crashSignalName(iso.signal, scratch, sizeof(scratch));
+        if (iso.faultAddr)
+            msg << " at 0x" << std::hex << iso.faultAddr << std::dec;
+    } else {
+        msg << "worker exited with code " << iso.exitCode;
+    }
+    msg << " (phase " << trialPhaseName(iso.phase) << ")";
+    return msg.str();
+}
+
 /**
- * Fork-isolation path: the jobs stay in this process's memory (the
+ * The in-process executor: min(jobs, batch size) threads, the caller
+ * among them, each claiming the next unclaimed job index.
+ */
+void
+runOnThreads(unsigned jobs, const Supervision &supervision,
+             const std::vector<EncodedJob> &batch,
+             const OnEncodedOutcome &onOutcome)
+{
+    std::unique_ptr<DeadlineWatchdog> watchdog;
+    if (supervision.timeoutMs > 0)
+        watchdog = std::make_unique<DeadlineWatchdog>(
+            std::chrono::milliseconds(supervision.timeoutMs));
+
+    std::atomic<size_t> next{0};
+    std::mutex outcomeMu; // serializes onOutcome across threads
+    std::exception_ptr failure; // onOutcome's first throw
+    const auto work = [&] {
+        for (size_t i; (i = next.fetch_add(1)) < batch.size();) {
+            Outcome<std::string> out =
+                executeOne(batch[i], supervision, watchdog.get());
+            std::lock_guard<std::mutex> lock(outcomeMu);
+            if (failure)
+                return;
+            try {
+                onOutcome(i, std::move(out));
+            } catch (...) {
+                failure = std::current_exception();
+                next = batch.size();
+            }
+        }
+    };
+
+    const size_t threads = std::min<size_t>(jobs, batch.size());
+    std::vector<std::thread> helpers;
+    try {
+        for (size_t t = 1; t < threads; ++t)
+            helpers.emplace_back(work);
+    } catch (const std::system_error &) {
+        // The system refused a thread: the ones running (the caller
+        // at least) still claim every job.
+    }
+    work();
+    for (std::thread &t : helpers)
+        t.join();
+    if (failure)
+        std::rethrow_exception(failure);
+}
+
+/**
+ * The fork executor: the jobs stay in this process's memory (the
  * workers inherit them copy-on-write at fork), only indices go down
- * the pipe and serialized JobOutcomes come back. The per-attempt
- * deadline is enforced by the supervisor with SIGKILL — cooperative
+ * the pipe and encoded outcomes come back. The per-attempt deadline
+ * is enforced by the supervisor with SIGKILL — cooperative
  * cancellation cannot cross a process boundary — and in-child retry
  * of retryable exceptions still applies, so classification matches
  * in-process execution.
  */
-std::vector<JobOutcome>
-SimJobRunner::runForkIsolated(const std::vector<CancellableJob> &batch,
-                              const OnOutcome &onOutcome) const
+void
+runForked(unsigned jobs, const Supervision &supervision,
+          const std::vector<EncodedJob> &batch,
+          const OnEncodedOutcome &onOutcome)
 {
     WorkerPoolOptions opts;
-    opts.workers = jobs_;
-    opts.timeoutMs = supervision_.timeoutMs;
+    opts.workers = jobs;
+    opts.timeoutMs = supervision.timeoutMs;
     WorkerPool pool(opts);
-
-    std::vector<JobOutcome> outcomes(batch.size());
 
     const auto execute = [&](size_t job, unsigned) -> std::string {
         // Worker child. No watchdog: the parent holds the deadline.
         setCrashContext(job, TrialPhase::Run);
-        const JobOutcome out = executeOne(batch[job], nullptr);
         wire::Encoder enc;
-        enc.put(out);
+        enc.put(executeOne(batch[job], supervision, nullptr));
         return enc.bytes();
     };
 
     const auto collect = [&](size_t job, const IsolatedOutcome &iso) {
-        JobOutcome out;
+        Outcome<std::string> out;
         switch (iso.status) {
           case IsolatedOutcome::Status::Ok: {
             wire::Decoder dec(iso.payload);
             dec.get(out);
             break;
           }
-          case IsolatedOutcome::Status::Crashed: {
-            out.status = JobOutcome::Status::Crashed;
+          case IsolatedOutcome::Status::Crashed:
+            out.status = JobEnd::Status::Crashed;
             out.errorKind = ErrorKind::InternalError;
+            out.errorMessage = workerDeathMessage(iso);
             out.termSignal = iso.signal;
             out.termExitCode = iso.exitCode;
             out.crashAddr = iso.faultAddr;
             out.crashPhase = iso.phase;
             out.poisoned = iso.poisoned;
-            char scratch[32];
-            std::ostringstream msg;
-            if (iso.signal) {
-                msg << "worker killed by "
-                    << crashSignalName(iso.signal, scratch,
-                                       sizeof(scratch));
-                if (iso.faultAddr)
-                    msg << " at 0x" << std::hex << iso.faultAddr
-                        << std::dec;
-            } else {
-                msg << "worker exited with code " << iso.exitCode;
-            }
-            msg << " (phase " << trialPhaseName(iso.phase) << ")";
-            out.errorMessage = msg.str();
             break;
-          }
           case IsolatedOutcome::Status::TimedOut:
-            out.status = JobOutcome::Status::TimedOut;
-            out.metrics.cancelled = true;
+            out.status = JobEnd::Status::TimedOut;
             out.crashPhase = iso.phase;
             break;
         }
         out.attempts = std::max(out.attempts, iso.attempts);
-        outcomes[job] = std::move(out);
-        if (onOutcome)
-            onOutcome(job, outcomes[job]);
+        onOutcome(job, std::move(out));
     };
 
     pool.run(batch.size(), execute, collect);
-    return outcomes;
 }
 
-std::vector<JobOutcome>
-SimJobRunner::runSupervised(const OnOutcome &onOutcome)
+} // namespace
+
+void
+runEncodedJobs(unsigned jobs, const Supervision &supervision,
+               IsolationMode isolation, const std::vector<EncodedJob> &batch,
+               const OnEncodedOutcome &onOutcome)
 {
-    std::vector<CancellableJob> batch;
-    batch.swap(pending_);
-
-    if (isolation_ == IsolationMode::Fork && !batch.empty())
-        return runForkIsolated(batch, onOutcome);
-
-    std::vector<JobOutcome> outcomes(batch.size());
-
-    std::unique_ptr<DeadlineWatchdog> watchdog;
-    if (supervision_.timeoutMs > 0)
-        watchdog = std::make_unique<DeadlineWatchdog>(
-            std::chrono::milliseconds(supervision_.timeoutMs));
-
-    std::mutex outcomeMu; // serializes onOutcome across workers
-    const auto finish = [&](size_t i) {
-        outcomes[i] = executeOne(batch[i], watchdog.get());
-        if (onOutcome) {
-            std::lock_guard<std::mutex> lock(outcomeMu);
-            onOutcome(i, outcomes[i]);
-        }
-    };
-
-    if (jobs_ <= 1 || batch.size() <= 1) {
-        // Serial baseline: no pool, no thread hop (the deadline
-        // watchdog still runs — a stuck inline job is reaped too).
-        for (size_t i = 0; i < batch.size(); ++i)
-            finish(i);
-        return outcomes;
-    }
-
-    ThreadPool pool(jobs_);
-    for (size_t i = 0; i < batch.size(); ++i)
-        pool.submit([&, i] { finish(i); });
-    pool.wait();
-    return outcomes;
-}
-
-std::vector<RunMetrics>
-SimJobRunner::run()
-{
-    std::vector<JobOutcome> outcomes = runSupervised();
-
-    std::vector<RunMetrics> results;
-    results.reserve(outcomes.size());
-    std::exception_ptr firstError;
-    std::string firstErrorMessage;
-    size_t firstTimeout = outcomes.size();
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        JobOutcome &o = outcomes[i];
-        const bool failed = o.status == JobOutcome::Status::Error ||
-                            o.status == JobOutcome::Status::Crashed;
-        if (failed && !firstError && firstErrorMessage.empty()) {
-            // Fork-isolated failures carry no exception_ptr (it
-            // cannot cross the process boundary); keep the message.
-            firstError = o.exception;
-            firstErrorMessage = "job " + std::to_string(i) + ": " +
-                                o.errorMessage;
-        }
-        if (o.status == JobOutcome::Status::TimedOut &&
-            firstTimeout == outcomes.size())
-            firstTimeout = i;
-        results.push_back(std::move(o.metrics));
-    }
-    if (firstError)
-        std::rethrow_exception(firstError);
-    if (!firstErrorMessage.empty())
-        throw FatalError(firstErrorMessage);
-    if (firstTimeout != outcomes.size())
-        SLIP_FATAL("job ", firstTimeout, " exceeded the ",
-                   supervision_.timeoutMs,
-                   " ms trial deadline (SLIPSTREAM_TRIAL_TIMEOUT_MS); "
-                   "use runSupervised() to tolerate timeouts");
-    return results;
+    if (batch.empty())
+        return;
+    if (isolation == IsolationMode::Fork)
+        runForked(jobs, supervision, batch, onOutcome);
+    else
+        runOnThreads(jobs, supervision, batch, onOutcome);
 }
 
 } // namespace slip

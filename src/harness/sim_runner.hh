@@ -1,26 +1,30 @@
 /**
  * @file
- * The parallel experiment engine: simulation runs in a grid (workload
- * x model x configuration) are independent, so the harness expresses
- * each run as a job and executes the jobs on a work-stealing thread
- * pool. Three pieces:
+ * The one batch runner. Simulation runs in a grid (workload x model x
+ * configuration), fault-campaign trials and fuzz seeds are independent
+ * jobs, and every batch of them runs here. Three pieces:
  *
- *  - defaultJobs(): worker-count policy ($SLIPSTREAM_JOBS, else the
- *    hardware concurrency).
+ *  - defaultJobs() / resolveJobs(): worker-count policy
+ *    ($SLIPSTREAM_JOBS, else the hardware concurrency).
  *  - ProgramCache: a process-wide memo of assembled programs, their
  *    golden (functional-simulator) outputs and image digests, keyed
  *    by workload name + size. Assembly, golden execution and hashing
  *    happen exactly once per workload even when many jobs share it,
  *    and the resulting Entry is immutable, so jobs on different
  *    threads share it freely.
- *  - SimJobRunner: collects RunMetrics-producing jobs and runs them
- *    across the pool, returning results in submission order — output
- *    is byte-identical whatever the worker count, because each job is
- *    a pure function of const inputs. Batches are *supervised*: each
- *    job yields a per-job Outcome (ok / error / timed-out) so one
- *    failure never voids its siblings, a wall-clock deadline reaps
- *    stuck jobs via cooperative cancellation, and retryably-failing
- *    jobs re-run with bounded backoff.
+ *  - SimJobRunner: runs jobs that each return a record (RunMetrics, or
+ *    any record with a fields() list) and returns the records in
+ *    submission order — output is byte-identical whatever the worker
+ *    count, because each job is a pure function of const inputs. An
+ *    in-process batch runs on plain threads that claim job indices in
+ *    order from one counter; a fork-isolated batch runs on the worker
+ *    processes of harness/worker_pool.hh. Either way each record
+ *    travels as its wire bytes and one decoder reads it, so the
+ *    isolation mode only picks the executor. Batches are *supervised*:
+ *    each job yields an outcome (ok / error / timed-out / crashed) so
+ *    one failure never voids its siblings, a wall-clock deadline reaps
+ *    stuck jobs, and retryably-failing jobs re-run with bounded
+ *    backoff.
  */
 
 #ifndef SLIPSTREAM_HARNESS_SIM_RUNNER_HH
@@ -33,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "assembler/program.hh"
@@ -40,6 +45,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "harness/experiment.hh"
+#include "harness/wire.hh"
 #include "harness/worker_pool.hh"
 #include "workloads/workloads.hh"
 
@@ -53,6 +59,10 @@ namespace slip
  * tests can override per-run.
  */
 unsigned defaultJobs();
+
+/** The worker count a batch asking for `jobs` gets: `jobs`, or
+ *  defaultJobs() when it is 0. */
+unsigned resolveJobs(unsigned jobs);
 
 /**
  * The identity of an assembled program image: a hash of its entry pc,
@@ -97,16 +107,17 @@ class ProgramCache
 };
 
 /**
- * How one supervised job ended. `ok` carries the full metrics;
- * `timed_out` means the supervisor's wall-clock deadline reaped the
- * job (metrics hold whatever partial state the cancelled run
- * returned); `error` means the job threw, with the exception
- * classified (common/logging taxonomy) and preserved for rethrow;
- * `crashed` (fork isolation only) means the worker process running
- * the job died — signal, exit code, faulting address, and last-known
- * phase come from the supervisor's triage.
+ * How one supervised job ended, apart from the record it returned.
+ * `ok`: the job returned. `timed_out`: the supervisor's wall-clock
+ * deadline reaped the job (its record holds whatever partial state the
+ * cancelled run returned, if it returned at all). `error`: the job
+ * threw; the exception is classified (common/logging taxonomy) and,
+ * in-process, preserved for rethrow. `crashed` (fork isolation only):
+ * the worker process running the job died; signal, exit code, faulting
+ * address and last-known phase come from the supervisor's triage, and
+ * errorMessage says how the worker died.
  */
-struct JobOutcome
+struct JobEnd
 {
     enum class Status : uint8_t
     {
@@ -117,12 +128,11 @@ struct JobOutcome
     };
 
     Status status = Status::Ok;
-    RunMetrics metrics;
 
-    // Error only.
+    // Error and Crashed.
     ErrorKind errorKind = ErrorKind::Unknown;
     std::string errorMessage;
-    std::exception_ptr exception;
+    std::exception_ptr exception; // Error, in-process only
 
     // Crashed only (fork isolation): worker-death triage.
     int termSignal = 0;   // terminating signal, 0 if it _exit()ed
@@ -135,6 +145,17 @@ struct JobOutcome
     unsigned attempts = 1;
 
     bool ok() const { return status == Status::Ok; }
+};
+
+/**
+ * A finished job: how it ended, and the record it returned
+ * (default-constructed when it returned none: it threw, crashed, or
+ * was killed at its deadline).
+ */
+template <typename Record>
+struct Outcome : JobEnd
+{
+    Record record;
 
     /**
      * The wire fields, in order (see harness/wire.hh). The exception
@@ -145,7 +166,7 @@ struct JobOutcome
     fields(Self &self, Visit &&v)
     {
         v("job status", self.status);
-        v("metrics", self.metrics);
+        v("record", self.record);
         v("error kind", self.errorKind);
         v("error message", self.errorMessage);
         v("signal", self.termSignal);
@@ -157,15 +178,21 @@ struct JobOutcome
     }
 };
 
-/** The greatest job status (the wire decoder's range check). */
-constexpr JobOutcome::Status
-lastEnumerator(JobOutcome::Status)
+/** A finished simulation job; its record is named `metrics`. */
+struct JobOutcome : JobEnd
 {
-    return JobOutcome::Status::Crashed;
+    RunMetrics metrics;
+};
+
+/** The greatest job status (the wire decoder's range check). */
+constexpr JobEnd::Status
+lastEnumerator(JobEnd::Status)
+{
+    return JobEnd::Status::Crashed;
 }
 
 /** "ok", "error", "timed_out", "crashed". */
-const char *jobStatusName(JobOutcome::Status status);
+const char *jobStatusName(JobEnd::Status status);
 
 /**
  * Per-job supervision policy for a batch: a wall-clock deadline
@@ -191,90 +218,182 @@ struct Supervision
     static Supervision fromEnv();
 };
 
+/** A job of the untyped core: it returns its record's wire bytes. */
+using EncodedJob = std::function<std::string(const CancelToken &)>;
+
+/** Called once per finished job of the untyped core. */
+using OnEncodedOutcome =
+    std::function<void(size_t, Outcome<std::string> &&)>;
+
 /**
- * Runs a batch of simulation jobs on a thread pool. Usage:
+ * The untyped core every SimJobRunner batch runs through. Executes
+ * `batch` under `supervision` on min(jobs, batch size) threads (the
+ * calling thread among them, each claiming the next job index in
+ * order) or, under fork isolation, on as many worker processes; each
+ * finished job's outcome, its record still wire bytes, goes to
+ * `onOutcome` (serialized, in completion order). An exception thrown
+ * by `onOutcome` stops the batch and is rethrown here.
+ */
+void runEncodedJobs(unsigned jobs, const Supervision &supervision,
+                    IsolationMode isolation,
+                    const std::vector<EncodedJob> &batch,
+                    const OnEncodedOutcome &onOutcome);
+
+/**
+ * Runs a batch of jobs that each return a Record: RunMetrics by
+ * default, or any record with a fields() list. Usage:
  *
  *   SimJobRunner runner;                   // defaultJobs() workers
  *   for (...) runner.add([=] { return runSS(...); });
  *   std::vector<RunMetrics> results = runner.run();
  *
  * Results come back in add() order regardless of completion order.
- * With jobs() == 1 the batch executes inline on the calling thread —
- * a true serial baseline with no pool machinery.
+ * Each job's record crosses to the caller as its wire bytes whether it
+ * ran on a thread or in a forked worker, and one decoder reads it, so
+ * the isolation mode only picks the executor. With jobs() == 1 an
+ * in-process batch runs on the calling thread alone.
  *
- * runSupervised() is the resilient form: every job yields a
- * JobOutcome, so one failing or hung trial never voids its siblings'
- * results. Jobs may take a CancelToken (polled by the simulators'
- * cycle loops) so the deadline watchdog can reap a stuck trial
- * without killing the process. The legacy run() keeps its original
- * contract — the first-added error is rethrown — but is now a
- * wrapper over runSupervised(), so supervision (timeouts, retries)
- * applies there too.
+ * runSupervised() is the resilient form: every job yields an outcome
+ * (JobOutcome for RunMetrics, Outcome<Record> for other records), so
+ * one failing or hung job never voids its siblings' results. Jobs may
+ * take a CancelToken (polled by the simulators' cycle loops) so the
+ * deadline watchdog can reap a stuck trial without killing the
+ * process. run() rethrows the first-added job error instead, and a
+ * timed-out job raises fatal().
  */
+template <typename Record = RunMetrics>
 class SimJobRunner
 {
   public:
-    using Job = std::function<RunMetrics()>;
-    using CancellableJob = std::function<RunMetrics(const CancelToken &)>;
+    using Job = std::function<Record()>;
+    using CancellableJob = std::function<Record(const CancelToken &)>;
+    using Result =
+        std::conditional_t<std::is_same_v<Record, RunMetrics>, JobOutcome,
+                           Outcome<Record>>;
 
     /** Called once per finished job (serialized, any thread). */
-    using OnOutcome = std::function<void(size_t, const JobOutcome &)>;
+    using OnOutcome = std::function<void(size_t, const Result &)>;
 
     /** `jobs` == 0 means defaultJobs(). Isolation defaults to
      *  $SLIPSTREAM_ISOLATION (none when unset). */
     explicit SimJobRunner(unsigned jobs = 0,
-                          Supervision supervision = Supervision::fromEnv());
+                          Supervision supervision = Supervision::fromEnv())
+        : jobs_(resolveJobs(jobs)), supervision_(supervision),
+          isolation_(isolationFromEnv())
+    {
+    }
 
     /**
      * Select how jobs are sandboxed. Fork isolation executes each job
      * in a worker *process* (harness/worker_pool.hh): a job that
      * SIGSEGVs or gets OOM-killed becomes a `crashed` outcome instead
-     * of taking the harness down. Results are byte-identical to
-     * in-process execution for jobs that complete (the wire codec
-     * round-trips RunMetrics exactly); crashes and timeouts differ
-     * only in how much partial state survives.
+     * of taking the harness down. Jobs that complete return the same
+     * records in both modes; crashes and timeouts differ only in how
+     * much partial state survives.
      */
     void setIsolation(IsolationMode mode) { isolation_ = mode; }
     IsolationMode isolation() const { return isolation_; }
 
     /** Queue one job; returns its index in the result vector. */
-    size_t add(Job job);
+    size_t
+    add(Job job)
+    {
+        return add(CancellableJob(
+            [job = std::move(job)](const CancelToken &) { return job(); }));
+    }
 
     /** Queue one cancellation-aware job. */
-    size_t add(CancellableJob job);
+    size_t
+    add(CancellableJob job)
+    {
+        pending_.push_back(
+            [job = std::move(job)](const CancelToken &cancel) {
+                wire::Encoder enc;
+                enc.put(job(cancel));
+                return enc.bytes();
+            });
+        return pending_.size() - 1;
+    }
+
+    /**
+     * Execute all queued jobs, returning one outcome per job in add()
+     * order; clears the queue. Never throws on job failure.
+     * `onOutcome` (optional) fires as each job finishes — callers
+     * journal completed trials through it.
+     */
+    std::vector<Result>
+    runSupervised(const OnOutcome &onOutcome = {})
+    {
+        std::vector<EncodedJob> batch;
+        batch.swap(pending_);
+        std::vector<Result> outcomes(batch.size());
+        runEncodedJobs(
+            jobs_, supervision_, isolation_, batch,
+            [&](size_t i, Outcome<std::string> &&encoded) {
+                Result &o = outcomes[i];
+                if (!encoded.record.empty()) {
+                    wire::Decoder dec(encoded.record);
+                    dec.get(recordOf(o));
+                }
+                static_cast<JobEnd &>(o) = std::move(encoded);
+                if (onOutcome)
+                    onOutcome(i, o);
+            });
+        return outcomes;
+    }
 
     /**
      * Execute all queued jobs; clears the queue. Rethrows the
      * first-added job error; a timed-out job raises fatal().
      */
-    std::vector<RunMetrics> run();
-
-    /**
-     * Execute all queued jobs, returning one JobOutcome per job in
-     * add() order; clears the queue. Never throws on job failure.
-     * `onOutcome` (optional) fires as each job finishes — callers
-     * journal completed trials through it.
-     */
-    std::vector<JobOutcome> runSupervised(const OnOutcome &onOutcome = {});
+    std::vector<Record>
+    run()
+    {
+        std::vector<Result> outcomes = runSupervised();
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            const Result &o = outcomes[i];
+            if (o.status != JobEnd::Status::Error &&
+                o.status != JobEnd::Status::Crashed)
+                continue;
+            if (o.exception)
+                std::rethrow_exception(o.exception);
+            // Fork-isolated failures carry no exception_ptr (it cannot
+            // cross the process boundary); keep the message.
+            throw FatalError("job " + std::to_string(i) + ": " +
+                             o.errorMessage);
+        }
+        std::vector<Record> results;
+        results.reserve(outcomes.size());
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            if (outcomes[i].status == JobEnd::Status::TimedOut)
+                SLIP_FATAL("job ", i, " exceeded the ",
+                           supervision_.timeoutMs,
+                           " ms trial deadline "
+                           "(SLIPSTREAM_TRIAL_TIMEOUT_MS); use "
+                           "runSupervised() to tolerate timeouts");
+            results.push_back(std::move(recordOf(outcomes[i])));
+        }
+        return results;
+    }
 
     unsigned jobs() const { return jobs_; }
     size_t pending() const { return pending_.size(); }
     const Supervision &supervision() const { return supervision_; }
 
   private:
-    class DeadlineWatchdog;
-
-    JobOutcome executeOne(const CancellableJob &job,
-                          DeadlineWatchdog *watchdog) const;
-
-    std::vector<JobOutcome>
-    runForkIsolated(const std::vector<CancellableJob> &batch,
-                    const OnOutcome &onOutcome) const;
+    static Record &
+    recordOf(Result &o)
+    {
+        if constexpr (std::is_same_v<Record, RunMetrics>)
+            return o.metrics;
+        else
+            return o.record;
+    }
 
     unsigned jobs_;
     Supervision supervision_;
     IsolationMode isolation_;
-    std::vector<CancellableJob> pending_;
+    std::vector<EncodedJob> pending_;
 };
 
 } // namespace slip

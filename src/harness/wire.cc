@@ -1,9 +1,8 @@
 #include "harness/wire.hh"
 
-#include <cerrno>
 #include <cstring>
-#include <unistd.h>
 
+#include "common/fd_io.hh"
 #include "common/logging.hh"
 
 namespace slip::wire
@@ -118,44 +117,6 @@ Decoder::getString()
 
 namespace
 {
-
-bool
-writeAll(int fd, const void *data, size_t len)
-{
-    const char *p = static_cast<const char *>(data);
-    while (len > 0) {
-        const ssize_t n = write(fd, p, len);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += n;
-        len -= size_t(n);
-    }
-    return true;
-}
-
-/** 1 = full read, 0 = clean EOF before the first byte, -1 = torn. */
-int
-readAll(int fd, void *data, size_t len)
-{
-    char *p = static_cast<char *>(data);
-    size_t have = 0;
-    while (have < len) {
-        const ssize_t n = read(fd, p + have, len - have);
-        if (n > 0) {
-            have += size_t(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n == 0)
-            return have == 0 ? 0 : -1;
-        return -1;
-    }
-    return 1;
-}
 
 struct FrameHeader
 {

@@ -10,7 +10,7 @@
  * durable state. Jobs are closures registered *before* fork, so the
  * children inherit them copy-on-write and only job indices cross the
  * pipe going down; results come back as opaque serialized payloads
- * (the caller layers its codec — JobOutcome, FuzzCase — on top).
+ * (SimJobRunner, the pool's one user, layers its codec on top).
  *
  * Supervision per worker:
  *  - a request pipe (supervisor -> worker) carrying JobRequest frames,
@@ -45,7 +45,7 @@ namespace slip
 /** How trial execution is sandboxed. */
 enum class IsolationMode : uint8_t
 {
-    None, // in-process (thread pool) — crashes kill the campaign
+    None, // in-process (the runner's threads) — crashes kill the campaign
     Fork, // one forked worker process per in-flight trial
 };
 

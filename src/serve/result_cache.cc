@@ -14,6 +14,7 @@
 
 #include "common/atomic_write.hh"
 #include "common/env.hh"
+#include "common/fd_io.hh"
 #include "common/logging.hh"
 #include "obs/trace_session.hh"
 
@@ -68,22 +69,6 @@ lineChecksum(const std::string &line)
     return h ^ (h >> 32);
 }
 
-/** Read exactly `len` bytes; false on EOF or an I/O error. */
-bool
-readAll(int fd, char *p, size_t len)
-{
-    while (len > 0) {
-        const ssize_t n = ::read(fd, p, len);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return false;
-        p += n;
-        len -= size_t(n);
-    }
-    return true;
-}
-
 /**
  * Read the entry open on `fd` into `line` and verify it against
  * `key`. Returns nullptr when it is intact, else what is wrong.
@@ -102,7 +87,7 @@ readEntry(int fd, const CacheKey &key, std::string &line)
     if (size - sizeof(EntryHeader) > kMaxLine)
         return "oversized";
     line.resize(size);
-    if (!readAll(fd, line.data(), size))
+    if (readAll(fd, line.data(), size) != 1)
         return "short read";
     EntryHeader hdr;
     std::memcpy(&hdr, line.data(), sizeof(hdr));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <csignal>
+#include <type_traits>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -14,6 +15,7 @@
 #include "assembler/assembler.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "fuzz/fuzzer.hh"
 #include "fuzz/generator.hh"
 #include "fuzz/oracle.hh"
 #include "harness/sim_runner.hh"
@@ -82,7 +84,7 @@ fuzzTrialKey(const BatchRequest &req, uint64_t seed,
 /** One fuzz seed as a canonical JSONL line (no newline). */
 std::string
 fuzzTrialLine(const BatchRequest &req, uint64_t seed,
-              const JobOutcome &o)
+              const Outcome<fuzz::FuzzCase> &o)
 {
     std::string line = "{\"campaign\":\"" + jsonEscape(req.name) +
                        "\",\"kind\":\"fuzz\",\"seed\":" +
@@ -90,11 +92,28 @@ fuzzTrialLine(const BatchRequest &req, uint64_t seed,
     line += ",\"status\":\"";
     line += jobStatusName(o.status);
     line += "\"";
-    if (o.status == JobOutcome::Status::Ok)
+    if (o.ok())
         line += std::string(",\"diverged\":") +
-                (o.metrics.outputCorrect ? "0" : "1");
+                (o.record.diverged ? "1" : "0");
     line += "}";
     return line;
+}
+
+/**
+ * One fuzz seed's job: the three-way oracle on the seed's generated
+ * program. An exception escapes to the runner, so a seed the oracle
+ * cannot run reads `"status":"error"`.
+ */
+fuzz::FuzzCase
+runFuzzSeed(uint64_t seed)
+{
+    const fuzz::OracleVerdict v =
+        fuzz::runOracle(assemble(fuzz::generate(seed).render()));
+    fuzz::FuzzCase c;
+    c.seed = seed;
+    c.diverged = v.diverged;
+    c.report = v.report;
+    return c;
 }
 
 } // namespace
@@ -340,56 +359,6 @@ Server::handleBatch(int fd, const BatchRequest &req)
         waveHits = 0;
     };
 
-    // Dispatch one wave of campaign-style specs (cache probe, then
-    // the misses on the pool), streaming every finished line.
-    const auto runSpecWave =
-        [&](const FaultCampaignConfig &cfg,
-            const std::vector<CampaignTrialSpec> &specs, size_t lo,
-            size_t hi) {
-            std::vector<size_t> missIdx;
-            std::vector<CacheKey> missKey;
-            std::string line;
-            for (size_t i = lo; i < hi; ++i) {
-                const CacheKey key =
-                    campaignTrialKey(cfg, specs[i], i);
-                if (cache_->lookup(key, line)) {
-                    addHit(i, line);
-                } else {
-                    SLIP_TRACE(obs::Category::Serve,
-                               obs::Name::CacheMiss,
-                               obs::Phase::Instant, req.id, i);
-                    missIdx.push_back(i);
-                    missKey.push_back(key);
-                }
-            }
-            flushHits();
-            if (missIdx.empty() || clientGone)
-                return;
-            SimJobRunner runner(opts_.workers);
-            runner.setIsolation(opts_.isolation);
-            for (const size_t i : missIdx) {
-                const CampaignTrialSpec *s = &specs[i];
-                runner.add([&cfg, s, i](const CancelToken &cancel) {
-                    return runCampaignTrial(cfg, *s, i, cancel);
-                });
-            }
-            runner.runSupervised([&](size_t job,
-                                     const JobOutcome &o) {
-                const size_t i = missIdx[job];
-                const TrialRecord t =
-                    recordCampaignTrial(cfg, specs[i], i, o);
-                const std::string line =
-                    campaignTrialLine(cfg, i, t);
-                cache_->store(missKey[job], line);
-                if (!sendTrialResult(fd, {req.id, i, false, line}))
-                    clientGone = true;
-                ++done.completed;
-                ++done.cacheMisses;
-            });
-            std::lock_guard<std::mutex> lock(statsMu_);
-            stats_.trialsRun += missIdx.size();
-        };
-
     // Between waves: did the client revoke the rest of the batch?
     const auto checkCancel = [&] {
         while (!clientGone && pollReadable(fd, 0)) {
@@ -408,6 +377,60 @@ Server::handleBatch(int fd, const BatchRequest &req)
         }
     };
 
+    // Every batch kind runs its trials [0, count) the same way, one
+    // wave at a time: probe the wave's keys in the cache and send the
+    // hits, run the misses on the runner, and stream each finished
+    // line. Only the trial key, the job, and the line differ by kind.
+    const size_t wave = opts_.waveSize
+                            ? opts_.waveSize
+                            : size_t(4) * resolveJobs(opts_.workers);
+    const auto runWaves = [&](size_t count, const auto &keyOf,
+                              const auto &job, const auto &lineOf) {
+        using Record = std::invoke_result_t<decltype(job), size_t,
+                                            const CancelToken &>;
+        for (size_t lo = 0; lo < count && !cancelled && !clientGone &&
+                            !stopping_.load();) {
+            const size_t hi = std::min(lo + wave, count);
+            std::vector<size_t> missIdx;
+            std::vector<CacheKey> missKey;
+            std::string line;
+            for (size_t i = lo; i < hi; ++i) {
+                const CacheKey key = keyOf(i);
+                if (cache_->lookup(key, line)) {
+                    addHit(i, line);
+                } else {
+                    SLIP_TRACE(obs::Category::Serve,
+                               obs::Name::CacheMiss,
+                               obs::Phase::Instant, req.id, i);
+                    missIdx.push_back(i);
+                    missKey.push_back(key);
+                }
+            }
+            flushHits();
+            if (!missIdx.empty() && !clientGone) {
+                SimJobRunner<Record> runner(opts_.workers);
+                runner.setIsolation(opts_.isolation);
+                for (const size_t i : missIdx)
+                    runner.add([&job, i](const CancelToken &cancel) {
+                        return job(i, cancel);
+                    });
+                runner.runSupervised([&](size_t j, const auto &o) {
+                    const size_t i = missIdx[j];
+                    const std::string line = lineOf(i, o);
+                    cache_->store(missKey[j], line);
+                    if (!sendTrialResult(fd, {req.id, i, false, line}))
+                        clientGone = true;
+                    ++done.completed;
+                    ++done.cacheMisses;
+                });
+                std::lock_guard<std::mutex> lock(statsMu_);
+                stats_.trialsRun += missIdx.size();
+            }
+            lo = hi;
+            checkCancel();
+        }
+    };
+
     try {
         if (req.kind == BatchKind::Campaign ||
             req.kind == BatchKind::Bench) {
@@ -420,87 +443,35 @@ Server::handleBatch(int fd, const BatchRequest &req)
                 for (CampaignTrialSpec &spec : specs)
                     spec.plans.clear();
             totalTrials = specs.size();
-            const size_t wave =
-                opts_.waveSize
-                    ? opts_.waveSize
-                    : size_t(4) * SimJobRunner(opts_.workers).jobs();
-            for (size_t next = 0;
-                 next < specs.size() && !cancelled && !clientGone &&
-                 !stopping_.load();
-                 ) {
-                const size_t hi =
-                    std::min(next + wave, specs.size());
-                runSpecWave(cfg, specs, next, hi);
-                next = hi;
-                checkCancel();
-            }
+            runWaves(
+                specs.size(),
+                [&](size_t i) { return campaignTrialKey(cfg, specs[i], i); },
+                [&](size_t i, const CancelToken &cancel) {
+                    return runCampaignTrial(cfg, specs[i], i, cancel);
+                },
+                [&](size_t i, const JobOutcome &o) {
+                    return campaignTrialLine(
+                        cfg, i, recordCampaignTrial(cfg, specs[i], i, o));
+                });
         } else if (req.kind == BatchKind::Fuzz) {
             totalTrials = req.seedEnd > req.seedBegin
                               ? size_t(req.seedEnd - req.seedBegin)
                               : 0;
-            const size_t wave =
-                opts_.waveSize
-                    ? opts_.waveSize
-                    : size_t(4) * SimJobRunner(opts_.workers).jobs();
-            for (uint64_t next = req.seedBegin;
-                 next < req.seedEnd && !cancelled && !clientGone &&
-                 !stopping_.load();
-                 ) {
-                const uint64_t hi =
-                    std::min<uint64_t>(next + wave, req.seedEnd);
-                // Generate first: the rendered source is both the
-                // cache identity and the job input.
-                std::vector<uint64_t> seeds;
-                std::vector<std::string> sources;
-                std::vector<CacheKey> keys;
-                std::string line;
-                for (uint64_t s = next; s < hi; ++s) {
-                    const std::string src =
-                        fuzz::generate(s).render();
-                    const CacheKey key = fuzzTrialKey(req, s, src);
-                    if (cache_->lookup(key, line)) {
-                        addHit(s - req.seedBegin, line);
-                    } else {
-                        seeds.push_back(s);
-                        sources.push_back(src);
-                        keys.push_back(key);
-                    }
-                }
-                flushHits();
-                if (!seeds.empty() && !clientGone) {
-                    SimJobRunner runner(opts_.workers);
-                    runner.setIsolation(opts_.isolation);
-                    for (const std::string &src : sources) {
-                        runner.add([src](const CancelToken &) {
-                            const Program p = assemble(src);
-                            const fuzz::OracleVerdict v =
-                                fuzz::runOracle(p);
-                            RunMetrics m;
-                            m.model = "fuzz_oracle";
-                            m.outputCorrect = !v.diverged;
-                            m.outputBytes = v.report.size();
-                            return m;
-                        });
-                    }
-                    runner.runSupervised([&](size_t job,
-                                             const JobOutcome &o) {
-                        const uint64_t s = seeds[job];
-                        const std::string line =
-                            fuzzTrialLine(req, s, o);
-                        cache_->store(keys[job], line);
-                        if (!sendTrialResult(
-                                fd, {req.id, s - req.seedBegin,
-                                     false, line}))
-                            clientGone = true;
-                        ++done.completed;
-                        ++done.cacheMisses;
-                    });
-                    std::lock_guard<std::mutex> lock(statsMu_);
-                    stats_.trialsRun += seeds.size();
-                }
-                next = hi;
-                checkCancel();
-            }
+            // The rendered source is the cache identity; the job
+            // renders the same program again from the seed.
+            runWaves(
+                totalTrials,
+                [&](size_t i) {
+                    const uint64_t seed = req.seedBegin + i;
+                    return fuzzTrialKey(req, seed,
+                                        fuzz::generate(seed).render());
+                },
+                [&](size_t i, const CancelToken &) {
+                    return runFuzzSeed(req.seedBegin + i);
+                },
+                [&](size_t i, const Outcome<fuzz::FuzzCase> &o) {
+                    return fuzzTrialLine(req, req.seedBegin + i, o);
+                });
         } else {
             done.status = BatchStatus::Error;
             done.error = "unknown batch kind " +

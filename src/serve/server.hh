@@ -2,9 +2,8 @@
  * @file
  * The slipd campaign server: a persistent daemon that accepts trial
  * batches (fault campaigns, fuzz seed windows, fault-free bench
- * sweeps) over Unix/TCP sockets, shards them across the existing
- * crash-isolated SimJobRunner pool, and streams JSONL results back as
- * trials complete.
+ * sweeps) over Unix/TCP sockets, runs them on SimJobRunner, and
+ * streams JSONL results back as trials complete.
  *
  * Design invariants:
  *
@@ -16,10 +15,14 @@
  *    isolation mode, client count, and cache state change *when*
  *    lines arrive, never their bytes.
  *
- *  - Crash isolation is inherited, not reimplemented. Batches run on
+ *  - One path per batch. Campaign, bench and fuzz batches share one
+ *    wave loop; only the trial key, the job, and the result line
+ *    differ by kind.
+ *
+ *  - Crash isolation is inherited, not reimplemented. Waves run on
  *    SimJobRunner with the server's isolation mode; a trial that
  *    SIGSEGVs the simulator costs that trial (a `crashed` line), and
- *    poison/quarantine/deadline-reap semantics are the pool's.
+ *    poison/quarantine/deadline-reap semantics are the runner's.
  *
  *  - Batches dispatch in bounded waves, so client cancellation can
  *    revoke every not-yet-dispatched trial between waves, and a

@@ -206,23 +206,30 @@ TEST_F(Fuzzer, FaultCampaignWritesMinimizedBundles)
 
 TEST_F(Fuzzer, ResultsAreIdenticalAcrossWorkerCounts)
 {
-    const auto campaign = [](unsigned jobs) {
+    const auto campaign = [](unsigned jobs, IsolationMode isolation) {
         FuzzOptions opt;
         opt.seedBegin = 0;
         opt.seedEnd = 12;
         opt.jobs = jobs;
+        opt.isolation = isolation;
         opt.minimizeDivergences = false;
         opt.bundleDir.clear();
         opt.oracle.faults.push_back(demoFault());
         return runFuzz(opt);
     };
-    const FuzzSummary one = campaign(1);
-    const FuzzSummary four = campaign(4);
-    EXPECT_EQ(one.divergences, four.divergences);
-    ASSERT_EQ(one.findings.size(), four.findings.size());
-    for (size_t i = 0; i < one.findings.size(); ++i) {
-        EXPECT_EQ(one.findings[i].seed, four.findings[i].seed);
-        EXPECT_EQ(one.findings[i].report, four.findings[i].report);
+    const FuzzSummary one = campaign(1, IsolationMode::None);
+    EXPECT_GT(one.divergences, 0u);
+    for (const IsolationMode isolation :
+         {IsolationMode::None, IsolationMode::Fork}) {
+        SCOPED_TRACE(isolationModeName(isolation));
+        const FuzzSummary four = campaign(4, isolation);
+        EXPECT_EQ(one.divergences, four.divergences);
+        EXPECT_EQ(four.workerCrashes, 0u);
+        ASSERT_EQ(one.findings.size(), four.findings.size());
+        for (size_t i = 0; i < one.findings.size(); ++i) {
+            EXPECT_EQ(one.findings[i].seed, four.findings[i].seed);
+            EXPECT_EQ(one.findings[i].report, four.findings[i].report);
+        }
     }
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel experiment engine: the work-stealing thread
- * pool, the memoized program cache, and — the load-bearing property —
- * that SimJobRunner produces bit-identical results whatever the
- * worker count.
+ * Tests for the batch runner: the memoized program cache, supervision
+ * (errors, deadlines, retries), and — the load-bearing property — that
+ * SimJobRunner produces bit-identical results whatever the worker
+ * count.
  */
 
 #include <gtest/gtest.h>
@@ -18,71 +18,38 @@
 
 #include "common/env.hh"
 #include "harness/sim_runner.hh"
-#include "harness/thread_pool.hh"
 
 namespace slip
 {
 namespace
 {
 
-TEST(ThreadPool, RunsEveryJob)
-{
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ReusableAfterWait)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&] { ++ran; });
-        pool.wait();
-        EXPECT_EQ(ran.load(), (round + 1) * 10);
-    }
-}
-
-TEST(ThreadPool, SingleWorkerStillDrains)
-{
-    ThreadPool pool(1);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 20; ++i)
-        pool.submit([&] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 20);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingJobs)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(3);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&] { ++ran; });
-        // No wait(): the destructor must finish the work.
-    }
-    EXPECT_EQ(ran.load(), 50);
-}
-
+/**
+ * The runner's threads claim job indices in order; every job runs
+ * exactly once and its result lands at its own index, whatever the
+ * thread count.
+ */
 TEST(SimJobRunner, ResultsComeBackInSubmissionOrder)
 {
-    SimJobRunner runner(4);
-    for (int i = 0; i < 16; ++i) {
-        runner.add([i] {
-            RunMetrics m;
-            m.retired = uint64_t(i);
-            return m;
-        });
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE(jobs);
+        SimJobRunner runner(jobs, Supervision{});
+        std::vector<std::atomic<int>> runs(100);
+        for (int i = 0; i < 100; ++i) {
+            runner.add([i, &runs] {
+                ++runs[i];
+                RunMetrics m;
+                m.retired = uint64_t(i);
+                return m;
+            });
+        }
+        const std::vector<RunMetrics> results = runner.run();
+        ASSERT_EQ(results.size(), 100u);
+        for (int i = 0; i < 100; ++i) {
+            EXPECT_EQ(results[i].retired, uint64_t(i));
+            EXPECT_EQ(runs[i].load(), 1) << "job " << i;
+        }
     }
-    const std::vector<RunMetrics> results = runner.run();
-    ASSERT_EQ(results.size(), 16u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(results[i].retired, uint64_t(i));
 }
 
 TEST(SimJobRunner, RunClearsTheQueue)
@@ -146,7 +113,7 @@ TEST(SimJobRunner, ParallelRunsAreDeterministic)
 {
     const std::vector<std::string> names = {"m88ksim", "compress"};
 
-    const auto buildGrid = [&](SimJobRunner &runner) {
+    const auto buildGrid = [&](SimJobRunner<> &runner) {
         for (const std::string &name : names) {
             const ProgramCache::Entry &e =
                 ProgramCache::global().get(name, WorkloadSize::Test);

@@ -237,44 +237,5 @@ TEST(Histogram, MergeAddsCountsAndWidensRange)
     EXPECT_EQ(a.bucket(Histogram::bucketOf(1000)), 1u);
 }
 
-TEST(TimeSeries, WindowedAccumulation)
-{
-    TimeSeries ts(100);
-    ts.record(0, 2);
-    ts.record(99, 3);   // same window as cycle 0
-    ts.record(100, 5);  // next window
-    ts.record(350, 7);  // skips a window (window 2 stays zero)
-    EXPECT_EQ(ts.windows(), 4u);
-    EXPECT_EQ(ts.windowSum(0), 5u);
-    EXPECT_EQ(ts.windowSum(1), 5u);
-    EXPECT_EQ(ts.windowSum(2), 0u);
-    EXPECT_EQ(ts.windowSum(3), 7u);
-    EXPECT_EQ(ts.total(), 17u);
-    EXPECT_DOUBLE_EQ(ts.meanPerWindow(), 17.0 / 4.0);
-}
-
-TEST(Stats, GroupRendersHistogramAndSeries)
-{
-    StatGroup g("obs");
-    g.histogram("lat").sample(5);
-    g.histogram("lat").sample(300);
-    g.timeSeries("ipc", 100).record(150, 42);
-
-    std::ostringstream os;
-    g.dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("obs.lat.count 2"), std::string::npos);
-    EXPECT_NE(out.find("obs.lat.bucket[4-7] 1"), std::string::npos);
-    EXPECT_NE(out.find("obs.lat.bucket[256-511] 1"),
-              std::string::npos);
-    EXPECT_NE(out.find("obs.ipc.window 100"), std::string::npos);
-    EXPECT_NE(out.find("obs.ipc.windows 2"), std::string::npos);
-    EXPECT_NE(out.find("obs.ipc.total 42"), std::string::npos);
-
-    g.reset();
-    EXPECT_EQ(g.getHistogram("lat").count(), 0u);
-    EXPECT_EQ(g.getTimeSeries("ipc").windows(), 0u);
-}
-
 } // namespace
 } // namespace slip

@@ -386,11 +386,24 @@ TEST(WireCodec, RunMetricsRoundTrip)
     expectMetricsEqual(m, back);
 }
 
-TEST(WireCodec, JobOutcomeRoundTrip)
+/** A record as its wire bytes: what a job of the runner returns. */
+std::string
+encoded(const RunMetrics &m)
 {
-    JobOutcome o;
-    o.status = JobOutcome::Status::Error;
-    o.metrics = sampleMetrics();
+    Encoder enc;
+    enc.put(m);
+    return enc.bytes();
+}
+
+/**
+ * A job's outcome as it crosses back from a forked worker: how the
+ * job ended, with its record still wire bytes.
+ */
+TEST(WireCodec, EncodedOutcomeRoundTrip)
+{
+    Outcome<std::string> o;
+    o.status = JobEnd::Status::Error;
+    o.record = encoded(sampleMetrics());
     o.errorKind = ErrorKind::Resource;
     o.errorMessage = "allocation failed";
     o.attempts = 3;
@@ -398,22 +411,26 @@ TEST(WireCodec, JobOutcomeRoundTrip)
     Encoder enc;
     enc.put(o);
     Decoder dec(enc.bytes());
-    JobOutcome back;
+    Outcome<std::string> back;
     dec.get(back);
     EXPECT_TRUE(dec.atEnd());
-    EXPECT_EQ(back.status, JobOutcome::Status::Error);
+    EXPECT_EQ(back.status, JobEnd::Status::Error);
     EXPECT_EQ(back.errorKind, ErrorKind::Resource);
     EXPECT_EQ(back.errorMessage, "allocation failed");
     EXPECT_EQ(back.attempts, 3u);
     // The exception_ptr never crosses the wire.
     EXPECT_EQ(back.exception, nullptr);
-    expectMetricsEqual(o.metrics, back.metrics);
+    Decoder records(back.record);
+    RunMetrics metrics;
+    records.get(metrics);
+    EXPECT_TRUE(records.atEnd());
+    expectMetricsEqual(sampleMetrics(), metrics);
 }
 
 TEST(WireCodec, CrashTriageFieldsRoundTrip)
 {
-    JobOutcome o;
-    o.status = JobOutcome::Status::Crashed;
+    Outcome<std::string> o;
+    o.status = JobEnd::Status::Crashed;
     o.termSignal = 11;
     o.termExitCode = 0;
     o.crashAddr = 0xdeadbeef;
@@ -424,9 +441,9 @@ TEST(WireCodec, CrashTriageFieldsRoundTrip)
     Encoder enc;
     enc.put(o);
     Decoder dec(enc.bytes());
-    JobOutcome back;
+    Outcome<std::string> back;
     dec.get(back);
-    EXPECT_EQ(back.status, JobOutcome::Status::Crashed);
+    EXPECT_EQ(back.status, JobEnd::Status::Crashed);
     EXPECT_EQ(back.termSignal, 11);
     EXPECT_EQ(back.crashAddr, 0xdeadbeefu);
     EXPECT_EQ(back.crashPhase, TrialPhase::Run);
@@ -482,9 +499,11 @@ TEST(WireCodec, PayloadBytesMatchTheHandWrittenCodecs)
               "00000001000000054d000000000000000d00000005010101010020000000"
               "0000006400000000000000fa00000000000000");
 
-    JobOutcome o;
-    o.status = JobOutcome::Status::Error;
-    o.metrics = m;
+    // The job envelope: the record crosses as length-prefixed wire
+    // bytes between the status and the error kind.
+    Outcome<std::string> o;
+    o.status = JobEnd::Status::Error;
+    o.record = encoded(m);
     o.errorKind = ErrorKind::Resource;
     o.errorMessage = "allocation failed";
     o.termSignal = 11;
@@ -494,22 +513,22 @@ TEST(WireCodec, PayloadBytesMatchTheHandWrittenCodecs)
     o.poisoned = true;
     o.attempts = 3;
     EXPECT_EQ(payloadHex(o),
-              "010b000000434d50283278363478342940e2010000000000cd8101000000"
-              "0000000000000000fc3f0000000000000a40019210000000000000000000"
-              "000000d83f02000000060000006272616e63681100000000000000050000"
-              "0073746f72650300000000000000100000000b0000000000000000000000"
-              "000000000000000000000000000000000000000000000000000000000700"
+              "01990100000b000000434d50283278363478342940e2010000000000cd81"
+              "010000000000000000000000fc3f0000000000000a400192100000000000"
+              "00000000000000d83f02000000060000006272616e636811000000000000"
+              "000500000073746f72650300000000000000100000000b00000000000000"
+              "000000000000000000000000000000000000000000000000000000000000"
+              "000007000000000000000000000000000000000000000000000000000000"
               "000000000000000000000000000000000000000000000000000000000000"
               "000000000000000000000000000000000000000000000000000000000000"
-              "000000000000000000000000000000000000000000000000000000000000"
-              "0000e03f00000000000029400900000000000000000002000000012b0200"
-              "00000000004d01000000000000060000007265706c6179e9030000000000"
-              "000400000000000000020000000000000006000000000000000006000000"
-              "000000800100000000000001010134120000000000000200000002000000"
-              "0100000001000000054d000000000000000d000000050101010100200000"
-              "000000006400000000000000fa000000000000000211000000616c6c6f63"
-              "6174696f6e206661696c65640b000000fdffffffefbeadde000000000301"
-              "03000000");
+              "000000000000e03f00000000000029400900000000000000000002000000"
+              "012b020000000000004d01000000000000060000007265706c6179e90300"
+              "000000000004000000000000000200000000000000060000000000000000"
+              "060000000000008001000000000000010101341200000000000002000000"
+              "020000000100000001000000054d000000000000000d0000000501010101"
+              "00200000000000006400000000000000fa00000000000000021100000061"
+              "6c6c6f636174696f6e206661696c65640b000000fdffffffefbeadde0000"
+              "0000030103000000");
 
     serve::BatchRequest b;
     b.kind = serve::BatchKind::Bench;

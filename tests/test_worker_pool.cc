@@ -10,6 +10,7 @@
 
 #include "common/crash_report.hh"
 #include "common/logging.hh"
+#include "harness/sim_runner.hh"
 #include "harness/worker_pool.hh"
 
 namespace slip
@@ -269,6 +270,60 @@ TEST(WorkerPool, ManyMoreJobsThanWorkers)
     ASSERT_EQ(results.size(), 32u);
     for (size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i].payload, std::to_string(i * i));
+}
+
+/** A record other than RunMetrics: anything with a fields() list. */
+struct Tagged
+{
+    uint64_t job = 0;
+    std::string label;
+
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("job", self.job);
+        v("label", self.label);
+    }
+};
+
+/**
+ * The runner carries any record through fork isolation: a job whose
+ * worker dies comes back `crashed` with the supervisor's triage, and
+ * every sibling's record decodes intact.
+ */
+TEST(SimJobRunner, ForkedRecordsSurviveASegfaultingJob)
+{
+    setLogQuiet(true);
+    SimJobRunner<Tagged> runner(2, Supervision{});
+    runner.setIsolation(IsolationMode::Fork);
+    for (uint64_t i = 0; i < 6; ++i) {
+        runner.add([i] {
+            if (i == 3)
+                raise(SIGSEGV);
+            return Tagged{i, "job-" + std::to_string(i)};
+        });
+    }
+    const std::vector<Outcome<Tagged>> outcomes = runner.runSupervised();
+    setLogQuiet(false);
+
+    ASSERT_EQ(outcomes.size(), 6u);
+    for (uint64_t i = 0; i < outcomes.size(); ++i) {
+        if (i == 3)
+            continue;
+        EXPECT_TRUE(outcomes[i].ok()) << "job " << i;
+        EXPECT_EQ(outcomes[i].record.job, i);
+        EXPECT_EQ(outcomes[i].record.label, "job-" + std::to_string(i));
+    }
+    const Outcome<Tagged> &dead = outcomes[3];
+    EXPECT_EQ(dead.status, JobEnd::Status::Crashed);
+    EXPECT_EQ(dead.termSignal, SIGSEGV);
+    EXPECT_EQ(dead.crashPhase, TrialPhase::Run);
+    EXPECT_NE(dead.errorMessage.find("SIGSEGV"), std::string::npos)
+        << dead.errorMessage;
+    EXPECT_NE(dead.errorMessage.find("(phase run)"), std::string::npos)
+        << dead.errorMessage;
+    EXPECT_TRUE(dead.record.label.empty());
 }
 
 } // namespace

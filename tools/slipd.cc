@@ -1,8 +1,9 @@
 /**
  * slipd: the persistent simulation-as-a-service daemon. Listens on a
  * Unix (and optionally TCP) socket, accepts trial batches from slipc
- * clients, shards them across the crash-isolated worker pool, streams
- * JSONL results, and caches every result content-addressed on disk so
+ * clients, runs them on SimJobRunner (threads, or crash-isolated
+ * worker processes under --isolation fork), streams JSONL results,
+ * and caches every result content-addressed on disk so
  * repeated batches — and batches re-submitted after a restart —
  * answer without re-simulating.
  *
