@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <deque>
 #include <vector>
 
 #include "assembler/assembler.hh"
@@ -312,44 +313,59 @@ class ReplaySource : public FetchSource
     size_t next = 0;
 };
 
-/** Every fetch block SS(64x4) fetches running m88ksim (test size). */
+/**
+ * Every fetch block SS(64x4) fetches running m88ksim (test size), kept
+ * with what the recorded instructions point at: the program text and
+ * their outcomes (the fetch source that owned those is gone).
+ */
+struct CannedStream
+{
+    CannedStream();
+
+    const Program program;
+    std::vector<FetchBlock> blocks;
+    std::deque<ExecResult> outcomes; // stable addresses
+};
+
+CannedStream::CannedStream()
+    : program(assemble(getWorkload("m88ksim", WorkloadSize::Test).source))
+{
+    const CoreParams params = ss64x4Params();
+    TracePredictor predictor;
+    TraceFetchSource source(program, predictor, params.fetchWidth);
+    struct Recorder : FetchSource
+    {
+        TraceFetchSource &inner;
+        CannedStream &out;
+        Recorder(TraceFetchSource &inner, CannedStream &out)
+            : inner(inner), out(out)
+        {}
+        bool
+        nextBlock(FetchBlock &block) override
+        {
+            if (!inner.nextBlock(block))
+                return false;
+            FetchBlock &copy = out.blocks.emplace_back(block);
+            for (DynInst &d : copy.insts)
+                d.exec = &out.outcomes.emplace_back(*d.exec);
+            return true;
+        }
+        bool exhausted() const override { return inner.exhausted(); }
+    } recorder(source, *this);
+    OoOCore core(params, recorder);
+    core.onRetire = [&](const DynInst &d, Cycle) {
+        source.notifyRetire(d);
+        return true;
+    };
+    for (Cycle now = 0; !core.halted(); ++now)
+        core.tick(now);
+}
+
 const std::vector<FetchBlock> &
 cannedFetchBlocks()
 {
-    static const std::vector<FetchBlock> blocks = [] {
-        const Program p =
-            assemble(getWorkload("m88ksim", WorkloadSize::Test).source);
-        const CoreParams params = ss64x4Params();
-        TracePredictor predictor;
-        TraceFetchSource source(p, predictor, params.fetchWidth);
-        std::vector<FetchBlock> out;
-        struct Recorder : FetchSource
-        {
-            TraceFetchSource &inner;
-            std::vector<FetchBlock> &out;
-            Recorder(TraceFetchSource &inner, std::vector<FetchBlock> &out)
-                : inner(inner), out(out)
-            {}
-            bool
-            nextBlock(FetchBlock &block) override
-            {
-                if (!inner.nextBlock(block))
-                    return false;
-                out.push_back(block);
-                return true;
-            }
-            bool exhausted() const override { return inner.exhausted(); }
-        } recorder(source, out);
-        OoOCore core(params, recorder);
-        core.onRetire = [&](const DynInst &d, Cycle) {
-            source.notifyRetire(d);
-            return true;
-        };
-        for (Cycle now = 0; !core.halted(); ++now)
-            core.tick(now);
-        return out;
-    }();
-    return blocks;
+    static const CannedStream canned;
+    return canned.blocks;
 }
 
 // One pass runs a fresh SS(64x4) core over the recorded blocks to

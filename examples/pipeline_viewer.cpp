@@ -52,7 +52,7 @@ loop:
         lastCycle = cycle;
         std::cout << "  " << std::setw(5) << cycle << ": 0x" << std::hex
                   << d.pc << std::dec << " "
-                  << disassemble(d.si, d.pc)
+                  << disassemble(*d.si, d.pc)
                   << (d.mispredicted ? "   <-- mispredicted" : "")
                   << "\n";
         return true;

@@ -39,32 +39,33 @@ CheckerBackend::onRetire(const DynInst &d, Cycle now)
     if (backlog > queue_)
         stats_.overheadCycles += backlog - queue_; // leader stalled
 
-    feed_.feedValue = d.exec.loadedValue;
+    const ExecResult &leader = *d.exec;
+    feed_.feedValue = leader.loadedValue;
     feed_.sawStore = false;
     checker_.setPc(d.pc);
-    const ExecResult got =
-        executeMicro(checker_, program_.microAt(d.pc), nullptr);
+    ExecResult got;
+    executeMicro(checker_, program_.microAt(d.pc), nullptr, got);
     ++stats_.checked;
 
-    bool mismatch = got.nextPc != d.exec.nextPc;
-    if (got.wroteReg != d.exec.wroteReg ||
-        (got.wroteReg && (got.destReg != d.exec.destReg ||
-                          got.destValue != d.exec.destValue))) {
+    bool mismatch = got.nextPc != leader.nextPc;
+    if (got.wroteReg != leader.wroteReg ||
+        (got.wroteReg && (got.destReg != leader.destReg ||
+                          got.destValue != leader.destValue))) {
         mismatch = true;
     }
     // The access address is a register *use* even for loads (whose
     // value the checker takes on trust): a corrupt address register
     // must surface here or never.
-    if (got.isMem != d.exec.isMem ||
-        (got.isMem && (got.memAddr != d.exec.memAddr ||
-                       got.memBytes != d.exec.memBytes))) {
+    if (got.isMem != leader.isMem ||
+        (got.isMem && (got.memAddr != leader.memAddr ||
+                       got.memBytes != leader.memBytes))) {
         mismatch = true;
     }
-    const bool leaderStored = d.exec.isMem && !d.exec.wroteReg;
+    const bool leaderStored = leader.isMem && !leader.wroteReg;
     if (feed_.sawStore != leaderStored ||
-        (feed_.sawStore && (feed_.sawAddr != d.exec.memAddr ||
-                            feed_.sawBytes != d.exec.memBytes ||
-                            feed_.sawValue != d.exec.storeValue))) {
+        (feed_.sawStore && (feed_.sawAddr != leader.memAddr ||
+                            feed_.sawBytes != leader.memBytes ||
+                            feed_.sawValue != leader.storeValue))) {
         mismatch = true;
     }
     if (!mismatch)
@@ -74,8 +75,8 @@ CheckerBackend::onRetire(const DynInst &d, Cycle now)
 
     // Adopt the leader's retirement values so a single corruption
     // front costs one mismatch, then keep checking downstream.
-    if (d.exec.wroteReg)
-        checker_.writeReg(d.exec.destReg, d.exec.destValue);
+    if (leader.wroteReg)
+        checker_.writeReg(leader.destReg, leader.destValue);
 }
 
 void

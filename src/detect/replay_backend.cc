@@ -24,7 +24,7 @@ ReplayBackend::ReplayBackend(const DetectParams &params,
 void
 ReplayBackend::onRetire(const DynInst &d, Cycle now)
 {
-    pending_.push_back(Entry{d.pc, d.exec});
+    pending_.push_back(Entry{d.pc, *d.exec}); // outlives d.exec
     if (pending_.size() >= window_)
         flushWindow(now);
 }
@@ -73,8 +73,8 @@ void
 ReplayBackend::replayOne(const Entry &e, Cycle now)
 {
     shadow_.setPc(e.pc);
-    const ExecResult got =
-        executeMicro(shadow_, program_.microAt(e.pc), nullptr);
+    ExecResult got;
+    executeMicro(shadow_, program_.microAt(e.pc), nullptr, got);
 
     bool mismatch = got.nextPc != e.exec.nextPc;
     if (got.wroteReg != e.exec.wroteReg ||

@@ -1,5 +1,7 @@
 #include "func/executor.hh"
 
+#include <memory>
+
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 #include "func/exec_semantics.hh"
@@ -159,10 +161,14 @@ execute(ArchState &state, const StaticInst &inst, std::string *output)
     return res;
 }
 
-ExecResult
-executeMicro(ArchState &state, const MicroOp &u, std::string *output)
+void
+executeMicro(ArchState &state, const MicroOp &u, std::string *output,
+             ExecResult &res)
 {
-    ExecResult res;
+    // Value-initialize in place: `res = ExecResult{}` builds a stack
+    // temporary and copies it with wide loads that overlap the
+    // temporary's narrow stores, which stalls store forwarding.
+    std::construct_at(&res);
     const Addr pc = state.pc();
     res.nextPc = pc + kInstBytes;
 
@@ -315,7 +321,6 @@ executeMicro(ArchState &state, const MicroOp &u, std::string *output)
     }
 
     state.setPc(res.nextPc);
-    return res;
 }
 
 } // namespace slip

@@ -18,27 +18,30 @@
 namespace slip
 {
 
-/** Everything observable about one executed instruction. */
+/**
+ * Everything observable about one executed instruction. Wide fields
+ * first, so the record fills exactly one 64-byte line: the walks keep
+ * one per in-flight instruction.
+ */
 struct ExecResult
 {
     Addr nextPc = 0;
-
-    bool wroteReg = false;   // destination register was written
-    RegIndex destReg = kNoReg;
     Word destValue = 0;
-
-    bool isMem = false;      // load or store
     Addr memAddr = 0;
-    unsigned memBytes = 0;
     Word storeValue = 0;     // value written (stores)
     Word loadedValue = 0;    // value read (loads; == destValue)
-
-    bool isControl = false;
-    bool taken = false;      // conditional branch direction / jumps: true
     Addr target = 0;         // control-flow destination if taken
 
+    unsigned memBytes = 0;
+    RegIndex destReg = kNoReg;
+    bool wroteReg = false;   // destination register was written
+    bool isMem = false;      // load or store
+    bool isControl = false;
+    bool taken = false;      // conditional branch direction / jumps: true
     bool halted = false;
 };
+
+static_assert(sizeof(ExecResult) <= 64, "ExecResult outgrew a cache line");
 
 /**
  * Execute one instruction against `state`, updating registers, PC and
@@ -59,9 +62,13 @@ ExecResult execute(ArchState &state, const StaticInst &inst,
  * resolution, branch-target scaling). `state.pc()` must equal the
  * address the micro-op was predecoded at (its branch target is
  * absolute).
+ *
+ * The record is written into `res` (every field reset first), so a
+ * caller that keeps it builds it where it lives instead of copying a
+ * returned one.
  */
-ExecResult executeMicro(ArchState &state, const MicroOp &u,
-                        std::string *output);
+void executeMicro(ArchState &state, const MicroOp &u, std::string *output,
+                  ExecResult &res);
 
 } // namespace slip
 

@@ -22,13 +22,11 @@ FuncSim::FuncSim(const Program &program)
 ExecResult
 FuncSim::execOne()
 {
-    // Ternary direct-init: the result materializes in place, no
-    // default-construct-then-assign of the (large) ExecResult.
-    const ExecResult res =
-        dispatch_ == DispatchKind::Legacy
-            ? execute(state_, program.fetch(state_.pc()), &output_)
-            : executeMicro(state_, program.microAt(state_.pc()),
-                           &output_);
+    ExecResult res;
+    if (dispatch_ == DispatchKind::Legacy)
+        res = execute(state_, program.fetch(state_.pc()), &output_);
+    else
+        executeMicro(state_, program.microAt(state_.pc()), &output_, res);
     ++retired;
     if (res.halted)
         halted_ = true;

@@ -67,9 +67,9 @@ runLeg(SlipstreamProcessor &proc, const std::vector<FaultPlan> &faults,
 {
     Leg leg;
     proc.onArchRetire = [&leg](const DynInst &d, Cycle) {
-        if (d.si.isStore()) {
-            leg.stores.push_back({d.pc, d.exec.memAddr,
-                                  d.exec.memBytes, d.exec.storeValue});
+        if (d.si->isStore()) {
+            leg.stores.push_back({d.pc, d.exec->memAddr,
+                                  d.exec->memBytes, d.exec->storeValue});
         }
     };
     if (!faults.empty())

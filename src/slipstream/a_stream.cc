@@ -24,6 +24,15 @@ AStreamSource::AStreamSource(const Program &program,
       delayBuffer(delayBuffer), aPolicy(aPolicy), policy(policy),
       state_(memPort), slicer(fetchWidth), stats_("a_stream")
 {
+    stats_.link("traces_predicted", numTracesPredicted);
+    stats_.link("traces_fallback", numTracesFallback);
+    stats_.link("traces_with_removal", numTracesWithRemoval);
+    stats_.link("slots_removed", numSlotsRemoved);
+    stats_.link("slots_executed", numSlotsExecuted);
+    stats_.link("slots_fetch_skipped", numSlotsFetchSkipped);
+    stats_.link("indirect_mispredicts", numIndirectMispredicts);
+    stats_.link("trace_mispredicts", numTraceMispredicts);
+    stats_.link("traces_from_predictor", numTracesFromPredictor);
     state_.setPc(program.entry());
     state_.writeReg(reg::sp, layout::kStackTop);
 }
@@ -99,10 +108,10 @@ AStreamSource::walkTrace()
         program.validPc(startPc)) {
         guess = *pred;
         usedPrediction = true;
-        ++statTracesPredicted;
+        ++numTracesPredicted;
     } else {
         guess = buildStaticTrace(program, startPc, policy);
-        ++statTracesFallback;
+        ++numTracesFallback;
     }
 
     // --- A-side fault injection: predictor state & stall faults ---
@@ -128,7 +137,7 @@ AStreamSource::walkTrace()
     std::optional<RemovalPlan> plan =
         aPolicy.planTrace(irPredictor, history, guess);
     if (plan)
-        ++statTracesWithRemoval;
+        ++numTracesWithRemoval;
 
     Packet &packet = walking; // recycled storage: reset every field
     packet.num = nextPacketNum++;
@@ -143,7 +152,11 @@ AStreamSource::walkTrace()
     const unsigned lengthCap =
         std::min<unsigned>(guess.length ? guess.length : policy.maxLen,
                            policy.maxLen);
-    packet.slots.reserve(lengthCap);
+    // Reserved to the longest trace, so the slots never move while
+    // the packet is walked, queued or validated: the A core's
+    // instructions point at them.
+    packet.slots.reserve(policy.maxLen);
+    const PacketSlot *const slotBase = packet.slots.data();
 
     // --- walk: execute non-removed slots on the A-stream context ---
     unsigned branchIdx = 0;
@@ -163,9 +176,7 @@ AStreamSource::walkTrace()
         const bool removed =
             plan && plan->removes(slotIdx) && removable;
 
-        PacketSlot slot;
-        slot.pc = pc;
-        slot.si = si;
+        PacketSlot &slot = packet.slots.emplace_back(pc, si);
 
         const bool predTaken =
             si.isCondBranch()
@@ -177,7 +188,7 @@ AStreamSource::walkTrace()
         if (removed) {
             slot.executedInA = false;
             slot.removalReason = plan->reasonAt(slotIdx);
-            ++statSlotsRemoved;
+            ++numSlotsRemoved;
 
             // The packet path presumes the prediction is correct.
             Addr nextPc = pc + kInstBytes;
@@ -196,7 +207,6 @@ AStreamSource::walkTrace()
                     ras.push(pc + kInstBytes);
             }
             slot.pathNextPc = nextPc;
-            packet.slots.push_back(slot);
             ++actual.length;
             const Addr here = pc;
             pc = nextPc;
@@ -224,12 +234,11 @@ AStreamSource::walkTrace()
             }
         }
         state_.setPc(pc);
-        const ExecResult exec =
-            executeMicro(state_, program.microAt(pc), &output_);
-        ++statSlotsExecuted;
+        executeMicro(state_, program.microAt(pc), &output_, slot.aExec);
+        const ExecResult &exec = slot.aExec;
+        ++numSlotsExecuted;
 
         slot.executedInA = true;
-        slot.aExec = exec;
         slot.pathTaken = exec.isControl ? exec.taken : false;
         slot.pathNextPc = exec.nextPc;
 
@@ -253,7 +262,6 @@ AStreamSource::walkTrace()
             packet.endsWithHalt = true;
         }
 
-        packet.slots.push_back(slot);
         ++actual.length;
         pc = exec.nextPc;
 
@@ -262,6 +270,8 @@ AStreamSource::walkTrace()
     }
 
     SLIP_ASSERT(!packet.slots.empty(), "A-stream walked empty trace");
+    SLIP_ASSERT(packet.slots.data() == slotBase,
+                "packet slots reallocated during the walk");
 
     // --- second pass: fetch-level realization of the removal ---
     // Removed runs >= skipRunLength are skipped pre-fetch; shorter
@@ -278,7 +288,7 @@ AStreamSource::walkTrace()
                 if (j - i >= skipRun) {
                     for (size_t k = i; k < j; ++k)
                         packet.slots[k].fetchSkipped = true;
-                    statSlotsFetchSkipped += j - i;
+                    numSlotsFetchSkipped += j - i;
                 }
                 i = j;
             } else {
@@ -295,9 +305,9 @@ AStreamSource::walkTrace()
         if (slot.fetchSkipped)
             continue;
 
-        DynInst d;
+        DynInst &d = slicer.append(slot.pc);
         d.pc = slot.pc;
-        d.si = slot.si;
+        d.si = &program.fetch(slot.pc);
         d.packetSeq = packet.num;
         d.packetSlot = static_cast<uint8_t>(i);
         d.removalReason = slot.removalReason;
@@ -307,7 +317,9 @@ AStreamSource::walkTrace()
             d.seq = 0; // never dispatched
         } else {
             d.seq = nextSeq++;
-            d.exec = slot.aExec;
+            // The A core reads only the copied dispatch fields: the
+            // policy pass below may strip aExec before it dispatches.
+            d.setOutcome(slot.aExec);
             ++executedCount;
             // The final executed conditional branch of a truncated
             // trace is the one that mispredicted.
@@ -315,7 +327,7 @@ AStreamSource::walkTrace()
                 d.mispredicted = true;
         }
 
-        slicer.push(d, slot.pc);
+        slicer.seal();
         anyEmitted = true;
     }
     slicer.finish();
@@ -334,22 +346,22 @@ AStreamSource::walkTrace()
     history.push(actual);
 
     if (!haltWalked && !truncated && anyEmitted &&
-        slicer.lastInst().si.isIndirectJump()) {
+        slicer.lastInst().si->isIndirectJump()) {
         DynInst &lastEmitted = slicer.lastInst();
         const Addr actualNext = pc;
         std::optional<TraceId> next = predictor.predict(history);
         Addr predictedTarget = 0;
         if (next && next->valid()) {
             predictedTarget = next->startPc;
-        } else if (lastEmitted.si.rs1 == reg::ra &&
-                   lastEmitted.si.rd == reg::zero) {
+        } else if (lastEmitted.si->rs1 == reg::ra &&
+                   lastEmitted.si->rd == reg::zero) {
             predictedTarget = ras.pop();
         }
         if (predictedTarget != actualNext) {
-            ++statIndirectMispredicts;
+            ++numIndirectMispredicts;
             lastEmitted.mispredicted = true;
-        } else if (lastEmitted.si.rs1 == reg::ra &&
-                   lastEmitted.si.rd == reg::zero && next &&
+        } else if (lastEmitted.si->rs1 == reg::ra &&
+                   lastEmitted.si->rd == reg::zero && next &&
                    next->valid()) {
             ras.pop();
         }
@@ -358,9 +370,9 @@ AStreamSource::walkTrace()
     }
 
     if (truncated)
-        ++statTraceMispredicts;
+        ++numTraceMispredicts;
     if (usedPrediction)
-        ++statTracesFromPredictor;
+        ++numTracesFromPredictor;
 
     if (plan) {
         SLIP_TRACE(obs::Category::Removal, obs::Name::RemovalApplied,

@@ -134,22 +134,17 @@ class AStreamSource : public FetchSource
     StatGroup::Handle statStallThrottled{
         stats_.handle("stall_throttled")};
     StatGroup::Handle statStallFault{stats_.handle("stall_fault")};
-    StatGroup::Handle statTracesPredicted{
-        stats_.handle("traces_predicted")};
-    StatGroup::Handle statTracesFallback{
-        stats_.handle("traces_fallback")};
-    StatGroup::Handle statTracesWithRemoval{
-        stats_.handle("traces_with_removal")};
-    StatGroup::Handle statSlotsRemoved{stats_.handle("slots_removed")};
-    StatGroup::Handle statSlotsExecuted{stats_.handle("slots_executed")};
-    StatGroup::Handle statSlotsFetchSkipped{
-        stats_.handle("slots_fetch_skipped")};
-    StatGroup::Handle statIndirectMispredicts{
-        stats_.handle("indirect_mispredicts")};
-    StatGroup::Handle statTraceMispredicts{
-        stats_.handle("trace_mispredicts")};
-    StatGroup::Handle statTracesFromPredictor{
-        stats_.handle("traces_from_predictor")};
+    // Per-slot and per-trace walk counters: plain integers on the hot
+    // path, linked into stats_ so get()/dump() still see them by name.
+    uint64_t numTracesPredicted = 0;
+    uint64_t numTracesFallback = 0;
+    uint64_t numTracesWithRemoval = 0;
+    uint64_t numSlotsRemoved = 0;
+    uint64_t numSlotsExecuted = 0;
+    uint64_t numSlotsFetchSkipped = 0;
+    uint64_t numIndirectMispredicts = 0;
+    uint64_t numTraceMispredicts = 0;
+    uint64_t numTracesFromPredictor = 0;
     StatGroup::Handle statPacketsPublished{
         stats_.handle("packets_published")};
     StatGroup::Handle statRecoveries{stats_.handle("recoveries")};

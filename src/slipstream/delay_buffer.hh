@@ -38,20 +38,22 @@ namespace slip
 /** One instruction slot of a communicated trace. */
 struct PacketSlot
 {
+    PacketSlot() = default;
+
+    /**
+     * The walk's slot for `si` at `pc`. Initialising member by member
+     * compiles to a few stores; value-initialising the whole slot
+     * (what emplace_back() does) compiles to a block fill that costs
+     * more than the rest of the slot's set-up.
+     */
+    PacketSlot(Addr pc, const StaticInst &si) : pc(pc), si(si) {}
+
     Addr pc = 0;
     StaticInst si;
 
     bool executedInA = false;  // false => removed from the A-stream
     bool fetchSkipped = false; // removed before fetch (vs pre-decode)
     uint8_t removalReason = 0; // reason:: mask, for statistics
-
-    /**
-     * The A-stream's outcomes (defined only when executedInA): dest
-     * register value, load/store address, store value, and branch
-     * outcome — everything the R-stream uses as predictions and
-     * validates.
-     */
-    ExecResult aExec;
 
     /**
      * The packet path's control flow through this slot: direction for
@@ -61,6 +63,14 @@ struct PacketSlot
      */
     bool pathTaken = false;
     Addr pathNextPc = 0;
+
+    /**
+     * The A-stream's outcomes (defined only when executedInA): dest
+     * register value, load/store address, store value, and branch
+     * outcome — everything the R-stream uses as predictions and
+     * validates. The A core's instructions point here.
+     */
+    ExecResult aExec;
 };
 
 /** One trace's worth of delay-buffer traffic. */

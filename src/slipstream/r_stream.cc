@@ -171,16 +171,19 @@ RStreamSource::slotMismatch(const PacketSlot &slot,
 void
 RStreamSource::walkPacket()
 {
-    PacketRecord &rec = records.pushBack(); // recycled storage
-    delayBuffer.pop(rec.packet);
-    Packet &packet = rec.packet;
+    PacketRecord &record = records.pushBack(); // recycled storage
+    delayBuffer.pop(record.packet);
+    Packet &packet = record.packet;
     const uint64_t num = packet.num;
-    rec.rExec.clear();
-    rec.rExec.reserve(packet.slots.size());
-    rec.emitted = 0;
-    rec.retires = 0;
+    std::vector<ExecResult> &rExec = record.rExec;
+    rExec.clear();
+    rExec.reserve(packet.slots.size());
+    const ExecResult *const rExecBase = rExec.data();
+    record.emitted = 0;
+    record.retires = 0;
 
     bool divergence = false;
+    ExecResult faulted; // the checker's view, once a fault corrupts it
 
     for (size_t i = 0; i < packet.slots.size() && !divergence; ++i) {
         PacketSlot &slot = packet.slots[i];
@@ -193,17 +196,14 @@ RStreamSource::walkPacket()
 
         // The R-stream executes its *own* next instruction — which is
         // the slot's instruction whenever the streams agree.
-        const StaticInst &si =
-            pcDiverged ? program.fetch(rPc) : slot.si;
-        // slot.si is the program's instruction at slot.pc == rPc, so
-        // the predecoded micro-op at rPc covers both arms above.
-        const ExecResult exec =
-            executeMicro(state_, program.microAt(rPc), &output_);
+        const StaticInst &si = program.fetch(rPc);
+        ExecResult &exec = rExec.emplace_back();
+        executeMicro(state_, program.microAt(rPc), &output_, exec);
 
         const uint64_t dynIndex = walked++;
 
         // --- transient fault injection (paper §3 + campaign targets) ---
-        ExecResult rView = exec; // the value the checker sees
+        const ExecResult *rView = &exec; // the value the checker sees
         FaultRecord *firedHere[kMaxCoincidentFaults];
         unsigned numFiredHere = 0;
         if (faultInjector) {
@@ -213,8 +213,12 @@ RStreamSource::walkPacket()
                                         &si);
                 if (!rec)
                     break;
+                if (numFiredHere == 0) {
+                    faulted = exec;
+                    rView = &faulted;
+                }
                 firedHere[numFiredHere++] = rec;
-                applyFault(*rec, slot, si, exec, rView, rPc,
+                applyFault(*rec, slot, si, exec, faulted, rPc,
                            pcDiverged);
             }
         }
@@ -222,28 +226,26 @@ RStreamSource::walkPacket()
         // --- validation ---
         bool mismatch = pcDiverged;
         if (!mismatch && slot.executedInA) {
-            mismatch = slotMismatch(slot, rView, slot.aExec);
+            mismatch = slotMismatch(slot, *rView, slot.aExec);
         } else if (!mismatch && !slot.executedInA) {
             // Removed instructions: presumed branch outcomes must hold.
-            if (si.isCondBranch() && rView.taken != slot.pathTaken)
+            if (si.isCondBranch() && rView->taken != slot.pathTaken)
                 mismatch = true;
         }
 
-        DynInst d;
+        DynInst &d = slicer.append(rPc);
         d.seq = nextSeq++;
         d.pc = rPc;
-        d.si = si;
-        d.exec = exec;
+        d.si = &si;
+        d.setOutcome(exec);
         d.valuePredicted = slot.executedInA && !pcDiverged;
         d.removalReason = slot.removalReason;
         d.packetSeq = num;
         d.packetSlot = static_cast<uint8_t>(i);
         d.triggersRecovery = mismatch;
+        slicer.seal();
 
-        rec.rExec.push_back(exec);
-        ++rec.emitted;
-
-        slicer.push(d, rPc);
+        ++record.emitted;
 
         if (mismatch) {
             divergence = true;
@@ -266,8 +268,10 @@ RStreamSource::walkPacket()
             haltWalked = true;
     }
     slicer.finish();
+    SLIP_ASSERT(rExec.data() == rExecBase,
+                "R outcomes reallocated under their instructions");
 
-    rec.divergent = divergence;
+    record.divergent = divergence;
     ++statPacketsWalked;
 }
 

@@ -57,6 +57,10 @@ class RStreamSource : public FetchSource
      * core retires in program order and packet numbers only grow, so
      * a front record older than `d`'s packet can never complete (its
      * unfetched blocks went to recover()) and is dropped unfired.
+     *
+     * A record owns the outcomes its instructions' `exec` point at,
+     * so dropping it releases them: a retire observer reads `d.exec`
+     * before calling this.
      */
     void notifyRetire(const DynInst &d);
 
@@ -82,6 +86,13 @@ class RStreamSource : public FetchSource
     uint64_t walkedCount() const { return walked; }
 
   private:
+    /**
+     * One walked packet and the R-stream's outcome for each slot it
+     * walked. `rExec` is reserved to the packet's length before the
+     * walk, and the ring moves records only by swap, so the
+     * instructions' `exec` pointers into it stay valid until the
+     * record is reused.
+     */
     struct PacketRecord
     {
         Packet packet;

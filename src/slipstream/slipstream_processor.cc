@@ -49,18 +49,19 @@ SlipstreamProcessor::wire()
     };
 
     rCore_->onRetire = [this](const DynInst &d, Cycle cycle) {
-        rSource_->notifyRetire(d);
+        // The observer reads d.exec, which lives in the retire record
+        // notifyRetire may release: observe first.
         if (onArchRetire)
             onArchRetire(d, cycle);
+        rSource_->notifyRetire(d);
 
         // Recovery-controller store tracking (paper Figure 4).
-        if (d.si.isStore()) {
+        if (d.si->isStore()) {
             if (d.valuePredicted) {
-                recovery_->onRStoreRetired(d.exec.memAddr,
-                                           d.exec.memBytes);
+                recovery_->onRStoreRetired(d.memAddr, d.memBytes);
             } else {
-                recovery_->onSkippedStoreRetired(
-                    d.packetSeq, d.exec.memAddr, d.exec.memBytes);
+                recovery_->onSkippedStoreRetired(d.packetSeq, d.memAddr,
+                                                 d.memBytes);
             }
         }
 
@@ -80,7 +81,7 @@ SlipstreamProcessor::wire()
             // data context computations: the removal itself was
             // sound, so its confidence survives the recovery.
             recoveryCause =
-                (!d.valuePredicted && d.si.isCondBranch())
+                (!d.valuePredicted && d.si->isCondBranch())
                     ? RecoveryCause::RemovedBranchMispredict
                     : RecoveryCause::CorruptContextUnknown;
         }
@@ -235,9 +236,9 @@ SlipstreamProcessor::degradeToROnly(Cycle now, Cycle resume)
     rFront_.inner = degradedSource_.get();
     rCore_->flush(now, resume);
     rCore_->onRetire = [this](const DynInst &d, Cycle cycle) {
-        degradedSource_->notifyRetire(d);
         if (onArchRetire)
-            onArchRetire(d, cycle);
+            onArchRetire(d, cycle); // before the record is released
+        degradedSource_->notifyRetire(d);
         return true;
     };
     if (onDegradeEvent)

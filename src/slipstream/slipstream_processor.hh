@@ -241,6 +241,10 @@ class SlipstreamProcessor
      * replaces the core's retire hook — an external wrapper would be
      * silently dropped at the transition. The differential oracle
      * captures the retired-store stream through this.
+     *
+     * It runs before the source releases the retire record holding
+     * `d.exec`, which is valid only during the call: an observer that
+     * keeps values copies them.
      */
     std::function<void(const DynInst &, Cycle)> onArchRetire;
 

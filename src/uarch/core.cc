@@ -19,7 +19,8 @@ OoOCore::OoOCore(const CoreParams &params, FetchSource &source)
           return c;
       }()),
       window(params.robSize + params.fetchBufferCap),
-      slotsUsed(kRingSize, 0), slotsTag(kRingSize, ~Cycle(0)),
+      storeReady(params.robSize), slotsUsed(kRingSize, 0),
+      slotsTag(kRingSize, ~Cycle(0)),
       stats_(params.name)
 {
     stats_.link("retired", retired);
@@ -29,6 +30,90 @@ OoOCore::OoOCore(const CoreParams &params, FetchSource &source)
     stats_.link("fetched", numFetched);
     stats_.link("fetch_only_removed", numFetchOnlyRemoved);
     stats_.link("flushes", numFlushes);
+}
+
+OoOCore::StoreTimes::StoreTimes(unsigned robSize)
+    : maxLive(2 * size_t(robSize))
+{
+    // Four slots per live granule: a sweep, run when half the slots
+    // are taken, keeps at most a quarter of them.
+    unsigned bits = 4;
+    while ((size_t(1) << bits) < 4 * maxLive)
+        ++bits;
+    slots.resize(size_t(1) << bits);
+    mask = slots.size() - 1;
+    shift = 64 - bits;
+    live.reserve(maxLive);
+}
+
+size_t
+OoOCore::StoreTimes::home(Addr granule) const
+{
+    // Fibonacci hashing: the top bits of the product.
+    return static_cast<size_t>((granule * 0x9e3779b97f4a7c15ull) >> shift);
+}
+
+Cycle
+OoOCore::StoreTimes::find(Addr granule) const
+{
+    for (size_t i = home(granule);; i = (i + 1) & mask) {
+        const Slot &s = slots[i];
+        if (s.readyAt == 0)
+            return 0;
+        if (s.granule == granule)
+            return s.readyAt;
+    }
+}
+
+void
+OoOCore::StoreTimes::set(Addr granule, Cycle readyAt, Cycle now)
+{
+    // A granule has at most one entry: look along its whole probe
+    // run before taking a slot, so the youngest store always wins.
+    Slot *dead = nullptr;
+    size_t i = home(granule);
+    for (; slots[i].readyAt != 0; i = (i + 1) & mask) {
+        if (slots[i].granule == granule) {
+            slots[i].readyAt = readyAt;
+            return;
+        }
+        if (!dead && slots[i].readyAt <= now)
+            dead = &slots[i];
+    }
+    if (dead) {
+        *dead = Slot{granule, readyAt};
+        return;
+    }
+    slots[i] = Slot{granule, readyAt};
+    if (++used * 2 > slots.size())
+        sweep(now);
+}
+
+void
+OoOCore::StoreTimes::sweep(Cycle now)
+{
+    live.clear();
+    for (const Slot &s : slots) {
+        if (s.readyAt > now)
+            live.push_back(s);
+    }
+    SLIP_ASSERT(live.size() <= maxLive, live.size(),
+                " pending store granules exceed 2 x robSize = ", maxLive);
+    clear();
+    for (const Slot &s : live) {
+        size_t i = home(s.granule);
+        while (slots[i].readyAt != 0)
+            i = (i + 1) & mask;
+        slots[i] = s;
+    }
+    used = live.size();
+}
+
+void
+OoOCore::StoreTimes::clear()
+{
+    std::fill(slots.begin(), slots.end(), Slot{});
+    used = 0;
 }
 
 Cycle
@@ -105,11 +190,11 @@ OoOCore::doRetire(Cycle now)
             break; // back-pressure: retry next cycle
         ++retired;
         lastRetire = now;
-        if (d.si.isCondBranch())
+        if (d.si->isCondBranch())
             ++numRetiredCondBranches;
         if (d.mispredicted)
             ++numBranchMispredicts;
-        if (d.si.isHalt())
+        if (d.si->isHalt())
             halted_ = true;
         window.popFront();
         --robCount;
@@ -132,51 +217,43 @@ OoOCore::doDispatch(Cycle now)
 
         // Operand readiness through the register scoreboard (skipped
         // entirely when the delay buffer supplies source values).
+        const StaticInst &si = *d.si;
         Cycle depReady = now;
         if (!d.valuePredicted) {
             RegIndex srcs[2];
-            d.si.srcRegs(srcs);
+            si.srcRegs(srcs);
             for (RegIndex s : srcs) {
                 if (s != kNoReg && s != kZeroReg)
                     depReady = std::max(depReady, regReady[s]);
             }
-            if (d.si.isLoad()) {
+            if (si.isLoad()) {
                 // Perfect disambiguation + store-to-load forwarding:
                 // wait for the youngest earlier store to these bytes.
-                const Addr first = d.exec.memAddr >> 3;
-                const Addr last =
-                    (d.exec.memAddr + d.exec.memBytes - 1) >> 3;
-                for (Addr k = first; k <= last; ++k) {
-                    auto it = storeReady.find(k);
-                    if (it != storeReady.end())
-                        depReady = std::max(depReady, it->second);
-                }
+                const Addr first = d.memAddr >> 3;
+                const Addr last = (d.memAddr + d.memBytes - 1) >> 3;
+                for (Addr k = first; k <= last; ++k)
+                    depReady = std::max(depReady, storeReady.find(k));
             }
         }
 
         const Cycle issueAt = claimIssueSlot(std::max(depReady, now + 1));
-        Cycle completeAt = issueAt + execLatency(d.si);
+        Cycle completeAt = issueAt + execLatency(si);
 
-        if (d.si.isLoad()) {
-            completeAt += dcache_.access(d.exec.memAddr);
-        } else if (d.si.isStore()) {
+        if (si.isLoad()) {
+            completeAt += dcache_.access(d.memAddr);
+        } else if (si.isStore()) {
             // Charge the access for cache state/bandwidth statistics;
             // forwarding makes the data available at address
             // generation, so dependents do not wait for the write.
-            dcache_.access(d.exec.memAddr);
-            const Addr first = d.exec.memAddr >> 3;
-            const Addr last = (d.exec.memAddr + d.exec.memBytes - 1) >> 3;
+            dcache_.access(d.memAddr);
+            const Addr first = d.memAddr >> 3;
+            const Addr last = (d.memAddr + d.memBytes - 1) >> 3;
             for (Addr k = first; k <= last; ++k)
-                storeReady[k] = completeAt;
-            if (storeReady.size() > (1u << 16)) {
-                std::erase_if(storeReady, [now](const auto &kv) {
-                    return kv.second <= now;
-                });
-            }
+                storeReady.set(k, completeAt, now);
         }
 
-        if (d.exec.wroteReg)
-            regReady[d.exec.destReg] = completeAt;
+        if (d.wroteReg)
+            regReady[d.destReg] = completeAt;
 
         if (d.mispredicted) {
             // The branch resolves at completion; fetch restarts on the

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ring.hh"
@@ -36,46 +35,86 @@
 namespace slip
 {
 
-/** One dynamic instruction flowing through a core. */
+/**
+ * One dynamic instruction flowing through a core: the timing record.
+ * It holds what the core, the block slicer and the retire hooks read;
+ * the instruction's full functional outcome stays where its source's
+ * walk wrote it, behind `exec`.
+ */
 struct DynInst
 {
     InstSeqNum seq = 0;
     Addr pc = 0;
-    StaticInst si;
-    ExecResult exec; // precomputed functional outcome
+
+    /** The instruction at `pc`, in the program text. */
+    const StaticInst *si = nullptr;
+
+    /**
+     * The precomputed functional outcome, owned by the source that
+     * walked the instruction: an A-stream packet slot's `aExec`, an
+     * R-stream retire record's `rExec`, or a TraceFetchSource
+     * training record. It stays valid at least until the instruction's
+     * retire hook returns. Null for fetch-only instructions, which
+     * never execute. The A-stream core must not read it: the
+     * reliability policy strips `aExec` before the A core dispatches.
+     */
+    const ExecResult *exec = nullptr;
+
+    // Dispatch fields, copied from the outcome by setOutcome().
+    Addr memAddr = 0;
+
+    /** Identifies the packet (trace) this instruction belongs to. */
+    uint64_t packetSeq = 0;
+
+    uint8_t memBytes = 0;
+    RegIndex destReg = kNoReg;
+    uint8_t packetSlot = 0;
+
+    /** Removal reason mask (slipstream statistics; 0 = not removed). */
+    uint8_t removalReason = 0;
+
+    bool wroteReg : 1 = false;
+
+    /** Control transfer that was taken: ends its fetch block. */
+    bool takenControl : 1 = false;
 
     /**
      * Front-end direction/target was wrong; fetch stalls after this
      * instruction until it resolves (conventional misprediction,
      * A-stream-detectable in slipstream terms).
      */
-    bool mispredicted = false;
+    bool mispredicted : 1 = false;
 
     /**
      * R-stream only: source operands arrive from the delay buffer, so
      * the instruction issues without waiting on register dependences.
      */
-    bool valuePredicted = false;
+    bool valuePredicted : 1 = false;
 
     /**
      * A-stream only: fetched (consumes fetch bandwidth) but removed
      * before decode by the ir-vec; never dispatched.
      */
-    bool fetchOnly = false;
+    bool fetchOnly : 1 = false;
 
     /**
      * R-stream only: this instruction exposed an IR-misprediction (or
      * transient fault); the slipstream processor initiates recovery
      * when it retires.
      */
-    bool triggersRecovery = false;
+    bool triggersRecovery : 1 = false;
 
-    /** Identifies the packet (trace) this instruction belongs to. */
-    uint64_t packetSeq = 0;
-    uint8_t packetSlot = 0;
-
-    /** Removal reason mask (slipstream statistics; 0 = not removed). */
-    uint8_t removalReason = 0;
+    /** Point `exec` at `outcome` and copy the fields dispatch reads. */
+    void
+    setOutcome(const ExecResult &outcome)
+    {
+        exec = &outcome;
+        memAddr = outcome.memAddr;
+        memBytes = static_cast<uint8_t>(outcome.memBytes);
+        destReg = outcome.destReg;
+        wroteReg = outcome.wroteReg;
+        takenControl = outcome.isControl && outcome.taken;
+    }
 };
 
 /** A fetch block: consecutive-on-path instructions, one per cycle. */
@@ -186,6 +225,49 @@ class OoOCore
         DynInst d;
         Cycle at; // fetch buffer: earliest dispatch; ROB: completion
     };
+    static_assert(sizeof(InflightEntry) <= 64,
+                  "a window entry outgrew a cache line");
+
+    /**
+     * Store-to-load forwarding times by 8-byte granule: the completion
+     * cycle of the youngest dispatched store to each granule. Open
+     * addressing with linear probing over a table sized from robSize.
+     * Only a time later than the current cycle can delay a load, and
+     * such a store has not completed, so it is still in the ROB: at
+     * most 2 x robSize granules are live. An entry whose time has
+     * passed is dead and its slot is reused; a sweep drops the dead
+     * entries when half the slots are taken.
+     */
+    class StoreTimes
+    {
+      public:
+        explicit StoreTimes(unsigned robSize);
+
+        /** Completion time of the youngest store to `granule`, or 0. */
+        Cycle find(Addr granule) const;
+
+        /** The store completing at `readyAt` writes `granule`. */
+        void set(Addr granule, Cycle readyAt, Cycle now);
+
+        void clear();
+
+      private:
+        struct Slot
+        {
+            Addr granule = 0;
+            Cycle readyAt = 0; // 0 = empty: no store completes at 0
+        };
+
+        size_t home(Addr granule) const;
+        void sweep(Cycle now);
+
+        std::vector<Slot> slots;
+        std::vector<Slot> live; // the live entries, during a sweep
+        size_t mask;
+        unsigned shift;
+        size_t used = 0;
+        size_t maxLive;
+    };
 
     void doRetire(Cycle now);
     void doDispatch(Cycle now);
@@ -214,7 +296,7 @@ class OoOCore
     FetchBlock fetchBlock;
 
     std::array<Cycle, kNumRegs> regReady{};
-    std::unordered_map<Addr, Cycle> storeReady; // key: addr >> 3
+    StoreTimes storeReady; // key: addr >> 3
 
     // Issue bandwidth ring: slots used per cycle.
     static constexpr size_t kRingSize = 1 << 14;

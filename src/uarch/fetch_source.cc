@@ -40,36 +40,6 @@ buildStaticTrace(const Program &program, Addr startPc,
 }
 
 void
-BlockSlicer::push(const DynInst &d, Addr fetchAddr)
-{
-    const bool discontinuous = open && fetchAddr != nextAddr;
-    if (open && (discontinuous || blocks.back().insts.size() >= maxBlock))
-        finish();
-
-    if (!open) {
-        FetchBlock &b = blocks.pushBack(); // recycled storage
-        b.startAddr = fetchAddr;
-        b.insts.clear();
-        b.insts.reserve(maxBlock);
-        open = true;
-    }
-    blocks.back().insts.push_back(d);
-    nextAddr = fetchAddr + kInstBytes;
-
-    // Blocks end at taken control flow and after mispredictions (the
-    // core must not see past a front-end redirect point).
-    const bool takenControl = d.exec.isControl && d.exec.taken;
-    if (takenControl || d.mispredicted || d.si.isHalt())
-        finish();
-}
-
-void
-BlockSlicer::finish()
-{
-    open = false;
-}
-
-void
 BlockSlicer::pop(FetchBlock &out)
 {
     SLIP_ASSERT(!empty(), "no completed fetch block");
@@ -166,8 +136,10 @@ TraceFetchSource::walkTrace()
         ++statTracesFallback;
     }
 
-    const PathHistory historyBefore = history;
     const uint64_t traceNum = nextTraceNum++;
+    PendingTrain &train = pendingTrain.pushBack(); // recycled slot
+    train.traceNum = traceNum;
+    train.history = history;
 
     // --- walk the trace, executing on the architectural state ---
     TraceId actual;
@@ -176,6 +148,10 @@ TraceFetchSource::walkTrace()
     const unsigned lengthCap =
         std::min<unsigned>(guess.length ? guess.length : policy.maxLen,
                            policy.maxLen);
+    std::vector<ExecResult> &outcomes = train.outcomes;
+    outcomes.clear();
+    outcomes.reserve(policy.maxLen);
+    const ExecResult *const outcomeBase = outcomes.data();
 
     bool anyEmitted = false;
     bool truncated = false;
@@ -183,14 +159,16 @@ TraceFetchSource::walkTrace()
     while (actual.length < lengthCap) {
         const Addr pc = state_.pc();
         const StaticInst &si = program.fetch(pc);
+        ExecResult &exec = outcomes.emplace_back();
+        executeMicro(state_, program.microAt(pc), &output_, exec);
 
-        DynInst d;
+        DynInst &d = slicer.append(pc);
         d.seq = nextSeq++;
         d.pc = pc;
-        d.si = si;
+        d.si = &si;
+        d.setOutcome(exec);
         d.packetSeq = traceNum;
         d.packetSlot = static_cast<uint8_t>(actual.length);
-        d.exec = executeMicro(state_, program.microAt(pc), &output_);
         ++actual.length;
 
         if (si.isCondBranch()) {
@@ -199,10 +177,10 @@ TraceFetchSource::walkTrace()
                     ? ((guess.branchBits >> branchIdx) & 1) != 0
                     : si.imm < 0; // BTFN beyond known bits
             ++branchIdx;
-            if (d.exec.taken && actual.numBranches < 64)
+            if (exec.taken && actual.numBranches < 64)
                 actual.branchBits |= 1ull << actual.numBranches;
             ++actual.numBranches;
-            if (predTaken != d.exec.taken) {
+            if (predTaken != exec.taken) {
                 d.mispredicted = true;
                 truncated = true;
             }
@@ -213,11 +191,11 @@ TraceFetchSource::walkTrace()
         }
 
         const bool structuralEnd =
-            endsTraceAfter(policy, si, d.exec.taken, pc, d.exec.nextPc);
+            endsTraceAfter(policy, si, exec.taken, pc, exec.nextPc);
         if (si.isHalt())
             haltWalked = true;
 
-        slicer.push(d, pc);
+        slicer.seal();
         anyEmitted = true;
 
         if (truncated || structuralEnd)
@@ -226,13 +204,12 @@ TraceFetchSource::walkTrace()
 
     SLIP_ASSERT(anyEmitted, "walked an empty trace at pc 0x", std::hex,
                 startPc);
+    SLIP_ASSERT(outcomes.data() == outcomeBase,
+                "trace outcomes reallocated under their instructions");
     DynInst &last = slicer.lastInst();
 
     // --- update speculative history with the actual trace ---
     history.push(actual);
-    PendingTrain &train = pendingTrain.pushBack(); // recycled slot
-    train.traceNum = traceNum;
-    train.history = historyBefore;
     train.actual = actual;
     train.lastSeq = last.seq;
 
@@ -246,13 +223,13 @@ TraceFetchSource::walkTrace()
 
     // --- validate the next fetch address (JALR target prediction) ---
     const Addr actualNext = state_.pc();
-    if (last.si.isIndirectJump() && !truncated) {
+    const StaticInst &lastSi = *last.si;
+    if (lastSi.isIndirectJump() && !truncated) {
         std::optional<TraceId> next = predictor.predict(history);
         Addr predictedTarget = 0;
         if (next && next->valid()) {
             predictedTarget = next->startPc;
-        } else if (last.si.rs1 == reg::ra &&
-                   last.si.rd == reg::zero) {
+        } else if (lastSi.rs1 == reg::ra && lastSi.rd == reg::zero) {
             predictedTarget = ras.pop(); // return: use the RAS
         }
         if (predictedTarget != actualNext) {
@@ -261,7 +238,7 @@ TraceFetchSource::walkTrace()
             ++statIndirectMispredicts;
             // Patch the already-sliced last instruction.
             last.mispredicted = true;
-        } else if (last.si.rs1 == reg::ra && last.si.rd == reg::zero &&
+        } else if (lastSi.rs1 == reg::ra && lastSi.rd == reg::zero &&
                    next && next->valid()) {
             // Predictor supplied the target; keep the RAS balanced.
             ras.pop();

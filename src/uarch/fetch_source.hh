@@ -51,9 +51,10 @@ TraceId buildStaticTrace(const Program &program, Addr startPc,
  * them for the core: a block ends at taken control flow, at
  * fetch-width capacity, at any discontinuity in the fetch address
  * (A-stream skip points), and after a mispredicted instruction (core
- * contract). Block storage is recycled: handing a block to the core
- * trades instruction vectors with the core's consumed block, so a
- * steady-state walk allocates nothing.
+ * contract). Walks build each instruction in place in the open block
+ * (append, fill in, seal). Block storage is recycled: handing a block
+ * to the core trades instruction vectors with the core's consumed
+ * block, so a steady-state walk allocates nothing.
  */
 class BlockSlicer
 {
@@ -63,14 +64,46 @@ class BlockSlicer
     {}
 
     /**
-     * Append one instruction.
+     * Append one default-constructed instruction to the open block
+     * (first closing it at a fetch discontinuity or at capacity) and
+     * return it for the caller to fill in; seal() completes it.
      * @param fetchAddr the address the front end fetches this
-     *        instruction from (== d.pc in every current model)
+     *        instruction from (== pc in every current model)
      */
-    void push(const DynInst &d, Addr fetchAddr);
+    DynInst &
+    append(Addr fetchAddr)
+    {
+        const bool discontinuous = open && fetchAddr != nextAddr;
+        if (open &&
+            (discontinuous || blocks.back().insts.size() >= maxBlock))
+            finish();
+
+        if (!open) {
+            FetchBlock &b = blocks.pushBack(); // recycled storage
+            b.startAddr = fetchAddr;
+            b.insts.clear();
+            b.insts.reserve(maxBlock);
+            open = true;
+        }
+        nextAddr = fetchAddr + kInstBytes;
+        return blocks.back().insts.emplace_back();
+    }
+
+    /**
+     * The appended instruction is filled in: close its block after it
+     * if it is taken control flow, mispredicted, or HALT (the core
+     * must not see past a front-end redirect point).
+     */
+    void
+    seal()
+    {
+        const DynInst &d = blocks.back().insts.back();
+        if (d.takenControl || d.mispredicted || d.si->isHalt())
+            finish();
+    }
 
     /** Close the in-progress block (end of trace). */
-    void finish();
+    void finish() { open = false; }
 
     /** No completed block is waiting. */
     bool empty() const { return blocks.size() == (open ? 1u : 0u); }
@@ -78,7 +111,7 @@ class BlockSlicer
     /** Hand the oldest completed block to the core. */
     void pop(FetchBlock &out);
 
-    /** The most recently pushed instruction. */
+    /** The most recently appended instruction. */
     DynInst &lastInst();
 
     /** Drop every queued block (recovery). */
@@ -124,6 +157,10 @@ class TraceFetchSource : public FetchSource
      * The core retires in program order and trace numbers only grow,
      * so the pending trace is always at the front of a walk-ordered
      * ring; an older front entry can never train and is dropped.
+     *
+     * Each trace's record also owns the outcomes its instructions'
+     * `exec` point at, so it releases them: a retire observer reads
+     * `d.exec` before calling this.
      */
     void notifyRetire(const DynInst &d);
 
@@ -157,13 +194,20 @@ class TraceFetchSource : public FetchSource
     uint64_t nextTraceNum = 0;
     bool haltWalked = false;
 
-    /** Pending predictor training, one per walked trace. */
+    /**
+     * Pending predictor training, one per walked trace, and the
+     * functional outcomes of the trace's instructions. `outcomes` is
+     * reserved to the maximum trace length before the walk, and the
+     * ring moves records only by swap, so the instructions' `exec`
+     * pointers into it stay valid until the record is reused.
+     */
     struct PendingTrain
     {
         uint64_t traceNum = 0;
         PathHistory history; // history *before* this trace
         TraceId actual;
         InstSeqNum lastSeq = 0;
+        std::vector<ExecResult> outcomes; // one per walked instruction
     };
     Ring<PendingTrain> pendingTrain; // walk order, oldest first
 

@@ -31,7 +31,12 @@
 namespace slip
 {
 
-/** Rolling path history of the last N trace ids (as hashes). */
+/**
+ * Rolling path history of the last N trace ids (as hashes). Both
+ * index hashes are computed when the history changes, not per lookup:
+ * every trace consults the same history several times (trace and
+ * IR-predictor lookups in the walk, both updates at retirement).
+ */
 class PathHistory
 {
   public:
@@ -45,35 +50,51 @@ class PathHistory
         for (unsigned i = kDepth - 1; i > 0; --i)
             ids[i] = ids[i - 1];
         ids[0] = id.hash();
+        rehash();
     }
 
     /** Replace the most recent entry (mispredict repair). */
-    void repairLast(const TraceId &id) { ids[0] = id.hash(); }
+    void
+    repairLast(const TraceId &id)
+    {
+        ids[0] = id.hash();
+        rehash();
+    }
 
-    void clear() { ids.fill(0); }
+    void
+    clear()
+    {
+        ids.fill(0);
+        rehash();
+    }
 
     /**
      * Index hash over the full path, weighting recent traces more:
      * older ids are shifted right so fewer of their bits survive into
      * the low-order index bits.
      */
-    uint64_t
-    correlatedHash() const
+    uint64_t correlatedHash() const { return correlated; }
+
+    /** Hash of only the most recent trace id. */
+    uint64_t simpleHash() const { return simple; }
+
+    /** Copy another stream's history (used at recovery resync). */
+    void copyFrom(const PathHistory &other) { *this = other; }
+
+  private:
+    void
+    rehash()
     {
         uint64_t h = 0;
         for (unsigned i = 0; i < kDepth; ++i)
             h = hashCombine(h, ids[i] >> (2 * i));
-        return h;
+        correlated = h;
+        simple = mix64(ids[0]);
     }
 
-    /** Hash of only the most recent trace id. */
-    uint64_t simpleHash() const { return mix64(ids[0]); }
-
-    /** Copy another stream's history (used at recovery resync). */
-    void copyFrom(const PathHistory &other) { ids = other.ids; }
-
-  private:
     std::array<uint64_t, kDepth> ids;
+    uint64_t correlated;
+    uint64_t simple;
 };
 
 /** Configuration for the trace predictor (paper Table 2 defaults). */

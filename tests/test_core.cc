@@ -9,7 +9,10 @@ namespace slip
 namespace
 {
 
-/** Scripted fetch source: serves a fixed list of blocks. */
+/**
+ * Scripted fetch source: serves a fixed list of blocks. It owns the
+ * instruction text its DynInsts point at.
+ */
 class ScriptedSource : public FetchSource
 {
   public:
@@ -38,25 +41,33 @@ class ScriptedSource : public FetchSource
             d.pc = nextPc;
             const bool last = endWithHalt && i + 1 == n;
             if (last) {
-                d.si = {Opcode::HALT, 0, 0, 0, 0};
+                d.si = inst({Opcode::HALT, 0, 0, 0, 0});
             } else if (chainReg != kNoReg) {
                 // Serial dependence chain through chainReg.
-                d.si = {Opcode::ADDI, chainReg, chainReg, 0, 1};
-                d.exec.wroteReg = true;
-                d.exec.destReg = chainReg;
+                d.si = inst({Opcode::ADDI, chainReg, chainReg, 0, 1});
+                d.wroteReg = true;
+                d.destReg = chainReg;
             } else {
-                d.si = {Opcode::ADDI, RegIndex(1 + (seq % 8)), 0, 0, 1};
-                d.exec.wroteReg = true;
-                d.exec.destReg = RegIndex(1 + (seq % 8));
+                d.si = inst({Opcode::ADDI, RegIndex(1 + (seq % 8)), 0, 0,
+                             1});
+                d.wroteReg = true;
+                d.destReg = RegIndex(1 + (seq % 8));
             }
-            d.exec.nextPc = nextPc + 4;
             nextPc += 4;
             b.insts.push_back(d);
         }
         blocks.push_back(std::move(b));
     }
 
+    /** Keep `si` in the source's text; return its stable address. */
+    const StaticInst *
+    inst(const StaticInst &si)
+    {
+        return &text.emplace_back(si);
+    }
+
     std::deque<FetchBlock> blocks;
+    std::deque<StaticInst> text;
     InstSeqNum seq = 0;
     Addr nextPc = 0x1000;
 };
@@ -133,13 +144,10 @@ TEST(OoOCore, MispredictStallsFetch)
         DynInst br;
         br.seq = ++src->seq;
         br.pc = src->nextPc;
-        br.si = {Opcode::BNE, 0, 1, 0, 4};
-        br.exec.isControl = true;
-        br.exec.taken = true;
-        br.exec.target = src->nextPc + 16;
-        br.exec.nextPc = br.exec.target;
+        br.si = src->inst({Opcode::BNE, 0, 1, 0, 4});
+        br.takenControl = true;
         br.mispredicted = mispredict;
-        src->nextPc = br.exec.target;
+        src->nextPc += 16;
         b.insts.push_back(br);
         src->blocks.push_back(std::move(b));
         src->addAluBlock(8, true);
@@ -167,9 +175,8 @@ TEST(OoOCore, FetchOnlyInstructionsNeverDispatch)
         DynInst d;
         d.seq = i + 1;
         d.pc = 0x1000 + 4 * i;
-        d.si = {Opcode::ADDI, 1, 1, 0, 1};
+        d.si = src.inst({Opcode::ADDI, 1, 1, 0, 1});
         d.fetchOnly = i < 2; // first two removed pre-decode
-        d.exec.nextPc = d.pc + 4;
         b.insts.push_back(d);
     }
     src.blocks.push_back(std::move(b));

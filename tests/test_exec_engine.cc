@@ -77,7 +77,8 @@ class MicroParity : public ::testing::Test
 
         const ExecResult ra = execute(stateA, inst, &outA);
         const MicroOp u = predecode(inst, pc);
-        const ExecResult rb = executeMicro(stateB, u, &outB);
+        ExecResult rb;
+        executeMicro(stateB, u, &outB, rb);
 
         const std::string what =
             "op " + std::to_string(static_cast<int>(inst.op)) +
