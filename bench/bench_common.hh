@@ -15,7 +15,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "func/exec_engine.hh"
 #include "harness/experiment.hh"
 #include "harness/sim_runner.hh"
 #include "harness/table.hh"
@@ -37,15 +36,11 @@ benchSize()
     static const WorkloadSize cached = [] {
         const char *env = std::getenv("SLIPSTREAM_BENCH_SIZE");
         const std::string s = env ? env : "small";
-        if (s == "test")
-            return WorkloadSize::Test;
-        if (s == "small")
-            return WorkloadSize::Small;
-        if (s == "default" || s == "full")
-            return WorkloadSize::Default;
-        SLIP_WARN("unknown SLIPSTREAM_BENCH_SIZE='", s,
-                  "' (want test|small|default); using 'small'");
-        return WorkloadSize::Small;
+        WorkloadSize size = WorkloadSize::Small;
+        if (!parseWorkloadSize(s, size))
+            SLIP_WARN("unknown SLIPSTREAM_BENCH_SIZE='", s,
+                      "' (want test|small|default); using 'small'");
+        return size;
     }();
     return cached;
 }
@@ -82,12 +77,11 @@ inline void
 banner(const std::string &artifact, const std::string &paperNote)
 {
     // Resolve every environment knob before muting warnings so bad
-    // SLIPSTREAM_BENCH_SIZE / SLIPSTREAM_JOBS / SLIPSTREAM_DISPATCH /
-    // supervision / SLIPSTREAM_TRACE values are reported instead of
-    // silently falling back.
+    // SLIPSTREAM_BENCH_SIZE / SLIPSTREAM_JOBS / supervision /
+    // SLIPSTREAM_TRACE values are reported instead of silently
+    // falling back.
     const char *size = benchSizeName();
     const unsigned jobs = defaultJobs();
-    defaultDispatch();
     const Supervision supervision = Supervision::fromEnv();
     const obs::TraceConfig trace = obs::TraceSession::global().config();
     slip::setLogQuiet(true);

@@ -1,20 +1,21 @@
 /**
  * @file
- * Validated environment-knob parsing, and the strict unsigned parser
- * it shares with the tools' options and the JSON reader. Every
- * SLIPSTREAM_* knob follows one contract (the one SLIPSTREAM_JOBS
- * established): an unset variable means the built-in default, a
- * well-formed value wins, and garbage earns a warning naming the
- * variable and falls back to the default — it never aborts a run. An
- * empty or whitespace-only value (`SLIPSTREAM_DETECT= cmd`) counts as
- * *unset*, not as garbage: that is how shells and supervisors clear a
- * knob. Values are re-read on every call so tests can override
- * per-run.
+ * Validated environment-knob parsing, the strict unsigned parser it
+ * shares with the tools' options and the JSON reader, and the tools'
+ * list splitter. Every SLIPSTREAM_* knob follows one contract (the
+ * one SLIPSTREAM_JOBS established): an unset variable means the
+ * built-in default, a well-formed value wins, and garbage earns a
+ * warning naming the variable and falls back to the default — it
+ * never aborts a run. An empty or whitespace-only value
+ * (`SLIPSTREAM_DETECT= cmd`) counts as *unset*, not as garbage: that
+ * is how shells and supervisors clear a knob. Values are re-read on
+ * every call so tests can override per-run.
  */
 
 #ifndef SLIPSTREAM_COMMON_ENV_HH
 #define SLIPSTREAM_COMMON_ENV_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace slip
 {
@@ -49,6 +51,23 @@ parseUnsigned(const std::string &text, T &out)
 }
 
 /**
+ * The non-empty items of a comma-separated list, in order ("a,,b"
+ * reads as a, b): the tools' list options parse with it.
+ */
+inline std::vector<std::string>
+splitCsv(const std::string &text)
+{
+    std::vector<std::string> out;
+    for (size_t start = 0; start <= text.size();) {
+        const size_t comma = std::min(text.find(',', start), text.size());
+        if (comma > start)
+            out.push_back(text.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return out;
+}
+
+/**
  * $name parsed as a non-negative integer. Garbage (non-numeric,
  * negative, trailing junk, overflow) warns and returns `fallback`.
  */
@@ -70,7 +89,7 @@ bool envFlag(const char *name, bool fallback);
  * listing every valid choice. A typo'd mode would silently run the
  * wrong experiment for hours — failing fast is the only safe
  * fallback ($SLIPSTREAM_DETECT, $SLIPSTREAM_ISOLATION and
- * $SLIPSTREAM_DISPATCH all parse through this).
+ * $SLIPSTREAM_ASTREAM_POLICY all parse through this).
  */
 size_t envChoice(const char *name,
                  std::initializer_list<const char *> choices,

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared arithmetic edge-case semantics (RISC-V-style division and
- * high multiply). Both the legacy switch executor and the predecoded
- * engines must agree bit-for-bit, so the helpers live in one header.
+ * high multiply). The reference executor, executeMicro and the block
+ * engine must agree bit-for-bit, so the helpers live in one header.
  */
 
 #ifndef SLIPSTREAM_FUNC_EXEC_SEMANTICS_HH

@@ -1,9 +1,13 @@
 /**
  * @file
- * The SSIR instruction executor — the single source of truth for
- * instruction semantics. The functional simulator, the superscalar
- * timing cores, and both slipstream streams all execute through this
- * function, so architectural behaviour cannot diverge between models.
+ * The SSIR instruction executors. execute() is the reference
+ * semantics: a plain per-instruction decode switch that the
+ * differential tests (tests/test_exec_engine.cc) hold executeMicro()
+ * and the block engine (func/exec_engine.hh) to. The models run the
+ * other two: the functional simulator, the superscalar timing cores,
+ * both slipstream streams and the detection backends execute through
+ * executeMicro() or the engine, so architectural behaviour cannot
+ * diverge between models.
  */
 
 #ifndef SLIPSTREAM_FUNC_EXECUTOR_HH
@@ -45,7 +49,8 @@ static_assert(sizeof(ExecResult) <= 64, "ExecResult outgrew a cache line");
 
 /**
  * Execute one instruction against `state`, updating registers, PC and
- * memory. PUTC/PUTN output is appended to `*output` when non-null.
+ * memory: the reference semantics. PUTC/PUTN output is appended to
+ * `*output` when non-null.
  *
  * @param state   the context to execute in (its pc() must point at inst)
  * @param inst    the decoded instruction

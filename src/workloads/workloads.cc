@@ -19,6 +19,22 @@ sizeName(WorkloadSize size)
     return "?";
 }
 
+bool
+parseWorkloadSize(const std::string &text, WorkloadSize &out)
+{
+    for (WorkloadSize size : {WorkloadSize::Test, WorkloadSize::Small,
+                              WorkloadSize::Default}) {
+        if (text == sizeName(size)) {
+            out = size;
+            return true;
+        }
+    }
+    if (text != "full")
+        return false;
+    out = WorkloadSize::Default;
+    return true;
+}
+
 std::vector<Workload>
 allWorkloads(WorkloadSize size)
 {

@@ -57,6 +57,12 @@ lastEnumerator(WorkloadSize)
 /** "test" / "small" / "default" — cache keys and $SLIPSTREAM_BENCH_SIZE. */
 const char *sizeName(WorkloadSize size);
 
+/**
+ * Inverse of sizeName, plus `full` for Default; false on anything
+ * else. --size and $SLIPSTREAM_BENCH_SIZE parse with it.
+ */
+bool parseWorkloadSize(const std::string &text, WorkloadSize &out);
+
 /** One benchmark program. */
 struct Workload
 {

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -83,32 +82,6 @@ TEST(Corpus, ReplayIsDeterministic)
     const fuzz::OracleVerdict b = fuzz::runOracle(program);
     EXPECT_EQ(a.diverged, b.diverged);
     EXPECT_EQ(a.report, b.report);
-    setLogQuiet(false);
-}
-
-TEST(Corpus, ReplayIsEngineIndependent)
-{
-    // The oracle verdict — including its byte-exact report — must not
-    // depend on which dispatch engine runs the functional reference
-    // leg. $SLIPSTREAM_DISPATCH is re-read per run, so flipping it
-    // between evaluations exercises each engine end to end.
-    setLogQuiet(true);
-    const std::vector<std::string> files = corpusFiles();
-    ASSERT_FALSE(files.empty());
-    for (const std::string &path : files) {
-        SCOPED_TRACE(path);
-        const Program program = assemble(slurp(path));
-
-        setenv("SLIPSTREAM_DISPATCH", "legacy", 1);
-        const fuzz::OracleVerdict ref = fuzz::runOracle(program);
-        for (const char *engine : {"switch", "threaded"}) {
-            setenv("SLIPSTREAM_DISPATCH", engine, 1);
-            const fuzz::OracleVerdict got = fuzz::runOracle(program);
-            EXPECT_EQ(got.diverged, ref.diverged) << engine;
-            EXPECT_EQ(got.report, ref.report) << engine;
-        }
-        unsetenv("SLIPSTREAM_DISPATCH");
-    }
     setLogQuiet(false);
 }
 

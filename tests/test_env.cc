@@ -74,5 +74,15 @@ TEST(EnvKnobs, EmptyAndWhitespaceMeanUnsetForChoice)
     EXPECT_THROW(pick(), FatalError);
 }
 
+TEST(ToolOptions, SplitCsvKeepsNonEmptyItemsInOrder)
+{
+    using V = std::vector<std::string>;
+    EXPECT_EQ(splitCsv("compress,li"), (V{"compress", "li"}));
+    EXPECT_EQ(splitCsv(",go,,jpeg,"), (V{"go", "jpeg"}));
+    EXPECT_EQ(splitCsv("perl"), (V{"perl"}));
+    EXPECT_TRUE(splitCsv("").empty());
+    EXPECT_TRUE(splitCsv(",,").empty());
+}
+
 } // namespace
 } // namespace slip

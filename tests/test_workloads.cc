@@ -99,6 +99,27 @@ TEST(Workloads, UnknownNameIsFatal)
                  FatalError);
 }
 
+TEST(Workloads, SizeNamesRoundTrip)
+{
+    for (WorkloadSize size : {WorkloadSize::Test, WorkloadSize::Small,
+                              WorkloadSize::Default}) {
+        WorkloadSize parsed = WorkloadSize::Test;
+        EXPECT_TRUE(parseWorkloadSize(sizeName(size), parsed))
+            << sizeName(size);
+        EXPECT_EQ(parsed, size) << sizeName(size);
+    }
+    WorkloadSize full = WorkloadSize::Test;
+    EXPECT_TRUE(parseWorkloadSize("full", full));
+    EXPECT_EQ(full, WorkloadSize::Default);
+
+    // A refused name leaves the output alone.
+    for (const char *bad : {"", "Test", "huge", "small ", "?"}) {
+        WorkloadSize out = WorkloadSize::Small;
+        EXPECT_FALSE(parseWorkloadSize(bad, out)) << bad;
+        EXPECT_EQ(out, WorkloadSize::Small) << bad;
+    }
+}
+
 TEST(Workloads, DeterministicAcrossRuns)
 {
     const Workload w = getWorkload("compress", WorkloadSize::Test);

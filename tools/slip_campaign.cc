@@ -29,7 +29,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -111,18 +110,6 @@ usage(std::ostream &os)
           "(repeatable;\n"
           "                   set SLIPSTREAM_TRIAL_TIMEOUT_MS)\n"
           "  -h, --help\n";
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 void
@@ -234,13 +221,7 @@ main(int argc, char **argv)
             }
         } else if (arg == "--size") {
             const std::string v = value("--size");
-            if (v == "test") {
-                cfg.size = WorkloadSize::Test;
-            } else if (v == "small") {
-                cfg.size = WorkloadSize::Small;
-            } else if (v == "default" || v == "full") {
-                cfg.size = WorkloadSize::Default;
-            } else {
+            if (!parseWorkloadSize(v, cfg.size)) {
                 std::cerr << "slip_campaign: bad --size '" << v
                           << "' (want test|small|default)\n";
                 return 2;

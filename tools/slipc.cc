@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,18 +58,6 @@ usage(std::ostream &os)
           "    --no-sort        stream results unsorted\n"
           "    --cancel-after N cancel the batch after N results\n"
           "  -h, --help\n";
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 } // namespace
@@ -119,13 +106,7 @@ main(int argc, char **argv)
             req.workloads = splitCsv(value("--workloads"));
         } else if (arg == "--size") {
             const std::string v = value("--size");
-            if (v == "test") {
-                req.size = WorkloadSize::Test;
-            } else if (v == "small") {
-                req.size = WorkloadSize::Small;
-            } else if (v == "default" || v == "full") {
-                req.size = WorkloadSize::Default;
-            } else {
+            if (!parseWorkloadSize(v, req.size)) {
                 std::cerr << "slipc: bad --size '" << v
                           << "' (want test|small|default)\n";
                 return 2;
