@@ -8,7 +8,7 @@
  * of that once, at program load:
  *
  *  - `handler` is the dispatch index (the raw opcode value), ready for
- *    a computed-goto table or a dense switch,
+ *    the engine's computed-goto table,
  *  - `rd` is the already-resolved destination (kNoReg when the
  *    instruction has none, including writes to the zero register),
  *  - `rdSlot` maps kNoReg onto a 65th sink slot so the threaded engine
