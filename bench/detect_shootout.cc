@@ -1,13 +1,12 @@
 /**
  * Detection-backend shootout: the same multi-target fault campaign
- * (all 8 injector targets, all benchmarks) run three times, once per
+ * (all 8 injector targets, all benchmarks) run twice, once per
  * detection architecture —
  *
  *   slipstream  the paper's native delay-buffer comparison
  *   replay      RepTFD-style windowed functional re-execution
- *   checker     MEEK-style bandwidth-limited in-order checker core
  *
- * — and condensed into a three-way coverage / detection-latency /
+ * — and condensed into a two-way coverage / detection-latency /
  * overhead table none of the source papers prints. Campaigns run on
  * the deterministic FaultCampaign runner: identical trial plans per
  * backend (same seed), byte-identical reports for any SLIPSTREAM_JOBS
@@ -61,9 +60,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    bench::banner("Detection-backend shootout (slipstream vs. replay "
-                  "vs. checker)",
-                  "same fault campaign, three detection architectures");
+    bench::banner("Detection-backend shootout (slipstream vs. replay)",
+                  "same fault campaign, two detection architectures");
     if (resume)
         std::cout << "(resuming from the trial journal)\n\n";
     if (isolation == IsolationMode::Fork)
@@ -89,7 +87,6 @@ main(int argc, char **argv)
     constexpr DetectBackendKind kBackends[] = {
         DetectBackendKind::Slipstream,
         DetectBackendKind::Replay,
-        DetectBackendKind::Checker,
     };
     for (const DetectBackendKind kind : kBackends) {
         const std::string backend = detectBackendName(kind);
@@ -134,10 +131,8 @@ main(int argc, char **argv)
               << " (rerun with --resume after a kill)\n\n"
               << "expected shape: the native backend misses the "
                  "silently-retiring\ntargets (non-redundant R-pipeline"
-                 " hits, memory cells) that replay\ncatches; the "
-                 "checker catches register corruption but trusts\n"
-                 "leader loads (the MemoryCell/ECC hole) — both pay "
-                 "a modeled\noverhead the native comparison gets for "
-                 "free.\n";
+                 " hits, memory cells) that replay\ncatches; replay "
+                 "pays a modeled overhead the native comparison\ngets "
+                 "for free.\n";
     return 0;
 }

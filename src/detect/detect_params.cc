@@ -11,7 +11,6 @@ namespace
 constexpr const char *kBackendNames[kNumDetectBackends] = {
     "slipstream",
     "replay",
-    "checker",
 };
 
 } // namespace
@@ -39,7 +38,7 @@ DetectBackendKind
 detectBackendFromEnv(DetectBackendKind fallback)
 {
     return DetectBackendKind(envChoice(
-        "SLIPSTREAM_DETECT", {"slipstream", "replay", "checker"},
+        "SLIPSTREAM_DETECT", {"slipstream", "replay"},
         size_t(fallback)));
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Detection-backend selection and tuning knobs.
+ * Detection-backend selection.
  *
- * Three rival error-detection architectures share one processor
- * substrate (the slipstream CMP with its 8-target fault injector):
+ * Two error-detection architectures share one processor substrate
+ * (the slipstream CMP with its 8-target fault injector):
  *
  *  - slipstream: the paper's native mechanism — the R-stream checks
  *    the A-stream through the delay buffer. No extra hardware, no
@@ -14,13 +14,8 @@
  *    register/memory snapshot; a diff against retirement state
  *    exposes silent architectural corruption. Windows also flush on
  *    suspicion triggers (every recovery, including watchdog-forced).
- *  - checker: MEEK-style little checker core. A simplified in-order
- *    checker with its own register file re-executes every retired
- *    instruction at a configurable bandwidth ratio, trusting the
- *    leader's load values; mismatches surface with the checker's lag
- *    as detection latency, and queue backpressure as overhead.
  *
- * Selection rides $SLIPSTREAM_DETECT (slipstream|replay|checker) and
+ * Selection rides $SLIPSTREAM_DETECT (slipstream|replay) and
  * FaultCampaignConfig. Mode knobs parse STRICTLY: an unknown value
  * throws instead of silently falling back (common/env::envChoice).
  */
@@ -39,19 +34,18 @@ enum class DetectBackendKind : uint8_t
 {
     Slipstream, // native delay-buffer comparison only
     Replay,     // windowed functional re-execution (RepTFD-style)
-    Checker,    // bandwidth-limited in-order checker core (MEEK-style)
 };
 
-inline constexpr unsigned kNumDetectBackends = 3;
+inline constexpr unsigned kNumDetectBackends = 2;
 
 /** The greatest backend kind (the wire decoder's range check). */
 constexpr DetectBackendKind
 lastEnumerator(DetectBackendKind)
 {
-    return DetectBackendKind::Checker;
+    return DetectBackendKind::Replay;
 }
 
-/** "slipstream", "replay", "checker" (report keys). */
+/** "slipstream", "replay" (report keys). */
 const char *detectBackendName(DetectBackendKind kind);
 
 /** Inverse of detectBackendName; false on anything else. */
@@ -66,22 +60,10 @@ bool parseDetectBackend(const std::string &text,
 DetectBackendKind detectBackendFromEnv(
     DetectBackendKind fallback = DetectBackendKind::Slipstream);
 
-/** Backend selection plus tuning, carried inside SlipstreamParams. */
+/** Backend selection, carried inside SlipstreamParams. */
 struct DetectParams
 {
     DetectBackendKind kind = DetectBackendKind::Slipstream;
-
-    /** Replay: retired instructions per replay window. */
-    uint64_t replayWindow = 256;
-
-    /** Replay: instructions re-executed per modeled cycle. */
-    unsigned replayWidth = 4;
-
-    /** Checker: leader instructions validated per modeled cycle. */
-    unsigned checkerBandwidth = 2;
-
-    /** Checker: retired-slot queue depth before the leader stalls. */
-    unsigned checkerQueue = 64;
 
     /** The wire and key fields, in order (see harness/wire.hh). */
     template <typename Self, typename Visit>
@@ -89,10 +71,6 @@ struct DetectParams
     fields(Self &self, Visit &&v)
     {
         v("detect backend", self.kind);
-        v("replay window", self.replayWindow);
-        v("replay width", self.replayWidth);
-        v("checker bandwidth", self.checkerBandwidth);
-        v("checker queue", self.checkerQueue);
     }
 };
 
@@ -105,7 +83,7 @@ struct DetectStats
     uint64_t externalDetections = 0;
     uint64_t replays = 0;       // replay windows flushed
     uint64_t replayedInsts = 0; // instructions re-executed
-    /** Modeled detection cost in cycles (replay time / stalls). */
+    /** Modeled detection cost in cycles (replay time). */
     uint64_t overheadCycles = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "detect/detection_backend.hh"
 
-#include "detect/checker_backend.hh"
 #include "detect/replay_backend.hh"
 #include "slipstream/fault_injector.hh"
 
@@ -33,12 +32,6 @@ class SlipstreamBackend : public DetectionBackend
         : DetectionBackend(injector)
     {}
 
-    DetectBackendKind
-    kind() const override
-    {
-        return DetectBackendKind::Slipstream;
-    }
-
     void
     onRetire(const DynInst &d, Cycle) override
     {
@@ -61,11 +54,7 @@ makeDetectionBackend(const DetectParams &params, const Program &program,
 {
     switch (params.kind) {
       case DetectBackendKind::Replay:
-        return std::make_unique<ReplayBackend>(params, program,
-                                               injector);
-      case DetectBackendKind::Checker:
-        return std::make_unique<CheckerBackend>(params, program,
-                                                injector);
+        return std::make_unique<ReplayBackend>(program, injector);
       case DetectBackendKind::Slipstream:
       default:
         return std::make_unique<SlipstreamBackend>(injector);

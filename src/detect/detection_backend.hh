@@ -52,8 +52,6 @@ class DetectionBackend
     {}
     virtual ~DetectionBackend() = default;
 
-    virtual DetectBackendKind kind() const = 0;
-
     /** One instruction retired architecturally at cycle `now`. */
     virtual void onRetire(const DynInst &d, Cycle now) = 0;
 
@@ -88,9 +86,8 @@ class DetectionBackend
 };
 
 /**
- * Build the backend `params.kind` names. `program` backs the shadow
- * contexts of the replay and checker backends; the slipstream
- * passthrough ignores it.
+ * Build the backend `params.kind` names. `program` backs the replay
+ * backend's shadow context; the slipstream passthrough ignores it.
  */
 std::unique_ptr<DetectionBackend> makeDetectionBackend(
     const DetectParams &params, const Program &program,

@@ -7,25 +7,22 @@
 namespace slip
 {
 
-ReplayBackend::ReplayBackend(const DetectParams &params,
-                             const Program &program,
+ReplayBackend::ReplayBackend(const Program &program,
                              FaultInjector &injector)
-    : DetectionBackend(injector), program_(program),
-      window_(params.replayWindow ? params.replayWindow : 1),
-      width_(params.replayWidth ? params.replayWidth : 1),
-      port_(shadowMem_), shadow_(port_)
+    : DetectionBackend(injector), program_(program), port_(shadowMem_),
+      shadow_(port_)
 {
     program_.loadInto(shadowMem_);
     shadow_.setPc(program_.entry());
     shadow_.writeReg(reg::sp, layout::kStackTop);
-    pending_.reserve(window_);
+    pending_.reserve(kWindow);
 }
 
 void
 ReplayBackend::onRetire(const DynInst &d, Cycle now)
 {
     pending_.push_back(Entry{d.pc, *d.exec}); // outlives d.exec
-    if (pending_.size() >= window_)
+    if (pending_.size() >= kWindow)
         flushWindow(now);
 }
 
@@ -65,7 +62,7 @@ ReplayBackend::flushWindow(Cycle now)
     stats_.replays += 1;
     stats_.replayedInsts += pending_.size();
     stats_.checked += pending_.size();
-    stats_.overheadCycles += (pending_.size() + width_ - 1) / width_;
+    stats_.overheadCycles += (pending_.size() + kWidth - 1) / kWidth;
     pending_.clear();
 }
 

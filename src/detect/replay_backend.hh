@@ -10,8 +10,8 @@
  *
  * Windows flush when full, on every suspicion trigger (recovery of
  * any cause, including the forced watchdog recovery), and at end of
- * run. Replay cost is modeled as ceil(window / replayWidth) cycles
- * per flush and charged to DetectStats::overheadCycles.
+ * run. Replay cost is modeled as ceil(window / kWidth) cycles per
+ * flush and charged to DetectStats::overheadCycles.
  */
 
 #ifndef SLIPSTREAM_DETECT_REPLAY_BACKEND_HH
@@ -31,13 +31,13 @@ class Program;
 class ReplayBackend : public DetectionBackend
 {
   public:
-    ReplayBackend(const DetectParams &params, const Program &program,
-                  FaultInjector &injector);
+    /** Retired instructions per replay window. */
+    static constexpr uint64_t kWindow = 256;
 
-    DetectBackendKind kind() const override
-    {
-        return DetectBackendKind::Replay;
-    }
+    /** Instructions re-executed per modeled cycle. */
+    static constexpr unsigned kWidth = 4;
+
+    ReplayBackend(const Program &program, FaultInjector &injector);
 
     void onRetire(const DynInst &d, Cycle now) override;
     void onSuspicion(Cycle now) override;
@@ -56,8 +56,6 @@ class ReplayBackend : public DetectionBackend
     void replayOne(const Entry &e, Cycle now);
 
     const Program &program_;
-    uint64_t window_;
-    unsigned width_;
 
     Memory shadowMem_;
     DirectMemPort port_;

@@ -51,7 +51,7 @@ struct RunMetrics
 
     // Detection-backend telemetry (slipstream only; the backend named
     // by SlipstreamParams::detect observes every retired instruction).
-    std::string detectBackend;         // "slipstream"|"replay"|"checker"
+    std::string detectBackend;         // "slipstream"|"replay"
     uint64_t detectChecked = 0;        // instructions validated
     uint64_t detectMismatches = 0;     // raw mismatch events
     uint64_t detectExternal = 0;       // fault records newly detected

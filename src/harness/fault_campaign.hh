@@ -77,10 +77,10 @@ enum class TrialOutcome : uint8_t
 
     /**
      * Output corrupted, every landed fault detected, and at least
-     * one detection came from an external backend (replay / checker)
-     * — which observes but does not repair. The corruption was
-     * *caught*, just not healed: the machine knows it must not
-     * commit the result. Distinct from DetectedButCorrupt, where the
+     * one detection came from an external backend (replay) — which
+     * observes but does not repair. The corruption was *caught*,
+     * just not healed: the machine knows it must not commit the
+     * result. Distinct from DetectedButCorrupt, where the
      * repairing mechanism itself claimed the detection and a corrupt
      * output is a model-soundness anomaly.
      */

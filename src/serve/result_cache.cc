@@ -192,7 +192,7 @@ ResultCache::lookup(const CacheKey &key, std::string &line)
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
         std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.counter("misses");
+        ++misses_;
         return false;
     }
     const char *defect = readEntry(fd, key, line);
@@ -202,7 +202,7 @@ ResultCache::lookup(const CacheKey &key, std::string &line)
         return false;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.counter("hits");
+    ++hits_;
     SLIP_TRACE(obs::Category::Serve, obs::Name::CacheHit,
                obs::Phase::Instant, key.hi, key.lo);
     return true;
@@ -217,8 +217,8 @@ ResultCache::discard(const std::string &path, const char *defect)
               "); deleting it, the trial re-simulates");
     const bool removed = ::unlink(path.c_str()) == 0;
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.counter("misses");
-    ++stats_.counter("corrupt");
+    ++misses_;
+    ++corrupt_;
     if (removed && entries_ > 0)
         --entries_;
 }
@@ -241,7 +241,7 @@ ResultCache::store(const CacheKey &key, const std::string &line)
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++entries_;
-        ++stats_.counter("stores");
+        ++stores_;
     }
     SLIP_TRACE(obs::Category::Serve, obs::Name::CacheStore,
                obs::Phase::Instant, key.hi, key.lo);
@@ -279,7 +279,7 @@ ResultCache::evictIfNeeded()
             ++dropped;
     std::lock_guard<std::mutex> lock(mu_);
     entries_ = files.size() - dropped;
-    stats_.counter("evictions") += dropped;
+    evictions_ += dropped;
     SLIP_TRACE(obs::Category::Serve, obs::Name::CacheEvict,
                obs::Phase::Instant, dropped, entries_);
 }
@@ -288,35 +288,35 @@ uint64_t
 ResultCache::hits() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_.get("hits");
+    return hits_;
 }
 
 uint64_t
 ResultCache::misses() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_.get("misses");
+    return misses_;
 }
 
 uint64_t
 ResultCache::stores() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_.get("stores");
+    return stores_;
 }
 
 uint64_t
 ResultCache::evictions() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_.get("evictions");
+    return evictions_;
 }
 
 uint64_t
 ResultCache::corrupt() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_.get("corrupt");
+    return corrupt_;
 }
 
 uint64_t
@@ -324,15 +324,6 @@ ResultCache::entries() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return entries_;
-}
-
-void
-ResultCache::dumpStats(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.counter("entries").reset();
-    stats_.counter("entries") += entries_;
-    stats_.dump(os);
 }
 
 } // namespace slip::serve

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/hash.hh"
-#include "common/stats.hh"
 #include "harness/fault_campaign.hh"
 
 namespace slip::serve
@@ -89,9 +88,6 @@ class ResultCache
     const std::string &root() const { return root_; }
     bool enabled() const { return !root_.empty(); }
 
-    /** Counters above as a StatGroup dump ("serve_cache.*"). */
-    void dumpStats(std::ostream &os) const;
-
   private:
     void evictIfNeeded();
 
@@ -103,9 +99,13 @@ class ResultCache
     std::string root_;
     uint64_t maxEntries_;
 
-    mutable std::mutex mu_;
+    mutable std::mutex mu_; // guards the counters below
     uint64_t entries_ = 0;
-    mutable StatGroup stats_{"serve_cache"};
+    uint64_t hits_ = 0;
+    uint64_t misses_ = 0;
+    uint64_t stores_ = 0;
+    uint64_t evictions_ = 0;
+    uint64_t corrupt_ = 0;
 };
 
 } // namespace slip::serve

@@ -239,8 +239,8 @@ class FaultInjector
     void onRecovery(Cycle now);
 
     /**
-     * An external detection backend (replay / checker-core) observed
-     * a retirement-state mismatch at `now`. Marks live fault records
+     * An external detection backend (replay) observed a
+     * retirement-state mismatch at `now`. Marks live fault records
      * the slipstream sphere itself cannot see — the silently-retiring
      * targets (non-redundant RPipeline, MemoryCell) — as detected and
      * stamps their latency. Returns how many records were newly

@@ -2,8 +2,8 @@
  * Detection-backend shootout machinery: strict backend selection,
  * per-backend campaign determinism (jobs × isolation × resume), the
  * coverage differences that motivate the shootout (replay closes the
- * memory-cell ECC hole, the checker closes scenario #2), and the
- * shootout table's live/offline round trip.
+ * memory-cell ECC hole and scenario #2), and the shootout table's
+ * live/offline round trip.
  */
 
 #include <gtest/gtest.h>
@@ -73,7 +73,6 @@ readLines(const std::string &path)
 constexpr DetectBackendKind kAllKinds[] = {
     DetectBackendKind::Slipstream,
     DetectBackendKind::Replay,
-    DetectBackendKind::Checker,
 };
 
 FaultCampaignConfig
@@ -95,8 +94,6 @@ TEST(DetectBackend, NamesAndParsing)
                  "slipstream");
     EXPECT_STREQ(detectBackendName(DetectBackendKind::Replay),
                  "replay");
-    EXPECT_STREQ(detectBackendName(DetectBackendKind::Checker),
-                 "checker");
 
     for (DetectBackendKind kind : kAllKinds) {
         DetectBackendKind parsed;
@@ -106,6 +103,7 @@ TEST(DetectBackend, NamesAndParsing)
     }
     DetectBackendKind dummy;
     EXPECT_FALSE(parseDetectBackend("parity", dummy));
+    EXPECT_FALSE(parseDetectBackend("checker", dummy)); // an older build's
     EXPECT_FALSE(parseDetectBackend("", dummy));
 }
 
@@ -113,8 +111,8 @@ TEST(DetectEnv, UnsetUsesFallback)
 {
     EnvGuard g("SLIPSTREAM_DETECT", nullptr);
     EXPECT_EQ(detectBackendFromEnv(), DetectBackendKind::Slipstream);
-    EXPECT_EQ(detectBackendFromEnv(DetectBackendKind::Checker),
-              DetectBackendKind::Checker);
+    EXPECT_EQ(detectBackendFromEnv(DetectBackendKind::Replay),
+              DetectBackendKind::Replay);
 }
 
 TEST(DetectEnv, ValidValuesOverride)
@@ -129,12 +127,15 @@ TEST(DetectEnv, GarbageThrows)
 {
     // Strict mode-knob contract: a typo'd backend would silently run
     // the wrong shootout lane, so an unknown value throws rather than
-    // falling back.
-    EnvGuard g("SLIPSTREAM_DETECT", "parity");
-    setLogQuiet(true);
-    EXPECT_THROW(detectBackendFromEnv(), FatalError);
-    EXPECT_THROW((void)FaultCampaignConfig(), FatalError);
-    setLogQuiet(false);
+    // falling back. So does a backend an older build offered.
+    for (const char *value : {"parity", "checker"}) {
+        SCOPED_TRACE(value);
+        EnvGuard g("SLIPSTREAM_DETECT", value);
+        setLogQuiet(true);
+        EXPECT_THROW(detectBackendFromEnv(), FatalError);
+        EXPECT_THROW((void)FaultCampaignConfig(), FatalError);
+        setLogQuiet(false);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -206,7 +207,7 @@ TEST(DetectCampaign, ReportAndJournalCarryTheBackend)
 
 /**
  * The acceptance property, per backend: byte-identical reports for
- * any SLIPSTREAM_JOBS under both isolation modes. External backends
+ * any SLIPSTREAM_JOBS under both isolation modes. Replay's stats
  * ride RunMetrics through the fork-isolation wire codec, so this is
  * also the codec's coverage for the detect block.
  */
@@ -303,9 +304,7 @@ TEST(DetectCampaign, BackendAndPolicyComposeDeterministically)
  * Why the shootout exists, part 1: main memory sits outside the
  * sphere of replication (the paper leaves it to ECC), so the native
  * backend never sees a flipped cell. Replay re-executes from a clean
- * shadow memory and catches the corrupt value at its first use. The
- * checker trusts the leader's load values by construction, so it
- * shares the native blind spot.
+ * shadow memory and catches the corrupt value at its first use.
  */
 TEST(DetectCampaign, ReplayClosesTheMemoryEccHole)
 {
@@ -324,21 +323,17 @@ TEST(DetectCampaign, ReplayClosesTheMemoryEccHole)
         tally[size_t(DetectBackendKind::Slipstream)];
     const CampaignTally &replay =
         tally[size_t(DetectBackendKind::Replay)];
-    const CampaignTally &checker =
-        tally[size_t(DetectBackendKind::Checker)];
 
     // Identical plans land identical faults (the backend observes;
     // it never perturbs the simulated machine).
     ASSERT_GT(native.faultsInjected, 0u);
     EXPECT_EQ(replay.faultsInjected, native.faultsInjected);
-    EXPECT_EQ(checker.faultsInjected, native.faultsInjected);
 
     // The native mechanism is blind here; replay is not.
     EXPECT_EQ(native.detectExternal, 0u);
     EXPECT_EQ(native.faultsDetected, 0u);
     EXPECT_GT(replay.detectExternal, 0u);
     EXPECT_GT(replay.faultsDetected, native.faultsDetected);
-    EXPECT_EQ(checker.detectExternal, 0u);
 
     // Detection without repair: corrupt-output trials that replay
     // caught move from silent_corrupt to detected_unrepaired, never
@@ -357,9 +352,9 @@ TEST(DetectCampaign, ReplayClosesTheMemoryEccHole)
 /**
  * Why the shootout exists, part 2: a non-redundant R-pipeline fault
  * (paper scenario #2) corrupts authoritative state that the delay-
- * buffer comparison never revisits. Both external backends re-execute
- * the retired stream independently, so they see the corruption at its
- * first downstream use.
+ * buffer comparison never revisits. Replay re-executes the retired
+ * stream independently, so it sees the corruption at its first
+ * downstream use.
  */
 TEST(DetectCampaign, ExternalBackendsSeeScenarioTwo)
 {
@@ -381,18 +376,10 @@ TEST(DetectCampaign, ExternalBackendsSeeScenarioTwo)
         tally[size_t(DetectBackendKind::Slipstream)];
     const CampaignTally &replay =
         tally[size_t(DetectBackendKind::Replay)];
-    const CampaignTally &checker =
-        tally[size_t(DetectBackendKind::Checker)];
 
     EXPECT_EQ(native.detectExternal, 0u);
     EXPECT_GT(replay.detectExternal, 0u);
-    EXPECT_GT(checker.detectExternal, 0u);
     EXPECT_GE(replay.faultsDetected, native.faultsDetected);
-    EXPECT_GE(checker.faultsDetected, native.faultsDetected);
-
-    // The checker's lag model charges overhead whenever its queue
-    // backs up or it finishes after the leader.
-    EXPECT_GT(checker.detectChecked, 0u);
 }
 
 /** Kill/resume restores per-backend tallies and histograms exactly. */
@@ -438,15 +425,15 @@ TEST(DetectResume, ForeignBackendJournalIsNotAdopted)
         readLines(replayCfg.journalPath);
     ASSERT_EQ(replayLines.size(), 4u);
 
-    FaultCampaignConfig checkerCfg =
-        backendConfig(DetectBackendKind::Checker, "foreign_checker");
+    FaultCampaignConfig nativeCfg =
+        backendConfig(DetectBackendKind::Slipstream, "foreign_native");
     const std::string expected =
-        campaignJson(checkerCfg, runFaultCampaign(checkerCfg));
+        campaignJson(nativeCfg, runFaultCampaign(nativeCfg));
 
-    // Seed a checker resume with the replay journal: every line
+    // Seed a slipstream resume with the replay journal: every line
     // matches on campaign/seed/trial/workload but not on backend.
     FaultCampaignConfig poisoned =
-        backendConfig(DetectBackendKind::Checker, "foreign_poisoned");
+        backendConfig(DetectBackendKind::Slipstream, "foreign_poisoned");
     {
         std::ofstream out(poisoned.journalPath, std::ios::trunc);
         for (const std::string &line : replayLines)
@@ -460,7 +447,7 @@ TEST(DetectResume, ForeignBackendJournalIsNotAdopted)
     EXPECT_EQ(got, expected);
 
     std::remove(replayCfg.journalPath.c_str());
-    std::remove(checkerCfg.journalPath.c_str());
+    std::remove(nativeCfg.journalPath.c_str());
     std::remove(poisoned.journalPath.c_str());
 }
 

@@ -540,7 +540,7 @@ TEST(FaultCampaign, TrialKeyCoversEveryKeyedField)
         EXPECT_FALSE(base == campaignTrialKey(alt, specs[0], 0))
             << name << " does not reach the key";
     }
-    EXPECT_EQ(fields, 13u); // 8 config scalars + 5 DetectParams fields
+    EXPECT_EQ(fields, 9u); // 8 config scalars + the detect backend
 
     for (size_t k = 0;; ++k) {
         CampaignTrialSpec alt = specs[0];

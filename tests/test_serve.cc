@@ -875,28 +875,46 @@ TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
     EXPECT_EQ(done.status, BatchStatus::Error);
     EXPECT_EQ(trials, 0u);
 
+    // The request's bytes with byte 2 where they first differ from
+    // `other`'s: one enum byte, set past its last value.
+    const auto withByte2 = [&](const BatchRequest &other) {
+        wire::Encoder enc;
+        enc.put(other);
+        EXPECT_EQ(enc.bytes().size(), bytes.size());
+        const size_t at =
+            std::mismatch(bytes.begin(), bytes.end(), enc.bytes().begin())
+                .first -
+            bytes.begin();
+        EXPECT_LT(at, bytes.size());
+        std::string bad = bytes;
+        if (at < bad.size())
+            bad[at] = 2;
+        return bad;
+    };
+
     // Policy byte 2 names no policy. The policy byte is the one byte
     // where an `ir` and a `reliability` request differ.
     BatchRequest reliability = smallBatch();
     reliability.policy.kind = AStreamPolicyKind::Reliability;
-    wire::Encoder other;
-    other.put(reliability);
-    ASSERT_EQ(other.bytes().size(), bytes.size());
-    const size_t policyAt =
-        std::mismatch(bytes.begin(), bytes.end(), other.bytes().begin())
-            .first -
-        bytes.begin();
-    ASSERT_LT(policyAt, bytes.size());
-    std::string badPolicy = bytes;
-    badPolicy[policyAt] = 2;
-    done = submitRaw(badPolicy);
+    done = submitRaw(withByte2(reliability));
     EXPECT_EQ(done.status, BatchStatus::Error);
     EXPECT_NE(done.error.find("A-stream policy byte 2"),
               std::string::npos)
         << done.error;
     EXPECT_EQ(trials, 0u);
 
-    // The daemon survived both, and this connection is still served.
+    // Detect byte 2 names no backend. The detect byte is the one byte
+    // where a `slipstream` and a `replay` request differ.
+    BatchRequest replay = smallBatch();
+    replay.detect.kind = DetectBackendKind::Replay;
+    done = submitRaw(withByte2(replay));
+    EXPECT_EQ(done.status, BatchStatus::Error);
+    EXPECT_NE(done.error.find("detect backend byte 2"), std::string::npos)
+        << done.error;
+    EXPECT_EQ(trials, 0u);
+
+    // The daemon survived all three, and this connection is still
+    // served.
     done = submitRaw(bytes);
     EXPECT_EQ(done.status, BatchStatus::Ok) << done.error;
     EXPECT_EQ(done.completed, 4u);

@@ -5,7 +5,8 @@
  * distinguishable from a failed one and restartable with --resume.
  * Spawns the real binary (path injected by CMake) and signals it
  * mid-campaign. Also checks that an option value that does not fit is
- * a usage error (exit 2), not a campaign run with a wrapped value.
+ * a usage error (exit 2), not a campaign run with a wrapped value or
+ * a backend that no longer exists.
  */
 
 #include <gtest/gtest.h>
@@ -174,6 +175,8 @@ TEST(CampaignArgs, ValuesThatDoNotFitExit2)
     EXPECT_EQ(runCampaign({"--trials", "4294967296"}, dir.path), 2);
     EXPECT_EQ(runCampaign({"--seed", "-1"}, dir.path), 2);
     EXPECT_EQ(runCampaign({"--workers", "+2"}, dir.path), 2);
+    // A backend an older build offered names no backend now.
+    EXPECT_EQ(runCampaign({"--detect", "checker"}, dir.path), 2);
     EXPECT_FALSE(fs::exists(dir.path + "/journal.jsonl"));
 }
 

@@ -44,7 +44,7 @@ TEST(SlowTrials, Seed606VortexHangsWithinBudget)
     EXPECT_EQ(
         campaignTrialLine(cfg, kTrial, record),
         "{\"campaign\":\"slip_campaign\",\"seed\":606,\"trial\":14,"
-        "\"key\":\"b66431269f3efd5455f94c46544d3900\","
+        "\"key\":\"4a4f205be5cb0492ecccd10a2ed0b1ea\","
         "\"workload\":\"vortex\",\"outcome\":\"hung\",\"planned\":2,"
         "\"injected\":2,\"detected\":1,\"degraded\":0,"
         "\"latency_samples\":1,\"latency_total\":62,\"latency_max\":62,"

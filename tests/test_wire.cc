@@ -542,22 +542,17 @@ TEST(WireCodec, PayloadBytesMatchTheHandWrittenCodecs)
     b.seed = 99;
     b.reliableMode = true;
     b.targets = {FaultTarget::AStream, FaultTarget::MemoryCell};
-    b.detect.kind = DetectBackendKind::Checker;
-    b.detect.replayWindow = 512;
-    b.detect.replayWidth = 8;
-    b.detect.checkerBandwidth = 3;
-    b.detect.checkerQueue = 32;
+    b.detect.kind = DetectBackendKind::Replay;
     b.policy.kind = AStreamPolicyKind::Reliability;
     b.cycleCapPerInst = 12;
     b.seedBegin = 3;
     b.seedEnd = 9;
-    EXPECT_EQ(payloadHex(b.detect),
-              "020002000000000000080000000300000020000000");
+    EXPECT_EQ(payloadHex(b.detect), "01");
     EXPECT_EQ(payloadHex(b),
               "022a000000000000000300000070696e0200000008000000636f6d707265"
               "7373020000006c6901050000000200000004000000630000000000000001"
-              "020000000006020002000000000000080000000300000020000000010c00"
-              "00000000000003000000000000000900000000000000");
+              "02000000000601010c000000000000000300000000000000090000000000"
+              "0000");
 
     const serve::TrialResultMsg result{7, 3, true, "{\"trial\":3}"};
     EXPECT_EQ(payloadHex(result),

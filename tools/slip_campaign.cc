@@ -78,8 +78,7 @@ usage(std::ostream &os)
           "  --isolation M    trial sandboxing: none | fork\n"
           "                   (default $SLIPSTREAM_ISOLATION, else "
           "none)\n"
-          "  --detect B       detection backend: slipstream | replay "
-          "| checker\n"
+          "  --detect B       detection backend: slipstream | replay\n"
           "                   (default $SLIPSTREAM_DETECT, else "
           "slipstream)\n"
           "  --policy P       A-stream policy: ir | reliability\n"
@@ -186,7 +185,7 @@ main(int argc, char **argv)
             const std::string v = value("--detect");
             if (!parseDetectBackend(v, cfg.params.detect.kind)) {
                 std::cerr << "slip_campaign: bad --detect '" << v
-                          << "' (want slipstream|replay|checker)\n";
+                          << "' (want slipstream|replay)\n";
                 return 2;
             }
         } else if (arg == "--policy") {

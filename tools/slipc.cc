@@ -45,7 +45,7 @@ usage(std::ostream &os)
           "  campaign   fault-injection campaign batch\n"
           "    --name NAME --workloads A,B --size S --trials N\n"
           "    --seed N --min-faults N --max-faults N --reliable\n"
-          "    --detect slipstream|replay|checker\n"
+          "    --detect slipstream|replay\n"
           "    --policy ir|reliability\n"
           "  bench      fault-free performance sweep\n"
           "    --name NAME --workloads A,B --size S --trials N\n"
@@ -140,7 +140,7 @@ main(int argc, char **argv)
             const std::string v = value("--detect");
             if (!parseDetectBackend(v, req.detect.kind)) {
                 std::cerr << "slipc: bad --detect '" << v
-                          << "' (want slipstream|replay|checker)\n";
+                          << "' (want slipstream|replay)\n";
                 return 2;
             }
         } else if (arg == "--policy") {
