@@ -67,13 +67,9 @@ printCampaign(const FaultCampaignResult &result, bench::Timing &timing)
         timing.addCycles(trial.cycles);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    using namespace slip;
-
     // --resume: skip trials already journaled by an interrupted
     // invocation; the report comes out byte-identical to an
     // uninterrupted run's. --isolation fork (or
@@ -99,6 +95,10 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    // Every campaign starts from these defaults. Reading the mode
+    // knobs here stops a bad one before the banner and the timing
+    // record.
+    const FaultCampaignConfig defaults;
     bench::banner("Fault coverage (paper §3, Figure 5 scenarios)",
                   "multi-target bit-flip campaigns per benchmark");
     if (resume)
@@ -128,7 +128,7 @@ main(int argc, char **argv)
     // ---- campaign 1: slipstream mode, full target mix ----
     std::cout << "---- slipstream mode (partial redundancy, all "
                  "targets) ----\n";
-    FaultCampaignConfig slip;
+    FaultCampaignConfig slip = defaults;
     slip.name = "slipstream_mixed_targets";
     slip.trialsPerWorkload = trials;
     slip.resume = resume;
@@ -139,7 +139,7 @@ main(int argc, char **argv)
 
     // ---- campaign 2: reliable (AR-SMT) mode ----
     std::cout << "---- reliable mode (AR-SMT, no removal) ----\n";
-    FaultCampaignConfig reliable;
+    FaultCampaignConfig reliable = defaults;
     reliable.name = "reliable_mode";
     reliable.trialsPerWorkload = trials;
     reliable.reliableMode = true;
@@ -159,7 +159,7 @@ main(int argc, char **argv)
     // ---- campaign 3: forced degradation to R-only ----
     std::cout << "---- forced degradation (dense A-side burst, "
                  "permissive degrade window) ----\n";
-    FaultCampaignConfig burst;
+    FaultCampaignConfig burst = defaults;
     burst.name = "forced_degradation";
     burst.workloads = {"m88ksim"};
     burst.trialsPerWorkload = 4;
@@ -186,7 +186,7 @@ main(int argc, char **argv)
                        "avg latency"});
     for (size_t p = 0; p < kNumAStreamPolicies; ++p) {
         const AStreamPolicyKind kind = AStreamPolicyKind(p);
-        FaultCampaignConfig sweep;
+        FaultCampaignConfig sweep = defaults;
         sweep.name =
             std::string("policy_") + aStreamPolicyName(kind);
         sweep.trialsPerWorkload = policyTrials;
@@ -223,4 +223,21 @@ main(int argc, char **argv)
            "the burst campaign degrades every run to R-only with\n"
            "output intact.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // The campaign config reads the strict mode knobs
+    // ($SLIPSTREAM_ISOLATION, $SLIPSTREAM_DETECT,
+    // $SLIPSTREAM_ASTREAM_POLICY): a bad value is a usage error, and
+    // its message names the valid choices.
+    try {
+        return run(argc, argv);
+    } catch (const slip::FatalError &e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
 }

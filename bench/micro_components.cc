@@ -5,7 +5,8 @@
  * cache access, the assembler, and the functional simulator — and
  * the host cost of each simulated configuration (SS(64x4), CMP under
  * `ir` and `reliability`, one fault-campaign trial) relative to the
- * reference executor, which CI gates on. These guard the
+ * reference executor, which CI gates on, and what building a
+ * processor costs before its first cycle. These guard the
  * *simulator's* own performance (host MIPS), which bounds how large
  * the paper-scale experiments can be.
  */
@@ -525,6 +526,28 @@ BM_HostCostCampaignTrial(benchmark::State &state)
     });
 }
 BENCHMARK(BM_HostCostCampaignTrial);
+
+// Construct and destroy one processor on test-size li, as every
+// campaign trial does; no cycle runs. Reported, not gated.
+void
+BM_ProcessorSetup(benchmark::State &state, bool slipstream)
+{
+    const Program &program =
+        ProgramCache::global().get("li", WorkloadSize::Test).program;
+    const CoreParams ssParams = ss64x4Params();
+    const SlipstreamParams cmpParams = cmp2x64x4Params();
+    for (auto _ : state) {
+        if (slipstream) {
+            SlipstreamProcessor proc(program, cmpParams);
+            benchmark::DoNotOptimize(&proc);
+        } else {
+            SSProcessor proc(program, ssParams);
+            benchmark::DoNotOptimize(&proc);
+        }
+    }
+}
+BENCHMARK_CAPTURE(BM_ProcessorSetup, ss, false);
+BENCHMARK_CAPTURE(BM_ProcessorSetup, cmp, true);
 
 // Same-page accesses — the single-lookup memcpy fast path.
 void

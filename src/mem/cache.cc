@@ -24,20 +24,21 @@ Cache::Cache(const CacheParams &params)
     if (!isPowerOfTwo(numSets))
         SLIP_FATAL("cache set count must be a power of two, got ",
                    numSets);
+    lineShift = floorLog2(params_.lineBytes);
+    tagShift = lineShift + floorLog2(numSets);
     lines.resize(linesTotal);
 }
 
 unsigned
 Cache::setIndex(Addr addr) const
 {
-    return static_cast<unsigned>(
-        (addr / params_.lineBytes) & (numSets - 1));
+    return static_cast<unsigned>((addr >> lineShift) & (numSets - 1));
 }
 
 Addr
 Cache::tagOf(Addr addr) const
 {
-    return addr / params_.lineBytes / numSets;
+    return addr >> tagShift;
 }
 
 Cycle

@@ -71,6 +71,8 @@ class Cache
 
     CacheParams params_;
     unsigned numSets;
+    unsigned lineShift; // log2(lineBytes)
+    unsigned tagShift;  // log2(lineBytes * numSets)
     std::vector<Line> lines; // numSets * assoc, set-major
     uint64_t useClock = 0;
 

@@ -119,11 +119,9 @@ FaultInjector::refreshGate(InjectPoint point)
 }
 
 FaultRecord *
-FaultInjector::fire(InjectPoint point, uint64_t index,
-                    const StaticInst *si)
+FaultInjector::fireAt(InjectPoint point, uint64_t index,
+                      const StaticInst *si)
 {
-    if (index < gate_[unsigned(point)])
-        return nullptr;
     for (FaultRecord &r : outcome_.records) {
         if (r.fired || !eligible(r.plan, point, index, si))
             continue;

@@ -226,8 +226,13 @@ class FaultInjector
      * plans may name the same site. The caller applies the corruption
      * and fills injected/targetWasRedundant/pc.
      */
-    FaultRecord *fire(InjectPoint point, uint64_t index,
-                      const StaticInst *si = nullptr);
+    FaultRecord *
+    fire(InjectPoint point, uint64_t index, const StaticInst *si = nullptr)
+    {
+        if (index < gate_[unsigned(point)])
+            return nullptr;
+        return fireAt(point, index, si);
+    }
 
     /**
      * A recovery completed: stamp detection latency for detected
@@ -253,6 +258,10 @@ class FaultInjector
     const FaultOutcome &outcome();
 
   private:
+    /** fire() past the gate: scan the plans for an eligible one. */
+    FaultRecord *fireAt(InjectPoint point, uint64_t index,
+                        const StaticInst *si);
+
     bool eligible(const FaultPlan &plan, InjectPoint point,
                   uint64_t index, const StaticInst *si) const;
     void refreshGate(InjectPoint point);

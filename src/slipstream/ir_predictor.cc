@@ -48,7 +48,7 @@ reasonCountsByName(const ReasonCounts &c)
 }
 
 IRPredictor::IRPredictor(const IRPredictorParams &params)
-    : params_(params), table(size_t(1) << params.tableBits),
+    : params_(params), table(params.tableBits),
       stats_("ir_pred")
 {
 }
@@ -67,27 +67,27 @@ IRPredictor::lookup(const PathHistory &history,
 {
     if (!params_.enabled)
         return std::nullopt;
-    const Entry &e = table[indexOf(history, predicted)];
-    if (!e.valid || e.idHash != predicted.hash())
+    const Entry *e = table.find(indexOf(history, predicted));
+    if (!e || e->idHash != predicted.hash())
         return std::nullopt;
-    if (e.confidence < params_.confidenceThreshold) {
+    if (e->confidence < params_.confidenceThreshold) {
         ++statLookupBelowThreshold;
         SLIP_TRACE(obs::Category::IRPredictor,
                    obs::Name::IRLookupBelowThreshold,
-                   obs::Phase::Instant, e.confidence,
+                   obs::Phase::Instant, e->confidence,
                    predicted.startPc);
         return std::nullopt;
     }
-    if (e.plan.irVec == 0)
+    if (e->plan.irVec == 0)
         return std::nullopt;
-    SLIP_INVARIANT(e.confidence <= kConfidenceCap,
-                   "confidence counter ", e.confidence,
+    SLIP_INVARIANT(e->confidence <= kConfidenceCap,
+                   "confidence counter ", e->confidence,
                    " above saturation cap for trace ",
                    predicted.startPc);
     ++statLookupConfident;
     SLIP_TRACE(obs::Category::IRPredictor, obs::Name::IRLookupConfident,
-               obs::Phase::Instant, e.plan.irVec, predicted.startPc);
-    return e.plan;
+               obs::Phase::Instant, e->plan.irVec, predicted.startPc);
+    return e->plan;
 }
 
 void
@@ -95,17 +95,18 @@ IRPredictor::update(const PathHistory &history, const TraceId &actual,
                     const RemovalPlan &computed)
 {
     ++statUpdates;
-    Entry &e = table[indexOf(history, actual)];
+    const size_t index = indexOf(history, actual);
     const uint64_t idHash = actual.hash();
 
-    if (e.valid && e.idHash == idHash && e.plan.irVec == computed.irVec) {
+    Entry *e = table.find(index);
+    if (e && e->idHash == idHash && e->plan.irVec == computed.irVec) {
         // Repeated {trace-id, ir-vec} indication: build confidence.
-        if (e.confidence < kConfidenceCap)
-            ++e.confidence;
-        e.plan.reasons = computed.reasons; // keep freshest attribution
-        SLIP_INVARIANT(e.confidence >= 1 &&
-                           e.confidence <= kConfidenceCap,
-                       "confidence counter ", e.confidence,
+        if (e->confidence < kConfidenceCap)
+            ++e->confidence;
+        e->plan.reasons = computed.reasons; // keep freshest attribution
+        SLIP_INVARIANT(e->confidence >= 1 &&
+                           e->confidence <= kConfidenceCap,
+                       "confidence counter ", e->confidence,
                        " out of [1, cap] after build for trace ",
                        actual.startPc);
         ++statConfidenceHits;
@@ -114,10 +115,7 @@ IRPredictor::update(const PathHistory &history, const TraceId &actual,
 
     // A different trace followed this path, or the same trace with a
     // different ir-vec: the resetting counter starts over.
-    e.valid = true;
-    e.idHash = idHash;
-    e.plan = computed;
-    e.confidence = 0;
+    table.set(index, Entry{idHash, computed, 0});
     ++statConfidenceResets;
     SLIP_TRACE(obs::Category::IRPredictor, obs::Name::IRConfidenceReset,
                obs::Phase::Instant, actual.startPc, computed.irVec);
@@ -126,16 +124,15 @@ IRPredictor::update(const PathHistory &history, const TraceId &actual,
 void
 IRPredictor::resetEntry(const PathHistory &history, const TraceId &trace)
 {
-    Entry &e = table[indexOf(history, trace)];
-    if (e.valid && e.idHash == trace.hash())
-        e.confidence = 0;
+    Entry *e = table.find(indexOf(history, trace));
+    if (e && e->idHash == trace.hash())
+        e->confidence = 0;
 }
 
 void
 IRPredictor::reset()
 {
-    for (Entry &e : table)
-        e.confidence = 0;
+    table.forEachValid([](Entry &e) { e.confidence = 0; });
 }
 
 bool
@@ -144,19 +141,21 @@ IRPredictor::corruptEntry(const PathHistory &history,
 {
     if (!params_.enabled)
         return false;
-    Entry &e = table[indexOf(history, trace)];
+    Entry *e = table.find(indexOf(history, trace));
+    if (!e)
+        return false;
     if (bit < 8) {
         // Confidence-counter bit: can push a building entry over the
         // threshold (premature removal) or knock a confident one
         // under it (lost removal — performance, not correctness).
-        e.confidence ^= 1u << bit;
+        e->confidence ^= 1u << bit;
     } else {
         // Stored ir-vec bit: removes an instruction that is not
         // ineffectual, or keeps one that is. A wrong removal corrupts
         // only the A-stream; the detector/R-stream checks expose it.
-        e.plan.irVec ^= uint64_t(1) << ((bit - 8) & 63);
+        e->plan.irVec ^= uint64_t(1) << ((bit - 8) & 63);
     }
-    return e.valid;
+    return true;
 }
 
 } // namespace slip

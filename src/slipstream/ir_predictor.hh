@@ -30,8 +30,9 @@
 #define SLIPSTREAM_SLIPSTREAM_IR_PREDICTOR_HH
 
 #include <optional>
-#include <vector>
+#include <type_traits>
 
+#include "common/lazy_table.hh"
 #include "common/stats.hh"
 #include "slipstream/removal.hh"
 #include "uarch/trace.hh"
@@ -82,7 +83,10 @@ class IRPredictor
     virtual void update(const PathHistory &history, const TraceId &actual,
                         const RemovalPlan &computed);
 
-    /** Drop all confidence (used on recovery in conservative modes). */
+    /**
+     * Drop all confidence (used on recovery in conservative modes).
+     * Visits only the entries ever written.
+     */
     void reset();
 
     /** Drop one entry's confidence (its removal proved wrong). */
@@ -93,8 +97,8 @@ class IRPredictor
      * SRAM. Flips one bit of the entry indexed by (history, trace) —
      * bits 0-7 land in the resetting confidence counter, bits 8+ in
      * the stored ir-vec. Returns true when live state was hit (a
-     * valid entry, predictor enabled); corrupting an invalid entry
-     * has no architectural consequence.
+     * valid entry, predictor enabled). An entry never written holds
+     * no state to upset: nothing is written and false is returned.
      */
     bool corruptEntry(const PathHistory &history, const TraceId &trace,
                       unsigned bit);
@@ -103,18 +107,20 @@ class IRPredictor
     StatGroup &stats() { return stats_; }
 
   private:
+    /** One entry; validity lives in the table's bitmap. */
     struct Entry
     {
-        bool valid = false;
         uint64_t idHash = 0; // trace id of the stored pair
         RemovalPlan plan;
         unsigned confidence = 0;
     };
+    static_assert(sizeof(Entry) <= 56 &&
+                  std::is_trivially_copyable_v<Entry>);
 
     size_t indexOf(const PathHistory &history, const TraceId &id) const;
 
     IRPredictorParams params_;
-    std::vector<Entry> table;
+    LazyTable<Entry> table;
     mutable StatGroup stats_;
     StatGroup::Handle statLookupBelowThreshold{
         stats_.handle("lookup_below_threshold")};

@@ -1,5 +1,7 @@
 #include "slipstream/operand_rename_table.hh"
 
+#include <bit>
+
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
@@ -34,11 +36,11 @@ OperandRenameTable::readReg(RegIndex r)
 const OrtProducer *
 OperandRenameTable::readMem(Addr addr, unsigned bytes)
 {
-    auto it = mem.find(memKey(addr, bytes));
-    if (it == mem.end() || !it->second.valid)
+    MemSlot *slot = mem.find(memKey(addr, bytes));
+    if (!slot)
         return nullptr;
-    it->second.ref = true;
-    return it->second.producerValid ? &it->second.producer : nullptr;
+    slot->entry.ref = true;
+    return slot->entry.producerValid ? &slot->entry.producer : nullptr;
 }
 
 OrtWriteResult
@@ -75,7 +77,21 @@ OperandRenameTable::writeReg(RegIndex r, Word value,
     SLIP_ASSERT(r < kNumRegs, "bad register ", unsigned(r));
     if (r == kZeroReg)
         return {}; // writes to r0 are architectural no-ops
-    return writeEntry(regs[r], value, producer);
+    const OrtWriteResult result = writeEntry(regs[r], value, producer);
+    if (!result.nonModifying) {
+        if (!regInstalls.empty() &&
+            regInstalls.back().packetNum == producer.packetNum) {
+            regInstalls.back().mask |= uint64_t(1) << r;
+        } else {
+            SLIP_ASSERT(regInstalls.empty() ||
+                            regInstalls.back().packetNum <
+                                producer.packetNum,
+                        "ORT install from packet ", producer.packetNum,
+                        " after packet ", regInstalls.back().packetNum);
+            regInstalls.pushBack({producer.packetNum, uint64_t(1) << r});
+        }
+    }
+    return result;
 }
 
 OrtWriteResult
@@ -83,7 +99,10 @@ OperandRenameTable::writeMem(Addr addr, unsigned bytes, Word value,
                              const OrtProducer &producer)
 {
     const uint64_t key = memKey(addr, bytes);
-    const OrtWriteResult result = writeEntry(mem[key], value, producer);
+    // A fresh slot's entry is not valid yet, and writeEntry always
+    // makes it so, which occupies the slot.
+    const OrtWriteResult result =
+        writeEntry(mem.insert(key).entry, value, producer);
     if (!result.nonModifying) {
         SLIP_ASSERT(installs.empty() ||
                         installs.back().packetNum <= producer.packetNum,
@@ -97,14 +116,22 @@ OperandRenameTable::writeMem(Addr addr, unsigned bytes, Word value,
 void
 OperandRenameTable::invalidateProducer(uint64_t packetNum)
 {
-    for (Entry &e : regs) {
-        if (e.producerValid && e.producer.packetNum == packetNum)
-            e.producerValid = false;
+    if (!regInstalls.empty() && regInstalls.front().packetNum == packetNum) {
+        for (uint64_t m = regInstalls.front().mask; m != 0; m &= m - 1) {
+            Entry &e = regs[std::countr_zero(m)];
+            if (e.producer.packetNum == packetNum)
+                e.producerValid = false;
+        }
+        regInstalls.popFront();
     }
+    SLIP_ASSERT(regInstalls.empty() ||
+                    regInstalls.front().packetNum > packetNum,
+                "ORT evicting packet ", packetNum, " before packet ",
+                regInstalls.front().packetNum);
     while (!installs.empty() && installs.front().packetNum == packetNum) {
-        auto it = mem.find(installs.front().key);
-        if (it != mem.end() && it->second.producer.packetNum == packetNum)
-            it->second.producerValid = false;
+        MemSlot *slot = mem.find(installs.front().key);
+        if (slot && slot->entry.producer.packetNum == packetNum)
+            slot->entry.producerValid = false;
         installs.popFront();
     }
     SLIP_ASSERT(installs.empty() || installs.front().packetNum > packetNum,
@@ -113,11 +140,10 @@ OperandRenameTable::invalidateProducer(uint64_t packetNum)
     // Bound the memory table: entries with a live producer must stay
     // (they can still be killed), the rest are value-only cache and
     // can be shed under pressure.
-    if (mem.size() > kMemEntryCap) {
-        std::erase_if(mem, [](const auto &kv) {
-            return !kv.second.producerValid;
+    if (mem.size() > kMemEntryCap)
+        mem.retain([](const MemSlot &slot) {
+            return slot.entry.producerValid;
         });
-    }
 }
 
 void
@@ -127,6 +153,7 @@ OperandRenameTable::reset()
         e = Entry{};
     mem.clear();
     installs.clear();
+    regInstalls.clear();
 }
 
 } // namespace slip

@@ -17,8 +17,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_table.hh"
 #include "common/ring.hh"
 #include "common/types.hh"
 
@@ -60,7 +60,11 @@ class OperandRenameTable
      */
     const OrtProducer *readReg(RegIndex r);
 
-    /** Record a read of a memory location (loads). */
+    /**
+     * Record a read of a memory location (loads). The producer lives
+     * in the memory table's slot array: the pointer is valid until
+     * the next memory write or eviction.
+     */
     const OrtProducer *readMem(Addr addr, unsigned bytes);
 
     /**
@@ -90,9 +94,9 @@ class OperandRenameTable
      * same-value write computes a different ir-vec and the resetting
      * confidence counter never saturates).
      *
-     * Packets must leave oldest-first, every packet that wrote memory
-     * exactly once: the cost is then the packet's own memory writes,
-     * not the table size.
+     * Packets must leave oldest-first, every packet that wrote a
+     * register or memory exactly once: the cost is then the packet's
+     * own writes, not the table size.
      */
     void invalidateProducer(uint64_t packetNum);
 
@@ -111,6 +115,15 @@ class OperandRenameTable
         OrtProducer producer;
     };
 
+    /** A memory-table slot; empty while its entry is not valid. */
+    struct MemSlot
+    {
+        uint64_t key = 0;
+        Entry entry;
+
+        bool occupied() const { return entry.valid; }
+    };
+
     /** Memory-table size bound; value-only entries shed beyond it. */
     static constexpr size_t kMemEntryCap = 1 << 20;
 
@@ -126,16 +139,27 @@ class OperandRenameTable
         uint64_t key;
     };
 
+    /** The registers one packet installed itself into. */
+    struct RegInstalls
+    {
+        uint64_t packetNum;
+        uint64_t mask; // bit r = register r
+    };
+
     std::array<Entry, kNumRegs> regs;
-    std::unordered_map<uint64_t, Entry> mem;
+
+    /** Memory entries are shed only by the cap sweep. */
+    FlatTable<MemSlot> mem;
 
     /**
-     * Invalidation log: every memory install in order, hence sorted
-     * by packet. Eviction pops its packet's records off the front and
+     * Invalidation logs: every install in order, hence sorted by
+     * packet. Eviction pops its packet's records off the front and
      * clears the entries that still name that packet (a later packet
      * may have overwritten one; the cap sweep may have shed one).
+     * Register installs are merged into one mask per packet.
      */
     Ring<Install> installs{256};
+    Ring<RegInstalls> regInstalls{16};
 };
 
 } // namespace slip

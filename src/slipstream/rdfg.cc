@@ -13,8 +13,8 @@ Rdfg::Rdfg(unsigned numSlots)
 void
 Rdfg::reset(unsigned numSlots)
 {
-    SLIP_ASSERT(numSlots <= kMaxRdfgSlots, "rdfg of ", numSlots,
-                " slots exceeds ", kMaxRdfgSlots);
+    SLIP_ASSERT(numSlots <= kMaxPlanSlots, "rdfg of ", numSlots,
+                " slots exceeds ", kMaxPlanSlots);
     numSlots_ = numSlots;
     for (unsigned i = 0; i < numSlots; ++i)
         nodes[i] = Node{};
@@ -113,11 +113,11 @@ Rdfg::irVec() const
 }
 
 void
-Rdfg::reasonVector(std::vector<uint8_t> &out) const
+Rdfg::reasonVector(SlotReasons &out) const
 {
-    out.resize(numSlots_);
+    out = SlotReasons{};
     for (unsigned i = 0; i < numSlots_; ++i)
-        out[i] = nodes[i].reasons;
+        out.set(i, nodes[i].reasons);
 }
 
 } // namespace slip

@@ -15,15 +15,11 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "slipstream/removal.hh"
 
 namespace slip
 {
-
-/** Most instructions one R-DFG holds: the ir-vec is 64 bits wide. */
-constexpr unsigned kMaxRdfgSlots = 64;
 
 /**
  * Back-propagation circuitry for one trace. Storage is fixed, so the
@@ -76,7 +72,7 @@ class Rdfg
     uint64_t irVec() const;
 
     /** Per-slot reason masks, aligned with irVec(), into `out`. */
-    void reasonVector(std::vector<uint8_t> &out) const;
+    void reasonVector(SlotReasons &out) const;
 
   private:
     struct Node
@@ -95,7 +91,7 @@ class Rdfg
 
     void tryPropagate(unsigned slot);
 
-    std::array<Node, kMaxRdfgSlots> nodes;
+    std::array<Node, kMaxPlanSlots> nodes;
     unsigned numSlots_ = 0;
 };
 

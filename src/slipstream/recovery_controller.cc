@@ -57,13 +57,12 @@ RecoveryController::read(Addr addr, unsigned bytes)
         return value;
     forEachGranule(addr, bytes, [&](Addr g, unsigned off, unsigned at,
                                     unsigned n) {
-        auto it = overlay.find(g);
-        if (it == overlay.end())
+        const OverlayGranule *og = overlay.find(g);
+        if (!og)
             return;
-        const OverlayGranule &og = it->second;
         for (unsigned i = 0; i < n; ++i)
-            if (og.present >> (off + i) & 1)
-                value = withByte(value, at + i, byteOf(og.value, off + i));
+            if (og->present >> (off + i) & 1)
+                value = withByte(value, at + i, byteOf(og->value, off + i));
     });
     return value;
 }
@@ -73,7 +72,8 @@ RecoveryController::write(Addr addr, unsigned bytes, uint64_t value)
 {
     forEachGranule(addr, bytes, [&](Addr g, unsigned off, unsigned at,
                                     unsigned n) {
-        OverlayGranule &og = overlay[g];
+        // At least one byte is written, which occupies a new slot.
+        OverlayGranule &og = overlay.insert(g);
         for (unsigned i = 0; i < n; ++i) {
             const unsigned b = off + i;
             og.value = withByte(og.value, b, byteOf(value, at + i));
@@ -91,10 +91,10 @@ RecoveryController::onRStoreRetired(Addr addr, unsigned bytes)
     const uint64_t rValue = rMem.read(addr, bytes);
     forEachGranule(addr, bytes, [&](Addr g, unsigned off, unsigned at,
                                     unsigned n) {
-        auto it = overlay.find(g);
-        if (it == overlay.end())
+        OverlayGranule *slot = overlay.find(g);
+        if (!slot)
             return;
-        OverlayGranule &og = it->second;
+        OverlayGranule &og = *slot;
         for (unsigned i = 0; i < n; ++i) {
             const unsigned b = off + i;
             if (!(og.present >> b & 1))
@@ -109,7 +109,7 @@ RecoveryController::onRStoreRetired(Addr addr, unsigned bytes)
             }
         }
         if (og.present == 0)
-            overlay.erase(it);
+            overlay.erase(og);
     });
 }
 

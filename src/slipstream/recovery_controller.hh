@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/flat_table.hh"
 #include "common/stats.hh"
 #include "func/arch_state.hh"
 #include "mem/memory.hh"
@@ -91,18 +92,25 @@ class RecoveryController : public MemPort
     StatGroup &stats() { return stats_; }
 
   private:
-    /** One 8-byte granule; byte i is live iff bit i of `present`. */
+    /**
+     * One 8-byte granule; byte i is live iff bit i of `present`, and
+     * a granule with no live byte is erased, so the table's size() is
+     * the tracked granule count.
+     */
     struct OverlayGranule
     {
+        Addr key = 0;       // addr >> 3
         uint64_t value = 0; // little-endian, as in memory
-        uint8_t present = 0;
         uint32_t pendingStores[8] = {}; // A-stores not yet matched by R
+        uint8_t present = 0;
+
+        bool occupied() const { return present != 0; }
     };
 
-    Memory &rMem;
+    /** R memory, read through a one-page pointer cache. */
+    DirectMemPort rMem;
     RecoveryParams params_;
-    /** Keyed by addr >> 3; a granule with no live byte is erased. */
-    std::unordered_map<Addr, OverlayGranule> overlay;
+    FlatTable<OverlayGranule> overlay;
 
     /** Do set: 8-byte granules per unverified trace. */
     std::unordered_map<uint64_t, std::unordered_set<Addr>> doSet;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "uarch/trace.hh"
@@ -50,6 +49,47 @@ using ReasonCounts = std::array<uint64_t, kNumReasonMasks>;
 /** Expand tallies to the paper's named categories (zeros omitted). */
 std::map<std::string, uint64_t> reasonCountsByName(const ReasonCounts &c);
 
+/** Most slots one trace has: the ir-vec is 64 bits wide. */
+constexpr unsigned kMaxPlanSlots = 64;
+
+/**
+ * Per-slot reason masks of one trace, 4 bits a slot, held inline so a
+ * plan copies as plain bytes. Slots never set read as no reason.
+ */
+class SlotReasons
+{
+  public:
+    uint8_t
+    operator[](unsigned slot) const
+    {
+        return static_cast<uint8_t>(words[slot / 16] >> shift(slot) & 0xf);
+    }
+
+    void
+    set(unsigned slot, uint8_t mask)
+    {
+        uint64_t &w = words[slot / 16];
+        w = (w & ~(uint64_t(0xf) << shift(slot))) |
+            uint64_t(mask & 0xf) << shift(slot);
+    }
+
+    /** Slots [0, n) take `mask` and the rest none (vector::assign). */
+    void
+    assign(unsigned n, uint8_t mask)
+    {
+        words = {};
+        for (unsigned slot = 0; slot < n; ++slot)
+            set(slot, mask);
+    }
+
+    bool operator==(const SlotReasons &other) const = default;
+
+  private:
+    static unsigned shift(unsigned slot) { return 4 * (slot % 16); }
+
+    std::array<uint64_t, kMaxPlanSlots / 16> words{};
+};
+
 /**
  * A removal plan for one trace: which slots the A-stream skips, and
  * why (the reasons ride along purely for statistics).
@@ -57,7 +97,7 @@ std::map<std::string, uint64_t> reasonCountsByName(const ReasonCounts &c);
 struct RemovalPlan
 {
     uint64_t irVec = 0; // bit i set => slot i removed
-    std::vector<uint8_t> reasons;
+    SlotReasons reasons;
 
     bool
     removes(unsigned slot) const
@@ -68,7 +108,7 @@ struct RemovalPlan
     uint8_t
     reasonAt(unsigned slot) const
     {
-        return slot < reasons.size() ? reasons[slot] : 0;
+        return slot < kMaxPlanSlots ? reasons[slot] : 0;
     }
 
     unsigned removedCount() const { return popCount(irVec); }

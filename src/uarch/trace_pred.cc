@@ -5,8 +5,7 @@ namespace slip
 
 TracePredictor::TracePredictor(const TracePredParams &params)
     : params(params),
-      correlated(size_t(1) << params.correlatedBits),
-      simple(size_t(1) << params.simpleBits),
+      correlated(params.correlatedBits), simple(params.simpleBits),
       stats_("trace_pred")
 {
 }
@@ -27,51 +26,52 @@ TracePredictor::simpleIndex(const PathHistory &history) const
 std::optional<TraceId>
 TracePredictor::predict(const PathHistory &history) const
 {
-    const Entry &corr = correlated[correlatedIndex(history)];
-    const Entry &simp = simple[simpleIndex(history)];
+    const Entry *corr = correlated.find(correlatedIndex(history));
+    const Entry *simp = simple.find(simpleIndex(history));
 
     // Hybrid selection: the correlated table wins once it has shown
     // at least one correct prediction for this path.
-    if (corr.valid && corr.counter > 0) {
+    if (corr && corr->counter > 0) {
         ++statPredictCorrelated;
-        return corr.pred;
+        return corr->pred();
     }
-    if (simp.valid) {
+    if (simp) {
         ++statPredictSimple;
-        return simp.pred;
+        return simp->pred();
     }
-    if (corr.valid) {
+    if (corr) {
         ++statPredictCorrelatedWeak;
-        return corr.pred;
+        return corr->pred();
     }
     ++statPredictNone;
     return std::nullopt;
 }
 
 void
-TracePredictor::trainEntry(Entry &entry, const TraceId &actual)
+TracePredictor::trainEntry(Table &table, size_t index,
+                           const TraceId &actual)
 {
-    if (entry.valid && entry.pred == actual) {
-        if (entry.counter < 3)
-            ++entry.counter;
+    Entry *entry = table.find(index);
+    if (entry && entry->pred() == actual) {
+        if (entry->counter < 3)
+            ++entry->counter;
         return;
     }
-    if (entry.valid && entry.counter > 0) {
+    if (entry && entry->counter > 0) {
         // 2-bit counter governs replacement: decay before displacing.
-        --entry.counter;
+        --entry->counter;
         return;
     }
-    entry.valid = true;
-    entry.pred = actual;
-    entry.counter = 0;
+    table.set(index, Entry{actual.startPc, actual.branchBits,
+                           actual.numBranches, actual.length, 0});
 }
 
 void
 TracePredictor::update(const PathHistory &history, const TraceId &actual)
 {
     ++statUpdates;
-    trainEntry(correlated[correlatedIndex(history)], actual);
-    trainEntry(simple[simpleIndex(history)], actual);
+    trainEntry(correlated, correlatedIndex(history), actual);
+    trainEntry(simple, simpleIndex(history), actual);
 }
 
 } // namespace slip

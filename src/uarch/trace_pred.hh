@@ -23,8 +23,9 @@
 
 #include <array>
 #include <optional>
-#include <vector>
+#include <type_traits>
 
+#include "common/lazy_table.hh"
 #include "common/stats.hh"
 #include "uarch/trace.hh"
 
@@ -108,6 +109,10 @@ struct TracePredParams
 class TracePredictor
 {
   public:
+    /**
+     * Both tables start empty; their storage is written entry by
+     * entry as training reaches it (common/lazy_table.hh).
+     */
     explicit TracePredictor(const TracePredParams &params = {});
 
     /**
@@ -128,21 +133,39 @@ class TracePredictor
     const StatGroup &stats() const { return stats_; }
 
   private:
+    /**
+     * One table entry: the predicted trace id's fields laid out flat,
+     * so the counter fills what would be TraceId's tail padding.
+     * Validity lives in the table's bitmap.
+     */
     struct Entry
     {
-        bool valid = false;
-        TraceId pred;
-        uint8_t counter = 0; // 2-bit saturating
-    };
+        Addr startPc;
+        uint64_t branchBits;
+        uint8_t numBranches;
+        uint8_t length;
+        uint8_t counter; // 2-bit saturating
 
-    static void trainEntry(Entry &entry, const TraceId &actual);
+        TraceId
+        pred() const
+        {
+            return TraceId{startPc, branchBits, numBranches, length};
+        }
+    };
+    static_assert(sizeof(Entry) <= 24 &&
+                  std::is_trivially_copyable_v<Entry>);
+
+    using Table = LazyTable<Entry>;
+
+    static void trainEntry(Table &table, size_t index,
+                           const TraceId &actual);
 
     size_t correlatedIndex(const PathHistory &history) const;
     size_t simpleIndex(const PathHistory &history) const;
 
     TracePredParams params;
-    std::vector<Entry> correlated;
-    std::vector<Entry> simple;
+    Table correlated;
+    Table simple;
     mutable StatGroup stats_;
     StatGroup::Handle statPredictCorrelated{
         stats_.handle("predict_correlated")};

@@ -146,7 +146,10 @@ expectSameWrite(const OrtWriteResult &got, const OrtWriteResult &want)
  * One seeded stream of register and memory reads and writes (few
  * locations and few values, so kills and same-value writes are
  * common) from packets that enter an 8-packet scope and leave it
- * oldest-first, with the occasional reset().
+ * oldest-first, with the occasional reset(). Most register traffic
+ * hits eight registers, the rest any of the 64 (r0 included); after
+ * some evictions every register's producer is compared, which is
+ * what per-packet register masks must get right.
  */
 void
 runAgainstReference(uint64_t seed)
@@ -159,8 +162,11 @@ runAgainstReference(uint64_t seed)
     uint64_t packet = 1;
 
     for (unsigned step = 0; step < 200000; ++step) {
-        const RegIndex r = static_cast<RegIndex>(rng.below(8));
-        const Addr addr = 0x1000 + 8 * rng.below(24);
+        const RegIndex r =
+            static_cast<RegIndex>(rng.below(rng.chance(0.2) ? 64 : 8));
+        // A few hot locations, and a wide range that grows the flat
+        // memory table through several doublings.
+        const Addr addr = 0x1000 + 8 * rng.below(rng.chance(0.1) ? 8192 : 24);
         const unsigned bytes = 1u << rng.below(4);
         const Word value = rng.below(3);
         const OrtProducer self =
@@ -190,6 +196,12 @@ runAgainstReference(uint64_t seed)
                 ort.invalidateProducer(scope.front());
                 ref.invalidateProducer(scope.front());
                 scope.pop_front();
+                if (rng.chance(0.1)) {
+                    for (unsigned reg = 0; reg < kNumRegs; ++reg) {
+                        const RegIndex ri = static_cast<RegIndex>(reg);
+                        expectSameRead(ort.readReg(ri), ref.readReg(ri));
+                    }
+                }
             }
             break;
           default:

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "slipstream/rdfg.hh"
 
 namespace slip
@@ -105,12 +103,12 @@ TEST(Rdfg, ReasonVectorMatchesSlots)
     Rdfg g(3);
     g.select(0, reason::kWW);
     g.select(2, reason::kBR);
-    std::vector<uint8_t> reasons;
+    SlotReasons reasons;
     g.reasonVector(reasons);
-    ASSERT_EQ(reasons.size(), 3u);
     EXPECT_EQ(reasons[0], reason::kWW);
     EXPECT_EQ(reasons[1], 0);
     EXPECT_EQ(reasons[2], reason::kBR);
+    EXPECT_EQ(reasons[3], 0); // past the trace: no reason
 }
 
 TEST(Rdfg, DoubleSelectionMergesReasons)

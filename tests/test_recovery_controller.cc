@@ -2,6 +2,8 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
 #include "slipstream/recovery_controller.hh"
@@ -359,6 +361,73 @@ TEST_P(RecoveryOverlayEquivalence, MatchesPerByteReference)
             << "op " << op;
     }
     EXPECT_GT(recoveries, 100u);
+}
+
+/**
+ * The overlay grown to thousands of granules, through several
+ * doublings of its table, then drained by R retirements in shuffled
+ * order, which deletes granules from the middle of probe runs; three
+ * rounds, with a recovery between them. Checked against the per-byte
+ * reference throughout. The granules are scattered over a 1 MB
+ * window: consecutive ones would hash to distinct slots and never
+ * share a probe run.
+ */
+TEST_P(RecoveryOverlayEquivalence, GrowsAndDrainsLikePerByteReference)
+{
+    constexpr Addr kBase = 0x400000;
+    constexpr unsigned kGranules = 4096;
+    Rng rng(GetParam());
+    Memory rMem;
+    RecoveryController rc(rMem);
+    PerByteRecovery ref(rMem);
+    std::vector<Addr> granules;
+    for (unsigned i = 0; i < kGranules; ++i)
+        granules.push_back(kBase + 8 * rng.below(1 << 17));
+    const auto pick = [&] {
+        return granules[rng.below(kGranules)] + rng.below(8);
+    };
+    const auto compareRead = [&](unsigned op) {
+        const Addr addr = pick();
+        const unsigned bytes = pickBytes(rng);
+        ASSERT_EQ(rc.read(addr, bytes), ref.read(addr, bytes))
+            << "op " << op << " read 0x" << std::hex << addr;
+    };
+
+    for (unsigned round = 0; round < 3; ++round) {
+        std::vector<std::pair<Addr, unsigned>> stores;
+        for (unsigned op = 0; op < 6000; ++op) {
+            const Addr addr = pick();
+            const unsigned bytes = pickBytes(rng);
+            const uint64_t value = rng.next();
+            rc.write(addr, bytes, value);
+            ref.write(addr, bytes, value);
+            stores.emplace_back(addr, bytes);
+            compareRead(op);
+            if (op % 64 == 0) {
+                ASSERT_EQ(rc.trackedAddresses(), ref.trackedAddresses());
+            }
+        }
+        ASSERT_GT(rc.trackedAddresses(), kGranules / 4);
+        ASSERT_EQ(rc.trackedAddresses(), ref.trackedAddresses());
+
+        for (size_t i = stores.size(); i > 1; --i)
+            std::swap(stores[i - 1], stores[rng.below(i)]);
+        for (unsigned op = 0; op < stores.size(); ++op) {
+            const auto [addr, bytes] = stores[op];
+            // Mostly the A-stream's value, so most windows close.
+            rMem.write(addr, bytes,
+                       rng.below(10) < 8 ? ref.read(addr, bytes)
+                                         : rng.next());
+            rc.onRStoreRetired(addr, bytes);
+            ref.onRStoreRetired(addr, bytes);
+            compareRead(op);
+            if (op % 64 == 0) {
+                ASSERT_EQ(rc.trackedAddresses(), ref.trackedAddresses());
+            }
+        }
+        ASSERT_EQ(rc.trackedAddresses(), ref.trackedAddresses());
+        ASSERT_EQ(rc.recover(), ref.recover());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryOverlayEquivalence,

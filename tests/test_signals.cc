@@ -4,9 +4,10 @@
  * 143 — both after printing the resume hint — so a killed campaign is
  * distinguishable from a failed one and restartable with --resume.
  * Spawns the real binary (path injected by CMake) and signals it
- * mid-campaign. Also checks that an option value that does not fit is
- * a usage error (exit 2), not a campaign run with a wrapped value or
- * a backend that no longer exists.
+ * mid-campaign. Also checks that an option value that does not fit,
+ * or a bad mode knob in the environment, is a usage error (exit 2),
+ * not a campaign run with a wrapped value, a backend that no longer
+ * exists, or an abort.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -141,15 +143,25 @@ TEST(CampaignSignals, SigtermExits143WithResumeHint)
         << run.stderrText;
 }
 
-/** Run slip_campaign to completion with `args`; its exit status. */
+/**
+ * Run slip_campaign to completion with `args`, and `env` set in the
+ * child only; its exit status. Its stderr lands in
+ * `scratch`/stderr.txt.
+ */
 int
-runCampaign(const std::vector<std::string> &args, const std::string &scratch)
+runCampaign(const std::vector<std::string> &args, const std::string &scratch,
+            const std::vector<std::pair<std::string, std::string>> &env = {})
 {
+    const std::string errPath = scratch + "/stderr.txt";
     const pid_t pid = fork();
     if (pid == 0) {
         const int nullFd = open("/dev/null", O_WRONLY);
+        const int errFd =
+            open(errPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
         dup2(nullFd, STDOUT_FILENO);
-        dup2(nullFd, STDERR_FILENO);
+        dup2(errFd, STDERR_FILENO);
+        for (const auto &[name, value] : env)
+            setenv(name.c_str(), value.c_str(), 1);
         std::vector<std::string> full = {
             "slip_campaign", "--size", "test", "--workloads", "compress",
             "--journal", scratch + "/journal.jsonl", "--quarantine",
@@ -178,6 +190,35 @@ TEST(CampaignArgs, ValuesThatDoNotFitExit2)
     // A backend an older build offered names no backend now.
     EXPECT_EQ(runCampaign({"--detect", "checker"}, dir.path), 2);
     EXPECT_FALSE(fs::exists(dir.path + "/journal.jsonl"));
+}
+
+TEST(CampaignArgs, BadModeKnobExits2NamingTheChoices)
+{
+    // The default config reads the strict mode knobs before any option
+    // is parsed; a bad value once escaped as an uncaught exception
+    // (SIGABRT, exit 134).
+    struct Case
+    {
+        const char *name;
+        const char *value;
+        const char *choices;
+    };
+    for (const Case &c :
+         {Case{"SLIPSTREAM_DETECT", "parity", "slipstream|replay"},
+          Case{"SLIPSTREAM_ASTREAM_POLICY", "runahead", "ir|reliability"}}) {
+        ScratchDir dir;
+        EXPECT_EQ(runCampaign({"--trials", "1"}, dir.path,
+                              {{c.name, c.value}}),
+                  2)
+            << c.name;
+        std::ifstream in(dir.path + "/stderr.txt");
+        std::ostringstream err;
+        err << in.rdbuf();
+        EXPECT_NE(err.str().find("fatal:"), std::string::npos) << err.str();
+        EXPECT_NE(err.str().find(c.choices), std::string::npos)
+            << err.str();
+        EXPECT_FALSE(fs::exists(dir.path + "/journal.jsonl")) << c.name;
+    }
 }
 
 } // namespace

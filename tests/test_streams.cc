@@ -108,8 +108,9 @@ TEST(Streams, BothContextsProduceIdenticalOutputSpeculatively)
     Program p = assemble(kProgram);
     SlipstreamProcessor proc(p);
     const SlipstreamRunResult r = proc.run();
-    if (r.irMispredicts == 0)
+    if (r.irMispredicts == 0) {
         EXPECT_EQ(proc.aSource().output(), r.output);
+    }
 }
 
 TEST(Streams, RecoveryLeavesContextsConverged)

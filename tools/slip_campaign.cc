@@ -148,10 +148,8 @@ printCampaign(const FaultCampaignResult &result)
     std::cout << "\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     FaultCampaignConfig cfg;
     cfg.name = "slip_campaign";
@@ -337,4 +335,21 @@ main(int argc, char **argv)
     std::cout << "slip_campaign: all " << healthy
               << " healthy trials completed\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // FaultCampaignConfig's constructor reads the strict mode knobs
+    // ($SLIPSTREAM_ISOLATION, $SLIPSTREAM_DETECT,
+    // $SLIPSTREAM_ASTREAM_POLICY): a bad value is a usage error, and
+    // its message names the valid choices.
+    try {
+        return run(argc, argv);
+    } catch (const slip::FatalError &e) {
+        std::cerr << "slip_campaign: " << e.what() << "\n";
+        return 2;
+    }
 }
