@@ -11,8 +11,11 @@
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
 
+namespace
+{
+
 int
-main()
+run(int, char **)
 {
     using namespace slip;
     bench::banner("Ablation: confidence threshold sweep",
@@ -67,4 +70,12 @@ main()
         std::cout << "\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

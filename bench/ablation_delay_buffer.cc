@@ -10,8 +10,11 @@
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
 
+namespace
+{
+
 int
-main()
+run(int, char **)
 {
     using namespace slip;
     bench::banner("Ablation: delay buffer capacity sweep",
@@ -64,4 +67,12 @@ main()
         std::cout << "\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

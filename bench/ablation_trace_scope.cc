@@ -12,8 +12,11 @@
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
 
+namespace
+{
+
 int
-main()
+run(int, char **)
 {
     using namespace slip;
     bench::banner("Ablation: trace length / detector scope / keying",
@@ -110,4 +113,12 @@ main()
         table.print(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

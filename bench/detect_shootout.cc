@@ -33,10 +33,8 @@ constexpr const char *kJournal =
 constexpr const char *kReport = "results/detect_shootout.json";
 constexpr const char *kTable = "results/detect_shootout_table.txt";
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace slip;
 
@@ -135,4 +133,12 @@ main(int argc, char **argv)
                  "pays a modeled overhead the native comparison\ngets "
                  "for free.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

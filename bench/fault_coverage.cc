@@ -3,7 +3,7 @@
  * scenarios give no numeric table; this harness produces one) with
  * multi-target, multi-fault campaigns.
  *
- * Four campaigns run, all through the deterministic FaultCampaign
+ * Three campaigns run, all through the deterministic FaultCampaign
  * runner (results are byte-identical for any SLIPSTREAM_JOBS):
  *
  *  1. slipstream mode — the full target mix, including MemoryCell
@@ -14,8 +14,6 @@
  *  3. forced degradation — a dense burst of A-side faults against a
  *     permissive degrade window, demonstrating the graceful fallback
  *     to R-only execution with output intact.
- *  4. A-stream policy sweep — one short campaign per shortening
- *     policy (ir | reliability) over the full target mix.
  *
  * Every trial is classified (see fault_campaign.hh) and the machine-
  * readable report lands in results/fault_campaign.json (override with
@@ -174,43 +172,6 @@ run(int argc, char **argv)
     printCampaign(burstResult, timing);
     report.push_back(campaignJson(burst, burstResult));
 
-    // ---- campaign 4: A-stream policy sweep ----
-    // One short campaign per shortening policy over the full target
-    // mix. The reliability policy forwards no speculative data at
-    // all, so no corrupted A-stream value can ride the delay buffer
-    // into the R-stream.
-    std::cout << "---- A-stream policy sweep (full target mix) ----\n";
-    const unsigned policyTrials = std::max(4u, trials / 4);
-    Table policyTable({"policy", "trials", "faults", "det+rec",
-                       "silent-benign", "silent-corrupt", "degraded",
-                       "avg latency"});
-    for (size_t p = 0; p < kNumAStreamPolicies; ++p) {
-        const AStreamPolicyKind kind = AStreamPolicyKind(p);
-        FaultCampaignConfig sweep = defaults;
-        sweep.name =
-            std::string("policy_") + aStreamPolicyName(kind);
-        sweep.trialsPerWorkload = policyTrials;
-        sweep.resume = resume;
-        sweep.isolation = isolation;
-        sweep.params.aPolicy.kind = kind;
-        const FaultCampaignResult sweepResult =
-            runFaultCampaign(sweep);
-        report.push_back(campaignJson(sweep, sweepResult));
-        for (const TrialRecord &trial : sweepResult.trials)
-            timing.addCycles(trial.cycles);
-        const CampaignTally &t = sweepResult.total;
-        policyTable.addRow(
-            {aStreamPolicyName(kind), Table::count(t.trials),
-             Table::count(t.faultsInjected),
-             Table::count(t.outcomes(TrialOutcome::DetectedRecovered)),
-             Table::count(t.outcomes(TrialOutcome::SilentBenign)),
-             Table::count(t.outcomes(TrialOutcome::SilentCorrupt)),
-             Table::count(t.degradedRuns),
-             Table::fixed(t.avgLatency())});
-    }
-    policyTable.print(std::cout);
-    std::cout << "\n";
-
     writeFaultReport(report);
 
     std::cout
@@ -230,14 +191,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // The campaign config reads the strict mode knobs
-    // ($SLIPSTREAM_ISOLATION, $SLIPSTREAM_DETECT,
-    // $SLIPSTREAM_ASTREAM_POLICY): a bad value is a usage error, and
-    // its message names the valid choices.
-    try {
-        return run(argc, argv);
-    } catch (const slip::FatalError &e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-    }
+    return slip::runMain(argc, argv, run);
 }

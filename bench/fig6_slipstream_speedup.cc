@@ -1,23 +1,21 @@
 /**
  * Reproduces Figure 6 — percent IPC improvement of the CMP(2x64x4)
- * slipstream processor over SS(64x4), per benchmark — and extends it
- * into an A-stream policy sweep: the same grid is run once per
- * shortening policy (ir | reliability), with a per-policy summary
- * table at the end.
+ * slipstream processor over SS(64x4), per benchmark.
  *
- * Paper's shape (the `ir` rows): average ~7%; m88ksim ~20%, perl ~16%,
- * li/vortex ~7%, gcc ~4%, compress/go/jpeg ~0%. The shape to check:
- * the highly branch-predictable, ineffectual-write-rich benchmarks
- * win; the data-dependent ones do not. The reliability policy strips
- * every forwarded value, so its "removed" column reads 100%: every
- * R-retired slot lacked an A-stream value, not a fetch saving.
+ * Paper's shape: average ~7%; m88ksim ~20%, perl ~16%, li/vortex ~7%,
+ * gcc ~4%, compress/go/jpeg ~0%. The shape to check: the highly
+ * branch-predictable, ineffectual-write-rich benchmarks win; the
+ * data-dependent ones do not.
  */
 
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace slip;
     for (int i = 1; i < argc; ++i) {
@@ -34,9 +32,8 @@ main(int argc, char **argv)
         allWorkloads(bench::benchSize());
     const size_t nWorkloads = workloads.size();
 
-    // One SS baseline per workload, then one CMP grid per policy.
-    // Every job goes through the same runner so the sweep saturates
-    // the worker pool instead of running policy-by-policy.
+    // One SS baseline per workload, then one CMP run per workload,
+    // all through one runner so the grid saturates the worker pool.
     SimJobRunner runner;
     bench::Timing timing("fig6", runner.jobs());
     for (const Workload &w : workloads) {
@@ -49,71 +46,46 @@ main(int argc, char **argv)
                          e.golden);
         });
     }
-    for (size_t p = 0; p < kNumAStreamPolicies; ++p) {
-        const AStreamPolicyKind kind = AStreamPolicyKind(p);
-        for (const Workload &w : workloads) {
-            const ProgramCache::Entry &e =
-                ProgramCache::global().get(w.name, bench::benchSize());
-            const std::string name = w.name;
-            runner.add([&e, name, kind] {
-                obs::TrialTrace scope("fig6_" + name + "_" +
-                                      aStreamPolicyName(kind));
-                SlipstreamParams params = cmp2x64x4Params();
-                params.aPolicy.kind = kind;
-                return runSlipstream(e.program, params, e.golden);
-            });
-        }
+    for (const Workload &w : workloads) {
+        const ProgramCache::Entry &e =
+            ProgramCache::global().get(w.name, bench::benchSize());
+        const std::string name = w.name;
+        runner.add([&e, name] {
+            obs::TrialTrace scope("fig6_" + name + "_cmp");
+            return runSlipstream(e.program, cmp2x64x4Params(), e.golden);
+        });
     }
     const std::vector<RunMetrics> results = runner.run();
     for (const RunMetrics &m : results)
         timing.addCycles(m.cycles);
 
-    double avgImprovement[kNumAStreamPolicies] = {};
-    double avgRemoved[kNumAStreamPolicies] = {};
-    bool anyWrong[kNumAStreamPolicies] = {};
-
-    for (size_t p = 0; p < kNumAStreamPolicies; ++p) {
-        const AStreamPolicyKind kind = AStreamPolicyKind(p);
-        std::cout << "---- policy: " << aStreamPolicyName(kind)
-                  << " ----\n";
-        Table table({"benchmark", "SS(64x4) IPC", "CMP(2x64x4) IPC",
-                     "improvement", "removed", "output ok"});
-        double sum = 0.0;
-        for (size_t i = 0; i < nWorkloads; ++i) {
-            const RunMetrics &ss = results[i];
-            const RunMetrics &cmp =
-                results[nWorkloads * (p + 1) + i];
-            const double improvement = cmp.ipc / ss.ipc - 1.0;
-            sum += improvement;
-            avgRemoved[p] += cmp.removedFraction;
-            anyWrong[p] |= !ss.outputCorrect || !cmp.outputCorrect;
-            table.addRow({workloads[i].name, Table::fixed(ss.ipc),
-                          Table::fixed(cmp.ipc),
-                          Table::percent(improvement),
-                          Table::percent(cmp.removedFraction),
-                          ss.outputCorrect && cmp.outputCorrect
-                              ? "yes"
-                              : "NO"});
-        }
-        avgImprovement[p] = sum / nWorkloads;
-        avgRemoved[p] /= nWorkloads;
-        table.addRow({"average", "", "",
-                      Table::percent(avgImprovement[p]),
-                      Table::percent(avgRemoved[p]), ""});
-        table.print(std::cout);
-        std::cout << "\n";
+    Table table({"benchmark", "SS(64x4) IPC", "CMP(2x64x4) IPC",
+                 "improvement", "removed", "output ok"});
+    double sumImprovement = 0.0;
+    double sumRemoved = 0.0;
+    for (size_t i = 0; i < nWorkloads; ++i) {
+        const RunMetrics &ss = results[i];
+        const RunMetrics &cmp = results[nWorkloads + i];
+        const double improvement = cmp.ipc / ss.ipc - 1.0;
+        sumImprovement += improvement;
+        sumRemoved += cmp.removedFraction;
+        table.addRow({workloads[i].name, Table::fixed(ss.ipc),
+                      Table::fixed(cmp.ipc), Table::percent(improvement),
+                      Table::percent(cmp.removedFraction),
+                      ss.outputCorrect && cmp.outputCorrect ? "yes"
+                                                            : "NO"});
     }
-
-    std::cout << "---- policy summary (average over "
-              << nWorkloads << " workloads) ----\n";
-    Table summary(
-        {"policy", "avg improvement", "avg removed", "output ok"});
-    for (size_t p = 0; p < kNumAStreamPolicies; ++p) {
-        summary.addRow({aStreamPolicyName(AStreamPolicyKind(p)),
-                        Table::percent(avgImprovement[p]),
-                        Table::percent(avgRemoved[p]),
-                        anyWrong[p] ? "NO" : "yes"});
-    }
-    summary.print(std::cout);
+    table.addRow({"average", "", "",
+                  Table::percent(sumImprovement / nWorkloads),
+                  Table::percent(sumRemoved / nWorkloads), ""});
+    table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

@@ -11,8 +11,11 @@
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
 
+namespace
+{
+
 int
-main()
+run(int, char **)
 {
     using namespace slip;
     bench::banner("Figure 7: SS(128x8) over SS(64x4)",
@@ -59,4 +62,12 @@ main()
     table.addRow({"average", "", "", Table::percent(sum / count), ""});
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

@@ -9,12 +9,6 @@
  * half its stream). Lower table: only branches as candidates
  * (paper's counterintuitive result: removal *increases* for most
  * benchmarks because unrelated writes no longer dilute confidence).
- *
- * A third grid sweeps the A-stream shortening policies (ir |
- * reliability) with all removal triggers enabled. Both remove the
- * same way; reliability also strips every forwarded value, which
- * lands in the `other` column (stripped slots carry no removal
- * reason).
  */
 
 #include "bench/bench_timing.hh"
@@ -65,10 +59,8 @@ printBreakdown(const std::vector<Workload> &workloads,
     std::cout << "\n";
 }
 
-} // namespace
-
 int
-main()
+run(int, char **)
 {
     using namespace slip;
     bench::banner("Figure 8: breakdown of removed A-stream instructions",
@@ -77,8 +69,8 @@ main()
     const std::vector<Workload> workloads =
         allWorkloads(bench::benchSize());
 
-    // Two removal modes plus the policy sweep, all one grid so the
-    // worker pool stays saturated.
+    // Both removal modes in one grid, so the worker pool stays
+    // saturated.
     SimJobRunner runner;
     bench::Timing timing("fig8", runner.jobs());
     for (bool removeWrites : {true, false}) {
@@ -88,18 +80,6 @@ main()
             runner.add([&e, removeWrites] {
                 SlipstreamParams params = cmp2x64x4Params();
                 params.detector.removeWrites = removeWrites;
-                return runSlipstream(e.program, params, e.golden);
-            });
-        }
-    }
-    for (size_t p = 0; p < kNumAStreamPolicies; ++p) {
-        const AStreamPolicyKind kind = AStreamPolicyKind(p);
-        for (const Workload &w : workloads) {
-            const ProgramCache::Entry &e =
-                ProgramCache::global().get(w.name, bench::benchSize());
-            runner.add([&e, kind] {
-                SlipstreamParams params = cmp2x64x4Params();
-                params.aPolicy.kind = kind;
                 return runSlipstream(e.program, params, e.golden);
             });
         }
@@ -115,15 +95,13 @@ main()
     printBreakdown(workloads,
                    {results.begin() + n, results.begin() + 2 * n},
                    "only branches removed (lower graph)");
-    for (size_t p = 0; p < kNumAStreamPolicies; ++p) {
-        const std::string title =
-            std::string("A-stream policy: ") +
-            aStreamPolicyName(AStreamPolicyKind(p));
-        const size_t base = (2 + p) * n;
-        printBreakdown(workloads,
-                       {results.begin() + base,
-                        results.begin() + base + n},
-                       title.c_str());
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

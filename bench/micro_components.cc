@@ -494,19 +494,15 @@ BM_HostCostSS64x4(benchmark::State &state)
 BENCHMARK(BM_HostCostSS64x4);
 
 void
-BM_HostCostCmp(benchmark::State &state, AStreamPolicyKind policy)
+BM_HostCostCmp(benchmark::State &state, const SlipstreamParams &params)
 {
-    SlipstreamParams params = cmp2x64x4Params();
-    params.aPolicy.kind = policy;
     hostCost(state, testPrograms(),
              [&](size_t, const ProgramCache::Entry &e) {
                  return runSlipstream(e.program, params, e.golden)
                      .retired;
              });
 }
-BENCHMARK_CAPTURE(BM_HostCostCmp, ir, AStreamPolicyKind::IRRemoval);
-BENCHMARK_CAPTURE(BM_HostCostCmp, reliability,
-                  AStreamPolicyKind::Reliability);
+BENCHMARK_CAPTURE(BM_HostCostCmp, ir, cmp2x64x4Params());
 
 // One planned trial per program (test size, the default seed), run
 // as batch campaigns run it.

@@ -15,8 +15,11 @@
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
 
+namespace
+{
+
 int
-main()
+run(int, char **)
 {
     using namespace slip;
     bench::banner("Operating modes: reliability vs performance",
@@ -73,4 +76,12 @@ main()
                  "trades the removed fraction of that redundancy for "
                  "speed.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

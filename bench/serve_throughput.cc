@@ -131,10 +131,8 @@ runClient(const std::string &socketPath, const BatchRequest &req)
     return out;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i)
         if (!bench::applyTraceArg(argv[i])) {
@@ -260,4 +258,12 @@ main(int argc, char **argv)
 
     std::cout << (failed ? "\nRESULT: FAIL\n" : "\nRESULT: PASS\n");
     return failed ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

@@ -8,8 +8,11 @@
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
 
+namespace
+{
+
 int
-main()
+run(int, char **)
 {
     using namespace slip;
     bench::banner("Table 2: Microarchitecture configuration",
@@ -84,4 +87,12 @@ main()
     comp.addRow({"minimum recovery latency", "21 cycles (5 + 64/4)"});
     comp.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

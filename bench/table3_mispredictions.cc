@@ -13,8 +13,11 @@
 #include "bench/bench_timing.hh"
 #include "bench_common.hh"
 
+namespace
+{
+
 int
-main()
+run(int, char **)
 {
     using namespace slip;
     bench::banner("Table 3: misprediction measurements",
@@ -57,4 +60,12 @@ main()
     }
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

@@ -88,8 +88,8 @@ bool envFlag(const char *name, bool fallback);
  * an unrecognized value throws FatalError naming the variable and
  * listing every valid choice. A typo'd mode would silently run the
  * wrong experiment for hours — failing fast is the only safe
- * fallback ($SLIPSTREAM_DETECT, $SLIPSTREAM_ISOLATION and
- * $SLIPSTREAM_ASTREAM_POLICY all parse through this).
+ * fallback ($SLIPSTREAM_DETECT and $SLIPSTREAM_ISOLATION parse
+ * through this).
  */
 size_t envChoice(const char *name,
                  std::initializer_list<const char *> choices,

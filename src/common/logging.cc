@@ -117,4 +117,17 @@ informImpl(const std::string &msg)
 
 } // namespace detail
 
+int
+runMain(int argc, char **argv, int (*body)(int argc, char **argv))
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError &e) {
+        const std::string program = argc > 0 ? argv[0] : "";
+        std::cerr << program.substr(program.find_last_of('/') + 1)
+                  << ": " << e.what() << "\n";
+        return 2;
+    }
+}
+
 } // namespace slip

@@ -5,7 +5,8 @@
  * panic()  — an internal simulator invariant was violated (a bug in this
  *            library); aborts so a debugger/core dump can catch it.
  * fatal()  — the simulation cannot continue due to a user error (bad
- *            configuration, malformed assembly, ...); exits with code 1.
+ *            configuration, malformed assembly, ...); throws FatalError,
+ *            which runMain() turns into exit status 2.
  * warn()   — something is suspicious but the simulation continues.
  * inform() — status messages.
  */
@@ -127,6 +128,14 @@ concat(Args &&...args)
 /** Toggle for warn()/inform() output (benchmarks silence them). */
 void setLogQuiet(bool quiet);
 bool logQuiet();
+
+/**
+ * Every bench and tool main(): runs `body`, and turns a FatalError
+ * that escapes it (a bad strict mode knob, say) into
+ * "<program>: fatal: ..." on stderr and exit status 2, the usage-error
+ * status, instead of std::terminate's SIGABRT.
+ */
+int runMain(int argc, char **argv, int (*body)(int argc, char **argv));
 
 } // namespace slip
 

@@ -30,11 +30,7 @@ ss128x8Params()
 SlipstreamParams
 cmp2x64x4Params()
 {
-    SlipstreamParams p; // Table 2 defaults throughout
-    // Benches honor the strict A-stream-policy knob, so a policy
-    // sweep is one environment variable away from any experiment.
-    p.aPolicy.kind = aStreamPolicyFromEnv(p.aPolicy.kind);
-    return p;
+    return SlipstreamParams{}; // Table 2 defaults throughout
 }
 
 std::string

@@ -120,9 +120,6 @@ FaultCampaignConfig::FaultCampaignConfig()
     // $SLIPSTREAM_DETECT (strict) picks the detection architecture
     // every trial runs under.
     params.detect.kind = detectBackendFromEnv(params.detect.kind);
-    // $SLIPSTREAM_ASTREAM_POLICY (strict) picks the A-stream
-    // shortening policy the same way.
-    params.aPolicy.kind = aStreamPolicyFromEnv(params.aPolicy.kind);
 }
 
 void
@@ -291,7 +288,6 @@ journalFields(Id &id, Record &t, Visit &&v)
     v("det_replays", t.detectReplays);
     v("det_replayed", t.detectReplayedInsts);
     v("det_overhead", t.detectOverhead);
-    v("policy", t.aStreamPolicy);
     v("error", t.error);
     const bool workerDied = !t.crashPhase.empty();
     v("signal", t.crashSignal, workerDied);
@@ -482,10 +478,9 @@ stampIdentity(const FaultCampaignConfig &cfg,
     t.workload = spec.workload;
     t.plans = spec.plans;
     t.faultsPlanned = spec.plans.size();
-    // Every trial ran under the config's backend and A-stream policy,
-    // whatever its outcome — crashed trials included.
+    // Every trial ran under the config's backend, whatever its
+    // outcome — crashed trials included.
     t.detectBackend = detectBackendName(cfg.params.detect.kind);
-    t.aStreamPolicy = aStreamPolicyName(cfg.params.aPolicy.kind);
 }
 
 } // namespace
@@ -670,9 +665,9 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
 
     // Resume: adopt a journal line only if this config would have
     // written it byte for byte. Torn lines, other campaigns' lines and
-    // lines written under another config (a different size, policy,
-    // backend, mode, or any other keyed field) all fail that one
-    // comparison and their trials re-run.
+    // lines written under another config (a different size, backend,
+    // mode, or any other keyed field) all fail that one comparison and
+    // their trials re-run.
     std::vector<std::optional<TrialRecord>> done(specs.size());
     if (cfg.resume) {
         std::ifstream in(journalPath);

@@ -206,7 +206,6 @@ struct FaultCampaignConfig
         v("reliable mode", self.reliableMode);
         v("cycle cap per instruction", self.cycleCapPerInst);
         v("detect", self.params.detect);
-        v("A-stream policy", self.params.aPolicy.kind);
         v("watchdog stall cycles", self.params.watchdog.stallCycles);
         v("watchdog trips", self.params.watchdog.maxTrips);
     }
@@ -248,9 +247,6 @@ struct TrialRecord
     Cycle latencyTotal = 0;
     Cycle latencyMax = 0;
     Cycle cycles = 0;
-
-    /** A-stream policy the trial ran under (journaled, tag-matched). */
-    std::string aStreamPolicy;
 
     // Detection-backend aggregates (journaled; see RunMetrics).
     std::string detectBackend;

@@ -238,7 +238,6 @@ faultReport(const FaultCampaignConfig &cfg, const FaultCampaignResult &result)
     h.campaign = cfg.name;
     h.mode = cfg.reliableMode ? "reliable" : "slipstream";
     h.detectBackend = detectBackendName(cfg.params.detect.kind);
-    h.aStreamPolicy = aStreamPolicyName(cfg.params.aPolicy.kind);
     h.size = sizeName(cfg.size);
     h.seed = cfg.seed;
     h.trialsPerWorkload = cfg.trialsPerWorkload;

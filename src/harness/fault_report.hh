@@ -21,7 +21,7 @@ namespace slip
 {
 
 /** Stamped into every object; any other revision, or none, is refused. */
-inline constexpr unsigned kFaultReportVersion = 1;
+inline constexpr unsigned kFaultReportVersion = 2;
 
 /** The config echo that opens each campaign object. */
 struct FaultReportHeader
@@ -30,7 +30,6 @@ struct FaultReportHeader
     std::string campaign;
     std::string mode; // "slipstream" or "reliable"
     std::string detectBackend;
-    std::string aStreamPolicy;
     std::string size;
     uint64_t seed = 0;
     unsigned trialsPerWorkload = 0;
@@ -48,7 +47,6 @@ struct FaultReportHeader
         v("campaign", self.campaign);
         v("mode", self.mode);
         v("detect_backend", self.detectBackend);
-        v("a_stream_policy", self.aStreamPolicy);
         v("size", self.size);
         v("seed", self.seed);
         v("trials_per_workload", self.trialsPerWorkload);

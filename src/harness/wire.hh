@@ -58,7 +58,7 @@ namespace slip::wire
 {
 
 inline constexpr uint32_t kMagic = 0x53504C57; // "WLPS" on the wire
-inline constexpr uint16_t kVersion = 6; // v6: detect is one byte
+inline constexpr uint16_t kVersion = 7; // v7: no A-stream policy byte
 
 /** Frame types the worker and serve protocols speak. */
 enum class MsgType : uint8_t

@@ -47,7 +47,6 @@ BatchRequest::toCampaignConfig() const
     cfg.reliableMode = reliableMode;
     cfg.targets = targets;
     cfg.params.detect = detect;
-    cfg.params.aPolicy = policy;
     if (reliableMode)
         cfg.params.irPred.enabled = false;
     cfg.cycleCapPerInst = cycleCapPerInst;

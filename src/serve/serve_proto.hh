@@ -87,7 +87,7 @@ struct BatchRequest
     bool reliableMode = false;
     std::vector<FaultTarget> targets; // empty = mode default
     DetectParams detect;
-    AStreamPolicyParams policy;
+    AStreamPolicyParams policy; // names the one policy; no field reads it
     Cycle cycleCapPerInst = 10;
 
     // Fuzz.
@@ -114,7 +114,6 @@ struct BatchRequest
         v("reliable mode", self.reliableMode);
         v("fault target", self.targets);
         v("detect", self.detect);
-        v("A-stream policy", self.policy.kind);
         v("cycle cap per instruction", self.cycleCapPerInst);
         v("first fuzz seed", self.seedBegin);
         v("end fuzz seed", self.seedEnd);

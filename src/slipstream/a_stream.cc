@@ -17,11 +17,10 @@ AStreamSource::AStreamSource(const Program &program,
                              TracePredictor &predictor,
                              IRPredictor &irPredictor,
                              RecoveryController &memPort,
-                             DelayBuffer &delayBuffer,
-                             AStreamPolicy &aPolicy, unsigned fetchWidth,
+                             DelayBuffer &delayBuffer, unsigned fetchWidth,
                              const TracePolicy &policy)
     : program(program), predictor(predictor), irPredictor(irPredictor),
-      delayBuffer(delayBuffer), aPolicy(aPolicy), policy(policy),
+      delayBuffer(delayBuffer), policy(policy),
       state_(memPort), slicer(fetchWidth), stats_("a_stream")
 {
     stats_.link("traces_predicted", numTracesPredicted);
@@ -133,9 +132,8 @@ AStreamSource::walkTrace()
             return; // the front end is wedged; watchdog territory
     }
 
-    // --- removal plan from the A-stream policy ---
-    std::optional<RemovalPlan> plan =
-        aPolicy.planTrace(irPredictor, history, guess);
+    // --- removal plan from the IR-predictor ---
+    std::optional<RemovalPlan> plan = irPredictor.lookup(history, guess);
     if (plan)
         ++numTracesWithRemoval;
 
@@ -317,8 +315,6 @@ AStreamSource::walkTrace()
             d.seq = 0; // never dispatched
         } else {
             d.seq = nextSeq++;
-            // The A core reads only the copied dispatch fields: the
-            // policy pass below may strip aExec before it dispatches.
             d.setOutcome(slot.aExec);
             ++executedCount;
             // The final executed conditional branch of a truncated
@@ -333,14 +329,6 @@ AStreamSource::walkTrace()
     slicer.finish();
 
     packet.executedCount = executedCount;
-
-    // Policy pass over the completed packet: the reliability policy
-    // strips value payloads here, demoting executed slots to
-    // control-only entries. A-core timing is already fixed (the fetch
-    // blocks are emitted), so only the A->R communication changes;
-    // the local `executedCount` keeps the pre-strip count because the
-    // A-core will still retire those instructions.
-    aPolicy.onPacketComplete(packet);
 
     // --- speculative history update & JALR target validation ---
     history.push(actual);
@@ -427,7 +415,6 @@ AStreamSource::recover(Addr pc, const ArchState &rState,
     pending.clear();
     haltWalked = false;
     stalled_ = false; // a wedged front end restarts clean
-    aPolicy.onRecovery();
     ++statRecoveries;
 }
 

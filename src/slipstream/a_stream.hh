@@ -31,7 +31,6 @@
 #include "assembler/program.hh"
 #include "common/ring.hh"
 #include "func/arch_state.hh"
-#include "slipstream/a_stream_policy.hh"
 #include "slipstream/delay_buffer.hh"
 #include "slipstream/fault_injector.hh"
 #include "slipstream/ir_predictor.hh"
@@ -49,8 +48,7 @@ class AStreamSource : public FetchSource
   public:
     AStreamSource(const Program &program, TracePredictor &predictor,
                   IRPredictor &irPredictor, RecoveryController &memPort,
-                  DelayBuffer &delayBuffer, AStreamPolicy &aPolicy,
-                  unsigned fetchWidth = 16,
+                  DelayBuffer &delayBuffer, unsigned fetchWidth = 16,
                   const TracePolicy &policy = {});
 
     bool nextBlock(FetchBlock &block) override;
@@ -105,7 +103,6 @@ class AStreamSource : public FetchSource
     TracePredictor &predictor;
     IRPredictor &irPredictor;
     DelayBuffer &delayBuffer;
-    AStreamPolicy &aPolicy;
     TracePolicy policy;
 
     ArchState state_;

@@ -23,13 +23,12 @@ SlipstreamProcessor::SlipstreamProcessor(
       irPred(std::move(irPredictor)), delayBuffer_(params.delayBuffer),
       recovery_(std::make_unique<RecoveryController>(rMem,
                                                      params.recovery)),
-      detector_(std::make_unique<IRDetector>(params.detector, *irPred)),
-      aPolicy_(params.aPolicy)
+      detector_(std::make_unique<IRDetector>(params.detector, *irPred))
 {
     program.loadInto(rMem);
     aSource_ = std::make_unique<AStreamSource>(
         program, *tracePred, *irPred, *recovery_, delayBuffer_,
-        aPolicy_, params_.aCore.fetchWidth, params_.tracePolicy);
+        params_.aCore.fetchWidth, params_.tracePolicy);
     rSource_ = std::make_unique<RStreamSource>(
         program, rMem, delayBuffer_, params_.rCore.fetchWidth);
     rFront_.inner = rSource_.get();

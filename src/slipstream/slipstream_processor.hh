@@ -31,7 +31,6 @@
 #include "common/cancel.hh"
 #include "detect/detect_params.hh"
 #include "slipstream/a_stream.hh"
-#include "slipstream/a_stream_policy.hh"
 #include "slipstream/removal.hh"
 #include "slipstream/delay_buffer.hh"
 #include "slipstream/fault_injector.hh"
@@ -86,6 +85,28 @@ struct DegradeParams
     Cycle forceAtCycle = 0;
 };
 
+/**
+ * The A-stream's one policy: IR-predictor removal, forwarding every
+ * executed value (paper §2.1-2.2). The enum, the struct and the name
+ * below only name it in bench banners (perfbench/slipbench.cc); no
+ * field list, codec, journal or report reads them.
+ */
+enum class AStreamPolicyKind : uint8_t
+{
+    IRRemoval,
+};
+
+struct AStreamPolicyParams
+{
+    AStreamPolicyKind kind = AStreamPolicyKind::IRRemoval;
+};
+
+constexpr const char *
+aStreamPolicyName(AStreamPolicyKind)
+{
+    return "ir";
+}
+
 /** Full configuration of a slipstream processor (Table 2 defaults). */
 struct SlipstreamParams
 {
@@ -116,11 +137,7 @@ struct SlipstreamParams
      */
     DetectParams detect;
 
-    /**
-     * Which A-stream shortening policy drives the walk: the paper's
-     * IR-removal by default, or reliability's control-only forwarding
-     * (slipstream/a_stream_policy.hh).
-     */
+    /** Names the A-stream policy; nothing reads it (see above). */
     AStreamPolicyParams aPolicy;
 
     /**
@@ -282,7 +299,6 @@ class SlipstreamProcessor
     OoOCore &rCore() { return *rCore_; }
     AStreamSource &aSource() { return *aSource_; }
     RStreamSource &rSource() { return *rSource_; }
-    AStreamPolicy &aPolicy() { return aPolicy_; }
     IRPredictor &irPredictor() { return *irPred; }
     IRDetector &detector() { return *detector_; }
     DelayBuffer &delayBuffer() { return delayBuffer_; }
@@ -337,7 +353,6 @@ class SlipstreamProcessor
     DelayBuffer delayBuffer_;
     std::unique_ptr<RecoveryController> recovery_;
     std::unique_ptr<IRDetector> detector_;
-    AStreamPolicy aPolicy_;
     std::unique_ptr<AStreamSource> aSource_;
     std::unique_ptr<RStreamSource> rSource_;
     ForwardingSource rFront_;

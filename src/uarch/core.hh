@@ -55,8 +55,7 @@ struct DynInst
      * R-stream retire record's `rExec`, or a TraceFetchSource
      * training record. It stays valid at least until the instruction's
      * retire hook returns. Null for fetch-only instructions, which
-     * never execute. The A-stream core must not read it: the
-     * reliability policy strips `aExec` before the A core dispatches.
+     * never execute.
      */
     const ExecResult *exec = nullptr;
 

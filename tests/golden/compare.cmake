@@ -1,12 +1,23 @@
-# Run one bench at test size and diff its stdout against a committed
-# capture. The wall-clock figure in the "[name] <t> s wall, ..." footer
-# is the only part masked; the simulated-cycle total beside it stays.
+# Run one bench and diff its stdout against a committed capture. The
+# wall-clock figure in the "[name] <t> s wall, ..." footer is the only
+# part masked; the simulated-cycle total beside it stays.
 #
 #   cmake -DBENCH=<binary> -DGOLDEN=<capture.txt> -DWORK_DIR=<dir>
-#         -P compare.cmake
+#         [-DSIZE=test|small|default] [-DJOBS=<n>] -P compare.cmake
 #
 # Every SLIPSTREAM_* variable is cleared first, then the size and the
 # worker count are pinned, so the tables depend on the code alone.
+# The goldens under tests/golden/ are captured at the defaults (test
+# size, one job); results/*.txt at the size their banner names with
+# four jobs. The banner and the footer print the job count, so a
+# capture is compared at the count it was taken with.
+
+if(NOT DEFINED SIZE)
+    set(SIZE test)
+endif()
+if(NOT DEFINED JOBS)
+    set(JOBS 1)
+endif()
 
 execute_process(COMMAND ${CMAKE_COMMAND} -E environment
                 OUTPUT_VARIABLE env_dump)
@@ -16,8 +27,8 @@ foreach(knob IN LISTS knobs)
     string(REGEX REPLACE "^\n?(.*)=$" "\\1" name "${knob}")
     unset(ENV{${name}})
 endforeach()
-set(ENV{SLIPSTREAM_BENCH_SIZE} test)
-set(ENV{SLIPSTREAM_JOBS} 1)
+set(ENV{SLIPSTREAM_BENCH_SIZE} ${SIZE})
+set(ENV{SLIPSTREAM_JOBS} ${JOBS})
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 execute_process(COMMAND "${BENCH}"

@@ -20,7 +20,6 @@
 #include "common/logging.hh"
 #include "detect/detect_params.hh"
 #include "harness/fault_report.hh"
-#include "slipstream/a_stream_policy.hh"
 #include "slipstream/fault_injector.hh"
 
 namespace slip
@@ -138,45 +137,6 @@ TEST(DetectEnv, GarbageThrows)
     }
 }
 
-// ---------------------------------------------------------------------
-// The A-stream policy knob follows the same strict mode-knob contract
-// as the detection backend: typos throw, valid names override.
-// ---------------------------------------------------------------------
-
-TEST(AStreamPolicyEnv, UnsetUsesFallback)
-{
-    EnvGuard g("SLIPSTREAM_ASTREAM_POLICY", nullptr);
-    EXPECT_EQ(aStreamPolicyFromEnv(), AStreamPolicyKind::IRRemoval);
-    EXPECT_EQ(aStreamPolicyFromEnv(AStreamPolicyKind::Reliability),
-              AStreamPolicyKind::Reliability);
-}
-
-TEST(AStreamPolicyEnv, ValidValuesOverride)
-{
-    for (unsigned i = 0; i < kNumAStreamPolicies; ++i) {
-        const AStreamPolicyKind kind = AStreamPolicyKind(i);
-        EnvGuard g("SLIPSTREAM_ASTREAM_POLICY",
-                   aStreamPolicyName(kind));
-        EXPECT_EQ(aStreamPolicyFromEnv(), kind);
-        EXPECT_EQ(FaultCampaignConfig().params.aPolicy.kind, kind);
-    }
-}
-
-TEST(AStreamPolicyEnv, GarbageThrows)
-{
-    // A typo'd policy would silently benchmark the wrong shortening
-    // mechanism, so an unknown value throws instead of falling back.
-    // So does a policy an older build offered.
-    for (const char *value : {"turbo", "runahead", "filtered"}) {
-        SCOPED_TRACE(value);
-        EnvGuard g("SLIPSTREAM_ASTREAM_POLICY", value);
-        setLogQuiet(true);
-        EXPECT_THROW(aStreamPolicyFromEnv(), FatalError);
-        EXPECT_THROW((void)FaultCampaignConfig(), FatalError);
-        setLogQuiet(false);
-    }
-}
-
 TEST(DetectCampaign, ReportAndJournalCarryTheBackend)
 {
     for (DetectBackendKind kind : kAllKinds) {
@@ -206,10 +166,10 @@ TEST(DetectCampaign, ReportAndJournalCarryTheBackend)
 }
 
 /**
- * The acceptance property, per backend: byte-identical reports for
- * any SLIPSTREAM_JOBS under both isolation modes. Replay's stats
- * ride RunMetrics through the fork-isolation wire codec, so this is
- * also the codec's coverage for the detect block.
+ * The acceptance property, per backend: byte-identical reports and
+ * journals for any SLIPSTREAM_JOBS under both isolation modes.
+ * Replay's stats ride RunMetrics through the fork-isolation wire
+ * codec, so this is also the codec's coverage for the detect block.
  */
 TEST(DetectCampaign, DeterministicAcrossJobsAndIsolation)
 {
@@ -219,6 +179,7 @@ TEST(DetectCampaign, DeterministicAcrossJobsAndIsolation)
     for (DetectBackendKind kind : kAllKinds) {
         const char *name = detectBackendName(kind);
         std::string baseline;
+        std::string baselineJournal;
         for (IsolationMode mode :
              {IsolationMode::None, IsolationMode::Fork}) {
             for (const char *jobs : {"1", "3"}) {
@@ -232,67 +193,22 @@ TEST(DetectCampaign, DeterministicAcrossJobsAndIsolation)
                 cfg.isolation = mode;
                 const std::string report =
                     campaignJson(cfg, runFaultCampaign(cfg));
+                std::string journal;
+                for (const std::string &line :
+                     readLines(cfg.journalPath))
+                    journal += line + "\n";
                 std::remove(cfg.journalPath.c_str());
-                if (baseline.empty())
+                if (baseline.empty()) {
                     baseline = report;
-                else
+                    baselineJournal = journal;
+                } else {
                     EXPECT_EQ(report, baseline);
+                    EXPECT_EQ(journal, baselineJournal);
+                }
             }
         }
+        EXPECT_FALSE(baselineJournal.empty());
     }
-
-    if (prior)
-        setenv("SLIPSTREAM_JOBS", saved.c_str(), 1);
-    else
-        unsetenv("SLIPSTREAM_JOBS");
-}
-
-/**
- * The backend x policy cross: an external detection backend composed
- * with a non-default A-stream policy journals both tags on every
- * line, and the journal bytes — not just the report — are identical
- * across SLIPSTREAM_JOBS and both isolation modes. This is the
- * coverage/overhead composition the policy layer exists for (a
- * replay-checked reliability A-stream), so its determinism contract
- * gets the same matrix the backends alone get above.
- */
-TEST(DetectCampaign, BackendAndPolicyComposeDeterministically)
-{
-    const char *prior = std::getenv("SLIPSTREAM_JOBS");
-    const std::string saved = prior ? prior : "";
-
-    std::string baseline;
-    for (IsolationMode mode :
-         {IsolationMode::None, IsolationMode::Fork}) {
-        for (const char *jobs : {"1", "3"}) {
-            SCOPED_TRACE(std::string(isolationModeName(mode)) +
-                         "/jobs=" + jobs);
-            setenv("SLIPSTREAM_JOBS", jobs, 1);
-            FaultCampaignConfig cfg = backendConfig(
-                DetectBackendKind::Replay, "policy_cross");
-            cfg.params.aPolicy.kind = AStreamPolicyKind::Reliability;
-            cfg.isolation = mode;
-            std::remove(cfg.journalPath.c_str());
-            runFaultCampaign(cfg);
-            std::string bytes;
-            for (const std::string &line :
-                 readLines(cfg.journalPath)) {
-                EXPECT_NE(line.find("\"backend\":\"replay\""),
-                          std::string::npos)
-                    << line;
-                EXPECT_NE(line.find("\"policy\":\"reliability\""),
-                          std::string::npos)
-                    << line;
-                bytes += line + "\n";
-            }
-            std::remove(cfg.journalPath.c_str());
-            if (baseline.empty())
-                baseline = bytes;
-            else
-                EXPECT_EQ(bytes, baseline);
-        }
-    }
-    EXPECT_FALSE(baseline.empty());
 
     if (prior)
         setenv("SLIPSTREAM_JOBS", saved.c_str(), 1);

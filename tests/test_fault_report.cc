@@ -66,7 +66,6 @@ handConfig()
     cfg.reliableMode = true;
     cfg.targets = {FaultTarget::RPipeline, FaultTarget::MemoryCell};
     cfg.params.detect.kind = DetectBackendKind::Replay;
-    cfg.params.aPolicy.kind = AStreamPolicyKind::Reliability;
     return cfg;
 }
 
@@ -82,11 +81,10 @@ handResult()
 
 /** What the hand-written renderer the field list replaced wrote. */
 const char *const kPinnedReport = R"json({
-  "report_version": 1,
+  "report_version": 2,
   "campaign": "quote\"and\nnewline",
   "mode": "reliable",
   "detect_backend": "replay",
-  "a_stream_policy": "reliability",
   "size": "small",
   "seed": 18446744073709551615,
   "trials_per_workload": 3,

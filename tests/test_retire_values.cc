@@ -97,11 +97,9 @@ class Reference
 
 /** Run CMP with the observer on onArchRetire. */
 SlipstreamRunResult
-checkCmp(const Program &program, AStreamPolicyKind policy,
-         Cycle degradeAt, const std::string &what)
+checkCmp(const Program &program, Cycle degradeAt, const std::string &what)
 {
     SlipstreamParams params;
-    params.aPolicy.kind = policy;
     params.degrade.forceAtCycle = degradeAt;
     SlipstreamProcessor proc(program, params);
     Reference ref(program);
@@ -118,16 +116,14 @@ checkCmp(const Program &program, AStreamPolicyKind policy,
 }
 
 /**
- * CMP under `policy`, then again degraded to R-only halfway: the
- * later outcomes come from the resumed TraceFetchSource's training
- * records.
+ * CMP, then again degraded to R-only halfway: the later outcomes come
+ * from the resumed TraceFetchSource's training records.
  */
 uint64_t
-checkCmpBothModes(const Program &program, AStreamPolicyKind policy,
-                  const std::string &what)
+checkCmpBothModes(const Program &program, const std::string &what)
 {
-    const SlipstreamRunResult r = checkCmp(program, policy, 0, what);
-    checkCmp(program, policy, r.cycles / 2, what + " degraded");
+    const SlipstreamRunResult r = checkCmp(program, 0, what);
+    checkCmp(program, r.cycles / 2, what + " degraded");
     return r.rRetired;
 }
 
@@ -148,20 +144,12 @@ checkSs(const Program &program, const std::string &what)
     EXPECT_EQ(ref.checked, r.retired) << what;
 }
 
-const AStreamPolicyKind kPolicies[] = {AStreamPolicyKind::IRRemoval,
-                                       AStreamPolicyKind::Reliability};
-
 TEST(RetireValues, CmpObserverSeesReferenceValuesOnWorkloads)
 {
     for (const char *name : {"m88ksim", "li"}) {
         const Program program =
             assemble(getWorkload(name, WorkloadSize::Test).source);
-        for (AStreamPolicyKind policy : kPolicies) {
-            const std::string what =
-                std::string(name) + " policy " +
-                std::to_string(static_cast<int>(policy));
-            EXPECT_GT(checkCmpBothModes(program, policy, what), 10'000u);
-        }
+        EXPECT_GT(checkCmpBothModes(program, name), 10'000u);
     }
 }
 
@@ -179,8 +167,7 @@ TEST(RetireValues, ObserversSeeReferenceValuesOnFuzzPrograms)
     for (uint64_t seed = 0; seed < 6; ++seed) {
         const Program program = assemble(fuzz::generate(seed).render());
         const std::string what = "fuzz seed " + std::to_string(seed);
-        for (AStreamPolicyKind policy : kPolicies)
-            checkCmpBothModes(program, policy, what);
+        checkCmpBothModes(program, what);
         checkSs(program, what);
     }
 }

@@ -171,46 +171,6 @@ TEST(ResultCache, CampaignKeySeparatesSeedTrialAndBackend)
     EXPECT_EQ(base, campaignTrialKey(forked, specs[0], 0));
 }
 
-TEST(ResultCache, CampaignKeySeparatesAStreamPolicies)
-{
-    FaultCampaignConfig cfg;
-    cfg.workloads = {"compress"};
-    cfg.size = WorkloadSize::Test;
-    cfg.trialsPerWorkload = 1;
-    cfg.seed = 7;
-    const std::vector<CampaignTrialSpec> specs =
-        planCampaignTrials(cfg);
-    ASSERT_GE(specs.size(), 1u);
-    const CacheKey base = campaignTrialKey(cfg, specs[0], 0);
-
-    // Same program, same seed, different shortening policy: the keys
-    // must differ pairwise, or one policy's cached line would answer
-    // for another's trial.
-    std::vector<CacheKey> keys;
-    for (unsigned i = 0; i < kNumAStreamPolicies; ++i) {
-        FaultCampaignConfig alt = cfg;
-        alt.params.aPolicy.kind = AStreamPolicyKind(i);
-        keys.push_back(campaignTrialKey(alt, specs[0], 0));
-    }
-    EXPECT_EQ(keys[size_t(AStreamPolicyKind::IRRemoval)], base);
-    for (size_t a = 0; a < keys.size(); ++a)
-        for (size_t b = a + 1; b < keys.size(); ++b)
-            EXPECT_FALSE(keys[a] == keys[b]) << a << " vs " << b;
-
-    // And both policies really do land as two distinct cache entries.
-    const CacheKey reliability =
-        keys[size_t(AStreamPolicyKind::Reliability)];
-    ScratchDir dir;
-    ResultCache cache(dir.path + "/cache", 100);
-    cache.store(base, "line-ir");
-    cache.store(reliability, "line-reliability");
-    std::string line;
-    ASSERT_TRUE(cache.lookup(base, line));
-    EXPECT_EQ(line, "line-ir");
-    ASSERT_TRUE(cache.lookup(reliability, line));
-    EXPECT_EQ(line, "line-reliability");
-}
-
 /** A ProgramCache-style entry for a hand-assembled program. */
 ProgramCache::Entry
 entryFor(Program program)
@@ -352,29 +312,6 @@ TEST(ResultCache, OpeningReapsOnlyTempFilesOfDeadWriters)
     EXPECT_EQ(reopened.evictions(), 1u);
     EXPECT_EQ(reopened.entries(), 2u);
     EXPECT_TRUE(fs::exists(live));
-}
-
-TEST(ServeProto, BatchRequestRoundTripsPolicyParams)
-{
-    BatchRequest req;
-    req.kind = BatchKind::Campaign;
-    req.id = 3;
-    req.name = "proto_policy";
-    req.workloads = {"compress"};
-    req.policy.kind = AStreamPolicyKind::Reliability;
-
-    wire::Encoder enc;
-    enc.put(req);
-    wire::Decoder dec(enc.bytes());
-    BatchRequest got;
-    dec.get(got);
-    EXPECT_TRUE(dec.atEnd());
-    EXPECT_EQ(got.policy.kind, AStreamPolicyKind::Reliability);
-
-    // The served trial runs under the requested policy, not the
-    // server's default.
-    const FaultCampaignConfig cfg = got.toCampaignConfig();
-    EXPECT_EQ(cfg.params.aPolicy.kind, AStreamPolicyKind::Reliability);
 }
 
 // ---------------------------------------------------------------------
@@ -638,23 +575,19 @@ struct ServerFixture : ::testing::Test
 
 TEST_F(ServerFixture, BatchMatchesSingleProcessPipelineByteForByte)
 {
-    for (unsigned p = 0; p < kNumAStreamPolicies; ++p) {
-        BatchRequest req = smallBatch();
-        req.policy.kind = AStreamPolicyKind(p);
-        SCOPED_TRACE(aStreamPolicyName(req.policy.kind));
+    const BatchRequest req = smallBatch();
 
-        // The reference: the same batch through the local pipeline.
-        const std::vector<std::string> lines = referenceLines(req);
-        std::string expected;
-        for (const std::string &line : lines)
-            expected += line + '\n';
+    // The reference: the same batch through the local pipeline.
+    const std::vector<std::string> lines = referenceLines(req);
+    std::string expected;
+    for (const std::string &line : lines)
+        expected += line + '\n';
 
-        BatchDoneMsg done;
-        const std::string served = submit(req, done);
-        EXPECT_EQ(done.status, BatchStatus::Ok);
-        EXPECT_EQ(done.completed, lines.size());
-        EXPECT_EQ(served, expected);
-    }
+    BatchDoneMsg done;
+    const std::string served = submit(req, done);
+    EXPECT_EQ(done.status, BatchStatus::Ok);
+    EXPECT_EQ(done.completed, lines.size());
+    EXPECT_EQ(served, expected);
 }
 
 TEST_F(ServerFixture, BenchBatchIsAZeroFaultCampaign)
@@ -793,39 +726,6 @@ TEST_F(TwoTrialWaveFixture, HitsAndMissesInOneWaveEachArriveOnce)
     EXPECT_EQ(done.cacheMisses, 3u);
 }
 
-TEST_F(ServerFixture, TwoPoliciesOnSameProgramDoNotShareCacheEntries)
-{
-    // Same program, same seed, same trial count — only the A-stream
-    // policy differs. If the policy were missing from the cache key,
-    // the second batch would be served the first batch's lines.
-    BatchRequest ir = smallBatch();
-    BatchDoneMsg first;
-    const std::string irJournal = submit(ir, first);
-    EXPECT_EQ(first.cacheHits, 0u);
-    EXPECT_EQ(first.cacheMisses, first.completed);
-
-    BatchRequest reliability = smallBatch();
-    reliability.policy.kind = AStreamPolicyKind::Reliability;
-    BatchDoneMsg second;
-    const std::string relJournal = submit(reliability, second);
-    EXPECT_EQ(second.cacheHits, 0u) << "policy aliased in the cache";
-    EXPECT_EQ(second.cacheMisses, second.completed);
-
-    // The journals carry their own policy tags, so even identical
-    // outcomes cannot produce identical bytes.
-    EXPECT_NE(irJournal.find("\"policy\":\"ir\""), std::string::npos);
-    EXPECT_NE(relJournal.find("\"policy\":\"reliability\""),
-              std::string::npos);
-    EXPECT_NE(irJournal, relJournal);
-
-    // Resubmitting each batch now hits its own entry.
-    BatchDoneMsg warm;
-    EXPECT_EQ(submit(ir, warm), irJournal);
-    EXPECT_EQ(warm.cacheHits, warm.completed);
-    EXPECT_EQ(submit(reliability, warm), relJournal);
-    EXPECT_EQ(warm.cacheHits, warm.completed);
-}
-
 TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
 {
     // A raw, handshaken connection: the client library only sends
@@ -892,17 +792,6 @@ TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
         return bad;
     };
 
-    // Policy byte 2 names no policy. The policy byte is the one byte
-    // where an `ir` and a `reliability` request differ.
-    BatchRequest reliability = smallBatch();
-    reliability.policy.kind = AStreamPolicyKind::Reliability;
-    done = submitRaw(withByte2(reliability));
-    EXPECT_EQ(done.status, BatchStatus::Error);
-    EXPECT_NE(done.error.find("A-stream policy byte 2"),
-              std::string::npos)
-        << done.error;
-    EXPECT_EQ(trials, 0u);
-
     // Detect byte 2 names no backend. The detect byte is the one byte
     // where a `slipstream` and a `replay` request differ.
     BatchRequest replay = smallBatch();
@@ -913,8 +802,7 @@ TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
         << done.error;
     EXPECT_EQ(trials, 0u);
 
-    // The daemon survived all three, and this connection is still
-    // served.
+    // The daemon survived both, and this connection is still served.
     done = submitRaw(bytes);
     EXPECT_EQ(done.status, BatchStatus::Ok) << done.error;
     EXPECT_EQ(done.completed, 4u);

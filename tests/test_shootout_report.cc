@@ -82,13 +82,20 @@ TEST(ShootoutReport, CurrentVersionPasses)
 
 TEST(ShootoutReport, ForeignVersionIsRefusedNamingBoth)
 {
-    const std::string err = diagnose(
-        "[\n{\"report_version\": 999,\n\"campaign\": \"x\"}\n]\n");
-    EXPECT_NE(err.find("999"), std::string::npos) << err;
-    EXPECT_NE(err.find(std::to_string(kFaultReportVersion)),
-              std::string::npos)
-        << err;
-    EXPECT_NE(err.find("regenerate"), std::string::npos) << err;
+    // Version 1 reports carried an a_stream_policy field.
+    for (const char *version : {"999", "1"}) {
+        const std::string err =
+            diagnose(std::string("[\n{\"report_version\": ") + version +
+                     ",\n\"campaign\": \"x\"}\n]\n");
+        EXPECT_NE(err.find(std::string("schema version ") + version +
+                           " "),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find(std::to_string(kFaultReportVersion)),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("regenerate"), std::string::npos) << err;
+    }
 }
 
 TEST(ShootoutReport, MixedVersionsRefusedOnFirstForeignObject)

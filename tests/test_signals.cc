@@ -205,7 +205,7 @@ TEST(CampaignArgs, BadModeKnobExits2NamingTheChoices)
     };
     for (const Case &c :
          {Case{"SLIPSTREAM_DETECT", "parity", "slipstream|replay"},
-          Case{"SLIPSTREAM_ASTREAM_POLICY", "runahead", "ir|reliability"}}) {
+          Case{"SLIPSTREAM_ISOLATION", "bogus", "none|fork"}}) {
         ScratchDir dir;
         EXPECT_EQ(runCampaign({"--trials", "1"}, dir.path,
                               {{c.name, c.value}}),

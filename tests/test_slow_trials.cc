@@ -26,7 +26,6 @@ TEST(SlowTrials, Seed606VortexHangsWithinBudget)
     cfg.size = WorkloadSize::Test;
     cfg.trialsPerWorkload = 2;
     cfg.seed = 606;
-    cfg.params.aPolicy = AStreamPolicyParams{};
     cfg.params.detect = DetectParams{};
     cfg.isolation = IsolationMode::None;
 
@@ -44,15 +43,14 @@ TEST(SlowTrials, Seed606VortexHangsWithinBudget)
     EXPECT_EQ(
         campaignTrialLine(cfg, kTrial, record),
         "{\"campaign\":\"slip_campaign\",\"seed\":606,\"trial\":14,"
-        "\"key\":\"4a4f205be5cb0492ecccd10a2ed0b1ea\","
+        "\"key\":\"09833f0363e82d31ae4d1bf6b3a61e34\","
         "\"workload\":\"vortex\",\"outcome\":\"hung\",\"planned\":2,"
         "\"injected\":2,\"detected\":1,\"degraded\":0,"
         "\"latency_samples\":1,\"latency_total\":62,\"latency_max\":62,"
         "\"lat_hist\":\"ir_predictor=6:1\",\"cycles\":1344870,"
         "\"backend\":\"slipstream\",\"checked\":2384849,"
         "\"det_mismatch\":24,\"det_external\":0,\"det_replays\":0,"
-        "\"det_replayed\":0,\"det_overhead\":0,\"policy\":\"ir\","
-        "\"error\":\"\"}");
+        "\"det_replayed\":0,\"det_overhead\":0,\"error\":\"\"}");
 }
 
 } // namespace

@@ -543,7 +543,6 @@ TEST(WireCodec, PayloadBytesMatchTheHandWrittenCodecs)
     b.reliableMode = true;
     b.targets = {FaultTarget::AStream, FaultTarget::MemoryCell};
     b.detect.kind = DetectBackendKind::Replay;
-    b.policy.kind = AStreamPolicyKind::Reliability;
     b.cycleCapPerInst = 12;
     b.seedBegin = 3;
     b.seedEnd = 9;
@@ -551,8 +550,8 @@ TEST(WireCodec, PayloadBytesMatchTheHandWrittenCodecs)
     EXPECT_EQ(payloadHex(b),
               "022a000000000000000300000070696e0200000008000000636f6d707265"
               "7373020000006c6901050000000200000004000000630000000000000001"
-              "02000000000601010c000000000000000300000000000000090000000000"
-              "0000");
+              "020000000006010c00000000000000030000000000000009000000000000"
+              "00");
 
     const serve::TrialResultMsg result{7, 3, true, "{\"trial\":3}"};
     EXPECT_EQ(payloadHex(result),

@@ -21,10 +21,14 @@
 #include <sstream>
 #include <string>
 
+#include "common/logging.hh"
 #include "harness/fault_report.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace slip;
 
@@ -80,4 +84,12 @@ main(int argc, char **argv)
         std::cout << "table written to " << tablePath << "\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

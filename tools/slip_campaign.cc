@@ -81,9 +81,6 @@ usage(std::ostream &os)
           "  --detect B       detection backend: slipstream | replay\n"
           "                   (default $SLIPSTREAM_DETECT, else "
           "slipstream)\n"
-          "  --policy P       A-stream policy: ir | reliability\n"
-          "                   (default $SLIPSTREAM_ASTREAM_POLICY, "
-          "else ir)\n"
           "  --workers N      worker processes/threads\n"
           "                   (default $SLIPSTREAM_JOBS)\n"
           "  --trials N       trials per workload      (default 8)\n"
@@ -186,13 +183,6 @@ run(int argc, char **argv)
                           << "' (want slipstream|replay)\n";
                 return 2;
             }
-        } else if (arg == "--policy") {
-            const std::string v = value("--policy");
-            if (!parseAStreamPolicy(v, cfg.params.aPolicy.kind)) {
-                std::cerr << "slip_campaign: bad --policy '" << v
-                          << "' (want ir|reliability)\n";
-                return 2;
-            }
         } else if (arg == "--workers") {
             if (!parseUnsigned(value("--workers"), cfg.workers) ||
                 cfg.workers == 0) {
@@ -282,8 +272,6 @@ run(int argc, char **argv)
               << "isolation: " << isolationModeName(cfg.isolation)
               << ", detect: "
               << detectBackendName(cfg.params.detect.kind)
-              << ", policy: "
-              << aStreamPolicyName(cfg.params.aPolicy.kind)
               << ", trials/workload: " << cfg.trialsPerWorkload
               << ", seed: " << cfg.seed << "\n\n";
     setLogQuiet(false);
@@ -342,14 +330,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // FaultCampaignConfig's constructor reads the strict mode knobs
-    // ($SLIPSTREAM_ISOLATION, $SLIPSTREAM_DETECT,
-    // $SLIPSTREAM_ASTREAM_POLICY): a bad value is a usage error, and
-    // its message names the valid choices.
-    try {
-        return run(argc, argv);
-    } catch (const slip::FatalError &e) {
-        std::cerr << "slip_campaign: " << e.what() << "\n";
-        return 2;
-    }
+    return slip::runMain(argc, argv, run);
 }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/logging.hh"
 #include "serve/client.hh"
 
 namespace
@@ -46,7 +47,6 @@ usage(std::ostream &os)
           "    --name NAME --workloads A,B --size S --trials N\n"
           "    --seed N --min-faults N --max-faults N --reliable\n"
           "    --detect slipstream|replay\n"
-          "    --policy ir|reliability\n"
           "  bench      fault-free performance sweep\n"
           "    --name NAME --workloads A,B --size S --trials N\n"
           "  fuzz       differential-fuzz seed window\n"
@@ -60,10 +60,8 @@ usage(std::ostream &os)
           "  -h, --help\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string address = "unix:/tmp/slipd.sock";
     std::string command;
@@ -141,13 +139,6 @@ main(int argc, char **argv)
             if (!parseDetectBackend(v, req.detect.kind)) {
                 std::cerr << "slipc: bad --detect '" << v
                           << "' (want slipstream|replay)\n";
-                return 2;
-            }
-        } else if (arg == "--policy") {
-            const std::string v = value("--policy");
-            if (!parseAStreamPolicy(v, req.policy.kind)) {
-                std::cerr << "slipc: bad --policy '" << v
-                          << "' (want ir|reliability)\n";
                 return 2;
             }
         } else if (arg == "--seeds") {
@@ -272,4 +263,12 @@ main(int argc, char **argv)
         return 5;
     }
     return 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

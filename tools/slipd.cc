@@ -71,10 +71,8 @@ usage(std::ostream &os)
           "  -h, --help\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     serve::ServerOptions opts;
     opts.unixPath = "/tmp/slipd.sock";
@@ -181,4 +179,12 @@ main(int argc, char **argv)
               << s.cacheMisses << " cache_stores=" << s.cacheStores
               << " cache_evictions=" << s.cacheEvictions << "\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }

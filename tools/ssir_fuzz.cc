@@ -49,9 +49,6 @@ usage(std::ostream &os)
           "seeds once exceeded\n"
           "  --max-cycles N  per-leg cycle budget          "
           "(default 20000000)\n"
-          "  --policy P      A-stream policy for the slipstream legs:\n"
-          "                  ir | reliability              "
-          "(default ir)\n"
           "  --out DIR       repro bundle directory        "
           "(default fuzz-repros)\n"
           "  --no-bundles    report divergences without writing "
@@ -138,10 +135,8 @@ dumpCorpus(const std::string &dir, const slip::fuzz::FuzzOptions &opt)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     slip::fuzz::FuzzOptions opt;
     std::string replayPath;
@@ -189,14 +184,6 @@ main(int argc, char **argv)
             if (!slip::parseUnsigned(value("--max-cycles"), opt.oracle.maxCycles) ||
                 opt.oracle.maxCycles == 0) {
                 std::cerr << "ssir_fuzz: bad --max-cycles\n";
-                return 2;
-            }
-        } else if (arg == "--policy") {
-            const std::string v = value("--policy");
-            if (!slip::parseAStreamPolicy(v,
-                                          opt.oracle.params.aPolicy.kind)) {
-                std::cerr << "ssir_fuzz: bad --policy '" << v
-                          << "' (want ir|reliability)\n";
                 return 2;
             }
         } else if (arg == "--out") {
@@ -276,4 +263,12 @@ main(int argc, char **argv)
         std::cerr << "ssir_fuzz: " << e.what() << "\n";
         return 2;
     }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return slip::runMain(argc, argv, run);
 }
