@@ -3,8 +3,8 @@
  * hot structures — trace predictor lookup/update, IR-detector trace
  * merging, the delay buffer, the recovery overlay, the OoO core,
  * cache access, the assembler, and the functional simulator — and
- * the host cost of each simulated configuration (SS(64x4), CMP under
- * `ir` and `reliability`, one fault-campaign trial) relative to the
+ * the host cost of each simulated configuration (SS(64x4),
+ * CMP(2x64x4), one fault-campaign trial) relative to the
  * reference executor, which CI gates on, and what building a
  * processor costs before its first cycle. These guard the
  * *simulator's* own performance (host MIPS), which bounds how large

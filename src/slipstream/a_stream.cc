@@ -19,19 +19,16 @@ AStreamSource::AStreamSource(const Program &program,
                              RecoveryController &memPort,
                              DelayBuffer &delayBuffer, unsigned fetchWidth,
                              const TracePolicy &policy)
-    : program(program), predictor(predictor), irPredictor(irPredictor),
-      delayBuffer(delayBuffer), policy(policy),
-      state_(memPort), slicer(fetchWidth), stats_("a_stream")
+    : program(program), irPredictor(irPredictor),
+      delayBuffer(delayBuffer), state_(memPort),
+      frontEnd(program, predictor, policy), slicer(fetchWidth),
+      stats_("a_stream")
 {
-    stats_.link("traces_predicted", numTracesPredicted);
-    stats_.link("traces_fallback", numTracesFallback);
+    frontEnd.linkStats(stats_);
     stats_.link("traces_with_removal", numTracesWithRemoval);
     stats_.link("slots_removed", numSlotsRemoved);
     stats_.link("slots_executed", numSlotsExecuted);
     stats_.link("slots_fetch_skipped", numSlotsFetchSkipped);
-    stats_.link("indirect_mispredicts", numIndirectMispredicts);
-    stats_.link("trace_mispredicts", numTraceMispredicts);
-    stats_.link("traces_from_predictor", numTracesFromPredictor);
     state_.setPc(program.entry());
     state_.writeReg(reg::sp, layout::kStackTop);
 }
@@ -92,26 +89,8 @@ AStreamSource::walkTrace()
 {
     const Addr startPc = state_.pc();
 
-    // --- front-end trace selection (same scheme as the SS model) ---
-    std::optional<TraceId> pred;
-    if (cachedNextPredValid) {
-        pred = cachedNextPred;
-        cachedNextPredValid = false;
-    } else {
-        pred = predictor.predict(history);
-    }
-
-    TraceId guess;
-    bool usedPrediction = false;
-    if (pred && pred->valid() && pred->startPc == startPc &&
-        program.validPc(startPc)) {
-        guess = *pred;
-        usedPrediction = true;
-        ++numTracesPredicted;
-    } else {
-        guess = buildStaticTrace(program, startPc, policy);
-        ++numTracesFallback;
-    }
+    // --- trace selection, shared with the SS model ---
+    const unsigned lengthCap = frontEnd.begin(startPc);
 
     // --- A-side fault injection: predictor state & stall faults ---
     if (faultInjector) {
@@ -122,7 +101,7 @@ AStreamSource::walkTrace()
                 // Flip a bit of the entry about to be consulted; a
                 // live (valid) entry is a real victim.
                 rec->injected = irPredictor.corruptEntry(
-                    history, guess, rec->plan.bit);
+                    frontEnd.history(), frontEnd.guess(), rec->plan.bit);
             } else { // AStreamStall
                 rec->injected = true;
                 stalled_ = true;
@@ -133,7 +112,8 @@ AStreamSource::walkTrace()
     }
 
     // --- removal plan from the IR-predictor ---
-    std::optional<RemovalPlan> plan = irPredictor.lookup(history, guess);
+    std::optional<RemovalPlan> plan =
+        irPredictor.lookup(frontEnd.history(), frontEnd.guess());
     if (plan)
         ++numTracesWithRemoval;
 
@@ -147,20 +127,16 @@ AStreamSource::walkTrace()
     packet.endsWithHalt = false;
     TraceId &actual = packet.actualId;
 
-    const unsigned lengthCap =
-        std::min<unsigned>(guess.length ? guess.length : policy.maxLen,
-                           policy.maxLen);
     // Reserved to the longest trace, so the slots never move while
     // the packet is walked, queued or validated: the A core's
     // instructions point at them.
+    const TracePolicy &policy = frontEnd.policy();
     packet.slots.reserve(policy.maxLen);
     const PacketSlot *const slotBase = packet.slots.data();
 
     // --- walk: execute non-removed slots on the A-stream context ---
-    unsigned branchIdx = 0;
     Addr pc = startPc;
     bool truncated = false;
-    bool structuralEnd = false;
 
     while (actual.length < lengthCap) {
         const unsigned slotIdx = actual.length;
@@ -177,11 +153,7 @@ AStreamSource::walkTrace()
         PacketSlot &slot = packet.slots.emplace_back(pc, si);
 
         const bool predTaken =
-            si.isCondBranch()
-                ? (branchIdx < guess.numBranches
-                       ? ((guess.branchBits >> branchIdx) & 1) != 0
-                       : si.imm < 0)
-                : false;
+            si.isCondBranch() && frontEnd.predictBranch(si);
 
         if (removed) {
             slot.executedInA = false;
@@ -189,31 +161,19 @@ AStreamSource::walkTrace()
             ++numSlotsRemoved;
 
             // The packet path presumes the prediction is correct.
-            Addr nextPc = pc + kInstBytes;
-            if (si.isCondBranch()) {
-                ++branchIdx;
-                if (predTaken) {
-                    actual.branchBits |= uint64_t(1) << actual.numBranches;
-                    nextPc = pc + si.imm * kInstBytes;
-                }
-                ++actual.numBranches;
-                slot.pathTaken = predTaken;
-            } else if (si.op == Opcode::JAL) {
-                nextPc = pc + si.imm * kInstBytes;
-                slot.pathTaken = true;
-                if (si.rd == reg::ra)
-                    ras.push(pc + kInstBytes);
-            }
+            slot.pathTaken =
+                si.isCondBranch() ? predTaken : si.op == Opcode::JAL;
+            frontEnd.noteCall(si, pc);
+            const Addr nextPc = slot.pathTaken ? pc + si.imm * kInstBytes
+                                               : pc + kInstBytes;
             slot.pathNextPc = nextPc;
-            ++actual.length;
+            actual.append(si, slot.pathTaken);
             const Addr here = pc;
             pc = nextPc;
             // Trace boundaries must be path-consistent whether or not
             // the boundary instruction was removed.
-            if (endsTraceAfter(policy, si, slot.pathTaken, here, nextPc)) {
-                structuralEnd = true;
+            if (endsTraceAfter(policy, si, slot.pathTaken, here, nextPc))
                 break;
-            }
             continue;
         }
 
@@ -241,26 +201,20 @@ AStreamSource::walkTrace()
         slot.pathNextPc = exec.nextPc;
 
         if (si.isCondBranch()) {
-            ++branchIdx;
-            if (exec.taken)
-                actual.branchBits |= uint64_t(1) << actual.numBranches;
-            ++actual.numBranches;
             if (predTaken != exec.taken)
                 truncated = true; // A-stream-detectable misprediction
-        } else if (si.op == Opcode::JAL && si.rd == reg::ra) {
-            ras.push(pc + kInstBytes);
-        } else if (si.isIndirectJump() && si.rd == reg::ra) {
-            ras.push(pc + kInstBytes);
+        } else {
+            frontEnd.noteCall(si, pc);
         }
+        actual.append(si, exec.taken);
 
-        if (endsTraceAfter(policy, si, exec.taken, pc, exec.nextPc))
-            structuralEnd = true;
+        const bool structuralEnd =
+            endsTraceAfter(policy, si, exec.taken, pc, exec.nextPc);
         if (si.isHalt()) {
             haltWalked = true;
             packet.endsWithHalt = true;
         }
 
-        ++actual.length;
         pc = exec.nextPc;
 
         if (truncated || structuralEnd)
@@ -295,7 +249,6 @@ AStreamSource::walkTrace()
         }
     }
 
-    bool anyEmitted = false;
     unsigned executedCount = 0;
 
     for (size_t i = 0; i < n; ++i) {
@@ -324,43 +277,16 @@ AStreamSource::walkTrace()
         }
 
         slicer.seal();
-        anyEmitted = true;
     }
     slicer.finish();
 
     packet.executedCount = executedCount;
 
     // --- speculative history update & JALR target validation ---
-    history.push(actual);
-
-    if (!haltWalked && !truncated && anyEmitted &&
-        slicer.lastInst().si->isIndirectJump()) {
-        DynInst &lastEmitted = slicer.lastInst();
-        const Addr actualNext = pc;
-        std::optional<TraceId> next = predictor.predict(history);
-        Addr predictedTarget = 0;
-        if (next && next->valid()) {
-            predictedTarget = next->startPc;
-        } else if (lastEmitted.si->rs1 == reg::ra &&
-                   lastEmitted.si->rd == reg::zero) {
-            predictedTarget = ras.pop();
-        }
-        if (predictedTarget != actualNext) {
-            ++numIndirectMispredicts;
-            lastEmitted.mispredicted = true;
-        } else if (lastEmitted.si->rs1 == reg::ra &&
-                   lastEmitted.si->rd == reg::zero && next &&
-                   next->valid()) {
-            ras.pop();
-        }
-        cachedNextPred = next;
-        cachedNextPredValid = true;
-    }
-
-    if (truncated)
-        ++numTraceMispredicts;
-    if (usedPrediction)
-        ++numTracesFromPredictor;
+    // A trace-ending indirect jump is never removed, so it is the
+    // last instruction sliced.
+    if (frontEnd.end(actual, packet.slots.back().si, pc, truncated))
+        slicer.lastInst().mispredicted = true;
 
     if (plan) {
         SLIP_TRACE(obs::Category::Removal, obs::Name::RemovalApplied,
@@ -408,9 +334,7 @@ AStreamSource::recover(Addr pc, const ArchState &rState,
 {
     state_.copyRegsFrom(rState);
     state_.setPc(pc);
-    history.copyFrom(rHistory);
-    ras.clear();
-    cachedNextPredValid = false;
+    frontEnd.resync(rHistory);
     slicer.clear();
     pending.clear();
     haltWalked = false;

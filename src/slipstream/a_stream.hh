@@ -26,8 +26,6 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_A_STREAM_HH
 #define SLIPSTREAM_SLIPSTREAM_A_STREAM_HH
 
-#include <optional>
-
 #include "assembler/program.hh"
 #include "common/ring.hh"
 #include "func/arch_state.hh"
@@ -35,7 +33,6 @@
 #include "slipstream/fault_injector.hh"
 #include "slipstream/ir_predictor.hh"
 #include "slipstream/recovery_controller.hh"
-#include "uarch/branch_pred.hh"
 #include "uarch/fetch_source.hh"
 #include "uarch/trace_pred.hh"
 
@@ -100,19 +97,13 @@ class AStreamSource : public FetchSource
     bool canWalk() const;
 
     const Program &program;
-    TracePredictor &predictor;
     IRPredictor &irPredictor;
     DelayBuffer &delayBuffer;
-    TracePolicy policy;
 
     ArchState state_;
     std::string output_;
 
-    PathHistory history;
-    ReturnAddressStack ras;
-    std::optional<TraceId> cachedNextPred;
-    bool cachedNextPredValid = false;
-
+    TraceFrontEnd frontEnd;
     BlockSlicer slicer;
     // Walked packets awaiting publication. Packets move walk ->
     // pending -> delay buffer by swapping, so their slot vectors are
@@ -133,15 +124,10 @@ class AStreamSource : public FetchSource
     StatGroup::Handle statStallFault{stats_.handle("stall_fault")};
     // Per-slot and per-trace walk counters: plain integers on the hot
     // path, linked into stats_ so get()/dump() still see them by name.
-    uint64_t numTracesPredicted = 0;
-    uint64_t numTracesFallback = 0;
     uint64_t numTracesWithRemoval = 0;
     uint64_t numSlotsRemoved = 0;
     uint64_t numSlotsExecuted = 0;
     uint64_t numSlotsFetchSkipped = 0;
-    uint64_t numIndirectMispredicts = 0;
-    uint64_t numTraceMispredicts = 0;
-    uint64_t numTracesFromPredictor = 0;
     StatGroup::Handle statPacketsPublished{
         stats_.handle("packets_published")};
     StatGroup::Handle statRecoveries{stats_.handle("recoveries")};

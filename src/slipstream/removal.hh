@@ -50,7 +50,7 @@ using ReasonCounts = std::array<uint64_t, kNumReasonMasks>;
 std::map<std::string, uint64_t> reasonCountsByName(const ReasonCounts &c);
 
 /** Most slots one trace has: the ir-vec is 64 bits wide. */
-constexpr unsigned kMaxPlanSlots = 64;
+constexpr unsigned kMaxPlanSlots = kTraceLenLimit;
 
 /**
  * Per-slot reason masks of one trace, 4 bits a slot, held inline so a

@@ -17,26 +17,100 @@ buildStaticTrace(const Program &program, Addr startPc,
     while (id.length < policy.maxLen) {
         const Addr here = pc;
         const StaticInst &si = program.fetch(here);
-        ++id.length;
-
-        bool taken = false;
-        if (si.isCondBranch()) {
-            // Backward-taken / forward-not-taken static heuristic.
-            taken = si.imm < 0;
-            if (taken && id.numBranches < 64)
-                id.branchBits |= 1ull << id.numBranches;
-            ++id.numBranches;
-            pc = taken ? here + si.imm * kInstBytes : here + kInstBytes;
-        } else if (si.op == Opcode::JAL) {
-            taken = true;
-            pc = here + si.imm * kInstBytes;
-        } else {
-            pc = here + kInstBytes;
-        }
+        // Backward-taken / forward-not-taken static heuristic; direct
+        // jumps are followed.
+        const bool taken =
+            si.isCondBranch() ? si.imm < 0 : si.op == Opcode::JAL;
+        id.append(si, taken);
+        pc = taken ? here + si.imm * kInstBytes : here + kInstBytes;
         if (endsTraceAfter(policy, si, taken, here, pc))
             break;
     }
     return id;
+}
+
+TraceFrontEnd::TraceFrontEnd(const Program &program,
+                             TracePredictor &predictor,
+                             const TracePolicy &policy)
+    : program(program), predictor(predictor), policy_(policy)
+{
+    if (policy.maxLen < 1 || policy.maxLen > kTraceLenLimit)
+        SLIP_FATAL("trace length ", policy.maxLen, " is outside [1, ",
+                   kTraceLenLimit, "]");
+}
+
+unsigned
+TraceFrontEnd::begin(Addr startPc)
+{
+    std::optional<TraceId> pred;
+    if (cachedNextValid) {
+        pred = cachedNext;
+        cachedNextValid = false;
+    } else {
+        pred = predictor.predict(history_);
+    }
+
+    if (pred && pred->valid() && pred->startPc == startPc &&
+        program.validPc(startPc)) {
+        guess_ = *pred;
+        ++tracesPredicted;
+    } else {
+        guess_ = buildStaticTrace(program, startPc, policy_);
+        ++tracesFallback;
+    }
+    branchIdx = 0;
+    return std::min<unsigned>(guess_.length, policy_.maxLen);
+}
+
+bool
+TraceFrontEnd::end(const TraceId &actual, const StaticInst &last,
+                   Addr nextPc, bool truncated)
+{
+    history_.push(actual);
+    if (truncated) {
+        ++traceMispredicts;
+        return false;
+    }
+    if (!last.isIndirectJump())
+        return false;
+
+    // JALR target prediction: the next trace's start, or for a return
+    // the predictor knows nothing about, the RAS.
+    const std::optional<TraceId> next = predictor.predict(history_);
+    const bool predicted = next && next->valid();
+    const bool isReturn = last.rs1 == reg::ra && last.rd == reg::zero;
+    Addr predictedTarget = 0;
+    if (predicted)
+        predictedTarget = next->startPc;
+    else if (isReturn)
+        predictedTarget = ras.pop();
+    cachedNext = next;
+    cachedNextValid = true;
+
+    if (predictedTarget != nextPc) {
+        ++indirectMispredicts;
+        return true;
+    }
+    if (isReturn && predicted)
+        ras.pop(); // the predictor supplied the target: keep balance
+    return false;
+}
+
+void
+TraceFrontEnd::resync(const PathHistory &history)
+{
+    history_ = history;
+    ras.clear();
+    cachedNextValid = false;
+}
+
+void
+TraceFrontEnd::linkStats(StatGroup &stats)
+{
+    stats.link("traces_predicted", tracesPredicted);
+    stats.link("traces_fallback", tracesFallback);
+    stats.link("trace_mispredicts", traceMispredicts);
+    stats.link("indirect_mispredicts", indirectMispredicts);
 }
 
 void
@@ -68,10 +142,11 @@ TraceFetchSource::TraceFetchSource(const Program &program,
                                    TracePredictor &predictor,
                                    unsigned fetchWidth,
                                    const TracePolicy &policy)
-    : program(program), predictor(predictor), fetchWidth(fetchWidth),
-      policy(policy), port(mem), state_(port),
-      slicer(fetchWidth), stats_("fetch_source")
+    : program(program), predictor(predictor), port(mem), state_(port),
+      frontEnd(program, predictor, policy), slicer(fetchWidth),
+      stats_("fetch_source")
 {
+    frontEnd.linkStats(stats_);
     program.loadInto(mem);
     state_.setPc(program.entry());
     state_.writeReg(reg::sp, layout::kStackTop);
@@ -83,10 +158,11 @@ TraceFetchSource::TraceFetchSource(const Program &program,
                                    const ArchState &resumeFrom,
                                    unsigned fetchWidth,
                                    const TracePolicy &policy)
-    : program(program), predictor(predictor), fetchWidth(fetchWidth),
-      policy(policy), port(sharedMem), state_(port),
+    : program(program), predictor(predictor), port(sharedMem),
+      state_(port), frontEnd(program, predictor, policy),
       slicer(fetchWidth), stats_("fetch_source")
 {
+    frontEnd.linkStats(stats_);
     // Resume mode: the program image and data already live in
     // `sharedMem` (the slipstream R-stream ran there until now);
     // continue from the handed-over context instead of a cold start.
@@ -116,44 +192,21 @@ void
 TraceFetchSource::walkTrace()
 {
     const Addr startPc = state_.pc();
-
-    // --- choose the front end's guess for this trace ---
-    std::optional<TraceId> pred;
-    if (cachedNextPredValid) {
-        pred = cachedNextPred;
-        cachedNextPredValid = false;
-    } else {
-        pred = predictor.predict(history);
-    }
-
-    TraceId guess;
-    if (pred && pred->valid() && pred->startPc == startPc &&
-        program.validPc(startPc)) {
-        guess = *pred;
-        ++statTracesPredicted;
-    } else {
-        guess = buildStaticTrace(program, startPc, policy);
-        ++statTracesFallback;
-    }
+    const unsigned lengthCap = frontEnd.begin(startPc);
 
     const uint64_t traceNum = nextTraceNum++;
     PendingTrain &train = pendingTrain.pushBack(); // recycled slot
     train.traceNum = traceNum;
-    train.history = history;
+    train.history = frontEnd.history();
 
     // --- walk the trace, executing on the architectural state ---
     TraceId actual;
     actual.startPc = startPc;
-    unsigned branchIdx = 0;
-    const unsigned lengthCap =
-        std::min<unsigned>(guess.length ? guess.length : policy.maxLen,
-                           policy.maxLen);
     std::vector<ExecResult> &outcomes = train.outcomes;
     outcomes.clear();
-    outcomes.reserve(policy.maxLen);
+    outcomes.reserve(frontEnd.policy().maxLen);
     const ExecResult *const outcomeBase = outcomes.data();
 
-    bool anyEmitted = false;
     bool truncated = false;
 
     while (actual.length < lengthCap) {
@@ -169,84 +222,40 @@ TraceFetchSource::walkTrace()
         d.setOutcome(exec);
         d.packetSeq = traceNum;
         d.packetSlot = static_cast<uint8_t>(actual.length);
-        ++actual.length;
+        actual.append(si, exec.taken);
 
         if (si.isCondBranch()) {
-            const bool predTaken =
-                branchIdx < guess.numBranches
-                    ? ((guess.branchBits >> branchIdx) & 1) != 0
-                    : si.imm < 0; // BTFN beyond known bits
-            ++branchIdx;
-            if (exec.taken && actual.numBranches < 64)
-                actual.branchBits |= 1ull << actual.numBranches;
-            ++actual.numBranches;
-            if (predTaken != exec.taken) {
+            if (frontEnd.predictBranch(si) != exec.taken) {
                 d.mispredicted = true;
                 truncated = true;
             }
-        } else if (si.op == Opcode::JAL && si.rd == reg::ra) {
-            ras.push(pc + kInstBytes); // call: remember return address
-        } else if (si.isIndirectJump() && si.rd == reg::ra) {
-            ras.push(pc + kInstBytes); // indirect call
+        } else {
+            frontEnd.noteCall(si, pc);
         }
 
-        const bool structuralEnd =
-            endsTraceAfter(policy, si, exec.taken, pc, exec.nextPc);
+        const bool structuralEnd = endsTraceAfter(
+            frontEnd.policy(), si, exec.taken, pc, exec.nextPc);
         if (si.isHalt())
             haltWalked = true;
 
         slicer.seal();
-        anyEmitted = true;
 
         if (truncated || structuralEnd)
             break;
     }
 
-    SLIP_ASSERT(anyEmitted, "walked an empty trace at pc 0x", std::hex,
-                startPc);
+    SLIP_ASSERT(actual.valid(), "walked an empty trace at pc 0x",
+                std::hex, startPc);
     SLIP_ASSERT(outcomes.data() == outcomeBase,
                 "trace outcomes reallocated under their instructions");
     DynInst &last = slicer.lastInst();
-
-    // --- update speculative history with the actual trace ---
-    history.push(actual);
     train.actual = actual;
     train.lastSeq = last.seq;
 
-    if (truncated)
-        ++statTraceMispredicts;
-
-    if (haltWalked) {
-        slicer.finish();
-        return;
-    }
-
-    // --- validate the next fetch address (JALR target prediction) ---
-    const Addr actualNext = state_.pc();
-    const StaticInst &lastSi = *last.si;
-    if (lastSi.isIndirectJump() && !truncated) {
-        std::optional<TraceId> next = predictor.predict(history);
-        Addr predictedTarget = 0;
-        if (next && next->valid()) {
-            predictedTarget = next->startPc;
-        } else if (lastSi.rs1 == reg::ra && lastSi.rd == reg::zero) {
-            predictedTarget = ras.pop(); // return: use the RAS
-        }
-        if (predictedTarget != actualNext) {
-            // The front end could not know the target: charge a
-            // misprediction on the indirect jump itself.
-            ++statIndirectMispredicts;
-            // Patch the already-sliced last instruction.
-            last.mispredicted = true;
-        } else if (lastSi.rs1 == reg::ra && lastSi.rd == reg::zero &&
-                   next && next->valid()) {
-            // Predictor supplied the target; keep the RAS balanced.
-            ras.pop();
-        }
-        cachedNextPred = next;
-        cachedNextPredValid = true;
-    }
-
+    // The already-sliced jump takes the redirect if its target was
+    // not the one predicted.
+    if (frontEnd.end(actual, *last.si, state_.pc(), truncated))
+        last.mispredicted = true;
     slicer.finish();
 }
 

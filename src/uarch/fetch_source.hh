@@ -1,8 +1,8 @@
 /**
  * @file
  * Trace-predictor-driven instruction fetch for the conventional
- * superscalar models, plus the walk/slice helpers shared with the
- * slipstream A-stream source.
+ * superscalar models, plus the front end and the block slicer shared
+ * with the slipstream A-stream source.
  *
  * The model is execution-driven and correct-path-only: the source
  * walks the program functionally, slot by slot, following the
@@ -22,13 +22,14 @@
 #define SLIPSTREAM_UARCH_FETCH_SOURCE_HH
 
 #include <optional>
+#include <vector>
 
 #include "assembler/program.hh"
 #include "common/ring.hh"
 #include "func/arch_state.hh"
 #include "func/executor.hh"
+#include "isa/regnames.hh"
 #include "mem/memory.hh"
-#include "uarch/branch_pred.hh"
 #include "uarch/core.hh"
 #include "uarch/trace.hh"
 #include "uarch/trace_pred.hh"
@@ -45,6 +46,129 @@ namespace slip
  */
 TraceId buildStaticTrace(const Program &program, Addr startPc,
                          const TracePolicy &policy = {});
+
+/** Bounded return-address stack. */
+class ReturnAddressStack
+{
+  public:
+    explicit ReturnAddressStack(unsigned depth = 32)
+        : depth(depth)
+    {}
+
+    void
+    push(Addr ra)
+    {
+        if (entries.size() == depth)
+            entries.erase(entries.begin());
+        entries.push_back(ra);
+    }
+
+    /** Pop the predicted return target; 0 if empty. */
+    Addr
+    pop()
+    {
+        if (entries.empty())
+            return 0;
+        const Addr ra = entries.back();
+        entries.pop_back();
+        return ra;
+    }
+
+    bool empty() const { return entries.empty(); }
+    void clear() { entries.clear(); }
+
+  private:
+    unsigned depth;
+    std::vector<Addr> entries;
+};
+
+/**
+ * The trace-predictor front end every walk fetches through: the SS
+ * walk and the slipstream A-stream walk each own one, so both models
+ * predict control flow the same way. It owns the speculative path
+ * history and the return-address stack. Per trace, a walk calls
+ * begin(), then predictBranch() for each conditional branch and
+ * noteCall() for each other instruction it walks, then end() with
+ * the trace it actually walked.
+ */
+class TraceFrontEnd
+{
+  public:
+    /** @throws FatalError unless policy.maxLen is in [1, kTraceLenLimit]. */
+    TraceFrontEnd(const Program &program, TracePredictor &predictor,
+                  const TracePolicy &policy);
+
+    /**
+     * Choose the guess for the trace starting at `startPc`: the
+     * predicted trace if it starts there, else the static trace. The
+     * prediction is the one the previous end() looked up, if it
+     * checked an indirect jump, and a fresh lookup otherwise.
+     * @return the most instructions the walk may take into the trace
+     */
+    unsigned begin(Addr startPc);
+
+    /**
+     * Predicted direction of the trace's next conditional branch `si`:
+     * the guess's bit while it has one, backward-taken/forward-not-
+     * taken past them.
+     */
+    bool
+    predictBranch(const StaticInst &si)
+    {
+        const unsigned i = branchIdx++;
+        return i < guess_.numBranches ? ((guess_.branchBits >> i) & 1) != 0
+                                      : si.imm < 0;
+    }
+
+    /** `si` at `pc` was walked: a call pushes its return address. */
+    void
+    noteCall(const StaticInst &si, Addr pc)
+    {
+        if (si.rd == reg::ra &&
+            (si.op == Opcode::JAL || si.isIndirectJump()))
+            ras.push(pc + kInstBytes);
+    }
+
+    /**
+     * The trace is walked: push it onto the history, and count it if a
+     * branch in it `truncated` the walk. An untruncated trace ending
+     * in an indirect jump `last` has its target `nextPc` checked
+     * against the next trace's prediction (the RAS stands in for a
+     * return the predictor has nothing for); the lookup is kept for
+     * the next begin().
+     * @return true if the front end mispredicted `last`'s target
+     */
+    bool end(const TraceId &actual, const StaticInst &last, Addr nextPc,
+             bool truncated);
+
+    /** Recovery: adopt `history`, forget the RAS and any lookup. */
+    void resync(const PathHistory &history);
+
+    /** Link the four counters into `stats` under their names. */
+    void linkStats(StatGroup &stats);
+
+    const TracePolicy &policy() const { return policy_; }
+    const PathHistory &history() const { return history_; }
+    /** The current trace's guess (valid from begin() on). */
+    const TraceId &guess() const { return guess_; }
+
+  private:
+    const Program &program;
+    TracePredictor &predictor;
+    TracePolicy policy_;
+
+    PathHistory history_;
+    ReturnAddressStack ras;
+    TraceId guess_;
+    unsigned branchIdx = 0;
+    std::optional<TraceId> cachedNext; // end()'s lookup, for begin()
+    bool cachedNextValid = false;
+
+    uint64_t tracesPredicted = 0;
+    uint64_t tracesFallback = 0;
+    uint64_t traceMispredicts = 0;
+    uint64_t indirectMispredicts = 0;
+};
 
 /**
  * Slices a stream of walked instructions into fetch blocks and queues
@@ -165,7 +289,6 @@ class TraceFetchSource : public FetchSource
     void notifyRetire(const DynInst &d);
 
     const std::string &output() const { return output_; }
-    Memory &memory() { return mem; }
     const ArchState &state() const { return state_; }
     StatGroup &stats() { return stats_; }
 
@@ -175,19 +298,13 @@ class TraceFetchSource : public FetchSource
 
     const Program &program;
     TracePredictor &predictor;
-    unsigned fetchWidth;
-    TracePolicy policy;
 
     Memory mem;
     DirectMemPort port;
     ArchState state_;
     std::string output_;
 
-    PathHistory history;
-    ReturnAddressStack ras;
-    std::optional<TraceId> cachedNextPred; // consumed by next walk
-    bool cachedNextPredValid = false;
-
+    TraceFrontEnd frontEnd;
     BlockSlicer slicer;
 
     InstSeqNum nextSeq = 1;
@@ -212,14 +329,6 @@ class TraceFetchSource : public FetchSource
     Ring<PendingTrain> pendingTrain; // walk order, oldest first
 
     StatGroup stats_;
-    StatGroup::Handle statTracesPredicted{
-        stats_.handle("traces_predicted")};
-    StatGroup::Handle statTracesFallback{
-        stats_.handle("traces_fallback")};
-    StatGroup::Handle statTraceMispredicts{
-        stats_.handle("trace_mispredicts")};
-    StatGroup::Handle statIndirectMispredicts{
-        stats_.handle("indirect_mispredicts")};
 };
 
 } // namespace slip

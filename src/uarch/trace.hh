@@ -37,6 +37,13 @@ namespace slip
 constexpr unsigned kMaxTraceLen = 32;
 
 /**
+ * Longest trace a TracePolicy may ask for: a trace id keeps one bit
+ * per conditional branch in 64-bit `branchBits`, and the ir-vec one
+ * bit per slot in 64.
+ */
+constexpr unsigned kTraceLenLimit = 64;
+
+/**
  * Trace selection policy. `endAtBackwardTaken` additionally terminates
  * traces after a taken backward branch (loop-closing edge). This keeps
  * trace boundaries phase-aligned with loop iterations, which the
@@ -44,7 +51,8 @@ constexpr unsigned kMaxTraceLen = 32;
  * it, a loop whose body length does not divide the trace length
  * produces a different trace id per alignment phase and confidence
  * never saturates — the "unstable traces" effect the paper's §2.1.3
- * discusses. The ablation bench sweeps this knob.
+ * discusses. The ablation bench sweeps this knob. `maxLen` must lie
+ * in [1, kTraceLenLimit]; the fetch front end refuses anything else.
  */
 struct TracePolicy
 {
@@ -82,6 +90,21 @@ struct TraceId
 
     bool valid() const { return length > 0; }
 
+    /**
+     * Grow the trace by one instruction; `taken` is its (actual or
+     * presumed) direction. The only code that extends a trace id.
+     */
+    void
+    append(const StaticInst &si, bool taken)
+    {
+        if (si.isCondBranch()) {
+            if (taken)
+                branchBits |= uint64_t(1) << numBranches;
+            ++numBranches;
+        }
+        ++length;
+    }
+
     /** 64-bit identity hash for predictor indexing and tags. */
     uint64_t
     hash() const
@@ -91,67 +114,6 @@ struct TraceId
         h = hashCombine(h, (uint64_t(numBranches) << 8) | length);
         return h;
     }
-};
-
-/**
- * Incremental trace construction over a retired/walked instruction
- * stream. Shared by every component that segments the dynamic stream
- * into traces so the boundary policy exists in exactly one place.
- */
-class TraceBuilder
-{
-  public:
-    explicit TraceBuilder(const TracePolicy &policy = {})
-        : policy(policy)
-    {}
-
-    /**
-     * Feed the next instruction on the path.
-     *
-     * @param pc     the instruction's address
-     * @param inst   the decoded instruction
-     * @param taken  actual/predicted direction for conditional branches
-     * @param nextPc the follow-on fetch address
-     * @return true if this instruction *completes* the current trace;
-     *         the completed id is then available via take().
-     */
-    bool
-    feed(Addr pc, const StaticInst &inst, bool taken, Addr nextPc)
-    {
-        if (current.length == 0)
-            current.startPc = pc;
-        ++current.length;
-
-        if (inst.isCondBranch() && current.numBranches < 64) {
-            if (taken)
-                current.branchBits |= 1ull << current.numBranches;
-            ++current.numBranches;
-        }
-
-        const bool ends = current.length >= policy.maxLen ||
-                          endsTraceAfter(policy, inst, taken, pc, nextPc);
-        if (ends) {
-            completed = current;
-            current = TraceId{};
-        }
-        return ends;
-    }
-
-    /** The most recently completed trace id. */
-    const TraceId &take() const { return completed; }
-
-    /** Instructions accumulated in the in-progress trace. */
-    unsigned pendingLength() const { return current.length; }
-
-    /** Abandon the in-progress trace (stream redirected externally). */
-    void reset() { current = TraceId{}; }
-
-    unsigned maxLength() const { return policy.maxLen; }
-
-  private:
-    TracePolicy policy;
-    TraceId current;
-    TraceId completed;
 };
 
 /** Human-readable form, e.g. "{pc=0x1000 len=32 br=3 bits=TNT}". */

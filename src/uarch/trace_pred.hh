@@ -13,9 +13,9 @@
  * for replacement and as the hybrid selector: the correlated table
  * wins when its counter is nonzero.
  *
- * Path history is owned by the *user* of the predictor (each stream
- * keeps its own speculative history and repairs it on mispredictions
- * and recoveries), so history management is explicit here.
+ * Path history is owned by the *user* of the predictor (each fetch
+ * front end keeps its own speculative history and resyncs it at
+ * recovery), so history management is explicit here.
  */
 
 #ifndef SLIPSTREAM_UARCH_TRACE_PRED_HH
@@ -54,14 +54,6 @@ class PathHistory
         rehash();
     }
 
-    /** Replace the most recent entry (mispredict repair). */
-    void
-    repairLast(const TraceId &id)
-    {
-        ids[0] = id.hash();
-        rehash();
-    }
-
     void
     clear()
     {
@@ -78,9 +70,6 @@ class PathHistory
 
     /** Hash of only the most recent trace id. */
     uint64_t simpleHash() const { return simple; }
-
-    /** Copy another stream's history (used at recovery resync). */
-    void copyFrom(const PathHistory &other) { *this = other; }
 
   private:
     void

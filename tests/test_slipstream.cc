@@ -56,6 +56,28 @@ TEST(Slipstream, OutputMatchesFunctionalSim)
     EXPECT_EQ(r.output, golden(p));
 }
 
+TEST(Slipstream, TraceLengthOutsideOneTo64IsRefused)
+{
+    Program p = assemble(kRemovableProgram);
+    for (unsigned len : {0u, 65u}) {
+        SlipstreamParams params;
+        params.tracePolicy.maxLen = len;
+        EXPECT_THROW(SlipstreamProcessor(p, params), FatalError)
+            << "length " << len;
+    }
+
+    // 64, the ablation's longest, runs: every slot of a 64-long trace
+    // has its ir-vec bit and R-DFG node.
+    for (bool loopEnds : {true, false}) {
+        SlipstreamParams params;
+        params.tracePolicy = TracePolicy{64, loopEnds};
+        SlipstreamProcessor proc(p, params);
+        const SlipstreamRunResult r = proc.run();
+        EXPECT_TRUE(r.halted);
+        EXPECT_EQ(r.output, golden(p));
+    }
+}
+
 TEST(Slipstream, RemovesInstructionsWithConfidence)
 {
     Program p = assemble(kRemovableProgram);

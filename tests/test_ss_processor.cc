@@ -51,6 +51,27 @@ TEST(SSProcessor, MatchesFunctionalSimulator)
     EXPECT_EQ(r.retired, golden.instCount);
 }
 
+TEST(SSProcessor, TraceLengthOutsideOneTo64IsRefused)
+{
+    Program p = assemble(kLoopProgram);
+    for (unsigned len : {0u, 65u}) {
+        EXPECT_THROW(SSProcessor(p, {}, {}, TracePolicy{len, true}),
+                     FatalError)
+            << "length " << len;
+    }
+
+    // 64, the ablation's longest, runs; without backward-taken ends
+    // its traces reach the full length.
+    const FuncRunResult golden = FuncSim(p).run();
+    for (bool loopEnds : {true, false}) {
+        SSProcessor proc(p, {}, {}, TracePolicy{64, loopEnds});
+        const SSRunResult r = proc.run();
+        EXPECT_TRUE(r.halted);
+        EXPECT_EQ(r.output, golden.output);
+        EXPECT_EQ(r.retired, golden.instCount);
+    }
+}
+
 TEST(SSProcessor, IpcIsPlausible)
 {
     Program p = assemble(kLoopProgram);

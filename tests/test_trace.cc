@@ -36,63 +36,27 @@ TEST(TraceId, HashDistinguishesComponents)
     EXPECT_NE(a.hash(), b.hash());
 }
 
-TEST(TraceBuilder, CutsAtMaxLength)
+TEST(TraceIdAppend, RecordsBranchBitsInOrder)
 {
-    TraceBuilder tb(TracePolicy{4, false});
-    Addr pc = 0x1000;
-    EXPECT_FALSE(tb.feed(pc, alu(), false, pc + 4));
-    EXPECT_FALSE(tb.feed(pc + 4, alu(), false, pc + 8));
-    EXPECT_FALSE(tb.feed(pc + 8, alu(), false, pc + 12));
-    EXPECT_TRUE(tb.feed(pc + 12, alu(), false, pc + 16));
-    const TraceId id = tb.take();
-    EXPECT_EQ(id.startPc, 0x1000u);
-    EXPECT_EQ(id.length, 4);
-    EXPECT_EQ(id.numBranches, 0);
-    EXPECT_EQ(tb.pendingLength(), 0u);
-}
-
-TEST(TraceBuilder, RecordsBranchBitsInOrder)
-{
-    TraceBuilder tb(TracePolicy{32, false});
-    Addr pc = 0x1000;
-    tb.feed(pc, branch(10), true, pc + 40);       // T (forward)
-    tb.feed(pc + 40, branch(5), false, pc + 44);  // N
-    tb.feed(pc + 44, branch(8), true, pc + 76);   // T
-    const StaticInst jalr{Opcode::JALR, 0, 1, 0, 0};
-    EXPECT_TRUE(tb.feed(pc + 76, jalr, true, 0x2000));
-    const TraceId id = tb.take();
+    TraceId id;
+    id.append(branch(10), true);  // T (forward)
+    id.append(alu(), true);       // not a branch: no bit
+    id.append(branch(5), false);  // N
+    id.append(branch(8), true);   // T
+    id.append({Opcode::JALR, 0, 1, 0, 0}, true);
     EXPECT_EQ(id.numBranches, 3);
     EXPECT_EQ(id.branchBits, 0b101u);
-    EXPECT_EQ(id.length, 4);
+    EXPECT_EQ(id.length, 5);
 }
 
-TEST(TraceBuilder, EndsAtIndirectAndHalt)
+TEST(TraceIdAppend, LongestTraceFillsEveryBranchBit)
 {
-    TraceBuilder tb{TracePolicy{}};
-    EXPECT_TRUE(tb.feed(0x1000, {Opcode::JALR, 0, 1, 0, 0}, true, 0x2000));
-    EXPECT_TRUE(tb.feed(0x2000, {Opcode::HALT, 0, 0, 0, 0}, false,
-                        0x2000));
-}
-
-TEST(TraceBuilder, BackwardTakenPolicy)
-{
-    TracePolicy loopEnd{32, true};
-    TraceBuilder tb(loopEnd);
-    EXPECT_FALSE(tb.feed(0x1000, alu(), false, 0x1004));
-    // Backward taken branch closes the trace.
-    EXPECT_TRUE(tb.feed(0x1004, branch(-1), true, 0x1000));
-    EXPECT_EQ(tb.take().length, 2);
-
-    // With the policy off, the same branch does not end the trace.
-    TraceBuilder tb2(TracePolicy{32, false});
-    EXPECT_FALSE(tb2.feed(0x1000, alu(), false, 0x1004));
-    EXPECT_FALSE(tb2.feed(0x1004, branch(-1), true, 0x1000));
-}
-
-TEST(TraceBuilder, ForwardTakenDoesNotEndTrace)
-{
-    TraceBuilder tb{TracePolicy{}};
-    EXPECT_FALSE(tb.feed(0x1000, branch(4), true, 0x1010));
+    TraceId id;
+    for (unsigned i = 0; i < kTraceLenLimit; ++i)
+        id.append(branch(1), i % 2 == 0);
+    EXPECT_EQ(id.numBranches, kTraceLenLimit);
+    EXPECT_EQ(id.length, kTraceLenLimit);
+    EXPECT_EQ(id.branchBits, 0x5555555555555555ull);
 }
 
 TEST(TracePolicy, EndsTraceAfterPredicate)
@@ -108,6 +72,20 @@ TEST(TracePolicy, EndsTraceAfterPredicate)
     // Backward JAL (loop via jump) also ends the trace.
     EXPECT_TRUE(endsTraceAfter(p, {Opcode::JAL, 0, 0, 0, -4}, true,
                                0x1010, 0x1000));
+}
+
+TEST(TracePolicy, ForwardTakenDoesNotEndTrace)
+{
+    EXPECT_FALSE(
+        endsTraceAfter(TracePolicy{}, branch(4), true, 0x1000, 0x1010));
+}
+
+TEST(TracePolicy, BackwardTakenEndsOnlyWithThePolicyOn)
+{
+    EXPECT_TRUE(endsTraceAfter(TracePolicy{32, true}, branch(-1), true,
+                               0x1004, 0x1000));
+    EXPECT_FALSE(endsTraceAfter(TracePolicy{32, false}, branch(-1), true,
+                                0x1004, 0x1000));
 }
 
 TEST(BuildStaticTrace, FollowsBtfnHeuristic)
@@ -127,6 +105,35 @@ fwd:
     EXPECT_EQ(id.length, 4);
     EXPECT_EQ(id.numBranches, 2);
     EXPECT_EQ(id.branchBits, 0b10u);
+}
+
+TEST(BuildStaticTrace, CutsAtMaxLength)
+{
+    Program p = assemble("main: nop\nnop\nnop\nnop\nnop\nhalt\n");
+    const TraceId id = buildStaticTrace(p, p.entry(), TracePolicy{4, false});
+    EXPECT_EQ(id.startPc, p.entry());
+    EXPECT_EQ(id.length, 4);
+    EXPECT_EQ(id.numBranches, 0);
+}
+
+TEST(BuildStaticTrace, LoopsOnPastBackwardTakenWithThePolicyOff)
+{
+    Program p = assemble(R"(
+main:
+    addi t0, t0, 1
+    blt  t0, t1, main
+    halt
+)");
+    // addi, blt(T) ends the trace when the policy is on...
+    const TraceId on = buildStaticTrace(p, p.entry(), TracePolicy{8, true});
+    EXPECT_EQ(on.length, 2);
+    EXPECT_EQ(on.branchBits, 0b1u);
+    // ...and goes round the loop until the length cap when it is off.
+    const TraceId off =
+        buildStaticTrace(p, p.entry(), TracePolicy{5, false});
+    EXPECT_EQ(off.length, 5);
+    EXPECT_EQ(off.numBranches, 2);
+    EXPECT_EQ(off.branchBits, 0b11u);
 }
 
 TEST(BuildStaticTrace, StopsAtHalt)

@@ -17,30 +17,22 @@ traceAt(Addr pc, uint8_t len = 8)
     return TraceId{pc, 0, 0, len};
 }
 
-TEST(PathHistory, PushShiftsAndRepairReplacesLast)
+TEST(PathHistory, PushChangesBothHashes)
 {
     PathHistory h;
-    const uint64_t empty = h.correlatedHash();
+    const uint64_t emptyCorrelated = h.correlatedHash();
+    const uint64_t emptySimple = h.simpleHash();
     h.push(traceAt(0x1000));
-    EXPECT_NE(h.correlatedHash(), empty);
+    EXPECT_NE(h.correlatedHash(), emptyCorrelated);
+    EXPECT_NE(h.simpleHash(), emptySimple);
 
+    // The simple hash sees only the newest trace; the correlated one
+    // the whole path.
     PathHistory h2;
     h2.push(traceAt(0x2000));
-    h2.repairLast(traceAt(0x1000));
-    EXPECT_EQ(h2.simpleHash(), [&] {
-        PathHistory h3;
-        h3.push(traceAt(0x1000));
-        return h3.simpleHash();
-    }());
-}
-
-TEST(PathHistory, CopyFrom)
-{
-    PathHistory a, b;
-    a.push(traceAt(0x1000));
-    a.push(traceAt(0x2000));
-    b.copyFrom(a);
-    EXPECT_EQ(a.correlatedHash(), b.correlatedHash());
+    h2.push(traceAt(0x1000));
+    EXPECT_EQ(h2.simpleHash(), h.simpleHash());
+    EXPECT_NE(h2.correlatedHash(), h.correlatedHash());
 }
 
 TEST(TracePredictor, ColdPredictorReturnsNothing)
