@@ -5,8 +5,9 @@
  * cache access, the assembler, and the functional simulator — and
  * the host cost of each simulated configuration (SS(64x4),
  * CMP(2x64x4), one fault-campaign trial) relative to the
- * reference executor, which CI gates on, and what building a
- * processor costs before its first cycle. These guard the
+ * reference executor, which CI gates on, what building a processor
+ * costs before its first cycle, and what restoring one from a
+ * campaign trial's shared checkpoint costs. These guard the
  * *simulator's* own performance (host MIPS), which bounds how large
  * the paper-scale experiments can be.
  */
@@ -544,6 +545,34 @@ BM_ProcessorSetup(benchmark::State &state, bool slipstream)
 }
 BENCHMARK_CAPTURE(BM_ProcessorSetup, ss, false);
 BENCHMARK_CAPTURE(BM_ProcessorSetup, cmp, true);
+
+// Build a CMP(2x64x4) simulation on test-size li and restore into it
+// the checkpoint campaign trials share, captured once at the fault
+// window's first cycle c*: what a warm trial pays instead of
+// simulating its first c* cycles. Reported, not gated.
+void
+BM_CheckpointRestore(benchmark::State &state)
+{
+    const ProgramCache::Entry &e =
+        ProgramCache::global().get("li", WorkloadSize::Test);
+    const SlipstreamParams params = cmp2x64x4Params();
+    std::string checkpoint;
+    {
+        SlipstreamSim probe(e.program, params);
+        const Cycle at = *probe.proc().runUntilWalked(
+            faultWindowStart(e.goldenInstCount));
+        SlipstreamSim sim(e.program, params);
+        sim.proc().runUntil(at);
+        checkpoint = sim.capture();
+    }
+    for (auto _ : state) {
+        SlipstreamSim sim(e.program, params);
+        sim.restore(checkpoint);
+        benchmark::DoNotOptimize(&sim);
+    }
+    state.counters["bytes"] = double(checkpoint.size());
+}
+BENCHMARK(BM_CheckpointRestore);
 
 // Same-page accesses — the single-lookup memcpy fast path.
 void

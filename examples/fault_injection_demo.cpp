@@ -19,7 +19,7 @@ using namespace slip;
 
 const char *kSource = R"(
 .data
-arr: .space 512
+arr: .space 2048
 .text
 main:
     la   a0, arr
@@ -31,7 +31,7 @@ fill:
     sd   t1, 0(t0)
     addi t9, zero, 1     # removable bookkeeping write
     addi s0, s0, 1
-    li   t2, 64
+    li   t2, 256
     blt  s0, t2, fill
     li   s0, 0
     li   s1, 0
@@ -41,15 +41,20 @@ sum:
     ld   t1, 0(t0)
     add  s1, s1, t1
     addi s0, s0, 1
-    li   t2, 64
+    li   t2, 256
     blt  s0, t2, sum
     putn s1
     halt
 )";
 
+/**
+ * Print one scenario's outcome. `silentExpected` marks the scenario
+ * whose victim nothing compares (#2): its undetected fault is the
+ * expected outcome, not a failed check.
+ */
 void
 report(const char *label, const SlipstreamRunResult &r,
-       const std::string &golden)
+       const std::string &golden, bool silentExpected = false)
 {
     std::cout << label << "\n"
               << "  fault injected:   "
@@ -60,7 +65,10 @@ report(const char *label, const SlipstreamRunResult &r,
                   << "\n"
                   << "  detected:         "
                   << (r.faultOutcome.detected ? "yes (recovered)"
-                                              : "NO (silent)")
+                      : silentExpected
+                          ? "not detected, as expected: nothing "
+                            "compares a skipped instruction"
+                          : "NO (silent)")
                   << "\n";
         for (const FaultRecord &rec : r.faultOutcome.records) {
             if (!rec.detected)
@@ -119,7 +127,7 @@ main()
         std::cout << "scanning for a non-redundant victim "
                      "(scenario #2)...\n";
         bool found = false;
-        for (uint64_t idx = 300; idx < 900 && !found; idx += 11) {
+        for (uint64_t idx = 300; idx < 3800 && !found; idx += 11) {
             SlipstreamProcessor proc(program);
             proc.faultInjector().arm({FaultTarget::RPipeline, idx, 0});
             const SlipstreamRunResult r = proc.run();
@@ -127,7 +135,7 @@ main()
                 !r.faultOutcome.targetWasRedundant) {
                 found = true;
                 report("R-pipeline fault on a skipped instruction:", r,
-                       golden);
+                       golden, /*silentExpected=*/true);
             }
         }
         if (!found)

@@ -111,6 +111,24 @@ class FlatTable
         used = 0;
     }
 
+    /**
+     * The checkpoint field list (common/checkpoint.hh): the table's
+     * size and its occupied slots, each where it sits, so a restored
+     * table probes exactly as the captured one did.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        uint64_t n = self.slots.size();
+        ar(n, self.shift, self.used);
+        if constexpr (Ar::kRestoring)
+            self.slots.assign(n, Slot{});
+        ar.sparse(
+            n, [&](size_t i) { return self.slots[i].occupied(); },
+            [&](size_t i) { ar(self.slots[i]); });
+    }
+
   private:
     size_t mask() const { return slots.size() - 1; }
     size_t next(size_t i) const { return (i + 1) & mask(); }

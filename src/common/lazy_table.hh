@@ -64,6 +64,28 @@ class LazyTable
         std::construct_at(&entries[i], entry);
     }
 
+    /**
+     * The checkpoint field list (common/checkpoint.hh): the valid
+     * entries, each by its index.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar.sparse(
+            self.valid.size() * 64,
+            [&](size_t i) { return self.find(i) != nullptr; },
+            [&](size_t i) {
+                if constexpr (Ar::kRestoring) {
+                    Entry entry;
+                    ar(entry);
+                    self.set(i, entry);
+                } else {
+                    ar(*self.find(i));
+                }
+            });
+    }
+
     /** Call fn(entry) on every valid entry, in index order. */
     template <typename Fn>
     void

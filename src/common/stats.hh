@@ -266,6 +266,18 @@ class StatGroup
 
     const std::string &name() const { return name_; }
 
+    /**
+     * The checkpoint field list (common/checkpoint.hh): the owned
+     * counters and the distributions. Linked counters are their
+     * owners' fields.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.counters, self.distributions);
+    }
+
   private:
     std::string name_;
     std::map<std::string, Counter> counters;

@@ -65,6 +65,8 @@ struct DetectParams
 {
     DetectBackendKind kind = DetectBackendKind::Slipstream;
 
+    bool operator==(const DetectParams &) const = default;
+
     /** The wire and key fields, in order (see harness/wire.hh). */
     template <typename Self, typename Visit>
     static void

@@ -32,6 +32,7 @@
 
 #include <memory>
 
+#include "common/checkpoint.hh"
 #include "detect/detect_params.hh"
 #include "uarch/core.hh"
 
@@ -68,6 +69,15 @@ class DetectionBackend
 
     /** End of run at cycle `now`: drain any buffered validation. */
     virtual void finish(Cycle now) = 0;
+
+    /**
+     * Append the backend's state at a cycle boundary to `out`
+     * (common/checkpoint.hh), beside its processor's capture.
+     */
+    virtual void capture(ckpt::Writer &out) const { out(stats_); }
+
+    /** Restore a capture into this freshly built backend. */
+    virtual void restore(ckpt::Reader &in) { in(stats_); }
 
     const DetectStats &stats() const { return stats_; }
 

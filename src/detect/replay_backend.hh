@@ -45,7 +45,21 @@ class ReplayBackend : public DetectionBackend
                    Cycle now) override;
     void finish(Cycle now) override;
 
+    void capture(ckpt::Writer &out) const override
+    {
+        checkpointFields(*this, out);
+    }
+    void restore(ckpt::Reader &in) override { checkpointFields(*this, in); }
+
   private:
+    /** The shadow context and the window not yet replayed. */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.stats_, self.shadowMem_, self.shadow_, self.pending_);
+    }
+
     struct Entry
     {
         Addr pc = 0;

@@ -99,6 +99,17 @@ class ArchState
         return regs == other.regs;
     }
 
+    /**
+     * The checkpoint field list (common/checkpoint.hh): registers and
+     * PC. The memory port is wiring, not state.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.regs, self.pc_);
+    }
+
   private:
     std::array<Word, kNumRegs> regs;
     Addr pc_ = 0;

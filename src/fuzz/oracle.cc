@@ -1,6 +1,7 @@
 #include "fuzz/oracle.hh"
 
 #include <array>
+#include <functional>
 #include <sstream>
 
 #include "common/invariant.hh"
@@ -61,17 +62,24 @@ struct Leg
     std::vector<StoreEvent> stores;
 };
 
-Leg
-runLeg(SlipstreamProcessor &proc, const std::vector<FaultPlan> &faults,
-       Cycle maxCycles)
+/** A retire observer appending each retired store to `leg`. */
+std::function<void(const DynInst &, Cycle)>
+storeObserver(Leg &leg)
 {
-    Leg leg;
-    proc.onArchRetire = [&leg](const DynInst &d, Cycle) {
+    return [&leg](const DynInst &d, Cycle) {
         if (d.si->isStore()) {
             leg.stores.push_back({d.pc, d.exec->memAddr,
                                   d.exec->memBytes, d.exec->storeValue});
         }
     };
+}
+
+Leg
+runLeg(SlipstreamProcessor &proc, const std::vector<FaultPlan> &faults,
+       Cycle maxCycles)
+{
+    Leg leg;
+    proc.onArchRetire = storeObserver(leg);
     if (!faults.empty())
         proc.faultInjector().arm(faults);
     try {
@@ -83,6 +91,43 @@ runLeg(SlipstreamProcessor &proc, const std::vector<FaultPlan> &faults,
         leg.error = e.what();
     }
     return leg;
+}
+
+/**
+ * Leg 2 again, paused at cycle `at` and captured, then finished in a
+ * freshly built processor restored from the capture (`restored`). A
+ * run that ends or degrades before `at` finishes in `proc` itself.
+ * The retired-store stream spans both processors.
+ * @return the processor the run finished in
+ */
+SlipstreamProcessor &
+runCheckpointLeg(Leg &leg, SlipstreamProcessor &proc,
+                 SlipstreamProcessor &restored,
+                 const std::vector<FaultPlan> &faults, Cycle at,
+                 Cycle maxCycles)
+{
+    proc.onArchRetire = storeObserver(leg);
+    restored.onArchRetire = storeObserver(leg);
+    if (!faults.empty())
+        proc.faultInjector().arm(faults);
+    SlipstreamProcessor *finisher = &proc;
+    try {
+        if (proc.runUntil(at, maxCycles) && !proc.degraded()) {
+            ckpt::Writer out(proc.now());
+            proc.capture(out);
+            const std::string bytes = out.take();
+            ckpt::Reader in(bytes);
+            restored.restore(in);
+            finisher = &restored;
+        }
+        leg.result = finisher->run(maxCycles);
+        leg.completed = leg.result.halted;
+    } catch (const InvariantViolation &e) {
+        leg.error = std::string("invariant violation: ") + e.what();
+    } catch (const std::exception &e) {
+        leg.error = e.what();
+    }
+    return *finisher;
 }
 
 /**
@@ -193,11 +238,35 @@ runOracle(const Program &program, const OracleOptions &options)
     const invariants::Scope scope(options.invariants);
 
     // Leg 2: the full slipstream dual-core.
+    Cycle cycles = 0;
     {
         SlipstreamProcessor proc(program, options.params);
         Leg leg = runLeg(proc, options.faults, options.maxCycles);
         verdict.report = compareLeg("slipstream", golden, leg, proc,
                                     func, /*exact=*/true);
+        if (!verdict.report.empty()) {
+            verdict.diverged = true;
+            return verdict;
+        }
+        cycles = leg.result.cycles;
+    }
+
+    // Leg 2 through a checkpoint: captured halfway, finished restored.
+    {
+        SlipstreamProcessor proc(program, options.params);
+        SlipstreamProcessor restored(program, options.params);
+        Leg leg;
+        SlipstreamProcessor &finisher =
+            runCheckpointLeg(leg, proc, restored, options.faults,
+                             cycles / 2, options.maxCycles);
+        verdict.report = compareLeg("checkpoint", golden, leg, finisher,
+                                    func, /*exact=*/true);
+        if (verdict.report.empty() && leg.result.cycles != cycles) {
+            verdict.report = "[checkpoint] restored run ended at cycle " +
+                             std::to_string(leg.result.cycles) +
+                             ", the uninterrupted run at " +
+                             std::to_string(cycles);
+        }
         if (!verdict.report.empty()) {
             verdict.diverged = true;
             return verdict;

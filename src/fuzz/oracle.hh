@@ -5,7 +5,10 @@
  * Every program is executed through three independent models:
  *
  *  1. the functional reference (src/func) — architectural truth;
- *  2. the full slipstream dual-core (src/slipstream);
+ *  2. the full slipstream dual-core (src/slipstream), and the same
+ *     run again, captured at half of leg 2's cycles and finished in a
+ *     fresh processor restored from the capture: it must end at leg
+ *     2's cycle, so every generated program exercises restore;
  *  3. the slipstream processor forced into degraded R-only mode
  *     mid-run (the graceful-degradation path, which swaps fetch
  *     sources and retire hooks and must remain architecturally
@@ -81,7 +84,7 @@ struct OracleVerdict
     std::string report;
 };
 
-/** Run all three legs and diff them. */
+/** Run every leg and diff them. */
 OracleVerdict runOracle(const Program &program,
                         const OracleOptions &options = {});
 

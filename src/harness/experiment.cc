@@ -4,7 +4,6 @@
 
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
-#include "detect/detection_backend.hh"
 #include "func/func_sim.hh"
 #include "harness/sim_runner.hh"
 
@@ -72,31 +71,50 @@ runSlipstream(const Program &program, const SlipstreamParams &params,
     return runSlipstream(program, params, golden, faults, 0);
 }
 
-RunMetrics
-runSlipstream(const Program &program, const SlipstreamParams &params,
-              const std::string &golden,
-              const std::vector<FaultPlan> &faults, Cycle maxCycles,
-              const CancelToken *cancel)
+SlipstreamSim::SlipstreamSim(const Program &program,
+                             const SlipstreamParams &params)
+    : params_(params), proc_(program, params),
+      // The detection backend observes the architectural stream; the
+      // processor only detects/repairs through its native mechanism.
+      backend_(makeDetectionBackend(params.detect, program,
+                                    proc_.faultInjector()))
 {
-    SlipstreamProcessor proc(program, params);
-    if (!faults.empty())
-        proc.faultInjector().arm(faults);
-
-    // The detection backend observes the architectural stream; the
-    // processor only detects/repairs through its native mechanism.
-    const std::unique_ptr<DetectionBackend> backend =
-        makeDetectionBackend(params.detect, program,
-                             proc.faultInjector());
-    proc.onArchRetire = [&](const DynInst &d, Cycle now) {
-        backend->onRetire(d, now);
+    proc_.onArchRetire = [this](const DynInst &d, Cycle now) {
+        backend_->onRetire(d, now);
     };
-    proc.onRecoveryEvent = [&](Cycle now) { backend->onSuspicion(now); };
-    proc.onDegradeEvent = [&](Cycle now) {
-        backend->onDegrade(proc.archState(), proc.rMemory(), now);
+    proc_.onRecoveryEvent = [this](Cycle now) {
+        backend_->onSuspicion(now);
     };
+    proc_.onDegradeEvent = [this](Cycle now) {
+        backend_->onDegrade(proc_.archState(), proc_.rMemory(), now);
+    };
+}
 
-    const SlipstreamRunResult r = proc.run(maxCycles, cancel);
-    backend->finish(r.cycles);
+std::string
+SlipstreamSim::capture() const
+{
+    ckpt::Writer out(proc_.now());
+    proc_.capture(out);
+    backend_->capture(out);
+    return out.take();
+}
+
+void
+SlipstreamSim::restore(const std::string &bytes)
+{
+    ckpt::Reader in(bytes);
+    proc_.restore(in);
+    backend_->restore(in);
+    SLIP_ASSERT(in.atEnd(), "checkpoint has bytes no component read");
+}
+
+RunMetrics
+SlipstreamSim::finish(const std::string &golden, Cycle maxCycles,
+                      const CancelToken *cancel)
+{
+    const SlipstreamRunResult r = proc_.run(maxCycles, cancel);
+    backend_->finish(r.cycles);
+    const DetectStats &detect = backend_->stats();
 
     RunMetrics m;
     m.model = "CMP(2x64x4)";
@@ -118,18 +136,30 @@ runSlipstream(const Program &program, const SlipstreamParams &params,
     m.degraded = r.degraded;
     m.degradedAtCycle = r.degradedAtCycle;
     m.rOnlyRetired = r.rOnlyRetired;
-    m.detectBackend = detectBackendName(params.detect.kind);
-    m.detectChecked = backend->stats().checked;
-    m.detectMismatches = backend->stats().mismatches;
-    m.detectExternal = backend->stats().externalDetections;
-    m.detectReplays = backend->stats().replays;
-    m.detectReplayedInsts = backend->stats().replayedInsts;
-    m.detectOverheadCycles = backend->stats().overheadCycles;
+    m.detectBackend = detectBackendName(params_.detect.kind);
+    m.detectChecked = detect.checked;
+    m.detectMismatches = detect.mismatches;
+    m.detectExternal = detect.externalDetections;
+    m.detectReplays = detect.replays;
+    m.detectReplayedInsts = detect.replayedInsts;
+    m.detectOverheadCycles = detect.overheadCycles;
     // Re-fetch rather than copying r.faultOutcome: finish() drains
     // buffered validation and may mark detections after run() already
     // snapshotted the outcome.
-    m.faultOutcome = proc.faultInjector().outcome();
+    m.faultOutcome = proc_.faultInjector().outcome();
     return m;
+}
+
+RunMetrics
+runSlipstream(const Program &program, const SlipstreamParams &params,
+              const std::string &golden,
+              const std::vector<FaultPlan> &faults, Cycle maxCycles,
+              const CancelToken *cancel)
+{
+    SlipstreamSim sim(program, params);
+    if (!faults.empty())
+        sim.proc().faultInjector().arm(faults);
+    return sim.finish(golden, maxCycles, cancel);
 }
 
 std::map<std::string, RunMetrics>

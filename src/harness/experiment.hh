@@ -11,10 +11,12 @@
 #define SLIPSTREAM_HARNESS_EXPERIMENT_HH
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "assembler/program.hh"
 #include "common/cancel.hh"
+#include "detect/detection_backend.hh"
 #include "slipstream/slipstream_processor.hh"
 #include "uarch/ss_processor.hh"
 #include "workloads/workloads.hh"
@@ -122,6 +124,42 @@ RunMetrics runSlipstream(const Program &program,
                          const SlipstreamParams &params,
                          const std::string &golden,
                          const FaultPlan *fault = nullptr);
+
+/**
+ * One slipstream simulation with its detection backend wired in: the
+ * body of runSlipstream(), in stages, so a caller can advance the
+ * processor, capture it, or restore a capture into it before running
+ * it out. The processor's hooks point at this object, so it neither
+ * copies nor moves.
+ */
+class SlipstreamSim
+{
+  public:
+    SlipstreamSim(const Program &program, const SlipstreamParams &params);
+
+    SlipstreamSim(const SlipstreamSim &) = delete;
+    SlipstreamSim &operator=(const SlipstreamSim &) = delete;
+
+    SlipstreamProcessor &proc() { return proc_; }
+
+    /** Processor and backend state at the processor's cycle boundary. */
+    std::string capture() const;
+
+    /** Restore capture()'s bytes into this freshly built simulation. */
+    void restore(const std::string &bytes);
+
+    /**
+     * Run the processor out under `maxCycles` (0 = no cap), drain the
+     * backend, and report, checking the output against `golden`.
+     */
+    RunMetrics finish(const std::string &golden, Cycle maxCycles,
+                      const CancelToken *cancel);
+
+  private:
+    SlipstreamParams params_;
+    SlipstreamProcessor proc_;
+    std::unique_ptr<DetectionBackend> backend_;
+};
 
 /**
  * Multi-fault variant: arms the whole plan list and (when `maxCycles`

@@ -19,6 +19,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "fuzz/repro.hh"
+#include "harness/checkpoint_cache.hh"
 #include "harness/sim_runner.hh"
 #include "harness/wire.hh"
 #include "obs/trace_session.hh"
@@ -529,7 +530,7 @@ planCampaignTrials(const FaultCampaignConfig &cfg)
                 p.target = targets[rng.below(targets.size())];
                 // Inject in the steady-state half of the run.
                 p.dynIndex =
-                    e.goldenInstCount / 4 +
+                    faultWindowStart(e.goldenInstCount) +
                     rng.below(std::max<uint64_t>(
                         e.goldenInstCount / 2, 1));
                 p.bit = unsigned(rng.below(64));
@@ -585,8 +586,9 @@ runCampaignTrial(const FaultCampaignConfig &cfg,
     SlipstreamParams params = cfg.params;
     if (cfg.reliableMode)
         params.irPred.enabled = false;
-    RunMetrics m = runSlipstream(entry->program, params, entry->golden,
-                                 spec.plans, spec.maxCycles, &cancel);
+    RunMetrics m = CheckpointCache::global().runTrial(
+        *entry, params, spec.plans, spec.maxCycles, &cancel,
+        !scope.active());
     if (m.cancelled) {
         SLIP_TRACE(obs::Category::Trial, obs::Name::TrialTimeout,
                    obs::Phase::Instant, m.cycles, 0);

@@ -403,6 +403,18 @@ struct CampaignTrialSpec
 };
 
 /**
+ * The first dynamic index a campaign fault may sit at in a program of
+ * `goldenInstCount` instructions: N/4, the start of the steady-state
+ * half the planner draws from. It is also where every trial's shared
+ * fault-free checkpoint sits (harness/checkpoint_cache.hh).
+ */
+constexpr uint64_t
+faultWindowStart(uint64_t goldenInstCount)
+{
+    return goldenInstCount / 4;
+}
+
+/**
  * Draw every trial's plan list, serially from one Rng seeded with
  * cfg.seed, in a fixed order — the determinism root for any worker
  * count, any isolation mode, and any client count. Index i in the
@@ -424,7 +436,10 @@ Hash128 campaignTrialKey(const FaultCampaignConfig &cfg,
 /**
  * Execute one planned trial (the exact job body batch campaigns run:
  * trialHook, then the armed slipstream simulation under the spec's
- * cycle cap).
+ * cycle cap). The simulation starts from the workload's shared
+ * fault-free checkpoint when it can (harness/checkpoint_cache.hh); a
+ * trial whose TrialTrace is live runs cold, since its trace starts at
+ * cycle 0.
  */
 RunMetrics runCampaignTrial(const FaultCampaignConfig &cfg,
                             const CampaignTrialSpec &spec, size_t trial,

@@ -30,6 +30,8 @@ struct CacheParams
     unsigned lineBytes = 64;
     Cycle hitLatency = 1;
     Cycle missPenalty = 12;
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Tag-only set-associative cache with LRU replacement. */
@@ -57,6 +59,18 @@ class Cache
 
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
+
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar.sparse(
+            self.lines.size(),
+            [&](size_t i) { return self.lines[i].valid; },
+            [&](size_t i) { ar(self.lines[i]); });
+        ar(self.useClock, self.hits_, self.misses_, self.stats_);
+    }
 
   private:
     struct Line

@@ -118,6 +118,19 @@ class Memory
         ++epoch_;
     }
 
+    /**
+     * The checkpoint field list (common/checkpoint.hh): every page.
+     * A restore moves page storage, so it bumps the epoch.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.pages);
+        if constexpr (Ar::kRestoring)
+            ++self.epoch_;
+    }
+
   private:
     using Page = std::vector<uint8_t>;
 

@@ -329,6 +329,25 @@ AStreamSource::tryPublish()
 }
 
 void
+AStreamSource::relink(DynInst &d) const
+{
+    d.si = &program.fetch(d.pc);
+    if (d.fetchOnly)
+        return; // removed before decode: never executes
+    for (size_t i = 0; i < pending.size(); ++i) {
+        const Packet &p = pending[i].packet;
+        if (p.num == d.packetSeq) {
+            SLIP_ASSERT(d.packetSlot < p.slots.size(), "packet ", p.num,
+                        " has no slot ", unsigned(d.packetSlot));
+            d.exec = &p.slots[d.packetSlot].aExec;
+            return;
+        }
+    }
+    SLIP_PANIC("restored A-stream instruction of packet ", d.packetSeq,
+               " has no pending packet");
+}
+
+void
 AStreamSource::recover(Addr pc, const ArchState &rState,
                        const PathHistory &rHistory)
 {

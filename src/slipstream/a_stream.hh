@@ -86,11 +86,45 @@ class AStreamSource : public FetchSource
     /** Front end wedged by an injected stall fault (watchdog heals). */
     bool stalled() const { return stalled_; }
 
+    /** Slots walked so far (the A-side fault-index space). */
+    uint64_t walkedSlots() const { return walkedSlots_; }
+
+    /**
+     * Re-link a restored instruction of this stream to the program
+     * and to the packet slot its outcome lives in.
+     */
+    void relink(DynInst &d) const;
+
+    /**
+     * The checkpoint field list (common/checkpoint.hh). A restore
+     * re-links the queued fetch blocks; the core's in-flight
+     * instructions are re-linked through relink().
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.state_, self.output_, self.frontEnd, self.slicer,
+           self.pending, self.nextSeq, self.nextPacketNum,
+           self.walkedSlots_, self.haltWalked, self.stalled_, self.stats_,
+           self.numTracesWithRemoval, self.numSlotsRemoved,
+           self.numSlotsExecuted, self.numSlotsFetchSkipped);
+        if constexpr (Ar::kRestoring)
+            self.slicer.forEachInst([&](DynInst &d) { self.relink(d); });
+    }
+
   private:
     struct PendingPacket
     {
         Packet packet;
         unsigned remainingRetires = 0;
+
+        template <typename Self, typename Ar>
+        static void
+        checkpointFields(Self &self, Ar &ar)
+        {
+            ar(self.packet, self.remainingRetires);
+        }
     };
 
     void walkTrace();

@@ -82,6 +82,15 @@ struct Packet
     std::vector<PacketSlot> slots;
     unsigned executedCount = 0; // slots with executedInA (data entries)
     bool endsWithHalt = false;
+
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.num, self.actualId, self.predictedIrVec, self.slots,
+           self.executedCount, self.endsWithHalt);
+    }
 };
 
 /** Delay buffer configuration (paper Table 2 defaults). */
@@ -89,6 +98,8 @@ struct DelayBufferParams
 {
     unsigned controlCapacity = 128; // {trace-id, ir-vec} pairs
     unsigned dataCapacity = 256;    // instruction data entries
+
+    bool operator==(const DelayBufferParams &) const = default;
 };
 
 /** The A→R FIFO. */
@@ -128,6 +139,26 @@ class DelayBuffer
 
     const DelayBufferParams &params() const { return params_; }
     StatGroup &stats() { return stats_; }
+
+    /**
+     * The checkpoint field list (common/checkpoint.hh). A restore
+     * re-resolves the occupancy distributions if the capture had.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        bool sampled = self.controlOccupancy != nullptr;
+        ar(self.packets, self.dataEntries_, self.stats_, sampled);
+        if constexpr (Ar::kRestoring) {
+            if (sampled) {
+                self.controlOccupancy =
+                    &self.stats_.distribution("control_occupancy");
+                self.dataOccupancy =
+                    &self.stats_.distribution("data_occupancy");
+            }
+        }
+    }
 
   private:
     DelayBufferParams params_;

@@ -257,6 +257,14 @@ class FaultInjector
     /** Aggregate + per-fault outcomes (aggregates recomputed). */
     const FaultOutcome &outcome();
 
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.outcome_, self.firedCount_, self.now_, self.gate_);
+    }
+
   private:
     /** fire() past the gate: scan the plans for an eligible one. */
     FaultRecord *fireAt(InjectPoint point, uint64_t index,

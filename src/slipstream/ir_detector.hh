@@ -40,6 +40,8 @@ struct IRDetectorParams
     unsigned scopeTraces = 8;    // analysis scope (traces)
     bool removeBranches = true;  // BR trigger enabled
     bool removeWrites = true;    // WW + SV triggers enabled
+
+    bool operator==(const IRDetectorParams &) const = default;
 };
 
 /** One retired trace as seen by the detector: packet + R outcomes. */
@@ -86,6 +88,14 @@ class IRDetector
     StatGroup &stats() { return stats_; }
     const IRDetectorParams &params() const { return params_; }
 
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.ort, self.scope, self.stats_);
+    }
+
   private:
     struct ScopedTrace
     {
@@ -95,6 +105,14 @@ class IRDetector
         uint64_t predictedIrVec = 0;
         uint64_t storeMask = 0; // slots that are memory stores
         Rdfg rdfg;
+
+        template <typename Self, typename Ar>
+        static void
+        checkpointFields(Self &self, Ar &ar)
+        {
+            ar(self.packetNum, self.id, self.historyBefore,
+               self.predictedIrVec, self.storeMask, self.rdfg);
+        }
     };
 
     /** Map a packet number to its in-scope trace, or nullptr. */

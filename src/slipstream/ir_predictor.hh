@@ -49,6 +49,8 @@ struct IRPredictorParams
     unsigned skipRunLength = 4;        // min removed run skipped pre-fetch
     bool enabled = true;               // false = reliable (AR-SMT) mode
     bool keyByTraceId = false;         // ablation: decouple from path
+
+    bool operator==(const IRPredictorParams &) const = default;
 };
 
 /**
@@ -105,6 +107,18 @@ class IRPredictor
 
     const IRPredictorParams &params() const { return params_; }
     StatGroup &stats() { return stats_; }
+
+    /**
+     * The checkpoint field list (common/checkpoint.hh): this class's
+     * table and stats. A test's adversarial subclass adds no state a
+     * capture keeps.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.table, self.stats_);
+    }
 
   private:
     /** One entry; validity lives in the table's bitmap. */

@@ -105,6 +105,17 @@ class OperandRenameTable
 
     size_t memEntryCount() const { return mem.size(); }
 
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar.sparse(
+            kNumRegs, [&](size_t r) { return self.regs[r].valid; },
+            [&](size_t r) { ar(self.regs[r]); });
+        ar(self.mem, self.installs, self.regInstalls);
+    }
+
   private:
     struct Entry
     {

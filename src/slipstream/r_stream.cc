@@ -292,6 +292,24 @@ RStreamSource::notifyRetire(const DynInst &d)
 }
 
 void
+RStreamSource::relink(DynInst &d) const
+{
+    d.si = &program.fetch(d.pc);
+    for (size_t i = 0; i < records.size(); ++i) {
+        const PacketRecord &rec = records[i];
+        if (rec.packet.num == d.packetSeq) {
+            SLIP_ASSERT(d.packetSlot < rec.rExec.size(), "packet ",
+                        rec.packet.num, " has no outcome for slot ",
+                        unsigned(d.packetSlot));
+            d.exec = &rec.rExec[d.packetSlot];
+            return;
+        }
+    }
+    SLIP_PANIC("restored R-stream instruction of packet ", d.packetSeq,
+               " has no retire record");
+}
+
+void
 RStreamSource::recover()
 {
     awaitingRecovery_ = false;

@@ -85,6 +85,28 @@ class RStreamSource : public FetchSource
     /** Dynamic R-stream instructions walked (fault-index space). */
     uint64_t walkedCount() const { return walked; }
 
+    /**
+     * Re-link a restored instruction of this stream to the program
+     * and to the retire record its outcome lives in.
+     */
+    void relink(DynInst &d) const;
+
+    /**
+     * The checkpoint field list (common/checkpoint.hh). A restore
+     * re-links the queued fetch blocks; the core's in-flight
+     * instructions are re-linked through relink().
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.state_, self.output_, self.slicer, self.records,
+           self.nextSeq, self.walked, self.haltWalked,
+           self.awaitingRecovery_, self.stats_);
+        if constexpr (Ar::kRestoring)
+            self.slicer.forEachInst([&](DynInst &d) { self.relink(d); });
+    }
+
   private:
     /**
      * One walked packet and the R-stream's outcome for each slot it
@@ -100,6 +122,14 @@ class RStreamSource : public FetchSource
         unsigned emitted = 0;
         unsigned retires = 0;
         bool divergent = false;
+
+        template <typename Self, typename Ar>
+        static void
+        checkpointFields(Self &self, Ar &ar)
+        {
+            ar(self.packet, self.rExec, self.emitted, self.retires,
+               self.divergent);
+        }
     };
 
     void walkPacket();

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "slipstream/removal.hh"
 
 namespace slip
@@ -73,6 +74,21 @@ class Rdfg
 
     /** Per-slot reason masks, aligned with irVec(), into `out`. */
     void reasonVector(SlotReasons &out) const;
+
+    /**
+     * The checkpoint field list (common/checkpoint.hh): the trace's
+     * own slots only, as reset() initialises them.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.numSlots_);
+        SLIP_ASSERT(self.numSlots_ <= kMaxPlanSlots, "rdfg of ",
+                    self.numSlots_, " slots");
+        for (unsigned i = 0; i < self.numSlots_; ++i)
+            ar(self.nodes[i]);
+    }
 
   private:
     struct Node

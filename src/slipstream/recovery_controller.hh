@@ -45,6 +45,8 @@ struct RecoveryParams
     Cycle startupCycles = 5;
     unsigned regRestoresPerCycle = 4;
     unsigned memRestoresPerCycle = 4;
+
+    bool operator==(const RecoveryParams &) const = default;
 };
 
 /**
@@ -90,6 +92,14 @@ class RecoveryController : public MemPort
 
     const RecoveryParams &params() const { return params_; }
     StatGroup &stats() { return stats_; }
+
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.overlay, self.doSet, self.doSetSize, self.stats_);
+    }
 
   private:
     /**

@@ -244,82 +244,115 @@ SlipstreamProcessor::degradeToROnly(Cycle now, Cycle resume)
         onDegradeEvent(now);
 }
 
+bool
+SlipstreamProcessor::step(Cycle maxCycles, const CancelToken *cancel)
+{
+    if (gaveUp_ || rCore_->halted() || (maxCycles != 0 && now_ >= maxCycles))
+        return false;
+    if (cancel && cancel->cancelled()) {
+        cancelled_ = true;
+        return false;
+    }
+    const Cycle now = now_;
+    faultInjector_.setNow(now);
+    SLIP_TRACE_SET_CYCLE(now);
+    if (!degraded_ && params_.degrade.forceAtCycle != 0 &&
+        now >= params_.degrade.forceAtCycle)
+        degradeToROnly(now, now);
+    if (degraded_) {
+        rCore_->tick(now);
+        // No A-stream left: late detector callbacks are moot.
+        recoveryRequested = false;
+    } else {
+        aCore_->tick(now);
+        rCore_->tick(now);
+        aSource_->tryPublish();
+
+        if (recoveryRequested)
+            doRecovery(now);
+    }
+
+    if (rCore_->lastRetireCycle() > lastProgress_)
+        lastProgress_ = rCore_->lastRetireCycle();
+    if (now - lastProgress_ > params_.watchdog.stallCycles) {
+        // Forward progress lost: a fault (or model deadlock) derailed
+        // the streams. The R context is authoritative, so a forced
+        // recovery restores progress for every A-side derailment;
+        // give up only when trips exhaust.
+        ++watchdogTrips_;
+        SLIP_TRACE(obs::Category::Recovery, obs::Name::WatchdogTrip,
+                   obs::Phase::Instant, watchdogTrips_,
+                   now - lastProgress_);
+        if (degraded_ || watchdogTrips_ > params_.watchdog.maxTrips) {
+            SLIP_WARN("slipstream hung: R-stream idle since cycle ",
+                      lastProgress_, " (now ", now, ", R retired ",
+                      rCore_->retiredCount(), ", trips ", watchdogTrips_,
+                      ")");
+            gaveUp_ = true;
+            return false;
+        }
+        recoveryRequested = false;
+        recoveryCause = RecoveryCause::WatchdogStall;
+        doRecovery(now);
+        lastProgress_ = now;
+    }
+    ++now_;
+    return true;
+}
+
+bool
+SlipstreamProcessor::runUntil(Cycle cycle, Cycle maxCycles,
+                              const CancelToken *cancel)
+{
+    while (now_ < cycle) {
+        if (!step(maxCycles, cancel))
+            return false;
+    }
+    return true;
+}
+
+std::optional<Cycle>
+SlipstreamProcessor::runUntilWalked(uint64_t index, Cycle maxCycles,
+                                    const CancelToken *cancel)
+{
+    do {
+        if (!step(maxCycles, cancel))
+            return std::nullopt;
+    } while (rSource_->walkedCount() < index &&
+             aSource_->walkedSlots() < index);
+    return now_ - 1;
+}
+
 SlipstreamRunResult
 SlipstreamProcessor::run(Cycle maxCycles, const CancelToken *cancel)
 {
-    Cycle now = 0;
-    Cycle lastProgress = 0;
-    bool cancelled = false;
-
-    while (!rCore_->halted() && (maxCycles == 0 || now < maxCycles)) {
-        if (cancel && cancel->cancelled()) {
-            cancelled = true;
-            break;
-        }
-        faultInjector_.setNow(now);
-        SLIP_TRACE_SET_CYCLE(now);
-        if (!degraded_ && params_.degrade.forceAtCycle != 0 &&
-            now >= params_.degrade.forceAtCycle)
-            degradeToROnly(now, now);
-        if (degraded_) {
-            rCore_->tick(now);
-            // No A-stream left: late detector callbacks are moot.
-            recoveryRequested = false;
-        } else {
-            aCore_->tick(now);
-            rCore_->tick(now);
-            aSource_->tryPublish();
-
-            if (recoveryRequested)
-                doRecovery(now);
-        }
-
-        if (rCore_->lastRetireCycle() > lastProgress)
-            lastProgress = rCore_->lastRetireCycle();
-        if (now - lastProgress > params_.watchdog.stallCycles) {
-            // Forward progress lost: a fault (or model deadlock)
-            // derailed the streams. The R context is authoritative,
-            // so a forced recovery restores progress for every
-            // A-side derailment; give up only when trips exhaust.
-            ++watchdogTrips_;
-            SLIP_TRACE(obs::Category::Recovery, obs::Name::WatchdogTrip,
-                       obs::Phase::Instant, watchdogTrips_,
-                       now - lastProgress);
-            if (degraded_ ||
-                watchdogTrips_ > params_.watchdog.maxTrips) {
-                SLIP_WARN("slipstream hung: R-stream idle since cycle ",
-                          lastProgress, " (now ", now, ", R retired ",
-                          rCore_->retiredCount(), ", trips ",
-                          watchdogTrips_, ")");
-                break;
-            }
-            recoveryRequested = false;
-            recoveryCause = RecoveryCause::WatchdogStall;
-            doRecovery(now);
-            lastProgress = now;
-        }
-        ++now;
+    while (step(maxCycles, cancel)) {
     }
+    return result();
+}
 
+SlipstreamRunResult
+SlipstreamProcessor::result()
+{
     detector_->drain();
 
     // Summary counter so the Recovery track is never empty: short runs
     // may finish without a single recovery, and the acceptance contract
     // for traces includes recovery-category telemetry.
     SLIP_TRACE_AT(obs::Category::Recovery, obs::Name::RecoveriesTotal,
-                  obs::Phase::Counter, now, irMispredicts,
+                  obs::Phase::Counter, now_, irMispredicts,
                   irPenaltyTotal);
 
     SlipstreamRunResult result;
-    result.cycles = now;
+    result.cycles = now_;
     result.rRetired = rCore_->retiredCount();
     result.aRetired = aCore_->retiredCount();
     result.output = rSource_->output();
     if (degradedSource_)
         result.output += degradedSource_->output();
     result.halted = rCore_->halted();
-    result.cancelled = cancelled;
-    result.hung = !result.halted && !cancelled;
+    result.cancelled = cancelled_;
+    result.hung = !result.halted && !cancelled_;
     result.watchdogTrips = watchdogTrips_;
     result.degraded = degraded_;
     result.degradedAtCycle = degradedAtCycle_;
@@ -333,6 +366,48 @@ SlipstreamProcessor::run(Cycle maxCycles, const CancelToken *cancel)
     result.irPenaltyTotal = irPenaltyTotal;
     result.faultOutcome = faultInjector_.outcome();
     return result;
+}
+
+template <typename Self, typename Ar>
+void
+SlipstreamProcessor::checkpointFields(Self &self, Ar &ar)
+{
+    // Components first, the sources before the cores: a restored
+    // source re-links its own queued blocks against its restored
+    // packets and records, and restore() then re-links the cores.
+    ar(self.rMem, *self.tracePred, *self.irPred, self.delayBuffer_,
+       *self.recovery_, *self.detector_, *self.aSource_, *self.rSource_,
+       *self.aCore_, *self.rCore_, self.trainerHistory,
+       self.faultInjector_);
+    ar(self.recoveryRequested, self.recoveryCause, self.recoveryStats,
+       self.irMispredicts, self.irPenaltyTotal, self.removedSlots,
+       self.removedByReasonMask_);
+    ar(self.now_, self.lastProgress_, self.watchdogTrips_, self.degraded_,
+       self.degradedAtCycle_, self.retiredAtDegrade_,
+       self.recentRecoveries_);
+}
+
+void
+SlipstreamProcessor::capture(ckpt::Writer &out) const
+{
+    if (degraded_)
+        SLIP_FATAL("cannot capture a processor degraded to R-only (at "
+                   "cycle ", degradedAtCycle_, ")");
+    SLIP_ASSERT(out.cycle() == now_, "capture opened at cycle ",
+                out.cycle(), " but the processor stands at ", now_);
+    checkpointFields(*this, out);
+}
+
+void
+SlipstreamProcessor::restore(ckpt::Reader &in)
+{
+    SLIP_ASSERT(now_ == 0 && rCore_->retiredCount() == 0,
+                "restore into a processor that has already run");
+    checkpointFields(*this, in);
+    SLIP_ASSERT(now_ == in.cycle(), "capture taken at cycle ",
+                in.cycle(), " restored cycle ", now_);
+    aCore_->forEachInflight([this](DynInst &d) { aSource_->relink(d); });
+    rCore_->forEachInflight([this](DynInst &d) { rSource_->relink(d); });
 }
 
 } // namespace slip

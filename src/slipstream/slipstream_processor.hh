@@ -25,10 +25,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "assembler/program.hh"
 #include "common/cancel.hh"
+#include "common/checkpoint.hh"
 #include "detect/detect_params.hh"
 #include "slipstream/a_stream.hh"
 #include "slipstream/removal.hh"
@@ -58,6 +60,8 @@ struct WatchdogParams
 {
     Cycle stallCycles = 100'000;
     unsigned maxTrips = 8;
+
+    bool operator==(const WatchdogParams &) const = default;
 };
 
 /**
@@ -83,6 +87,8 @@ struct DegradeParams
      * recovery storm cannot be arranged on demand.
      */
     Cycle forceAtCycle = 0;
+
+    bool operator==(const DegradeParams &) const = default;
 };
 
 /**
@@ -99,6 +105,8 @@ enum class AStreamPolicyKind : uint8_t
 struct AStreamPolicyParams
 {
     AStreamPolicyKind kind = AStreamPolicyKind::IRRemoval;
+
+    bool operator==(const AStreamPolicyParams &) const = default;
 };
 
 constexpr const char *
@@ -147,6 +155,12 @@ struct SlipstreamParams
      * exposing instruction before recovery begins).
      */
     bool resetConfidenceOnRecovery = true;
+
+    /**
+     * Every field, nested structs included: a field added later joins
+     * every comparison (the checkpoint cache's key among them).
+     */
+    bool operator==(const SlipstreamParams &) const = default;
 };
 
 /** Results of a slipstream run. */
@@ -243,10 +257,55 @@ class SlipstreamProcessor
      * `cancel` is given the cycle loop polls it and winds down
      * cleanly once it fires — the cooperative hook a supervising
      * deadline watchdog reaps a stuck trial through without killing
-     * the process.
+     * the process. The run continues from the cycle the processor
+     * stands at (see runUntil() and restore()), so a run paused and
+     * resumed ends exactly as an uninterrupted one.
      */
     SlipstreamRunResult run(Cycle maxCycles = 0,
                             const CancelToken *cancel = nullptr);
+
+    /**
+     * Run the cycles before `cycle`.
+     * @return true if the processor stands at `cycle` with the run
+     *         still going; false if the run ended first (halt, cycle
+     *         cap, hang or cancel), which run() then reports
+     */
+    bool runUntil(Cycle cycle, Cycle maxCycles = 0,
+                  const CancelToken *cancel = nullptr);
+
+    /**
+     * Run until, at the end of a cycle, the R-stream has walked
+     * `index` instructions or the A-stream `index` slots: the first
+     * cycle that can reach fault index `index` on either side.
+     * @return that cycle (the processor stands at the next one), or
+     *         nullopt if the run ended first
+     */
+    std::optional<Cycle> runUntilWalked(
+        uint64_t index, Cycle maxCycles = 0,
+        const CancelToken *cancel = nullptr);
+
+    /** The next cycle the processor runs. */
+    Cycle now() const { return now_; }
+
+    /**
+     * Append the machine's state at this cycle boundary (common/
+     * checkpoint.hh; `out` must be opened at now()): both cores, both
+     * streams, the delay buffer, the recovery controller, the
+     * IR-detector and both predictors, R memory, the fault injector,
+     * and the processor's own counters, watchdog and degrade state.
+     * Callbacks are wiring, not state.
+     * @throws FatalError once the processor has degraded to R-only
+     */
+    void capture(ckpt::Writer &out) const;
+
+    /**
+     * Restore a capture into this freshly built processor, built on
+     * the same program and params. Every in-flight and queued
+     * instruction is re-linked to its outcome by (packetSeq,
+     * packetSlot), against the restored A-stream packets and R-stream
+     * retire records.
+     */
+    void restore(ckpt::Reader &in);
 
     FaultInjector &faultInjector() { return faultInjector_; }
 
@@ -313,6 +372,15 @@ class SlipstreamProcessor
     void wire();
     void doRecovery(Cycle now);
     void degradeToROnly(Cycle now, Cycle resume);
+
+    /** Run cycle now_; false (and no cycle run) once the run ended. */
+    bool step(Cycle maxCycles, const CancelToken *cancel);
+
+    /** The run's results at the cycle it ended on. */
+    SlipstreamRunResult result();
+
+    template <typename Self, typename Ar>
+    static void checkpointFields(Self &self, Ar &ar);
 
     /** Why a recovery was requested; drives confidence resetting. */
     enum class RecoveryCause : uint8_t
@@ -381,6 +449,12 @@ class SlipstreamProcessor
     Cycle irPenaltyTotal = 0;
     uint64_t removedSlots = 0;
     ReasonCounts removedByReasonMask_{};
+
+    // The cycle loop's position: run() resumes from here.
+    Cycle now_ = 0;
+    Cycle lastProgress_ = 0;
+    bool cancelled_ = false;
+    bool gaveUp_ = false; // the watchdog ran out of trips
 
     // Watchdog + degradation state.
     unsigned watchdogTrips_ = 0;

@@ -114,6 +114,35 @@ struct DynInst
         wroteReg = outcome.wroteReg;
         takenControl = outcome.isControl && outcome.taken;
     }
+
+    /**
+     * The checkpoint field list (common/checkpoint.hh). `si` and
+     * `exec` point into the program and the source's records, so
+     * they are not stored: a restore leaves them null, and the
+     * instruction's source re-derives them from `pc` and
+     * (`packetSeq`, `packetSlot`).
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        uint8_t flags = uint8_t(
+            self.wroteReg | self.takenControl << 1 |
+            self.mispredicted << 2 | self.valuePredicted << 3 |
+            self.fetchOnly << 4 | self.triggersRecovery << 5);
+        ar(self.seq, self.pc, self.memAddr, self.packetSeq, self.memBytes,
+           self.destReg, self.packetSlot, self.removalReason, flags);
+        if constexpr (Ar::kRestoring) {
+            self.si = nullptr;
+            self.exec = nullptr;
+            self.wroteReg = flags & 1;
+            self.takenControl = flags >> 1 & 1;
+            self.mispredicted = flags >> 2 & 1;
+            self.valuePredicted = flags >> 3 & 1;
+            self.fetchOnly = flags >> 4 & 1;
+            self.triggersRecovery = flags >> 5 & 1;
+        }
+    }
 };
 
 /** A fetch block: consecutive-on-path instructions, one per cycle. */
@@ -121,6 +150,14 @@ struct FetchBlock
 {
     Addr startAddr = 0;
     std::vector<DynInst> insts;
+
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.startAddr, self.insts);
+    }
 };
 
 /**
@@ -171,6 +208,8 @@ struct CoreParams
         p.robSize = 128;
         return p;
     }
+
+    bool operator==(const CoreParams &) const = default;
 };
 
 /** The out-of-order core. */
@@ -218,11 +257,57 @@ class OoOCore
     uint64_t retiredCondBranches() const { return numRetiredCondBranches; }
     uint64_t branchMispredicts() const { return numBranchMispredicts; }
 
+    /**
+     * Call fn(DynInst &) on every in-flight instruction, oldest first:
+     * after a restore, the fetch source re-links each one to the
+     * program and to its outcome.
+     */
+    template <typename Fn>
+    void
+    forEachInflight(Fn &&fn)
+    {
+        for (size_t i = 0; i < window.size(); ++i)
+            fn(window[i].d);
+    }
+
+    /**
+     * The checkpoint field list (common/checkpoint.hh). The issue-slot
+     * ring keeps only slots at or after the capture cycle: dispatch
+     * never claims an earlier one, and a slot whose tag is stale reads
+     * as free whatever it held.
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.window, self.robCount, self.regReady, self.storeReady);
+        ar.sparse(
+            kRingSize,
+            [&](size_t i) {
+                return self.slotsTag[i] != ~Cycle(0) &&
+                       self.slotsTag[i] >= ar.cycle();
+            },
+            [&](size_t i) { ar(self.slotsTag[i], self.slotsUsed[i]); });
+        ar(self.fetchResumeAt, self.fetchBlockedOnBranch,
+           self.blockedBranchSeq, self.halted_, self.retired,
+           self.lastRetire, self.numRetiredCondBranches,
+           self.numBranchMispredicts, self.numDispatched, self.numFetched,
+           self.numFetchOnlyRemoved, self.numFlushes, self.stats_,
+           self.icache_, self.dcache_);
+    }
+
   private:
     struct InflightEntry
     {
         DynInst d;
         Cycle at; // fetch buffer: earliest dispatch; ROB: completion
+
+        template <typename Self, typename Ar>
+        static void
+        checkpointFields(Self &self, Ar &ar)
+        {
+            ar(self.d, self.at);
+        }
     };
     static_assert(sizeof(InflightEntry) <= 64,
                   "a window entry outgrew a cache line");
@@ -249,6 +334,18 @@ class OoOCore
         void set(Addr granule, Cycle readyAt, Cycle now);
 
         void clear();
+
+        /** Occupied slots where they sit, so probes replay exactly. */
+        template <typename Self, typename Ar>
+        static void
+        checkpointFields(Self &self, Ar &ar)
+        {
+            ar(self.used);
+            ar.sparse(
+                self.slots.size(),
+                [&](size_t i) { return self.slots[i].readyAt != 0; },
+                [&](size_t i) { ar(self.slots[i]); });
+        }
 
       private:
         struct Slot

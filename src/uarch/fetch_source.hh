@@ -77,6 +77,14 @@ class ReturnAddressStack
     bool empty() const { return entries.empty(); }
     void clear() { entries.clear(); }
 
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.entries);
+    }
+
   private:
     unsigned depth;
     std::vector<Addr> entries;
@@ -151,6 +159,17 @@ class TraceFrontEnd
     const PathHistory &history() const { return history_; }
     /** The current trace's guess (valid from begin() on). */
     const TraceId &guess() const { return guess_; }
+
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.history_, self.ras, self.guess_, self.branchIdx,
+           self.cachedNext, self.cachedNextValid, self.tracesPredicted,
+           self.tracesFallback, self.traceMispredicts,
+           self.indirectMispredicts);
+    }
 
   private:
     const Program &program;
@@ -240,6 +259,28 @@ class BlockSlicer
 
     /** Drop every queued block (recovery). */
     void clear();
+
+    /** Call fn(DynInst &) on every queued instruction, oldest first. */
+    template <typename Fn>
+    void
+    forEachInst(Fn &&fn)
+    {
+        for (size_t b = 0; b < blocks.size(); ++b)
+            for (DynInst &d : blocks[b].insts)
+                fn(d);
+    }
+
+    /**
+     * The checkpoint field list (common/checkpoint.hh). Restored
+     * instructions hold no `si` or `exec` until the walk that sliced
+     * them re-links them (forEachInst).
+     */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.blocks, self.nextAddr, self.open);
+    }
 
   private:
     unsigned maxBlock;

@@ -58,6 +58,8 @@ struct TracePolicy
 {
     unsigned maxLen = kMaxTraceLen;
     bool endAtBackwardTaken = true;
+
+    bool operator==(const TracePolicy &) const = default;
 };
 
 /**

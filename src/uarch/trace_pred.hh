@@ -92,6 +92,8 @@ struct TracePredParams
 {
     unsigned correlatedBits = 16; // 2^16-entry path-based table
     unsigned simpleBits = 16;     // 2^16-entry simple table
+
+    bool operator==(const TracePredParams &) const = default;
 };
 
 /** The hybrid next-trace predictor. */
@@ -120,6 +122,14 @@ class TracePredictor
 
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
+
+    /** The checkpoint field list (common/checkpoint.hh). */
+    template <typename Self, typename Ar>
+    static void
+    checkpointFields(Self &self, Ar &ar)
+    {
+        ar(self.correlated, self.simple, self.stats_);
+    }
 
   private:
     /**

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <vector>
+
+#include "common/checkpoint.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "mem/cache.hh"
 
 namespace slip
@@ -20,6 +25,36 @@ tiny()
     p.hitLatency = 1;
     p.missPenalty = 10;
     return p;
+}
+
+// Test-size workloads never evict from the 64 KB caches, so the
+// whole-machine restore tests cannot see replacement state: a cache
+// restored mid-stream must pick the same victims as the original.
+TEST(Cache, RestoredCacheEvictsAsTheOriginal)
+{
+    Rng rng(11);
+    std::vector<Addr> stream;
+    for (int i = 0; i < 4000; ++i)
+        stream.push_back(rng.below(64) * 64); // 64 lines into 8 slots
+    Cache original(tiny());
+    for (int i = 0; i < 2000; ++i)
+        original.access(stream[i]);
+
+    ckpt::Writer out(0);
+    out(original);
+    const std::string bytes = out.take();
+    Cache restored(tiny());
+    ckpt::Reader in(bytes);
+    in(restored);
+    ASSERT_TRUE(in.atEnd());
+
+    for (int i = 2000; i < 4000; ++i)
+        ASSERT_EQ(restored.access(stream[i]), original.access(stream[i]))
+            << "access " << i;
+    std::ostringstream a, b;
+    original.stats().dump(a);
+    restored.stats().dump(b);
+    EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(Cache, ColdMissThenHit)

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include "harness/checkpoint_cache.hh"
 #include "harness/fault_report.hh"
 
 namespace slip
@@ -108,6 +109,44 @@ TEST(FaultCampaign, DeterministicAcrossWorkerCounts)
         unsetenv("SLIPSTREAM_JOBS");
 
     EXPECT_EQ(serial, parallel);
+}
+
+/**
+ * Four in-process workers race on one workload's first trials: several
+ * note the fault window at once, one captures while the others run
+ * cold, and the rest restore. Every trial still reports what its cold
+ * run reports. (thread-sanitize runs this.)
+ */
+TEST(FaultCampaign, CheckpointRaceAmongWorkersKeepsEveryTrialExact)
+{
+    CheckpointCache::global().clear();
+    FaultCampaignConfig cfg = smallConfig();
+    cfg.name = "checkpoint_race";
+    cfg.workloads = {"compress"};
+    cfg.trialsPerWorkload = 16;
+    cfg.workers = 4;
+    cfg.isolation = IsolationMode::None;
+    cfg.journalPath = "test_checkpoint_race.journal.jsonl";
+    std::remove(cfg.journalPath.c_str());
+    const uint64_t built = CheckpointCache::global().counts().built;
+
+    const FaultCampaignResult result = runFaultCampaign(cfg);
+    const std::vector<CampaignTrialSpec> specs = planCampaignTrials(cfg);
+    ASSERT_EQ(result.trials.size(), specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const auto *e =
+            static_cast<const ProgramCache::Entry *>(specs[i].entry);
+        JobOutcome cold;
+        cold.metrics = runSlipstream(e->program, cfg.params, e->golden,
+                                     specs[i].plans, specs[i].maxCycles);
+        EXPECT_EQ(campaignTrialLine(cfg, i, result.trials[i]),
+                  campaignTrialLine(cfg, i,
+                                    recordCampaignTrial(cfg, specs[i], i,
+                                                        cold)))
+            << "trial " << i;
+    }
+    EXPECT_EQ(CheckpointCache::global().counts().built, built + 1);
+    std::remove(cfg.journalPath.c_str());
 }
 
 TEST(FaultCampaign, ReliableModeHasNoSilentCorruption)
