@@ -47,6 +47,16 @@ sum:
     halt
 )";
 
+/** The first armed fault that found a victim, or nullptr. */
+const FaultRecord *
+firstVictim(const FaultOutcome &o)
+{
+    for (const FaultRecord &rec : o.records)
+        if (rec.injected)
+            return &rec;
+    return nullptr;
+}
+
 /**
  * Print one scenario's outcome. `silentExpected` marks the scenario
  * whose victim nothing compares (#2): its undetected fault is the
@@ -56,21 +66,24 @@ void
 report(const char *label, const SlipstreamRunResult &r,
        const std::string &golden, bool silentExpected = false)
 {
+    const FaultOutcome &fo = r.faultOutcome;
+    const FaultRecord *victim = firstVictim(fo);
     std::cout << label << "\n"
-              << "  fault injected:   "
-              << (r.faultOutcome.injected ? "yes" : "no") << "\n";
-    if (r.faultOutcome.injected) {
+              << "  fault injected:   " << (victim ? "yes" : "no")
+              << "\n";
+    if (victim) {
         std::cout << "  redundant victim: "
-                  << (r.faultOutcome.targetWasRedundant ? "yes" : "no")
+                  << (victim->targetWasRedundant ? "yes" : "no")
                   << "\n"
                   << "  detected:         "
-                  << (r.faultOutcome.detected ? "yes (recovered)"
+                  << (fo.numDetected == fo.numInjected
+                          ? "yes (recovered)"
                       : silentExpected
                           ? "not detected, as expected: nothing "
                             "compares a skipped instruction"
                           : "NO (silent)")
                   << "\n";
-        for (const FaultRecord &rec : r.faultOutcome.records) {
+        for (const FaultRecord &rec : fo.records) {
             if (!rec.detected)
                 continue;
             std::cout << "  detect latency:   "
@@ -105,7 +118,7 @@ main()
     // redundant computation disagrees -> detected, recovered.
     {
         SlipstreamProcessor proc(program);
-        proc.faultInjector().arm({FaultTarget::AStream, 600, 5});
+        proc.faultInjector().arm({{FaultTarget::AStream, 600, 5}});
         report("A-stream fault on a redundant instruction:",
                proc.run(), golden);
     }
@@ -115,7 +128,7 @@ main()
     // pipeline squashes and re-executes cleanly.
     {
         SlipstreamProcessor proc(program);
-        proc.faultInjector().arm({FaultTarget::RPipeline, 900, 12});
+        proc.faultInjector().arm({{FaultTarget::RPipeline, 900, 12}});
         report("R-pipeline fault on a redundant instruction:",
                proc.run(), golden);
     }
@@ -129,10 +142,10 @@ main()
         bool found = false;
         for (uint64_t idx = 300; idx < 3800 && !found; idx += 11) {
             SlipstreamProcessor proc(program);
-            proc.faultInjector().arm({FaultTarget::RPipeline, idx, 0});
+            proc.faultInjector().arm({{FaultTarget::RPipeline, idx, 0}});
             const SlipstreamRunResult r = proc.run();
-            if (r.faultOutcome.injected &&
-                !r.faultOutcome.targetWasRedundant) {
+            const FaultRecord *victim = firstVictim(r.faultOutcome);
+            if (victim && !victim->targetWasRedundant) {
                 found = true;
                 report("R-pipeline fault on a skipped instruction:", r,
                        golden, /*silentExpected=*/true);
@@ -149,7 +162,7 @@ main()
         SlipstreamParams params;
         params.irPred.enabled = false;
         SlipstreamProcessor proc(program, params);
-        proc.faultInjector().arm({FaultTarget::RPipeline, 610, 7});
+        proc.faultInjector().arm({{FaultTarget::RPipeline, 610, 7}});
         report("reliable (AR-SMT) mode, same fault class:", proc.run(),
                golden);
     }
@@ -159,7 +172,7 @@ main()
     {
         SlipstreamProcessor proc(program);
         proc.faultInjector().arm(
-            {FaultTarget::DelayBufferValue, 700, 9});
+            {{FaultTarget::DelayBufferValue, 700, 9}});
         report("delay-buffer payload corrupted in transit:",
                proc.run(), golden);
     }
@@ -171,7 +184,7 @@ main()
         SlipstreamParams params;
         params.watchdog.stallCycles = 2000;
         SlipstreamProcessor proc(program, params);
-        proc.faultInjector().arm({FaultTarget::AStreamStall, 900, 0});
+        proc.faultInjector().arm({{FaultTarget::AStreamStall, 900, 0}});
         report("A-stream wedged; watchdog forces the recovery:",
                proc.run(), golden);
     }

@@ -54,8 +54,7 @@ runSeed(uint64_t seed, const FuzzOptions &opt)
                     // harness) is not a reproducer.
                     return false;
                 }
-            },
-            opt.minimizeAttempts);
+            });
         minimized = mr.source;
         try {
             // Re-derive the report from the minimized program so the
@@ -78,7 +77,7 @@ runSeed(uint64_t seed, const FuzzOptions &opt)
             spec.minimizedSource = minimized;
             spec.faults = opt.oracle.faults;
             spec.unitsRemoved = mr.unitsRemoved;
-            spec.minimizeAttempts = mr.attempts;
+            spec.oracleEvaluations = mr.attempts;
             c.bundlePath = writeReproBundle(opt.bundleDir, spec);
         } catch (const std::exception &e) {
             c.error = std::string("bundle write failed: ") + e.what();

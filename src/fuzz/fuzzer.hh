@@ -41,7 +41,6 @@ struct FuzzOptions
     uint64_t budgetMs = 0;
 
     bool minimizeDivergences = true;
-    unsigned minimizeAttempts = 400;
 
     /** Where repro bundles land; empty disables bundle writing. */
     std::string bundleDir = "fuzz-repros";

@@ -9,6 +9,9 @@ namespace slip::fuzz
 namespace
 {
 
+/** The predicate evaluations one minimization may spend. */
+constexpr unsigned kMaxAttempts = 400;
+
 /** Index ranges of candidate removals: loop spans, then statements. */
 std::vector<std::pair<size_t, size_t>>
 candidates(const GeneratedProgram &program)
@@ -38,18 +41,17 @@ candidates(const GeneratedProgram &program)
 
 MinimizeResult
 minimize(const GeneratedProgram &program,
-         const std::function<bool(const std::string &)> &stillDiverges,
-         unsigned maxAttempts)
+         const std::function<bool(const std::string &)> &stillDiverges)
 {
     const auto ranges = candidates(program);
     std::vector<bool> keep(program.units.size(), true);
     MinimizeResult result;
 
     bool removedAny = true;
-    while (removedAny && result.attempts < maxAttempts) {
+    while (removedAny && result.attempts < kMaxAttempts) {
         removedAny = false;
         for (const auto &[lo, hi] : ranges) {
-            if (result.attempts >= maxAttempts)
+            if (result.attempts >= kMaxAttempts)
                 break;
             // Skip ranges already gone (e.g. inside a removed span).
             bool live = false;

@@ -31,15 +31,14 @@ struct MinimizeResult
 };
 
 /**
- * Shrink `program` while `stillDiverges(source)` holds. The predicate
- * receives a complete candidate source and must return true when the
- * divergence reproduces on it (it should return false, not throw, on
- * candidates it cannot evaluate).
+ * Shrink `program` while `stillDiverges(source)` holds, in at most 400
+ * predicate evaluations. The predicate receives a complete candidate
+ * source and must return true when the divergence reproduces on it (it
+ * should return false, not throw, on candidates it cannot evaluate).
  */
 MinimizeResult
 minimize(const GeneratedProgram &program,
-         const std::function<bool(const std::string &)> &stillDiverges,
-         unsigned maxAttempts = 400);
+         const std::function<bool(const std::string &)> &stillDiverges);
 
 } // namespace slip::fuzz
 

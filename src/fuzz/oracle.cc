@@ -8,12 +8,19 @@
 #include "common/logging.hh"
 #include "func/func_sim.hh"
 #include "isa/regnames.hh"
+#include "slipstream/slipstream_processor.hh"
 
 namespace slip::fuzz
 {
 
 namespace
 {
+
+/** Functional-reference instruction budget (a safety net). */
+constexpr uint64_t kMaxInsts = 20'000'000;
+
+/** The cycle at which leg 3 forces the degrade-to-R-only transition. */
+constexpr Cycle kDegradeAtCycle = 400;
 
 std::string
 hex(uint64_t v)
@@ -224,23 +231,24 @@ runOracle(const Program &program, const OracleOptions &options)
         [&golden](Addr pc, Addr addr, unsigned bytes, Word value) {
             golden.stores.push_back({pc, addr, bytes, value});
         },
-        options.maxInsts);
+        kMaxInsts);
     if (!golden.run.halted) {
         verdict.diverged = true;
         verdict.report = "[functional] did not halt within " +
-                         std::to_string(options.maxInsts) +
+                         std::to_string(kMaxInsts) +
                          " instructions (non-terminating program?)";
         return verdict;
     }
     for (RegIndex r = 0; r < kNumRegs; ++r)
         golden.regs[r] = func.state().readReg(r);
 
-    const invariants::Scope scope(options.invariants);
+    // The timing legs run with the runtime invariant checkers on.
+    const invariants::Scope scope(true);
 
     // Leg 2: the full slipstream dual-core.
     Cycle cycles = 0;
     {
-        SlipstreamProcessor proc(program, options.params);
+        SlipstreamProcessor proc(program);
         Leg leg = runLeg(proc, options.faults, options.maxCycles);
         verdict.report = compareLeg("slipstream", golden, leg, proc,
                                     func, /*exact=*/true);
@@ -253,8 +261,8 @@ runOracle(const Program &program, const OracleOptions &options)
 
     // Leg 2 through a checkpoint: captured halfway, finished restored.
     {
-        SlipstreamProcessor proc(program, options.params);
-        SlipstreamProcessor restored(program, options.params);
+        SlipstreamProcessor proc(program);
+        SlipstreamProcessor restored(program);
         Leg leg;
         SlipstreamProcessor &finisher =
             runCheckpointLeg(leg, proc, restored, options.faults,
@@ -275,9 +283,8 @@ runOracle(const Program &program, const OracleOptions &options)
 
     // Leg 3: degraded R-only, forced mid-run.
     {
-        SlipstreamParams params = options.params;
-        params.degrade.enabled = true;
-        params.degrade.forceAtCycle = options.degradeAtCycle;
+        SlipstreamParams params;
+        params.degrade.forceAtCycle = kDegradeAtCycle;
         SlipstreamProcessor proc(program, params);
         // The demo faults target the slipstream leg; the degraded leg
         // runs clean so a divergence here always means the

@@ -33,7 +33,6 @@
 
 #include "assembler/program.hh"
 #include "slipstream/fault_injector.hh"
-#include "slipstream/slipstream_processor.hh"
 
 namespace slip::fuzz
 {
@@ -49,27 +48,18 @@ struct StoreEvent
     bool operator==(const StoreEvent &other) const = default;
 };
 
-/** Oracle knobs. */
+/**
+ * Oracle knobs. Every slipstream leg runs the Table 2 configuration
+ * (SlipstreamParams' defaults).
+ */
 struct OracleOptions
 {
-    /** Functional-reference instruction budget (safety net). */
-    uint64_t maxInsts = 20'000'000;
-
     /** Timing-leg cycle budget; exceeding it is a divergence. */
     Cycle maxCycles = 20'000'000;
-
-    /** Cycle at which leg 3 forces the degrade-to-R-only transition. */
-    Cycle degradeAtCycle = 400;
-
-    /** Run the timing legs with runtime invariant checkers on. */
-    bool invariants = true;
 
     /** Faults to arm on the *slipstream* leg (fault-injection demos;
      *  an undetectable fault must surface as a divergence). */
     std::vector<FaultPlan> faults;
-
-    /** Base configuration for both slipstream legs. */
-    SlipstreamParams params;
 };
 
 /** Oracle outcome: clean, or a divergence with a readable report. */

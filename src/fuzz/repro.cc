@@ -89,7 +89,7 @@ writeReproBundle(const std::string &outDir, const ReproSpec &spec)
         readme << "faults:     " << describeFaults(spec.faults) << "\n";
     if (shrunk) {
         readme << "minimized:  removed " << spec.unitsRemoved
-               << " units in " << spec.minimizeAttempts
+               << " units in " << spec.oracleEvaluations
                << " oracle evaluations\n";
     }
     readme << "\nreplay:\n"

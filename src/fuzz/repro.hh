@@ -30,7 +30,7 @@ struct ReproSpec
     std::string minimizedSource;  // after greedy minimization
     std::vector<FaultPlan> faults; // armed faults, if any
     size_t unitsRemoved = 0;      // minimizer statistics
-    unsigned minimizeAttempts = 0;
+    unsigned oracleEvaluations = 0;
 
     // Overrides for non-fuzz producers (the campaign supervisor's
     // poison-trial quarantine reuses the bundle format). Empty keeps

@@ -61,16 +61,6 @@ runSS(const Program &program, const CoreParams &core,
     return m;
 }
 
-RunMetrics
-runSlipstream(const Program &program, const SlipstreamParams &params,
-              const std::string &golden, const FaultPlan *fault)
-{
-    std::vector<FaultPlan> faults;
-    if (fault)
-        faults.push_back(*fault);
-    return runSlipstream(program, params, golden, faults, 0);
-}
-
 SlipstreamSim::SlipstreamSim(const Program &program,
                              const SlipstreamParams &params)
     : params_(params), proc_(program, params),

@@ -116,16 +116,6 @@ RunMetrics runSS(const Program &program, const CoreParams &core,
                  const std::string &golden);
 
 /**
- * Run a program on the slipstream CMP model. When `fault` is given,
- * the injector is armed with it before the run and the outcome lands
- * in RunMetrics::faultOutcome.
- */
-RunMetrics runSlipstream(const Program &program,
-                         const SlipstreamParams &params,
-                         const std::string &golden,
-                         const FaultPlan *fault = nullptr);
-
-/**
  * One slipstream simulation with its detection backend wired in: the
  * body of runSlipstream(), in stages, so a caller can advance the
  * processor, capture it, or restore a capture into it before running
@@ -162,16 +152,18 @@ class SlipstreamSim
 };
 
 /**
- * Multi-fault variant: arms the whole plan list and (when `maxCycles`
- * is nonzero) caps the run — a hung run then reports `hung` instead
- * of spinning forever. A supervisor may pass a CancelToken; the cycle
- * loop polls it and a reaped run reports `cancelled`.
+ * Run a program on the slipstream CMP model. The injector is armed
+ * with `faults` before the run and their outcome lands in
+ * RunMetrics::faultOutcome. When `maxCycles` is nonzero it caps the
+ * run — a hung run then reports `hung` instead of spinning forever. A
+ * supervisor may pass a CancelToken; the cycle loop polls it and a
+ * reaped run reports `cancelled`.
  */
 RunMetrics runSlipstream(const Program &program,
                          const SlipstreamParams &params,
                          const std::string &golden,
-                         const std::vector<FaultPlan> &faults,
-                         Cycle maxCycles,
+                         const std::vector<FaultPlan> &faults = {},
+                         Cycle maxCycles = 0,
                          const CancelToken *cancel = nullptr);
 
 /**

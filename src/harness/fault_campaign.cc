@@ -169,6 +169,12 @@ namespace
  */
 constexpr uint64_t kMaxQuarantineBundles = 32;
 
+/**
+ * Cycles per golden instruction in a trial's cycle cap: an IPC of 0.1,
+ * where no healthy run on these workloads drops below ~0.5.
+ */
+constexpr Cycle kTrialCyclesPerInst = 10;
+
 std::string
 resolveJournalPath(const FaultCampaignConfig &cfg)
 {
@@ -515,7 +521,7 @@ planCampaignTrials(const FaultCampaignConfig &cfg)
         // Generous completion allowance: the full run at a pessimistic
         // IPC, plus every watchdog trip the processor may spend.
         const Cycle maxCycles =
-            e.goldenInstCount * cfg.cycleCapPerInst +
+            e.goldenInstCount * kTrialCyclesPerInst +
             Cycle(cfg.params.watchdog.maxTrips + 2) *
                 cfg.params.watchdog.stallCycles +
             100'000;

@@ -132,13 +132,6 @@ struct FaultCampaignConfig
     SlipstreamParams params;
 
     /**
-     * Per-trial cycle cap: goldenInstCount * cycleCapPerInst plus
-     * full watchdog allowance. Generous for any healthy run (IPC
-     * never drops below ~0.5 on these workloads).
-     */
-    Cycle cycleCapPerInst = 10;
-
-    /**
      * Trial journal path. Empty = $SLIPSTREAM_FAULT_JOURNAL, else
      * results/fault_campaign.journal.jsonl. Every completed trial is
      * appended and flushed as one JSONL line, so a killed campaign
@@ -159,7 +152,7 @@ struct FaultCampaignConfig
      * $SLIPSTREAM_ISOLATION (default none). Under fork isolation a
      * trial that SIGSEGVs the simulator becomes a journaled `crashed`
      * outcome (with signal + last-known phase) instead of killing the
-     * campaign; after WorkerPoolOptions::poisonThreshold crashes the
+     * campaign; after WorkerPool::kPoisonThreshold crashes the
      * trial is quarantined as a repro bundle under `quarantineDir`.
      */
     IsolationMode isolation = IsolationMode::None;
@@ -204,10 +197,10 @@ struct FaultCampaignConfig
         v("size", self.size);
         v("seed", self.seed);
         v("reliable mode", self.reliableMode);
-        v("cycle cap per instruction", self.cycleCapPerInst);
         v("detect", self.params.detect);
         v("watchdog stall cycles", self.params.watchdog.stallCycles);
         v("watchdog trips", self.params.watchdog.maxTrips);
+        v("degrade", self.params.degrade);
     }
 };
 

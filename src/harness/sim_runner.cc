@@ -199,8 +199,7 @@ class DeadlineWatchdog
 
 /** Run one job on this thread, retrying retryable failures. */
 Outcome<std::string>
-executeOne(const EncodedJob &job, const Supervision &supervision,
-           DeadlineWatchdog *watchdog)
+executeOne(const EncodedJob &job, DeadlineWatchdog *watchdog)
 {
     Outcome<std::string> out;
     for (unsigned attempt = 1;; ++attempt) {
@@ -230,16 +229,16 @@ executeOne(const EncodedJob &job, const Supervision &supervision,
             out.errorMessage = info.message;
             out.exception = std::current_exception();
             if (!errorRetryable(info.kind) ||
-                attempt > supervision.retries) {
+                attempt > Supervision::kRetries) {
                 out.status = JobEnd::Status::Error;
                 return out;
             }
             SLIP_WARN("retrying job after ",
                       errorKindName(info.kind), " failure (attempt ",
-                      attempt, " of ", supervision.retries + 1,
+                      attempt, " of ", Supervision::kRetries + 1,
                       "): ", info.message);
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                supervision.backoffMs << (attempt - 1)));
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(Supervision::kBackoffMs));
         }
     }
 }
@@ -281,8 +280,7 @@ runOnThreads(unsigned jobs, const Supervision &supervision,
     std::exception_ptr failure; // onOutcome's first throw
     const auto work = [&] {
         for (size_t i; (i = next.fetch_add(1)) < batch.size();) {
-            Outcome<std::string> out =
-                executeOne(batch[i], supervision, watchdog.get());
+            Outcome<std::string> out = executeOne(batch[i], watchdog.get());
             std::lock_guard<std::mutex> lock(outcomeMu);
             if (failure)
                 return;
@@ -334,7 +332,7 @@ runForked(unsigned jobs, const Supervision &supervision,
         // Worker child. No watchdog: the parent holds the deadline.
         setCrashContext(job, TrialPhase::Run);
         wire::Encoder enc;
-        enc.put(executeOne(batch[job], supervision, nullptr));
+        enc.put(executeOne(batch[job], nullptr));
         return enc.bytes();
     };
 

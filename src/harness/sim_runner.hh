@@ -202,18 +202,18 @@ const char *jobStatusName(JobEnd::Status status);
  */
 struct Supervision
 {
+    /** Re-executions allowed after a retryable failure. */
+    static constexpr unsigned kRetries = 1;
+
+    /** The retry's delay in ms. */
+    static constexpr uint64_t kBackoffMs = 100;
+
     /** Wall-clock deadline per attempt in ms; 0 = no deadline. */
     uint64_t timeoutMs = 0;
 
-    /** Re-executions allowed after a retryable failure. */
-    unsigned retries = 1;
-
-    /** First retry delay; doubles per subsequent retry. */
-    uint64_t backoffMs = 100;
-
     /**
-     * The defaults above with $SLIPSTREAM_TRIAL_TIMEOUT_MS as the
-     * deadline (a garbage value warns and falls back).
+     * $SLIPSTREAM_TRIAL_TIMEOUT_MS as the deadline (a garbage value
+     * warns and falls back to none).
      */
     static Supervision fromEnv();
 };

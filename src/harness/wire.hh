@@ -58,7 +58,8 @@ namespace slip::wire
 {
 
 inline constexpr uint32_t kMagic = 0x53504C57; // "WLPS" on the wire
-inline constexpr uint16_t kVersion = 7; // v7: no A-stream policy byte
+// v8: no cycle-cap field, no single-fault summary, degrade keyed
+inline constexpr uint16_t kVersion = 8;
 
 /** Frame types the worker and serve protocols speak. */
 enum class MsgType : uint8_t

@@ -196,7 +196,7 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
     // Generous ceiling: every trial may crash to its poison limit and
     // time out once; anything past that is a respawn storm (a bug).
     const unsigned spawnBudget =
-        nWorkers + unsigned(jobCount) * (opts_.poisonThreshold + 1);
+        nWorkers + unsigned(jobCount) * (kPoisonThreshold + 1);
 
     auto spawn = [&](unsigned index) {
         WorkerSlot &slot = slots[index];
@@ -325,11 +325,11 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
             out.signal ? crashSignalName(out.signal, scratch,
                                          sizeof(scratch))
                        : "exit " + std::to_string(out.exitCode);
-        if (dispatches[job] < opts_.poisonThreshold) {
+        if (dispatches[job] < kPoisonThreshold) {
             SLIP_WARN("trial ", job, " crashed (", how, ", phase ",
                       trialPhaseName(out.phase),
                       "); re-dispatching (attempt ", dispatches[job] + 1,
-                      " of ", opts_.poisonThreshold, ")");
+                      " of ", kPoisonThreshold, ")");
             SLIP_TRACE(obs::Category::Worker, obs::Name::JobRedispatch,
                        obs::Phase::Instant, uint64_t(job),
                        uint64_t(dispatches[job] + 1));

@@ -22,7 +22,7 @@
  *    when death was too sudden for the handler (SIGKILL, OOM).
  *
  * A crashed trial is re-dispatched to a fresh worker until it has
- * crashed `poisonThreshold` times, then reported as poisoned — the
+ * crashed `kPoisonThreshold` times, then reported as poisoned — the
  * caller quarantines it (writes a repro bundle) instead of retrying
  * forever. A trial that exceeds the wall-clock deadline is SIGKILLed
  * and reported TimedOut without re-dispatch: the deadline already
@@ -70,12 +70,6 @@ struct WorkerPoolOptions
 
     /** Per-dispatch wall-clock deadline in ms; 0 = no deadline. */
     uint64_t timeoutMs = 0;
-
-    /**
-     * Crashes a single job may cause before it is quarantined instead
-     * of re-dispatched: 2 allows one re-dispatch.
-     */
-    unsigned poisonThreshold = 2;
 };
 
 /** How one sandboxed job ended, as seen by the supervisor. */
@@ -96,7 +90,7 @@ struct IsolatedOutcome
     int exitCode = 0;     // exit status when signal == 0
     uint64_t faultAddr = 0;
     TrialPhase phase = TrialPhase::Idle; // last-known progress
-    bool poisoned = false; // crashed poisonThreshold times — quarantine
+    bool poisoned = false; // crashed kPoisonThreshold times — quarantine
 
     /** Dispatches performed for this job (>= 1). */
     unsigned attempts = 1;
@@ -132,13 +126,18 @@ class WorkerPool
     using OnOutcome =
         std::function<void(size_t job, const IsolatedOutcome &outcome)>;
 
+    /**
+     * Crashes a single job may cause before it is quarantined instead
+     * of re-dispatched: 2 allows one re-dispatch.
+     */
+    static constexpr unsigned kPoisonThreshold = 2;
+
     explicit WorkerPool(WorkerPoolOptions opts = {});
 
     std::vector<IsolatedOutcome> run(size_t jobCount, const Execute &execute,
                                      const OnOutcome &onOutcome = {});
 
     unsigned workers() const { return opts_.workers; }
-    unsigned poisonThreshold() const { return opts_.poisonThreshold; }
 
   private:
     WorkerPoolOptions opts_;

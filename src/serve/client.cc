@@ -5,9 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -35,64 +32,30 @@ Client::connect(const std::string &address, std::string &err)
     ::signal(SIGPIPE, SIG_IGN);
     close();
 
-    std::string path;
-    if (address.rfind("unix:", 0) == 0)
-        path = address.substr(5);
-    else if (address.find('/') != std::string::npos)
-        path = address;
-
-    if (!path.empty()) {
-        struct sockaddr_un addr = {};
-        if (path.size() >= sizeof(addr.sun_path)) {
-            err = "unix socket path too long: " + path;
-            return false;
-        }
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd_ < 0) {
-            err = std::string("socket: ") + std::strerror(errno);
-            return false;
-        }
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            err = "connect '" + path + "': " + std::strerror(errno);
-            close();
-            return false;
-        }
-        return true;
-    }
-
-    const size_t colon = address.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= address.size()) {
-        err = "bad address '" + address +
-              "' (want unix:PATH or HOST:PORT)";
+    const std::string path =
+        address.rfind("unix:", 0) == 0 ? address.substr(5) : address;
+    struct sockaddr_un addr = {};
+    if (path.empty()) {
+        err = "no socket path in address '" + address + "'";
         return false;
     }
-    const std::string host = address.substr(0, colon);
-    const std::string port = address.substr(colon + 1);
-
-    struct addrinfo hints = {};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    struct addrinfo *res = nullptr;
-    const int rc =
-        ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-    if (rc != 0 || !res) {
-        err = "resolve '" + host + "': " + gai_strerror(rc);
+    if (path.size() >= sizeof(addr.sun_path)) {
+        err = "unix socket path too long: " + path;
         return false;
     }
-    fd_ = ::socket(res->ai_family, res->ai_socktype,
-                   res->ai_protocol);
-    if (fd_ < 0 ||
-        ::connect(fd_, res->ai_addr, res->ai_addrlen) != 0) {
-        err = "connect '" + address + "': " + std::strerror(errno);
-        ::freeaddrinfo(res);
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd_ < 0) {
+        err = std::string("socket: ") + std::strerror(errno);
+        return false;
+    }
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        err = "connect '" + path + "': " + std::strerror(errno);
         close();
         return false;
     }
-    ::freeaddrinfo(res);
     return true;
 }
 

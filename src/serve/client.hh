@@ -3,7 +3,7 @@
  * Client library for the slipd campaign server — the engine behind
  * the slipc CLI and the serve_throughput bench.
  *
- * A Client owns one connection: connect (unix path or host:port),
+ * A Client owns one connection: connect (slipd's Unix socket),
  * handshake (version-checked, fails closed with a diagnosis), then
  * any number of batches, stats queries, or a drain request.
  * submitBatch() streams results to a callback in completion order;
@@ -38,9 +38,8 @@ class Client
     Client &operator=(const Client &) = delete;
 
     /**
-     * Connect to `address`: "unix:PATH" (or a bare path containing
-     * '/') for a Unix socket, "HOST:PORT" for TCP. False + `err` on
-     * failure.
+     * Connect to the Unix socket at `address`, "unix:PATH" or a bare
+     * PATH. False + `err` on failure.
      */
     bool connect(const std::string &address, std::string &err);
 

@@ -47,9 +47,6 @@ BatchRequest::toCampaignConfig() const
     cfg.reliableMode = reliableMode;
     cfg.targets = targets;
     cfg.params.detect = detect;
-    if (reliableMode)
-        cfg.params.irPred.enabled = false;
-    cfg.cycleCapPerInst = cycleCapPerInst;
     return cfg;
 }
 

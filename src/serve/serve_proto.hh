@@ -88,7 +88,6 @@ struct BatchRequest
     std::vector<FaultTarget> targets; // empty = mode default
     DetectParams detect;
     AStreamPolicyParams policy; // names the one policy; no field reads it
-    Cycle cycleCapPerInst = 10;
 
     // Fuzz.
     uint64_t seedBegin = 0;
@@ -114,7 +113,6 @@ struct BatchRequest
         v("reliable mode", self.reliableMode);
         v("fault target", self.targets);
         v("detect", self.detect);
-        v("cycle cap per instruction", self.cycleCapPerInst);
         v("first fuzz seed", self.seedBegin);
         v("end fuzz seed", self.seedEnd);
     }

@@ -5,8 +5,6 @@
 #include <csignal>
 #include <type_traits>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -135,66 +133,34 @@ Server::start(std::string &err)
     // A dying client must surface as a failed write, not SIGPIPE.
     ::signal(SIGPIPE, SIG_IGN);
 
-    if (opts_.unixPath.empty() && opts_.tcpPort == 0) {
-        err = "no listener configured (need a unix path or tcp port)";
+    struct sockaddr_un addr = {};
+    if (opts_.unixPath.empty()) {
+        err = "no listener configured (need a unix socket path)";
+        return false;
+    }
+    if (opts_.unixPath.size() >= sizeof(addr.sun_path)) {
+        err = "unix socket path too long: " + opts_.unixPath;
         return false;
     }
     if (::pipe(wakePipe_) != 0) {
         err = std::string("pipe: ") + std::strerror(errno);
         return false;
     }
-
-    if (!opts_.unixPath.empty()) {
-        struct sockaddr_un addr = {};
-        if (opts_.unixPath.size() >= sizeof(addr.sun_path)) {
-            err = "unix socket path too long: " + opts_.unixPath;
-            return false;
-        }
-        unixFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (unixFd_ < 0) {
-            err = std::string("socket: ") + std::strerror(errno);
-            return false;
-        }
-        ::unlink(opts_.unixPath.c_str());
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, opts_.unixPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::bind(unixFd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(unixFd_, 64) != 0) {
-            err = "bind/listen on '" + opts_.unixPath +
-                  "': " + std::strerror(errno);
-            return false;
-        }
+    unixFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (unixFd_ < 0) {
+        err = std::string("socket: ") + std::strerror(errno);
+        return false;
     }
-
-    if (opts_.tcpPort != 0) {
-        tcpFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (tcpFd_ < 0) {
-            err = std::string("socket: ") + std::strerror(errno);
-            return false;
-        }
-        int one = 1;
-        ::setsockopt(tcpFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        struct sockaddr_in addr = {};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        // Port 1 is "any ephemeral": nothing binds there unprivileged,
-        // so treat it as 0 and read the port back.
-        addr.sin_port =
-            htons(opts_.tcpPort == 1 ? 0 : opts_.tcpPort);
-        if (::bind(tcpFd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(tcpFd_, 64) != 0) {
-            err = std::string("bind/listen on tcp port: ") +
-                  std::strerror(errno);
-            return false;
-        }
-        socklen_t len = sizeof(addr);
-        ::getsockname(tcpFd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len);
-        boundTcpPort_ = ntohs(addr.sin_port);
+    ::unlink(opts_.unixPath.c_str());
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, opts_.unixPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (::bind(unixFd_, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(unixFd_, 64) != 0) {
+        err = "bind/listen on '" + opts_.unixPath +
+              "': " + std::strerror(errno);
+        return false;
     }
 
     running_ = true;
@@ -206,33 +172,26 @@ void
 Server::acceptLoop()
 {
     while (!stopping_.load()) {
-        struct pollfd fds[3];
-        nfds_t n = 0;
-        if (unixFd_ >= 0)
-            fds[n++] = {unixFd_, POLLIN, 0};
-        if (tcpFd_ >= 0)
-            fds[n++] = {tcpFd_, POLLIN, 0};
-        fds[n++] = {wakePipe_[0], POLLIN, 0};
-        if (::poll(fds, n, -1) <= 0) {
+        struct pollfd fds[2] = {{unixFd_, POLLIN, 0},
+                                {wakePipe_[0], POLLIN, 0}};
+        if (::poll(fds, 2, -1) <= 0) {
             if (errno == EINTR)
                 continue;
             break;
         }
-        for (nfds_t i = 0; i + 1 < n; ++i) {
-            if (!(fds[i].revents & POLLIN))
-                continue;
-            const int fd = ::accept(fds[i].fd, nullptr, nullptr);
-            if (fd < 0)
-                continue;
-            uint64_t connId;
-            {
-                std::lock_guard<std::mutex> lock(statsMu_);
-                connId = ++stats_.connections;
-            }
-            std::lock_guard<std::mutex> lock(connMu_);
-            connThreads_.emplace_back(
-                [this, fd, connId] { serveConnection(fd, connId); });
+        if (!(fds[0].revents & POLLIN))
+            continue;
+        const int fd = ::accept(unixFd_, nullptr, nullptr);
+        if (fd < 0)
+            continue;
+        uint64_t connId;
+        {
+            std::lock_guard<std::mutex> lock(statsMu_);
+            connId = ++stats_.connections;
         }
+        std::lock_guard<std::mutex> lock(connMu_);
+        connThreads_.emplace_back(
+            [this, fd, connId] { serveConnection(fd, connId); });
     }
 }
 
@@ -381,9 +340,9 @@ Server::handleBatch(int fd, const BatchRequest &req)
     // wave at a time: probe the wave's keys in the cache and send the
     // hits, run the misses on the runner, and stream each finished
     // line. Only the trial key, the job, and the line differ by kind.
-    const size_t wave = opts_.waveSize
-                            ? opts_.waveSize
-                            : size_t(4) * resolveJobs(opts_.workers);
+    // A wave is four trials per worker: enough to keep every worker
+    // busy, few enough that a cancel or drain waits little.
+    const size_t wave = size_t(4) * resolveJobs(opts_.workers);
     const auto runWaves = [&](size_t count, const auto &keyOf,
                               const auto &job, const auto &lineOf) {
         using Record = std::invoke_result_t<decltype(job), size_t,
@@ -551,10 +510,6 @@ Server::stop()
         ::close(unixFd_);
         unixFd_ = -1;
         ::unlink(opts_.unixPath.c_str());
-    }
-    if (tcpFd_ >= 0) {
-        ::close(tcpFd_);
-        tcpFd_ = -1;
     }
     for (int &fd : wakePipe_) {
         if (fd >= 0)

@@ -2,7 +2,7 @@
  * @file
  * The slipd campaign server: a persistent daemon that accepts trial
  * batches (fault campaigns, fuzz seed windows, fault-free bench
- * sweeps) over Unix/TCP sockets, runs them on SimJobRunner, and
+ * sweeps) over a Unix-domain socket, runs them on SimJobRunner, and
  * streams JSONL results back as trials complete.
  *
  * Design invariants:
@@ -24,10 +24,11 @@
  *    SIGSEGVs the simulator costs that trial (a `crashed` line), and
  *    poison/quarantine/deadline-reap semantics are the runner's.
  *
- *  - Batches dispatch in bounded waves, so client cancellation can
- *    revoke every not-yet-dispatched trial between waves, and a
- *    drain request lets in-flight batches finish while new ones are
- *    refused — SIGTERM never truncates a batch mid-stream.
+ *  - Batches dispatch in bounded waves of four trials per worker, so
+ *    client cancellation can revoke every not-yet-dispatched trial
+ *    between waves, and a drain request lets in-flight batches finish
+ *    while new ones are refused — SIGTERM never truncates a batch
+ *    mid-stream.
  *
  *  - Results are cached content-addressed on disk (result_cache.hh);
  *    a repeated batch answers from the cache, surviving server
@@ -55,14 +56,8 @@ namespace slip::serve
 
 struct ServerOptions
 {
-    /** Unix-domain socket path; non-empty enables the listener. */
+    /** The Unix-domain socket the server listens on (required). */
     std::string unixPath;
-
-    /**
-     * TCP listener on 127.0.0.1; 0 disables, 1 picks an ephemeral
-     * port (read it back from Server::tcpPort() after start()).
-     */
-    uint16_t tcpPort = 0;
 
     /** Result-cache root; empty disables caching. */
     std::string cacheDir;
@@ -75,10 +70,6 @@ struct ServerOptions
 
     /** Trial sandboxing, as in FaultCampaignConfig. */
     IsolationMode isolation = isolationFromEnv();
-
-    /** Trials dispatched per wave (cancel/drain granularity);
-     *  0 = 4x the worker count. */
-    unsigned waveSize = 0;
 
     std::string name = "slipd";
 };
@@ -105,15 +96,12 @@ class Server
     /** Block until no batch is executing (drain mode or not). */
     void waitIdle();
 
-    /** Close the listeners and join every thread. Idempotent. */
+    /** Close the listener and join every thread. Idempotent. */
     void stop();
 
     ServeStats statsSnapshot() const;
 
     ResultCache &cache() { return *cache_; }
-
-    /** The bound TCP port (after start(); 0 if TCP is disabled). */
-    uint16_t tcpPort() const { return boundTcpPort_; }
 
   private:
     void acceptLoop();
@@ -124,8 +112,6 @@ class Server
     std::unique_ptr<ResultCache> cache_;
 
     int unixFd_ = -1;
-    int tcpFd_ = -1;
-    uint16_t boundTcpPort_ = 0;
     int wakePipe_[2] = {-1, -1};
 
     std::thread acceptThread_;

@@ -57,12 +57,6 @@ faultTargetName(FaultTarget target)
 }
 
 void
-FaultInjector::arm(const FaultPlan &plan)
-{
-    arm(std::vector<FaultPlan>{plan});
-}
-
-void
 FaultInjector::arm(const std::vector<FaultPlan> &plans)
 {
     outcome_ = FaultOutcome{};
@@ -197,25 +191,15 @@ const FaultOutcome &
 FaultInjector::outcome()
 {
     FaultOutcome &o = outcome_;
-    o.injected = false;
-    o.targetWasRedundant = false;
-    o.detected = false;
-    o.pc = 0;
     o.numInjected = 0;
     o.numDetected = 0;
     for (const FaultRecord &r : o.records) {
         if (!r.injected)
             continue;
-        if (o.numInjected == 0) {
-            o.targetWasRedundant = r.targetWasRedundant;
-            o.pc = r.pc;
-        }
         ++o.numInjected;
         if (r.detected)
             ++o.numDetected;
     }
-    o.injected = o.numInjected > 0;
-    o.detected = o.injected && o.numDetected == o.numInjected;
     return o;
 }
 

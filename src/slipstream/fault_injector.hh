@@ -154,18 +154,11 @@ struct FaultRecord
 };
 
 /**
- * What the campaign actually did. The legacy single-fault fields
- * summarize the whole plan list (injected = any fault landed,
- * detected = every landed fault was detected) so existing callers
- * keep their semantics; `records` has the per-fault story.
+ * What the campaign actually did: `records` has the per-fault story,
+ * in plan order, and the counts summarize it.
  */
 struct FaultOutcome
 {
-    bool injected = false;
-    bool targetWasRedundant = false; // first injected fault's
-    bool detected = false;
-    Addr pc = 0; // first injected fault's victim
-
     unsigned planned = 0;
     unsigned numInjected = 0;
     unsigned numDetected = 0;
@@ -176,10 +169,6 @@ struct FaultOutcome
     static void
     fields(Self &self, Visit &&v)
     {
-        v("injected", self.injected);
-        v("target was redundant", self.targetWasRedundant);
-        v("detected", self.detected);
-        v("pc", self.pc);
         v("planned", self.planned);
         v("injected count", self.numInjected);
         v("detected count", self.numDetected);
@@ -199,19 +188,16 @@ enum class InjectPoint : uint8_t
 };
 
 /**
- * Injection bookkeeping shared with the stream walkers. Arm one plan
- * (the legacy single-event-upset interface) or a whole list; the
- * walkers poll fire() at each site and apply whatever it returns.
+ * Injection bookkeeping shared with the stream walkers. Arm a plan
+ * list; the walkers poll fire() at each site and apply whatever it
+ * returns.
  */
 class FaultInjector
 {
   public:
     FaultInjector() = default;
 
-    /** Arm one fault for the coming run (replaces any prior plan). */
-    void arm(const FaultPlan &plan);
-
-    /** Arm a multi-fault plan list for the coming run. */
+    /** Arm a plan list for the coming run (replaces any prior one). */
     void arm(const std::vector<FaultPlan> &plans);
 
     bool armed() const { return firedCount_ < outcome_.records.size(); }

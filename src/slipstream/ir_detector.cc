@@ -134,7 +134,7 @@ IRDetector::mergeInstruction(ScopedTrace &trace, unsigned slot,
     const bool brCandidate =
         si.isCondBranch() ||
         (si.isJump() && !si.isIndirectJump() && si.destReg() == kNoReg);
-    if (brCandidate && params_.removeBranches) {
+    if (brCandidate) {
         rdfg.select(slot, reason::kBR);
         ++statTriggerBr;
     }

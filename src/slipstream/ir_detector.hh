@@ -38,7 +38,6 @@ namespace slip
 struct IRDetectorParams
 {
     unsigned scopeTraces = 8;    // analysis scope (traces)
-    bool removeBranches = true;  // BR trigger enabled
     bool removeWrites = true;    // WW + SV triggers enabled
 
     bool operator==(const IRDetectorParams &) const = default;

@@ -179,13 +179,14 @@ SlipstreamProcessor::doRecovery(Cycle now)
     // the operand rename table's values preserves same-value-write
     // detection across recoveries (otherwise every recovery poisons
     // the next pass of each hot loop and confidence thrashes).
-    if (params_.resetConfidenceOnRecovery &&
-        (cause == RecoveryCause::CorruptContextUnknown ||
-         cause == RecoveryCause::WatchdogStall)) {
+    if (cause == RecoveryCause::CorruptContextUnknown ||
+        cause == RecoveryCause::WatchdogStall) {
         // The A-stream context was corrupted by a wrong removal whose
         // origin is unknown (or the watchdog fired blind):
         // conservatively drop all confidence so the wrong entry
-        // cannot immediately re-trigger.
+        // cannot immediately re-trigger. Forward progress does not
+        // depend on it: the R-stream retires the exposing instruction
+        // before recovery begins.
         irPred->reset();
     }
     recoveryCause = RecoveryCause::None;
@@ -203,7 +204,7 @@ SlipstreamProcessor::doRecovery(Cycle now)
                now) {
         recentRecoveries_.pop_front();
     }
-    if (params_.degrade.enabled && !degraded_ &&
+    if (!degraded_ &&
         recentRecoveries_.size() >= params_.degrade.recoveryThreshold)
         degradeToROnly(now, resume);
 }

@@ -76,7 +76,6 @@ struct WatchdogParams
  */
 struct DegradeParams
 {
-    bool enabled = true;
     Cycle windowCycles = 4096;
     unsigned recoveryThreshold = 24;
 
@@ -89,6 +88,19 @@ struct DegradeParams
     Cycle forceAtCycle = 0;
 
     bool operator==(const DegradeParams &) const = default;
+
+    /**
+     * The fields, in order: each shapes a run's result, so a
+     * campaign trial's key walks them (harness/fault_campaign.hh).
+     */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&v)
+    {
+        v("degrade window cycles", self.windowCycles);
+        v("degrade recovery threshold", self.recoveryThreshold);
+        v("degrade forced at cycle", self.forceAtCycle);
+    }
 };
 
 /**
@@ -147,14 +159,6 @@ struct SlipstreamParams
 
     /** Names the A-stream policy; nothing reads it (see above). */
     AStreamPolicyParams aPolicy;
-
-    /**
-     * Reset all removal confidence after a recovery. Avoids repeated
-     * IR-mispredictions on a persistently wrong entry; forward
-     * progress is guaranteed either way (the R-stream retires the
-     * exposing instruction before recovery begins).
-     */
-    bool resetConfidenceOnRecovery = true;
 
     /**
      * Every field, nested structs included: a field added later joins

@@ -526,8 +526,8 @@ bump(T &f)
 
 /**
  * Change the k-th scalar a field list visits (descending into
- * DetectParams) and return its name; "" once k is past the end.
- * `walk(visit)` runs the list.
+ * DetectParams and DegradeParams) and return its name; "" once k is
+ * past the end. `walk(visit)` runs the list.
  */
 template <typename Walk>
 std::string
@@ -543,8 +543,9 @@ changeNth(Walk walk, size_t k)
     };
     walk([&](const char *name, auto &f) {
         using T = std::remove_reference_t<decltype(f)>;
-        if constexpr (std::is_same_v<T, DetectParams>)
-            DetectParams::fields(f, leaf);
+        if constexpr (std::is_same_v<T, DetectParams> ||
+                      std::is_same_v<T, DegradeParams>)
+            T::fields(f, leaf);
         else
             leaf(name, f);
     });
@@ -579,7 +580,12 @@ TEST(FaultCampaign, TrialKeyCoversEveryKeyedField)
         EXPECT_FALSE(base == campaignTrialKey(alt, specs[0], 0))
             << name << " does not reach the key";
     }
-    EXPECT_EQ(fields, 8u); // 7 config scalars + the detect backend
+    // 6 config scalars + the detect backend + 3 degrade fields
+    EXPECT_EQ(fields, 10u);
+    FaultCampaignConfig degrade = cfg;
+    ++degrade.params.degrade.recoveryThreshold;
+    EXPECT_FALSE(base == campaignTrialKey(degrade, specs[0], 0))
+        << "degrade recovery threshold";
 
     for (size_t k = 0;; ++k) {
         CampaignTrialSpec alt = specs[0];

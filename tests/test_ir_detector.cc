@@ -334,18 +334,6 @@ TEST(IRDetector, RemoveWritesKnob)
     EXPECT_EQ(h.detector.stats().get("trigger_ww"), 0u);
 }
 
-TEST(IRDetector, RemoveBranchesKnob)
-{
-    IRDetectorParams params;
-    params.removeBranches = false;
-    DetectorHarness h(params);
-    PacketBuilder pb(0);
-    pb.branch(true);
-    h.detector.processTrace(pb.trace());
-    h.detector.drain();
-    EXPECT_EQ(h.detector.stats().get("trigger_br"), 0u);
-}
-
 TEST(IRDetector, HaltAndOutputNeverRemovable)
 {
     DetectorHarness h;

@@ -677,25 +677,26 @@ TEST_F(ServerFixture, CorruptEntriesAreResimulatedNotServed)
     EXPECT_EQ(server->cache().corrupt(), 4u);
 }
 
-/** A server that dispatches two trials a wave. */
-struct TwoTrialWaveFixture : ServerFixture
+/** A server with one worker, so it dispatches four trials a wave. */
+struct OneWorkerFixture : ServerFixture
 {
     void
     SetUp() override
     {
-        opts.waveSize = 2;
+        opts.workers = 1;
         ServerFixture::SetUp();
     }
 };
 
-TEST_F(TwoTrialWaveFixture, HitsAndMissesInOneWaveEachArriveOnce)
+TEST_F(OneWorkerFixture, HitsAndMissesInOneWaveEachArriveOnce)
 {
     BatchRequest req = smallBatch();
     req.trialsPerWorkload = 6;
     const std::vector<std::string> lines = referenceLines(req);
     const std::vector<CacheKey> keys = trialKeys(req);
     ASSERT_EQ(lines.size(), 6u);
-    // Every wave holds one stored trial and one to simulate.
+    // Both waves (trials 0-3 and 4-5) hold stored trials and trials
+    // to simulate.
     for (size_t i = 0; i < lines.size(); i += 2)
         server->cache().store(keys[i], lines[i]);
 
@@ -877,14 +878,13 @@ TEST_F(ServerFixture, DrainRejectsNewBatches)
 
 TEST(ServeCancel, CancelRevokesUndispatchedTrials)
 {
-    // Wave size 1 so a cancel sent after the first result can still
-    // revoke the tail of the batch.
+    // One worker, so a wave is four trials: a cancel sent after the
+    // first result revokes the waves after the one it lands in.
     ScratchDir dir;
     ServerOptions opts;
     opts.unixPath = dir.path + "/slipd.sock";
     opts.cacheDir = ""; // no cache: every trial really runs
     opts.workers = 1;
-    opts.waveSize = 1;
     Server server(opts);
     std::string err;
     ASSERT_TRUE(server.start(err)) << err;
@@ -895,7 +895,7 @@ TEST(ServeCancel, CancelRevokesUndispatchedTrials)
     req.name = "serve_cancel";
     req.workloads = {"compress"};
     req.size = WorkloadSize::Test;
-    req.trialsPerWorkload = 8;
+    req.trialsPerWorkload = 12;
     req.seed = 17;
 
     Client client;
@@ -912,8 +912,8 @@ TEST(ServeCancel, CancelRevokesUndispatchedTrials)
         << err;
     EXPECT_EQ(done.status, BatchStatus::Cancelled);
     EXPECT_GT(done.revoked, 0u);
-    EXPECT_LT(done.completed, 8u);
-    EXPECT_EQ(done.completed + done.revoked, 8u);
+    EXPECT_LT(done.completed, 12u);
+    EXPECT_EQ(done.completed + done.revoked, 12u);
 
     const ServeStats stats = server.statsSnapshot();
     EXPECT_EQ(stats.trialsRevoked, done.revoked);

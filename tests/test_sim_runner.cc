@@ -236,13 +236,10 @@ TEST(SimJobRunner, SerialPathAlsoEnforcesTheDeadline)
 
 TEST(SimJobRunner, RetryableFailuresRetryWithBoundedAttempts)
 {
-    Supervision sup;
-    sup.retries = 2;
-    sup.backoffMs = 1;
-    SimJobRunner runner(1, sup);
+    SimJobRunner runner(1, Supervision{});
     std::atomic<int> calls{0};
     runner.add([&]() -> RunMetrics {
-        if (++calls < 3)
+        if (++calls <= int(Supervision::kRetries))
             throw std::system_error(std::make_error_code(
                 std::errc::resource_unavailable_try_again));
         RunMetrics m;
@@ -252,16 +249,13 @@ TEST(SimJobRunner, RetryableFailuresRetryWithBoundedAttempts)
     const std::vector<JobOutcome> outcomes = runner.runSupervised();
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].ok());
-    EXPECT_EQ(outcomes[0].attempts, 3u);
-    EXPECT_EQ(calls.load(), 3);
+    EXPECT_EQ(outcomes[0].attempts, Supervision::kRetries + 1);
+    EXPECT_EQ(calls.load(), int(Supervision::kRetries) + 1);
 }
 
 TEST(SimJobRunner, ExhaustedRetriesReportTheError)
 {
-    Supervision sup;
-    sup.retries = 1;
-    sup.backoffMs = 1;
-    SimJobRunner runner(1, sup);
+    SimJobRunner runner(1, Supervision{});
     std::atomic<int> calls{0};
     runner.add([&]() -> RunMetrics {
         ++calls;
@@ -271,16 +265,13 @@ TEST(SimJobRunner, ExhaustedRetriesReportTheError)
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].status, JobOutcome::Status::Error);
     EXPECT_EQ(outcomes[0].errorKind, ErrorKind::Resource);
-    EXPECT_EQ(outcomes[0].attempts, 2u);
-    EXPECT_EQ(calls.load(), 2);
+    EXPECT_EQ(outcomes[0].attempts, Supervision::kRetries + 1);
+    EXPECT_EQ(calls.load(), int(Supervision::kRetries) + 1);
 }
 
 TEST(SimJobRunner, DeterministicFailuresAreNeverRetried)
 {
-    Supervision sup;
-    sup.retries = 3;
-    sup.backoffMs = 1;
-    SimJobRunner runner(1, sup);
+    SimJobRunner runner(1, Supervision{});
     std::atomic<int> calls{0};
     runner.add([&]() -> RunMetrics {
         ++calls;

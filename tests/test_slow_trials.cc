@@ -43,7 +43,7 @@ TEST(SlowTrials, Seed606VortexHangsWithinBudget)
     EXPECT_EQ(
         campaignTrialLine(cfg, kTrial, record),
         "{\"campaign\":\"slip_campaign\",\"seed\":606,\"trial\":14,"
-        "\"key\":\"09833f0363e82d31ae4d1bf6b3a61e34\","
+        "\"key\":\"91771fb0a24a68ecc4be276ded617b67\","
         "\"workload\":\"vortex\",\"outcome\":\"hung\",\"planned\":2,"
         "\"injected\":2,\"detected\":1,\"degraded\":0,"
         "\"latency_samples\":1,\"latency_total\":62,\"latency_max\":62,"

@@ -40,8 +40,8 @@ void
 usage(std::ostream &os)
 {
     os << "usage: slipc [--connect ADDR] COMMAND [options]\n"
-          "  ADDR: unix:PATH (default unix:/tmp/slipd.sock) or "
-          "HOST:PORT\n"
+          "  ADDR: slipd's socket, unix:PATH or PATH "
+          "(default unix:/tmp/slipd.sock)\n"
           "commands:\n"
           "  campaign   fault-injection campaign batch\n"
           "    --name NAME --workloads A,B --size S --trials N\n"

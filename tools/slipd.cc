@@ -1,14 +1,13 @@
 /**
  * slipd: the persistent simulation-as-a-service daemon. Listens on a
- * Unix (and optionally TCP) socket, accepts trial batches from slipc
- * clients, runs them on SimJobRunner (threads, or crash-isolated
- * worker processes under --isolation fork), streams JSONL results,
- * and caches every result content-addressed on disk so
- * repeated batches — and batches re-submitted after a restart —
- * answer without re-simulating.
+ * Unix-domain socket, accepts trial batches from slipc clients, runs
+ * them on SimJobRunner (threads, or crash-isolated worker processes
+ * under --isolation fork), streams JSONL results, and caches every
+ * result content-addressed on disk so repeated batches — and batches
+ * re-submitted after a restart — answer without re-simulating.
  *
  *   slipd --socket /tmp/slipd.sock --cache results/serve_cache
- *   slipd --socket /tmp/slipd.sock --tcp 7411 --workers 8
+ *   slipd --socket /tmp/slipd.sock --workers 8
  *
  * SIGTERM/SIGINT drain gracefully: in-flight batches finish and
  * stream their BatchDone, new batches are rejected, then the daemon
@@ -52,20 +51,17 @@ usage(std::ostream &os)
     os << "usage: slipd [options]\n"
           "  --socket PATH    unix-domain listen socket "
           "(default /tmp/slipd.sock)\n"
-          "  --tcp PORT       also listen on 127.0.0.1:PORT "
-          "(1 = ephemeral)\n"
           "  --cache DIR      content-addressed result cache "
           "(default results/serve_cache;\n"
           "                   'none' disables)\n"
           "  --cache-max N    cache entry cap "
           "(default 65536)\n"
           "  --workers N      trial workers per batch "
-          "(default $SLIPSTREAM_JOBS)\n"
+          "(default $SLIPSTREAM_JOBS);\n"
+          "                   a batch dispatches 4 trials per worker "
+          "per wave\n"
           "  --isolation M    trial sandboxing: none | fork "
           "(default $SLIPSTREAM_ISOLATION)\n"
-          "  --wave N         trials dispatched per wave — the "
-          "cancel/drain\n"
-          "                   granularity (default 4x workers)\n"
           "  --name NAME      server name in the handshake "
           "(default slipd)\n"
           "  -h, --help\n";
@@ -92,11 +88,6 @@ run(int argc, char **argv)
             return 0;
         } else if (arg == "--socket") {
             opts.unixPath = value("--socket");
-        } else if (arg == "--tcp") {
-            if (!parseUnsigned(value("--tcp"), opts.tcpPort)) {
-                std::cerr << "slipd: bad --tcp\n";
-                return 2;
-            }
         } else if (arg == "--cache") {
             opts.cacheDir = value("--cache");
             if (opts.cacheDir == "none")
@@ -111,12 +102,6 @@ run(int argc, char **argv)
             if (!parseUnsigned(value("--workers"), opts.workers) ||
                 opts.workers == 0) {
                 std::cerr << "slipd: bad --workers\n";
-                return 2;
-            }
-        } else if (arg == "--wave") {
-            if (!parseUnsigned(value("--wave"), opts.waveSize) ||
-                opts.waveSize == 0) {
-                std::cerr << "slipd: bad --wave\n";
                 return 2;
             }
         } else if (arg == "--isolation") {
@@ -150,10 +135,7 @@ run(int argc, char **argv)
         std::cerr << "slipd: " << err << "\n";
         return 2;
     }
-    std::cout << "slipd: listening on " << opts.unixPath;
-    if (server.tcpPort())
-        std::cout << " and 127.0.0.1:" << server.tcpPort();
-    std::cout << " (cache: "
+    std::cout << "slipd: listening on " << opts.unixPath << " (cache: "
               << (server.cache().enabled() ? server.cache().root()
                                            : std::string("disabled"))
               << ", isolation: " << isolationModeName(opts.isolation)
