@@ -53,7 +53,6 @@ clientBatch(unsigned c, WorkloadSize size, unsigned trials)
                                    "gcc",      "perl", "vortex",
                                    "m88ksim"};
     BatchRequest req;
-    req.kind = BatchKind::Campaign;
     req.id = 100 + c;
     req.name = "serve_tput_" + std::to_string(c);
     req.workloads = {kNames[c % 8]};

@@ -796,6 +796,7 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
             }
             ++nextToJournal;
         }
+        return true;
     });
 
     FaultCampaignResult result;

@@ -285,7 +285,8 @@ runOnThreads(unsigned jobs, const Supervision &supervision,
             if (failure)
                 return;
             try {
-                onOutcome(i, std::move(out));
+                if (!onOutcome(i, std::move(out)))
+                    next = batch.size(); // claim no further job
             } catch (...) {
                 failure = std::current_exception();
                 next = batch.size();
@@ -360,7 +361,7 @@ runForked(unsigned jobs, const Supervision &supervision,
             break;
         }
         out.attempts = std::max(out.attempts, iso.attempts);
-        onOutcome(job, std::move(out));
+        return onOutcome(job, std::move(out));
     };
 
     pool.run(batch.size(), execute, collect);

@@ -221,9 +221,12 @@ struct Supervision
 /** A job of the untyped core: it returns its record's wire bytes. */
 using EncodedJob = std::function<std::string(const CancelToken &)>;
 
-/** Called once per finished job of the untyped core. */
+/**
+ * Called once per finished job of the untyped core; returning false
+ * dispatches no further job.
+ */
 using OnEncodedOutcome =
-    std::function<void(size_t, Outcome<std::string> &&)>;
+    std::function<bool(size_t, Outcome<std::string> &&)>;
 
 /**
  * The untyped core every SimJobRunner batch runs through. Executes
@@ -231,8 +234,12 @@ using OnEncodedOutcome =
  * calling thread among them, each claiming the next job index in
  * order) or, under fork isolation, on as many worker processes; each
  * finished job's outcome, its record still wire bytes, goes to
- * `onOutcome` (serialized, in completion order). An exception thrown
- * by `onOutcome` stops the batch and is rethrown here.
+ * `onOutcome` (serialized, in completion order). Once `onOutcome`
+ * returns false no further job is dispatched: the jobs already
+ * dispatched finish and are delivered (under fork isolation a crashed
+ * one is still re-dispatched). Both executors dispatch in index
+ * order, so the delivered jobs are a prefix of `batch`. An exception
+ * thrown by `onOutcome` stops the batch and is rethrown here.
  */
 void runEncodedJobs(unsigned jobs, const Supervision &supervision,
                     IsolationMode isolation,
@@ -271,8 +278,11 @@ class SimJobRunner
         std::conditional_t<std::is_same_v<Record, RunMetrics>, JobOutcome,
                            Outcome<Record>>;
 
-    /** Called once per finished job (serialized, any thread). */
-    using OnOutcome = std::function<void(size_t, const Result &)>;
+    /**
+     * Called once per finished job (serialized, any thread); false
+     * dispatches no further job.
+     */
+    using OnOutcome = std::function<bool(size_t, const Result &)>;
 
     /** `jobs` == 0 means defaultJobs(). Isolation defaults to
      *  $SLIPSTREAM_ISOLATION (none when unset). */
@@ -319,7 +329,9 @@ class SimJobRunner
      * Execute all queued jobs, returning one outcome per job in add()
      * order; clears the queue. Never throws on job failure.
      * `onOutcome` (optional) fires as each job finishes — callers
-     * journal completed trials through it.
+     * journal completed trials through it. Once it returns false no
+     * further job is dispatched, and the outcomes returned are those
+     * of the jobs dispatched before: a prefix of the queue.
      */
     std::vector<Result>
     runSupervised(const OnOutcome &onOutcome = {})
@@ -327,6 +339,7 @@ class SimJobRunner
         std::vector<EncodedJob> batch;
         batch.swap(pending_);
         std::vector<Result> outcomes(batch.size());
+        size_t delivered = 0;
         runEncodedJobs(
             jobs_, supervision_, isolation_, batch,
             [&](size_t i, Outcome<std::string> &&encoded) {
@@ -336,9 +349,10 @@ class SimJobRunner
                     dec.get(recordOf(o));
                 }
                 static_cast<JobEnd &>(o) = std::move(encoded);
-                if (onOutcome)
-                    onOutcome(i, o);
+                ++delivered;
+                return !onOutcome || onOutcome(i, o);
             });
+        outcomes.resize(delivered);
         return outcomes;
     }
 

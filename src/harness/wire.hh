@@ -58,8 +58,8 @@ namespace slip::wire
 {
 
 inline constexpr uint32_t kMagic = 0x53504C57; // "WLPS" on the wire
-// v8: no cycle-cap field, no single-fault summary, degrade keyed
-inline constexpr uint16_t kVersion = 8;
+// v9: a batch request carries no batch kind and no fuzz seed window
+inline constexpr uint16_t kVersion = 9;
 
 /** Frame types the worker and serve protocols speak. */
 enum class MsgType : uint8_t

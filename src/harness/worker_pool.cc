@@ -13,6 +13,7 @@
 #include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <utility>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -105,6 +106,21 @@ closeFd(int &fd)
     }
 }
 
+/** Calls `fn` when it goes out of scope, however the scope is left. */
+template <typename Fn>
+class ScopeExit
+{
+  public:
+    explicit ScopeExit(Fn fn) : fn_(std::move(fn)) {}
+    ~ScopeExit() { fn_(); }
+
+    ScopeExit(const ScopeExit &) = delete;
+    ScopeExit &operator=(const ScopeExit &) = delete;
+
+  private:
+    Fn fn_;
+};
+
 /** Heartbeat slot: (trialId << 8) | phase, updated lock-free. */
 std::atomic<uint64_t> *
 heartbeatSlot(void *map, unsigned index)
@@ -175,13 +191,6 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
     const unsigned nWorkers =
         unsigned(std::min<size_t>(opts_.workers, jobCount));
 
-    // Workers write results into pipes the supervisor may have stopped
-    // reading (e.g. mid-shutdown); a SIGPIPE must not kill either side.
-    struct sigaction ignorePipe, oldPipe;
-    std::memset(&ignorePipe, 0, sizeof(ignorePipe));
-    ignorePipe.sa_handler = SIG_IGN;
-    sigaction(SIGPIPE, &ignorePipe, &oldPipe);
-
     // One shared progress word per worker slot, surviving the worker's
     // death — the triage source when the crash pipe is empty (SIGKILL).
     void *hbMap =
@@ -191,12 +200,51 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
         SLIP_FATAL("worker pool: mmap of heartbeat page failed: ",
                    std::strerror(errno));
 
+    // Workers write results into pipes the supervisor may have stopped
+    // reading (e.g. mid-shutdown); a SIGPIPE must not kill either side.
+    struct sigaction ignorePipe, oldPipe;
+    std::memset(&ignorePipe, 0, sizeof(ignorePipe));
+    ignorePipe.sa_handler = SIG_IGN;
+    sigaction(SIGPIPE, &ignorePipe, &oldPipe);
+
     std::vector<WorkerSlot> slots(nWorkers);
     unsigned spawns = 0;
     // Generous ceiling: every trial may crash to its poison limit and
     // time out once; anything past that is a respawn storm (a bug).
     const unsigned spawnBudget =
         nWorkers + unsigned(jobCount) * (kPoisonThreshold + 1);
+
+    /** SIGKILL (optionally) + blocking waitpid; returns wait status. */
+    auto reap = [&](WorkerSlot &slot, bool forceKill) -> int {
+        if (forceKill)
+            kill(slot.pid, SIGKILL);
+        int status = 0;
+        while (waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {}
+        slot.alive = false;
+        SLIP_TRACE(obs::Category::Worker, obs::Name::WorkerExit,
+                   obs::Phase::Instant, uint64_t(slot.pid),
+                   uint64_t(unsigned(status)));
+        return status;
+    };
+
+    // However run() ends (every job resolved, a stop, a throw from
+    // onOutcome or a fatal error), no worker outlives it: an idle one
+    // is asked to exit, a busy one is killed, and both are reaped.
+    const ScopeExit teardown([&] {
+        for (WorkerSlot &slot : slots) {
+            if (slot.alive) {
+                if (!slot.busy)
+                    wire::writeFrame(slot.reqFd, wire::MsgType::Shutdown,
+                                     {});
+                reap(slot, slot.busy);
+            }
+            closeFd(slot.reqFd);
+            closeFd(slot.resFd);
+            closeFd(slot.crashFd);
+        }
+        munmap(hbMap, nWorkers * sizeof(std::atomic<uint64_t>));
+        sigaction(SIGPIPE, &oldPipe, nullptr);
+    });
 
     auto spawn = [&](unsigned index) {
         WorkerSlot &slot = slots[index];
@@ -247,33 +295,24 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
                    obs::Phase::Instant, index, uint64_t(pid));
     };
 
-    std::deque<size_t> pending;
-    for (size_t j = 0; j < jobCount; ++j)
-        pending.push_back(j);
+    // Jobs dispatch in index order, so the jobs ever dispatched are
+    // always [0, nextJob). Jobs [0, end) must resolve; a stop from
+    // onOutcome cuts `end` to nextJob.
+    size_t nextJob = 0;
+    size_t end = jobCount;
+    std::deque<size_t> redispatch; // crashed jobs owed another dispatch
     std::vector<unsigned> dispatches(jobCount, 0);
-    std::vector<bool> done(jobCount, false);
     size_t completed = 0;
+    const auto workLeft = [&] {
+        return !redispatch.empty() || nextJob < end;
+    };
 
     auto finish = [&](size_t job, IsolatedOutcome outcome) {
         outcome.attempts = std::max(1u, dispatches[job]);
         results[job] = std::move(outcome);
-        done[job] = true;
         ++completed;
-        if (onOutcome)
-            onOutcome(job, results[job]);
-    };
-
-    /** SIGKILL (optionally) + blocking waitpid; returns wait status. */
-    auto reap = [&](WorkerSlot &slot, bool forceKill) -> int {
-        if (forceKill)
-            kill(slot.pid, SIGKILL);
-        int status = 0;
-        while (waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {}
-        slot.alive = false;
-        SLIP_TRACE(obs::Category::Worker, obs::Name::WorkerExit,
-                   obs::Phase::Instant, uint64_t(slot.pid),
-                   uint64_t(unsigned(status)));
-        return status;
+        if (onOutcome && !onOutcome(job, results[job]))
+            end = nextJob;
     };
 
     /**
@@ -333,7 +372,7 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
             SLIP_TRACE(obs::Category::Worker, obs::Name::JobRedispatch,
                        obs::Phase::Instant, uint64_t(job),
                        uint64_t(dispatches[job] + 1));
-            pending.push_front(job);
+            redispatch.push_back(job);
         } else {
             out.poisoned = true;
             SLIP_WARN("trial ", job, " crashed (", how, ", phase ",
@@ -346,9 +385,11 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
         }
     };
 
-    auto dispatch = [&](unsigned index) -> bool {
+    /** Send the next job (a re-dispatch first) to an idle worker. */
+    auto dispatch = [&](unsigned index) {
         WorkerSlot &slot = slots[index];
-        const size_t job = pending.front();
+        const bool fresh = redispatch.empty();
+        const size_t job = fresh ? nextJob : redispatch.front();
         wire::Encoder enc;
         enc.putU64(job);
         enc.putU32(dispatches[job] + 1);
@@ -357,25 +398,27 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
             // The worker was already dead before this job reached it —
             // the job is not charged an attempt.
             handleDeath(index, true);
-            return false;
+            return;
         }
-        pending.pop_front();
+        if (fresh)
+            ++nextJob;
+        else
+            redispatch.pop_front();
         ++dispatches[job];
         slot.busy = true;
         slot.job = job;
         if (opts_.timeoutMs > 0)
             slot.deadline = Clock::now() +
                             std::chrono::milliseconds(opts_.timeoutMs);
-        return true;
     };
 
     for (unsigned i = 0; i < nWorkers; ++i)
         spawn(i);
 
-    while (completed < jobCount) {
+    while (completed < end) {
         // Keep every live worker fed while work remains; respawn any
         // dead slot that still has a job to take.
-        for (unsigned i = 0; i < nWorkers && !pending.empty(); ++i) {
+        for (unsigned i = 0; i < nWorkers && workLeft(); ++i) {
             if (!slots[i].alive)
                 spawn(i);
             if (slots[i].alive && !slots[i].busy)
@@ -391,9 +434,9 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
             fdSlot.push_back(i);
         }
         if (fds.empty()) {
-            if (pending.empty() && completed < jobCount)
+            if (!workLeft())
                 SLIP_FATAL("worker pool: no workers in flight but ",
-                           jobCount - completed, " jobs unresolved");
+                           end - completed, " jobs unresolved");
             continue; // respawn loop above will refill
         }
 
@@ -476,19 +519,7 @@ WorkerPool::run(size_t jobCount, const Execute &execute,
         }
     }
 
-    // All jobs resolved: ask the survivors to exit and collect them.
-    for (WorkerSlot &slot : slots) {
-        if (!slot.alive)
-            continue;
-        wire::writeFrame(slot.reqFd, wire::MsgType::Shutdown, {});
-        reap(slot, false);
-        closeFd(slot.reqFd);
-        closeFd(slot.resFd);
-        closeFd(slot.crashFd);
-    }
-
-    munmap(hbMap, nWorkers * sizeof(std::atomic<uint64_t>));
-    sigaction(SIGPIPE, &oldPipe, nullptr);
+    results.resize(end);
     return results;
 }
 

@@ -107,7 +107,10 @@ const char *isolatedStatusName(IsolatedOutcome::Status status);
  *   WorkerPool pool(opts);
  *   auto results = pool.run(jobs.size(),
  *       [&](size_t job, unsigned attempt) { return serialize(run(job)); },
- *       [&](size_t job, const IsolatedOutcome &o) { journal(job, o); });
+ *       [&](size_t job, const IsolatedOutcome &o) {
+ *           journal(job, o);
+ *           return true; // false: dispatch no further job
+ *       });
  *
  * run() forks the workers (so `execute` and everything it captures is
  * inherited copy-on-write), dispatches job indices, collects results
@@ -118,13 +121,18 @@ const char *isolatedStatusName(IsolatedOutcome::Status status);
  * `execute` runs in the *child* and must not throw — serialize errors
  * into the payload. `onOutcome` runs in the parent as each job
  * resolves (dispatch order is job order, completion order is not).
+ * Once it returns false, no further job is dispatched: the jobs
+ * already dispatched finish and are delivered (a crashed one is still
+ * re-dispatched), and run() returns the outcomes of that prefix of the
+ * jobs. However run() ends, a throw from `onOutcome` included, it
+ * reaps every worker (SIGKILL for a busy one) before it returns.
  */
 class WorkerPool
 {
   public:
     using Execute = std::function<std::string(size_t job, unsigned attempt)>;
     using OnOutcome =
-        std::function<void(size_t job, const IsolatedOutcome &outcome)>;
+        std::function<bool(size_t job, const IsolatedOutcome &outcome)>;
 
     /**
      * Crashes a single job may cause before it is quarantined instead

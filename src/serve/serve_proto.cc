@@ -4,20 +4,6 @@ namespace slip::serve
 {
 
 const char *
-batchKindName(BatchKind kind)
-{
-    switch (kind) {
-      case BatchKind::Campaign:
-        return "campaign";
-      case BatchKind::Fuzz:
-        return "fuzz";
-      case BatchKind::Bench:
-        return "bench";
-    }
-    return "?";
-}
-
-const char *
 batchStatusName(BatchStatus status)
 {
     switch (status) {

@@ -10,10 +10,14 @@
  *   Hello {client name}        ->
  *                              <-    HelloAck {version, server name}
  *                                 or HelloReject {server version, why}
- *   BatchRequest {batch}       ->
+ *   BatchRequest {campaign}    ->
  *                              <-    TrialResult* (completion order)
  *   [CancelBatch {id}]         ->
  *                              <-    BatchDone {summary}
+ *
+ * A batch is one fault campaign. Its cache hits come first, then each
+ * simulated trial as it finishes; a CancelBatch revokes every trial
+ * the server has not yet dispatched.
  *
  * The handshake is the only version-lenient exchange (wire::
  * readFrameInfo): a peer speaking a different protocol revision is
@@ -44,39 +48,25 @@
 namespace slip::serve
 {
 
-/** What a batch asks the server to run. */
+/** Names the one kind of batch, a fault campaign; nothing reads it. */
 enum class BatchKind : uint8_t
 {
-    Campaign = 0, // fault-injection campaign (FaultCampaignConfig)
-    Fuzz = 1,     // differential-fuzz seed window
-    Bench = 2,    // fault-free performance sweep (zero-fault trials)
+    Campaign = 0,
 };
 
-/** The greatest batch kind (the wire decoder's range check). */
-constexpr BatchKind
-lastEnumerator(BatchKind)
-{
-    return BatchKind::Bench;
-}
-
-/** "campaign", "fuzz", "bench". */
-const char *batchKindName(BatchKind kind);
-
 /**
- * One batch of trials. Campaign and Bench batches carry the portable
- * subset of FaultCampaignConfig (everything that shapes trial *plans*
- * and result bytes; isolation/workers/journal stay server policy,
- * preserving the byte-identity invariant). Fuzz batches carry a seed
- * window.
+ * One fault-campaign batch: the portable subset of FaultCampaignConfig
+ * (everything that shapes trial *plans* and result bytes;
+ * isolation/workers/journal stay server policy, preserving the
+ * byte-identity invariant).
  */
 struct BatchRequest
 {
-    BatchKind kind = BatchKind::Campaign;
+    BatchKind kind = BatchKind::Campaign; // not on the wire
 
     /** Client-chosen id, echoed on every reply frame. */
     uint64_t id = 0;
 
-    // Campaign / Bench.
     std::string name = "serve_campaign";
     std::vector<std::string> workloads; // empty = all eight
     WorkloadSize size = WorkloadSize::Test;
@@ -89,11 +79,7 @@ struct BatchRequest
     DetectParams detect;
     AStreamPolicyParams policy; // names the one policy; no field reads it
 
-    // Fuzz.
-    uint64_t seedBegin = 0;
-    uint64_t seedEnd = 0;
-
-    /** The equivalent local config (campaign/bench kinds). */
+    /** The equivalent local config. */
     FaultCampaignConfig toCampaignConfig() const;
 
     /** The wire fields, in order (see harness/wire.hh). */
@@ -101,7 +87,6 @@ struct BatchRequest
     static void
     fields(Self &self, Visit &&v)
     {
-        v("batch kind", self.kind);
         v("batch id", self.id);
         v("name", self.name);
         v("workloads", self.workloads);
@@ -113,8 +98,6 @@ struct BatchRequest
         v("reliable mode", self.reliableMode);
         v("fault target", self.targets);
         v("detect", self.detect);
-        v("first fuzz seed", self.seedBegin);
-        v("end fuzz seed", self.seedEnd);
     }
 };
 

@@ -1,24 +1,16 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <csignal>
-#include <type_traits>
 
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "assembler/assembler.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
-#include "fuzz/fuzzer.hh"
-#include "fuzz/generator.hh"
-#include "fuzz/oracle.hh"
 #include "harness/sim_runner.hh"
 #include "obs/trace_session.hh"
-#include "workloads/workloads.hh"
 
 namespace slip::serve
 {
@@ -63,56 +55,11 @@ sendBatchDone(int fd, const BatchDoneMsg &m)
     wire::writeFrame(fd, wire::MsgType::BatchDone, enc.bytes());
 }
 
-/** Canonical key bytes of one fuzz trial (see result_cache.hh). */
-CacheKey
-fuzzTrialKey(const BatchRequest &req, uint64_t seed,
-             const std::string &source)
-{
-    wire::Encoder enc;
-    enc.putU16(wire::kVersion);
-    enc.putString("fuzz");
-    enc.putString(req.name);
-    enc.putU64(seed);
-    // The rendered source is the generator's identity: a generator
-    // change produces different text and silently misses.
-    enc.putString(source);
-    return cacheKeyOf(enc.bytes());
-}
-
-/** One fuzz seed as a canonical JSONL line (no newline). */
-std::string
-fuzzTrialLine(const BatchRequest &req, uint64_t seed,
-              const Outcome<fuzz::FuzzCase> &o)
-{
-    std::string line = "{\"campaign\":\"" + jsonEscape(req.name) +
-                       "\",\"kind\":\"fuzz\",\"seed\":" +
-                       std::to_string(seed);
-    line += ",\"status\":\"";
-    line += jobStatusName(o.status);
-    line += "\"";
-    if (o.ok())
-        line += std::string(",\"diverged\":") +
-                (o.record.diverged ? "1" : "0");
-    line += "}";
-    return line;
-}
-
 /**
- * One fuzz seed's job: the three-way oracle on the seed's generated
- * program. An exception escapes to the runner, so a seed the oracle
- * cannot run reads `"status":"error"`.
+ * Cache hits are framed back to back and written this many bytes at a
+ * time: one write per hit would send the same bytes in the same order.
  */
-fuzz::FuzzCase
-runFuzzSeed(uint64_t seed)
-{
-    const fuzz::OracleVerdict v =
-        fuzz::runOracle(assemble(fuzz::generate(seed).render()));
-    fuzz::FuzzCase c;
-    c.seed = seed;
-    c.diverged = v.diverged;
-    c.report = v.report;
-    return c;
-}
+constexpr size_t kHitWriteBytes = size_t(64) << 10;
 
 } // namespace
 
@@ -189,9 +136,21 @@ Server::acceptLoop()
             std::lock_guard<std::mutex> lock(statsMu_);
             connId = ++stats_.connections;
         }
-        std::lock_guard<std::mutex> lock(connMu_);
-        connThreads_.emplace_back(
-            [this, fd, connId] { serveConnection(fd, connId); });
+        // Join the connections that have ended, so that a finished
+        // connection keeps no thread, and no stack, until stop().
+        for (auto it = connections_.begin(); it != connections_.end();) {
+            if (it->finished.load()) {
+                it->thread.join();
+                it = connections_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        Connection &conn = connections_.emplace_back();
+        conn.thread = std::thread([this, fd, connId, &conn] {
+            serveConnection(fd, connId);
+            conn.finished = true;
+        });
     }
 }
 
@@ -294,31 +253,7 @@ Server::handleBatch(int fd, const BatchRequest &req)
     bool cancelled = false;
     bool clientGone = false;
 
-    // A wave's cache hits are framed back to back and written at once,
-    // before its misses are dispatched: one write per wave, where one
-    // per hit would send the same bytes in the same order.
-    std::string hitFrames;
-    uint64_t waveHits = 0;
-    const auto addHit = [&](uint64_t index, std::string &line) {
-        appendTrialResult(hitFrames, {req.id, index, true, std::move(line)});
-        ++waveHits;
-    };
-    const auto flushHits = [&] {
-        if (waveHits == 0)
-            return;
-        if (wire::writeFrames(fd, hitFrames)) {
-            done.completed += waveHits;
-            done.cacheHits += waveHits;
-            std::lock_guard<std::mutex> lock(statsMu_);
-            stats_.trialsCached += waveHits;
-        } else {
-            clientGone = true;
-        }
-        hitFrames.clear();
-        waveHits = 0;
-    };
-
-    // Between waves: did the client revoke the rest of the batch?
+    // Did the client revoke the rest of the batch?
     const auto checkCancel = [&] {
         while (!clientGone && pollReadable(fd, 0)) {
             wire::MsgType type;
@@ -336,105 +271,78 @@ Server::handleBatch(int fd, const BatchRequest &req)
         }
     };
 
-    // Every batch kind runs its trials [0, count) the same way, one
-    // wave at a time: probe the wave's keys in the cache and send the
-    // hits, run the misses on the runner, and stream each finished
-    // line. Only the trial key, the job, and the line differ by kind.
-    // A wave is four trials per worker: enough to keep every worker
-    // busy, few enough that a cancel or drain waits little.
-    const size_t wave = size_t(4) * resolveJobs(opts_.workers);
-    const auto runWaves = [&](size_t count, const auto &keyOf,
-                              const auto &job, const auto &lineOf) {
-        using Record = std::invoke_result_t<decltype(job), size_t,
-                                            const CancelToken &>;
-        for (size_t lo = 0; lo < count && !cancelled && !clientGone &&
-                            !stopping_.load();) {
-            const size_t hi = std::min(lo + wave, count);
-            std::vector<size_t> missIdx;
-            std::vector<CacheKey> missKey;
-            std::string line;
-            for (size_t i = lo; i < hi; ++i) {
-                const CacheKey key = keyOf(i);
-                if (cache_->lookup(key, line)) {
-                    addHit(i, line);
-                } else {
-                    SLIP_TRACE(obs::Category::Serve,
-                               obs::Name::CacheMiss,
-                               obs::Phase::Instant, req.id, i);
-                    missIdx.push_back(i);
-                    missKey.push_back(key);
-                }
+    try {
+        const FaultCampaignConfig cfg = req.toCampaignConfig();
+        const std::vector<CampaignTrialSpec> specs = planCampaignTrials(cfg);
+        totalTrials = specs.size();
+
+        // Probe every trial's key: send the hits, queue the misses.
+        std::vector<size_t> missIdx;
+        std::vector<CacheKey> missKey;
+        std::string hitFrames, cached;
+        uint64_t framedHits = 0;
+        const auto flushHits = [&] {
+            if (framedHits == 0)
+                return;
+            if (wire::writeFrames(fd, hitFrames)) {
+                done.completed += framedHits;
+                done.cacheHits += framedHits;
+                std::lock_guard<std::mutex> lock(statsMu_);
+                stats_.trialsCached += framedHits;
+            } else {
+                clientGone = true;
             }
-            flushHits();
-            if (!missIdx.empty() && !clientGone) {
-                SimJobRunner<Record> runner(opts_.workers);
-                runner.setIsolation(opts_.isolation);
-                for (const size_t i : missIdx)
-                    runner.add([&job, i](const CancelToken &cancel) {
-                        return job(i, cancel);
-                    });
-                runner.runSupervised([&](size_t j, const auto &o) {
+            hitFrames.clear();
+            framedHits = 0;
+        };
+        for (size_t i = 0; i < specs.size() && !clientGone; ++i) {
+            const CacheKey key = campaignTrialKey(cfg, specs[i], i);
+            if (cache_->lookup(key, cached)) {
+                appendTrialResult(hitFrames,
+                                  {req.id, i, true, std::move(cached)});
+                ++framedHits;
+                if (hitFrames.size() >= kHitWriteBytes)
+                    flushHits();
+            } else {
+                SLIP_TRACE(obs::Category::Serve, obs::Name::CacheMiss,
+                           obs::Phase::Instant, req.id, i);
+                missIdx.push_back(i);
+                missKey.push_back(key);
+            }
+        }
+        flushHits();
+
+        // The misses run as one supervised batch, each line streamed
+        // as its trial finishes. A cancel, a lost client or stop()
+        // ends the batch before its first trial or at its next
+        // finished one: the trials already dispatched finish, the
+        // rest are revoked.
+        const auto keepGoing = [&] {
+            checkCancel();
+            return !cancelled && !clientGone && !stopping_.load();
+        };
+        if (!missIdx.empty() && keepGoing()) {
+            SimJobRunner<> runner(opts_.workers);
+            runner.setIsolation(opts_.isolation);
+            for (const size_t i : missIdx)
+                runner.add([&cfg, &specs, i](const CancelToken &cancel) {
+                    return runCampaignTrial(cfg, specs[i], i, cancel);
+                });
+            const std::vector<JobOutcome> ran = runner.runSupervised(
+                [&](size_t j, const JobOutcome &o) {
                     const size_t i = missIdx[j];
-                    const std::string line = lineOf(i, o);
+                    const std::string line = campaignTrialLine(
+                        cfg, i, recordCampaignTrial(cfg, specs[i], i, o));
                     cache_->store(missKey[j], line);
-                    if (!sendTrialResult(fd, {req.id, i, false, line}))
-                        clientGone = true;
                     ++done.completed;
                     ++done.cacheMisses;
+                    if (!clientGone &&
+                        !sendTrialResult(fd, {req.id, i, false, line}))
+                        clientGone = true;
+                    return keepGoing();
                 });
-                std::lock_guard<std::mutex> lock(statsMu_);
-                stats_.trialsRun += missIdx.size();
-            }
-            lo = hi;
-            checkCancel();
-        }
-    };
-
-    try {
-        if (req.kind == BatchKind::Campaign ||
-            req.kind == BatchKind::Bench) {
-            FaultCampaignConfig cfg = req.toCampaignConfig();
-            std::vector<CampaignTrialSpec> specs = planCampaignTrials(cfg);
-            // A bench sweep is a campaign whose trials plan no faults:
-            // same programs, same cycle caps, so the record/render
-            // pipeline and the cache treat both alike.
-            if (req.kind == BatchKind::Bench)
-                for (CampaignTrialSpec &spec : specs)
-                    spec.plans.clear();
-            totalTrials = specs.size();
-            runWaves(
-                specs.size(),
-                [&](size_t i) { return campaignTrialKey(cfg, specs[i], i); },
-                [&](size_t i, const CancelToken &cancel) {
-                    return runCampaignTrial(cfg, specs[i], i, cancel);
-                },
-                [&](size_t i, const JobOutcome &o) {
-                    return campaignTrialLine(
-                        cfg, i, recordCampaignTrial(cfg, specs[i], i, o));
-                });
-        } else if (req.kind == BatchKind::Fuzz) {
-            totalTrials = req.seedEnd > req.seedBegin
-                              ? size_t(req.seedEnd - req.seedBegin)
-                              : 0;
-            // The rendered source is the cache identity; the job
-            // renders the same program again from the seed.
-            runWaves(
-                totalTrials,
-                [&](size_t i) {
-                    const uint64_t seed = req.seedBegin + i;
-                    return fuzzTrialKey(req, seed,
-                                        fuzz::generate(seed).render());
-                },
-                [&](size_t i, const CancelToken &) {
-                    return runFuzzSeed(req.seedBegin + i);
-                },
-                [&](size_t i, const Outcome<fuzz::FuzzCase> &o) {
-                    return fuzzTrialLine(req, req.seedBegin + i, o);
-                });
-        } else {
-            done.status = BatchStatus::Error;
-            done.error = "unknown batch kind " +
-                         std::to_string(unsigned(req.kind));
+            std::lock_guard<std::mutex> lock(statsMu_);
+            stats_.trialsRun += ran.size();
         }
     } catch (const std::exception &e) {
         done.status = BatchStatus::Error;
@@ -499,13 +407,10 @@ Server::stop()
     }
     if (acceptThread_.joinable())
         acceptThread_.join();
-    {
-        std::lock_guard<std::mutex> lock(connMu_);
-        for (std::thread &t : connThreads_)
-            if (t.joinable())
-                t.join();
-        connThreads_.clear();
-    }
+    for (Connection &conn : connections_)
+        if (conn.thread.joinable())
+            conn.thread.join();
+    connections_.clear();
     if (unixFd_ >= 0) {
         ::close(unixFd_);
         unixFd_ = -1;

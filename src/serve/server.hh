@@ -1,9 +1,8 @@
 /**
  * @file
- * The slipd campaign server: a persistent daemon that accepts trial
- * batches (fault campaigns, fuzz seed windows, fault-free bench
- * sweeps) over a Unix-domain socket, runs them on SimJobRunner, and
- * streams JSONL results back as trials complete.
+ * The slipd campaign server: a persistent daemon that accepts
+ * fault-campaign batches over a Unix-domain socket, runs them on
+ * SimJobRunner, and streams JSONL results back as trials complete.
  *
  * Design invariants:
  *
@@ -15,20 +14,21 @@
  *    isolation mode, client count, and cache state change *when*
  *    lines arrive, never their bytes.
  *
- *  - One path per batch. Campaign, bench and fuzz batches share one
- *    wave loop; only the trial key, the job, and the result line
- *    differ by kind.
+ *  - One run per batch. The server probes every trial's key in the
+ *    result cache and sends the hits first, in one write per 64 KiB
+ *    of frames; the misses then run as one supervised SimJobRunner
+ *    batch, each line streamed as its trial finishes.
  *
- *  - Crash isolation is inherited, not reimplemented. Waves run on
- *    SimJobRunner with the server's isolation mode; a trial that
+ *  - Crash isolation is inherited, not reimplemented. The misses run
+ *    on SimJobRunner with the server's isolation mode; a trial that
  *    SIGSEGVs the simulator costs that trial (a `crashed` line), and
  *    poison/quarantine/deadline-reap semantics are the runner's.
  *
- *  - Batches dispatch in bounded waves of four trials per worker, so
- *    client cancellation can revoke every not-yet-dispatched trial
- *    between waves, and a drain request lets in-flight batches finish
- *    while new ones are refused — SIGTERM never truncates a batch
- *    mid-stream.
+ *  - A client's cancel, a lost client and stop() end a batch at its
+ *    next finished trial: the trials already dispatched finish, and
+ *    every trial not yet dispatched is revoked. A drain request lets
+ *    in-flight batches finish while new ones are refused — SIGTERM
+ *    never truncates a batch mid-stream.
  *
  *  - Results are cached content-addressed on disk (result_cache.hh);
  *    a repeated batch answers from the cache, surviving server
@@ -41,11 +41,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "harness/worker_pool.hh"
 #include "serve/result_cache.hh"
@@ -108,6 +108,13 @@ class Server
     void serveConnection(int fd, uint64_t connId);
     void handleBatch(int fd, const BatchRequest &req);
 
+    /** One client connection's thread; `finished` is set as it ends. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> finished{false};
+    };
+
     ServerOptions opts_;
     std::unique_ptr<ResultCache> cache_;
 
@@ -115,8 +122,10 @@ class Server
     int wakePipe_[2] = {-1, -1};
 
     std::thread acceptThread_;
-    std::mutex connMu_;
-    std::vector<std::thread> connThreads_;
+    // The accept thread joins each connection that has finished as it
+    // accepts the next; stop() joins the rest once the accept thread
+    // has exited.
+    std::list<Connection> connections_;
 
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "assembler/assembler.hh"
 #include "common/invariant.hh"
@@ -169,6 +170,27 @@ TEST_F(Fuzzer, CleanWindowReportsNoFindings)
     EXPECT_EQ(s.divergences, 0u);
     EXPECT_EQ(s.errors, 0u);
     EXPECT_TRUE(s.findings.empty());
+}
+
+TEST_F(Fuzzer, BudgetStopsALargeWindowEarly)
+{
+    // A 1 ms budget over a 100,000-seed window: the first batch still
+    // runs, and the next check of the budget ends the campaign.
+    FuzzOptions opt;
+    opt.seedBegin = 0;
+    opt.seedEnd = 100000;
+    opt.jobs = 1;
+    opt.bundleDir.clear();
+    opt.budgetMs = 1;
+    std::vector<uint64_t> seen;
+    opt.onSeed = [&](uint64_t seed, bool) { seen.push_back(seed); };
+    const FuzzSummary s = runFuzz(opt);
+    EXPECT_TRUE(s.budgetExhausted);
+    EXPECT_GT(s.seedsRun, 0u);
+    EXPECT_LT(s.seedsRun, 100000u);
+    ASSERT_EQ(seen.size(), s.seedsRun);
+    for (size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], opt.seedBegin + i);
 }
 
 TEST_F(Fuzzer, FaultCampaignWritesMinimizedBundles)

@@ -6,17 +6,20 @@
  * mid-stream frames surfacing as errors instead of hangs, malformed
  * batch requests answered with an error instead of killing the
  * daemon, and the served-batch contracts — byte identity against the
- * single-process pipeline under each A-stream policy, cache hits on
- * resubmission (mixed with misses in one wave, and after on-disk
- * corruption), cancellation revoking undispatched trials, and drain
- * rejecting new batches.
+ * single-process pipeline in-process and under fork isolation, cache
+ * hits on resubmission (mixed with misses in one batch, and after
+ * on-disk corruption), cancellation revoking undispatched trials,
+ * drain rejecting new batches, and finished connections giving their
+ * threads back.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -472,6 +475,67 @@ TEST(ServeFraming, MidStreamVersionDriftIsStrictlyRejected)
 // Served batches end to end.
 // ---------------------------------------------------------------------
 
+/**
+ * A raw, handshaken connection to the server at `path`, or -1: the
+ * client library only sends well-formed requests, one at a time.
+ */
+int
+rawConnection(const std::string &path)
+{
+    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+        ADD_FAILURE() << "socket: " << std::strerror(errno);
+        return -1;
+    }
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    std::string err;
+    if (connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                sizeof(addr)) != 0 ||
+        !clientHandshake(fd, "raw-client", err)) {
+        ADD_FAILURE() << "cannot connect to " << path << ": " << err;
+        close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Read frames up to the BatchDone that ends a batch; count trials. */
+BatchDoneMsg
+awaitBatchDone(int fd, uint64_t &trials)
+{
+    BatchDoneMsg done;
+    trials = 0;
+    for (;;) {
+        wire::MsgType type;
+        std::string reply;
+        if (wire::readFrame(fd, type, reply) != wire::ReadResult::Ok) {
+            ADD_FAILURE() << "server closed the connection";
+            return done;
+        }
+        if (type == wire::MsgType::BatchDone) {
+            wire::Decoder dec(reply);
+            dec.get(done);
+            return done;
+        }
+        ++trials;
+    }
+}
+
+/** A number from /proc/self/status: "VmSize" in kB, "Threads". */
+int64_t
+procStatus(const std::string &field)
+{
+    std::ifstream in("/proc/self/status");
+    const std::string key = field + ":";
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind(key, 0) == 0)
+            return std::stoll(line.substr(key.size()));
+    ADD_FAILURE() << "no " << field << " line in /proc/self/status";
+    return 0;
+}
+
 struct ServerFixture : ::testing::Test
 {
     void
@@ -495,7 +559,6 @@ struct ServerFixture : ::testing::Test
     smallBatch() const
     {
         BatchRequest req;
-        req.kind = BatchKind::Campaign;
         req.id = 1;
         req.name = "serve_test";
         req.workloads = {"compress"};
@@ -590,31 +653,28 @@ TEST_F(ServerFixture, BatchMatchesSingleProcessPipelineByteForByte)
     EXPECT_EQ(served, expected);
 }
 
-TEST_F(ServerFixture, BenchBatchIsAZeroFaultCampaign)
+/** A server whose trials run in forked worker processes. */
+struct ForkFixture : ServerFixture
 {
-    BatchRequest req = smallBatch();
-    req.kind = BatchKind::Bench;
-    req.trialsPerWorkload = 2;
-
-    // The reference: the campaign's own specs with every plan dropped.
-    const FaultCampaignConfig cfg = req.toCampaignConfig();
-    std::vector<CampaignTrialSpec> specs = planCampaignTrials(cfg);
-    std::string expected;
-    for (size_t i = 0; i < specs.size(); ++i) {
-        specs[i].plans.clear();
-        CancelToken cancel;
-        JobOutcome o;
-        o.metrics = runCampaignTrial(cfg, specs[i], i, cancel);
-        expected += campaignTrialLine(
-                        cfg, i, recordCampaignTrial(cfg, specs[i], i, o)) +
-                    '\n';
+    void
+    SetUp() override
+    {
+        opts.isolation = IsolationMode::Fork;
+        ServerFixture::SetUp();
     }
-    EXPECT_NE(expected.find("\"planned\":0,"), std::string::npos);
+};
+
+TEST_F(ForkFixture, BatchMatchesSingleProcessPipelineByteForByte)
+{
+    const BatchRequest req = smallBatch();
+    std::string expected;
+    for (const std::string &line : referenceLines(req))
+        expected += line + '\n';
 
     BatchDoneMsg done;
     EXPECT_EQ(submit(req, done), expected);
     EXPECT_EQ(done.status, BatchStatus::Ok);
-    EXPECT_EQ(done.completed, 2u);
+    EXPECT_EQ(done.cacheMisses, 4u);
 }
 
 TEST_F(ServerFixture, ResubmittedBatchIsServedFromCache)
@@ -677,7 +737,7 @@ TEST_F(ServerFixture, CorruptEntriesAreResimulatedNotServed)
     EXPECT_EQ(server->cache().corrupt(), 4u);
 }
 
-/** A server with one worker, so it dispatches four trials a wave. */
+/** A server with one worker, so its misses run one at a time. */
 struct OneWorkerFixture : ServerFixture
 {
     void
@@ -688,22 +748,22 @@ struct OneWorkerFixture : ServerFixture
     }
 };
 
-TEST_F(OneWorkerFixture, HitsAndMissesInOneWaveEachArriveOnce)
+TEST_F(OneWorkerFixture, HitsAndMissesInOneBatchEachArriveOnce)
 {
     BatchRequest req = smallBatch();
     req.trialsPerWorkload = 6;
     const std::vector<std::string> lines = referenceLines(req);
     const std::vector<CacheKey> keys = trialKeys(req);
     ASSERT_EQ(lines.size(), 6u);
-    // Both waves (trials 0-3 and 4-5) hold stored trials and trials
-    // to simulate.
+    // Every other trial is stored: the batch interleaves hits with
+    // trials to simulate.
     for (size_t i = 0; i < lines.size(); i += 2)
         server->cache().store(keys[i], lines[i]);
 
     Client client;
     std::string err;
     ASSERT_TRUE(client.connect(opts.unixPath, err)) << err;
-    ASSERT_TRUE(client.handshake("wave-client", err)) << err;
+    ASSERT_TRUE(client.handshake("mixed-client", err)) << err;
     std::vector<unsigned> arrivals(lines.size(), 0);
     BatchDoneMsg done;
     ASSERT_TRUE(client.submitBatch(
@@ -729,42 +789,16 @@ TEST_F(OneWorkerFixture, HitsAndMissesInOneWaveEachArriveOnce)
 
 TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
 {
-    // A raw, handshaken connection: the client library only sends
-    // well-formed requests.
-    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = rawConnection(opts.unixPath);
     ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, opts.unixPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                      sizeof(addr)),
-              0);
-    std::string err;
-    ASSERT_TRUE(clientHandshake(fd, "raw-client", err)) << err;
 
     // Send one request payload; count the trial frames until the
     // BatchDone that ends the batch.
     uint64_t trials = 0;
     const auto submitRaw = [&](const std::string &payload) {
-        BatchDoneMsg done;
-        trials = 0;
         EXPECT_TRUE(wire::writeFrame(fd, wire::MsgType::BatchRequest,
                                      payload));
-        for (;;) {
-            wire::MsgType type;
-            std::string reply;
-            if (wire::readFrame(fd, type, reply) != wire::ReadResult::Ok) {
-                ADD_FAILURE() << "server closed the connection";
-                return done;
-            }
-            if (type == wire::MsgType::BatchDone) {
-                wire::Decoder dec(reply);
-                dec.get(done);
-                return done;
-            }
-            ++trials;
-        }
+        return awaitBatchDone(fd, trials);
     };
 
     wire::Encoder valid;
@@ -811,60 +845,6 @@ TEST_F(ServerFixture, MalformedBatchRequestIsAnErrorNotACrash)
     close(fd);
 }
 
-TEST_F(ServerFixture, FuzzBatchStreamsSeedWindow)
-{
-    BatchRequest req;
-    req.kind = BatchKind::Fuzz;
-    req.id = 9;
-    req.name = "serve_fuzz";
-    req.seedBegin = 0;
-    req.seedEnd = 3;
-    BatchDoneMsg done;
-    const std::string journal = submit(req, done);
-    EXPECT_EQ(done.status, BatchStatus::Ok);
-    EXPECT_EQ(done.completed, 3u);
-    // Pinned bytes: the cache and every client hold exactly these
-    // lines, whichever executor ran the seeds.
-    EXPECT_EQ(journal,
-              "{\"campaign\":\"serve_fuzz\",\"kind\":\"fuzz\",\"seed\":0,"
-              "\"status\":\"ok\",\"diverged\":0}\n"
-              "{\"campaign\":\"serve_fuzz\",\"kind\":\"fuzz\",\"seed\":1,"
-              "\"status\":\"ok\",\"diverged\":0}\n"
-              "{\"campaign\":\"serve_fuzz\",\"kind\":\"fuzz\",\"seed\":2,"
-              "\"status\":\"ok\",\"diverged\":0}\n");
-
-    BatchDoneMsg warm;
-    EXPECT_EQ(submit(req, warm), journal);
-    EXPECT_EQ(warm.cacheHits, 3u);
-}
-
-TEST_F(ServerFixture, FuzzBatchEscapesTheClientsName)
-{
-    // A name from the socket must not break the line it lands in: a
-    // quote or a newline pasted raw would split or corrupt every line.
-    BatchRequest req;
-    req.kind = BatchKind::Fuzz;
-    req.id = 10;
-    req.name = "x\"y\nz";
-    req.seedBegin = 0;
-    req.seedEnd = 2;
-    BatchDoneMsg done;
-    const std::string journal = submit(req, done);
-    EXPECT_EQ(done.status, BatchStatus::Ok);
-    EXPECT_EQ(done.completed, 2u);
-    std::vector<std::string> lines;
-    size_t from = 0;
-    for (size_t nl; (nl = journal.find('\n', from)) != std::string::npos;
-         from = nl + 1)
-        lines.push_back(journal.substr(from, nl - from));
-    ASSERT_EQ(lines.size(), 2u) << journal;
-    for (const std::string &line : lines) {
-        EXPECT_EQ(line.rfind("{\"campaign\":\"x\\\"y\\nz\",", 0), 0u)
-            << line;
-        EXPECT_EQ(line.back(), '}') << line;
-    }
-}
-
 TEST_F(ServerFixture, DrainRejectsNewBatches)
 {
     server->beginDrain();
@@ -876,10 +856,38 @@ TEST_F(ServerFixture, DrainRejectsNewBatches)
         << done.error;
 }
 
+TEST_F(ServerFixture, FinishedConnectionsKeepNoThread)
+{
+    // slipc opens one connection per command. A connection that has
+    // ended must give its thread, and the thread's stack, back.
+    const int64_t threads = procStatus("Threads");
+    const auto connectAndLeave = [&] {
+        {
+            Client client;
+            std::string err;
+            EXPECT_TRUE(client.connect(opts.unixPath, err)) << err;
+            EXPECT_TRUE(client.handshake("short-lived", err)) << err;
+        }
+        // Wait for the connection's thread to exit, so that no two
+        // connection threads ever run at once: however loaded the host,
+        // a new stack or malloc arena then means a thread never joined.
+        for (int ms = 0; ms < 2000 && procStatus("Threads") > threads; ++ms)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    for (int i = 0; i < 16; ++i)
+        connectAndLeave();
+    const int64_t before = procStatus("VmSize");
+    for (int i = 0; i < 48; ++i)
+        connectAndLeave();
+    EXPECT_LT(procStatus("VmSize") - before, 32 * 1024);
+}
+
 TEST(ServeCancel, CancelRevokesUndispatchedTrials)
 {
-    // One worker, so a wave is four trials: a cancel sent after the
-    // first result revokes the waves after the one it lands in.
+    // One worker and no cache, so every trial really runs. The cancel
+    // goes out right behind the request: the server reads it before
+    // it dispatches a trial, or at the latest once the first trial is
+    // delivered, and revokes every trial not yet dispatched.
     ScratchDir dir;
     ServerOptions opts;
     opts.unixPath = dir.path + "/slipd.sock";
@@ -890,7 +898,6 @@ TEST(ServeCancel, CancelRevokesUndispatchedTrials)
     ASSERT_TRUE(server.start(err)) << err;
 
     BatchRequest req;
-    req.kind = BatchKind::Campaign;
     req.id = 5;
     req.name = "serve_cancel";
     req.workloads = {"compress"};
@@ -898,21 +905,21 @@ TEST(ServeCancel, CancelRevokesUndispatchedTrials)
     req.trialsPerWorkload = 12;
     req.seed = 17;
 
-    Client client;
-    ASSERT_TRUE(client.connect(opts.unixPath, err)) << err;
-    ASSERT_TRUE(client.handshake("canceller", err)) << err;
-    BatchDoneMsg done;
-    unsigned received = 0;
-    ASSERT_TRUE(client.submitBatch(
-        req,
-        [&](const TrialResultMsg &) {
-            return ++received > 1; // cancel after the first result
-        },
-        done, err))
-        << err;
+    const int fd = rawConnection(opts.unixPath);
+    ASSERT_GE(fd, 0);
+    wire::Encoder request, cancel;
+    request.put(req);
+    cancel.putU64(req.id);
+    ASSERT_TRUE(wire::writeFrame(fd, wire::MsgType::BatchRequest,
+                                 request.bytes()));
+    ASSERT_TRUE(wire::writeFrame(fd, wire::MsgType::CancelBatch,
+                                 cancel.bytes()));
+    uint64_t trials = 0;
+    const BatchDoneMsg done = awaitBatchDone(fd, trials);
+    close(fd);
     EXPECT_EQ(done.status, BatchStatus::Cancelled);
-    EXPECT_GT(done.revoked, 0u);
-    EXPECT_LT(done.completed, 12u);
+    EXPECT_LE(done.completed, 1u);
+    EXPECT_EQ(trials, done.completed);
     EXPECT_EQ(done.completed + done.revoked, 12u);
 
     const ServeStats stats = server.statsSnapshot();

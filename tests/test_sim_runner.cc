@@ -52,6 +52,46 @@ TEST(SimJobRunner, ResultsComeBackInSubmissionOrder)
     }
 }
 
+/**
+ * A false from onOutcome dispatches no further job. With one thread
+ * the one job dispatched is the prefix returned; with four, whatever
+ * prefix the threads had claimed at the stop comes back, each of its
+ * jobs run once, and no later job runs. (Fork isolation: see
+ * test_worker_pool.)
+ */
+TEST(SimJobRunner, StopOnOutcomeReturnsTheDispatchedPrefix)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        SimJobRunner runner(jobs, Supervision{});
+        runner.setIsolation(IsolationMode::None);
+        std::vector<std::atomic<int>> runs(8);
+        for (int i = 0; i < 8; ++i) {
+            runner.add([i, &runs] {
+                ++runs[i];
+                RunMetrics m;
+                m.retired = uint64_t(i);
+                return m;
+            });
+        }
+        unsigned calls = 0;
+        const std::vector<JobOutcome> outcomes = runner.runSupervised(
+            [&](size_t, const JobOutcome &) { return ++calls > 1; });
+        ASSERT_GE(outcomes.size(), 1u);
+        if (jobs == 1) {
+            EXPECT_EQ(outcomes.size(), 1u);
+        }
+        EXPECT_EQ(calls, outcomes.size());
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            EXPECT_TRUE(outcomes[i].ok());
+            EXPECT_EQ(outcomes[i].metrics.retired, uint64_t(i));
+            EXPECT_EQ(runs[i].load(), 1) << "job " << i;
+        }
+        for (size_t i = outcomes.size(); i < runs.size(); ++i)
+            EXPECT_EQ(runs[i].load(), 0) << "job " << i;
+    }
+}
+
 TEST(SimJobRunner, RunClearsTheQueue)
 {
     SimJobRunner runner(2);

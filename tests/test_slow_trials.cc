@@ -43,7 +43,7 @@ TEST(SlowTrials, Seed606VortexHangsWithinBudget)
     EXPECT_EQ(
         campaignTrialLine(cfg, kTrial, record),
         "{\"campaign\":\"slip_campaign\",\"seed\":606,\"trial\":14,"
-        "\"key\":\"91771fb0a24a68ecc4be276ded617b67\","
+        "\"key\":\"72c294106be1ce9916d3659fabc11ec4\","
         "\"workload\":\"vortex\",\"outcome\":\"hung\",\"planned\":2,"
         "\"injected\":2,\"detected\":1,\"degraded\":0,"
         "\"latency_samples\":1,\"latency_total\":62,\"latency_max\":62,"

@@ -520,7 +520,6 @@ TEST(WireCodec, PayloadBytesMatchTheHandWrittenCodecs)
               "61696c65640b000000fdffffffefbeadde00000000030103000000");
 
     serve::BatchRequest b;
-    b.kind = serve::BatchKind::Bench;
     b.id = 42;
     b.name = "pin";
     b.workloads = {"compress", "li"};
@@ -532,13 +531,11 @@ TEST(WireCodec, PayloadBytesMatchTheHandWrittenCodecs)
     b.reliableMode = true;
     b.targets = {FaultTarget::AStream, FaultTarget::MemoryCell};
     b.detect.kind = DetectBackendKind::Replay;
-    b.seedBegin = 3;
-    b.seedEnd = 9;
     EXPECT_EQ(payloadHex(b.detect), "01");
     EXPECT_EQ(payloadHex(b),
-              "022a000000000000000300000070696e0200000008000000636f6d707265"
-              "7373020000006c6901050000000200000004000000630000000000000001"
-              "0200000000060103000000000000000900000000000000");
+              "2a000000000000000300000070696e0200000008000000636f6d70726573"
+              "73020000006c690105000000020000000400000063000000000000000102"
+              "000000000601");
 
     const serve::TrialResultMsg result{7, 3, true, "{\"trial\":3}"};
     EXPECT_EQ(payloadHex(result),

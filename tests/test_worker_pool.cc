@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
+#include <sys/mman.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
@@ -245,11 +249,131 @@ TEST(WorkerPool, OnOutcomeSeesEveryJob)
             ++seen[job];
             if (o.status == IsolatedOutcome::Status::Crashed)
                 ++crashes;
+            return true;
         });
     setLogQuiet(false);
     for (int n : seen)
         EXPECT_EQ(n, 1);
     EXPECT_EQ(crashes.load(), 1);
+}
+
+/**
+ * Per-job run counts in shared memory, so that the runs in forked
+ * workers are counted where the test can read them.
+ */
+class SharedCounts
+{
+  public:
+    explicit SharedCounts(size_t n)
+        : n_(n), map_(mmap(nullptr, n * sizeof(std::atomic<int>),
+                           PROT_READ | PROT_WRITE,
+                           MAP_SHARED | MAP_ANONYMOUS, -1, 0))
+    {
+        EXPECT_NE(map_, MAP_FAILED);
+    }
+
+    ~SharedCounts() { munmap(map_, n_ * sizeof(std::atomic<int>)); }
+
+    std::atomic<int> &
+    operator[](size_t i)
+    {
+        return static_cast<std::atomic<int> *>(map_)[i];
+    }
+
+  private:
+    size_t n_;
+    void *map_;
+};
+
+/**
+ * One worker and a stop on the first outcome: the one job dispatched
+ * is the prefix returned, and no later job ever runs. Job 0 crashes
+ * on its first dispatch, before the stop, and still gets its
+ * re-dispatch.
+ */
+TEST(WorkerPool, StopOnOutcomeReturnsTheDispatchedPrefix)
+{
+    setLogQuiet(true);
+    SharedCounts runs(8);
+    unsigned calls = 0;
+    WorkerPool pool(quietOpts(1));
+    const auto results = pool.run(
+        8,
+        [&](size_t job, unsigned attempt) {
+            ++runs[job];
+            if (job == 0 && attempt == 1)
+                raise(SIGSEGV);
+            return "job-" + std::to_string(job);
+        },
+        [&](size_t, const IsolatedOutcome &) { return ++calls > 1; });
+    setLogQuiet(false);
+
+    EXPECT_EQ(calls, 1u);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].ok());
+    EXPECT_EQ(results[0].payload, "job-0");
+    EXPECT_EQ(results[0].attempts, 2u);
+    EXPECT_EQ(runs[0].load(), 2);
+    for (size_t j = 1; j < 8; ++j)
+        EXPECT_EQ(runs[j].load(), 0) << "job " << j;
+}
+
+/**
+ * A job in flight at the stop is still delivered, and if it crashes it
+ * is still re-dispatched. Two workers take jobs 0 and 1 at once; job 1
+ * returns at once and stops the batch while job 0 is still running
+ * its first attempt, which crashes.
+ */
+TEST(WorkerPool, CrashedJobKeepsItsRedispatchAfterAStop)
+{
+    setLogQuiet(true);
+    SharedCounts runs(8);
+    WorkerPool pool(quietOpts(2));
+    const auto results = pool.run(
+        8,
+        [&](size_t job, unsigned attempt) {
+            ++runs[job];
+            if (job == 0 && attempt == 1) {
+                usleep(200 * 1000);
+                raise(SIGSEGV);
+            }
+            return "job-" + std::to_string(job);
+        },
+        [](size_t, const IsolatedOutcome &) { return false; });
+    setLogQuiet(false);
+
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].ok());
+    EXPECT_EQ(results[0].attempts, 2u);
+    EXPECT_TRUE(results[1].ok());
+    EXPECT_EQ(results[1].payload, "job-1");
+    for (size_t j = 2; j < 8; ++j)
+        EXPECT_EQ(runs[j].load(), 0) << "job " << j;
+}
+
+/**
+ * A throw from onOutcome leaves no worker behind: the idle worker is
+ * told to exit, the busy one is killed, and both are reaped before
+ * the exception reaches the caller.
+ */
+TEST(WorkerPool, ThrowingOnOutcomeLeavesNoWorkerRunning)
+{
+    const std::vector<EncodedJob> batch = {
+        [](const CancelToken &) { return std::string("fast"); },
+        [](const CancelToken &) {
+            sleep(30);
+            return std::string("slow");
+        },
+        [](const CancelToken &) { return std::string("never"); },
+    };
+    EXPECT_THROW(runEncodedJobs(2, Supervision{}, IsolationMode::Fork, batch,
+                                [](size_t, Outcome<std::string> &&) -> bool {
+                                    throw std::runtime_error("journal full");
+                                }),
+                 std::runtime_error);
+    errno = 0;
+    EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(WorkerPool, ZeroJobsIsANoOp)
@@ -324,6 +448,38 @@ TEST(SimJobRunner, ForkedRecordsSurviveASegfaultingJob)
     EXPECT_NE(dead.errorMessage.find("(phase run)"), std::string::npos)
         << dead.errorMessage;
     EXPECT_TRUE(dead.record.label.empty());
+}
+
+/**
+ * The runner's stop under fork isolation: one worker, a stop on the
+ * first outcome, and the one job dispatched comes back, after the
+ * re-dispatch its first crash earned.
+ */
+TEST(SimJobRunner, ForkedStopReturnsTheDispatchedPrefix)
+{
+    setLogQuiet(true);
+    SharedCounts runs(8);
+    SimJobRunner<Tagged> runner(1, Supervision{});
+    runner.setIsolation(IsolationMode::Fork);
+    for (uint64_t i = 0; i < 8; ++i) {
+        runner.add([i, &runs] {
+            if (++runs[i] == 1 && i == 0)
+                raise(SIGSEGV);
+            return Tagged{i, "job-" + std::to_string(i)};
+        });
+    }
+    unsigned calls = 0;
+    const std::vector<Outcome<Tagged>> outcomes = runner.runSupervised(
+        [&](size_t, const Outcome<Tagged> &) { return ++calls > 1; });
+    setLogQuiet(false);
+
+    EXPECT_EQ(calls, 1u);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok());
+    EXPECT_EQ(outcomes[0].record.label, "job-0");
+    EXPECT_EQ(outcomes[0].attempts, 2u);
+    for (size_t j = 1; j < 8; ++j)
+        EXPECT_EQ(runs[j].load(), 0) << "job " << j;
 }
 
 } // namespace

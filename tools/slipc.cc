@@ -3,8 +3,6 @@
  *
  *   slipc --connect unix:/tmp/slipd.sock campaign --trials 8 \
  *         --workloads compress,li --seed 7
- *   slipc --connect unix:/tmp/slipd.sock bench --workloads compress
- *   slipc --connect unix:/tmp/slipd.sock fuzz --seeds 0:64
  *   slipc --connect unix:/tmp/slipd.sock stats
  *   slipc --connect unix:/tmp/slipd.sock drain
  *
@@ -47,13 +45,9 @@ usage(std::ostream &os)
           "    --name NAME --workloads A,B --size S --trials N\n"
           "    --seed N --min-faults N --max-faults N --reliable\n"
           "    --detect slipstream|replay\n"
-          "  bench      fault-free performance sweep\n"
-          "    --name NAME --workloads A,B --size S --trials N\n"
-          "  fuzz       differential-fuzz seed window\n"
-          "    --name NAME --seeds BEGIN:END\n"
           "  stats      print server lifetime counters\n"
           "  drain      ask the server to drain and exit\n"
-          "common batch options:\n"
+          "campaign batch options:\n"
           "    --batch-id N     client-chosen id (default 1)\n"
           "    --no-sort        stream results unsorted\n"
           "    --cancel-after N cancel the batch after N results\n"
@@ -84,20 +78,13 @@ run(int argc, char **argv)
             return 0;
         } else if (arg == "--connect") {
             address = value("--connect");
-        } else if (arg == "campaign" || arg == "bench" ||
-                   arg == "fuzz" || arg == "stats" ||
+        } else if (arg == "campaign" || arg == "stats" ||
                    arg == "drain") {
             if (!command.empty()) {
                 std::cerr << "slipc: one command at a time\n";
                 return 2;
             }
             command = arg;
-            if (arg == "campaign")
-                req.kind = serve::BatchKind::Campaign;
-            else if (arg == "bench")
-                req.kind = serve::BatchKind::Bench;
-            else if (arg == "fuzz")
-                req.kind = serve::BatchKind::Fuzz;
         } else if (arg == "--name") {
             req.name = value("--name");
         } else if (arg == "--workloads") {
@@ -141,19 +128,6 @@ run(int argc, char **argv)
                           << "' (want slipstream|replay)\n";
                 return 2;
             }
-        } else if (arg == "--seeds") {
-            const std::string v = value("--seeds");
-            const size_t colon = v.find(':');
-            uint64_t b = 0, e = 0;
-            if (colon == std::string::npos ||
-                !parseUnsigned(v.substr(0, colon), b) ||
-                !parseUnsigned(v.substr(colon + 1), e) || e <= b) {
-                std::cerr << "slipc: bad --seeds '" << v
-                          << "' (want BEGIN:END, END > BEGIN)\n";
-                return 2;
-            }
-            req.seedBegin = b;
-            req.seedEnd = e;
         } else if (arg == "--batch-id") {
             if (!parseUnsigned(value("--batch-id"), req.id)) {
                 std::cerr << "slipc: bad --batch-id\n";
@@ -178,11 +152,6 @@ run(int argc, char **argv)
         usage(std::cerr);
         return 2;
     }
-    if (command == "fuzz" && req.seedEnd <= req.seedBegin) {
-        std::cerr << "slipc: fuzz needs --seeds BEGIN:END\n";
-        return 2;
-    }
-
     serve::Client client;
     std::string err;
     if (!client.connect(address, err) ||

@@ -1,9 +1,10 @@
 /**
  * slipd: the persistent simulation-as-a-service daemon. Listens on a
- * Unix-domain socket, accepts trial batches from slipc clients, runs
- * them on SimJobRunner (threads, or crash-isolated worker processes
- * under --isolation fork), streams JSONL results, and caches every
- * result content-addressed on disk so repeated batches — and batches
+ * Unix-domain socket, accepts fault-campaign batches from slipc
+ * clients, runs each batch's uncached trials as one SimJobRunner batch
+ * (threads, or crash-isolated worker processes under --isolation
+ * fork), streams JSONL results, and caches every result
+ * content-addressed on disk so repeated batches — and batches
  * re-submitted after a restart — answer without re-simulating.
  *
  *   slipd --socket /tmp/slipd.sock --cache results/serve_cache
@@ -57,9 +58,7 @@ usage(std::ostream &os)
           "  --cache-max N    cache entry cap "
           "(default 65536)\n"
           "  --workers N      trial workers per batch "
-          "(default $SLIPSTREAM_JOBS);\n"
-          "                   a batch dispatches 4 trials per worker "
-          "per wave\n"
+          "(default $SLIPSTREAM_JOBS)\n"
           "  --isolation M    trial sandboxing: none | fork "
           "(default $SLIPSTREAM_ISOLATION)\n"
           "  --name NAME      server name in the handshake "
